@@ -965,8 +965,7 @@ def _serve_main(args: argparse.Namespace) -> int:
                 model,
                 background,
                 max_sets=args.max_sets,
-                enum_capacity=args.cache_capacity,
-                master_capacity=args.cache_capacity,
+                cache_capacity=args.cache_capacity,
                 explain=args.explain,
                 **service_kwargs,
             )
@@ -1141,8 +1140,7 @@ def _serve_online_main(args: argparse.Namespace) -> int:
             controller = OnlineAdmissionController(
                 model,
                 max_sets=args.max_sets,
-                enum_capacity=args.cache_capacity,
-                master_capacity=args.cache_capacity,
+                cache_capacity=args.cache_capacity,
                 pin=args.strict,
                 explain=args.explain,
                 **controller_kwargs,

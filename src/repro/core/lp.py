@@ -17,10 +17,10 @@ as columns arrive, never rebuilt.  :meth:`LinearProgram.set_column`
 layer's warm starts need: a cached master LP is retargeted at a new query
 path without touching its other columns.  :meth:`LinearProgram.set_rhs`
 rewrites one constraint's right-hand side in place (the matrix — and its
-assembly cache — survive), and :meth:`LinearProgram.retire_column` masks
-a variable out of the program returning a snapshot that
-:meth:`~LinearProgram.set_column` restores; together they are the online
-admission controller's churn primitives.
+assembly cache — survive); the online admission controller moves carried
+load in and out of a cached master with it.
+:meth:`LinearProgram.retire_column` masks a variable out of the program,
+returning a snapshot that :meth:`~LinearProgram.set_column` restores.
 
 Re-solve work is memoised on a mutation version: an unchanged program
 returns its previous :class:`LpSolution` without calling the solver
@@ -378,11 +378,10 @@ class LinearProgram:
         the bound stays, so warm-start retargeting is unaffected.  This
         is the serving layer's warm-start primitive: a cached master LP
         is retargeted at a new query path by rewriting one column
-        instead of rebuilding every row, and — together with
-        :meth:`retire_column` — the online controller's re-admission
-        primitive.  The triplet list is compacted, so the next solve
-        re-assembles from scratch; thereafter incremental assembly
-        resumes.
+        instead of rebuilding every row, and it restores a column
+        masked by :meth:`retire_column`.  The triplet list is compacted,
+        so the next solve re-assembles from scratch; thereafter
+        incremental assembly resumes.
         """
         column = self._index.get(name)
         if column is None:
@@ -417,10 +416,8 @@ class LinearProgram:
         The column's triplets are removed, its objective zeroed and its
         upper bound pinned to ``0.0`` — the solver then sees a program
         in which the variable cannot carry value, without renumbering
-        the surviving columns.  This is the online admission
-        controller's departure primitive: a retired flow's column stops
-        contributing while the master LP's shape is preserved for the
-        remaining traffic.
+        the surviving columns: the column stops contributing while the
+        program's shape is preserved.
 
         Returns the snapshot ``{"entries", "objective", "upper_bound"}``
         with entries in each row's *original* orientation, so

@@ -19,10 +19,11 @@ Both engines take ``explain=True`` (CLI ``--explain``) to attach a
 cliques, crowd-out attribution — to every decision; the flight
 recorder's slow log names each query's top binding link either way.
 
-Cached answers are exactly the cold solver's answers: every cache is
-keyed on the same link universe the cold path enumerates over, and the
-warm-start path assembles the identical program (see
-:mod:`repro.serve.service`).
+Both engines answer through one :class:`MasterSession`, and its cached
+answers are exactly the cold solver's answers: every cache is keyed on
+the same link universe the cold path enumerates over, and the warm path
+edits the cached program into the identical one (see
+:mod:`repro.serve.session`).
 """
 
 from repro.serve.cache import SolveCache
@@ -52,12 +53,14 @@ from repro.serve.service import (
     AdmissionService,
     BatchSession,
 )
+from repro.serve.session import MasterSession
 
 __all__ = [
     "AdmissionDecision",
     "AdmissionQuery",
     "AdmissionService",
     "BatchSession",
+    "MasterSession",
     "OnlineAdmissionController",
     "OnlineDecision",
     "run_online_session",

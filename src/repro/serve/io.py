@@ -119,6 +119,32 @@ def load_background(
     return background
 
 
+def _summary(
+    decisions: Sequence[Any],
+    wall_seconds: float,
+    noun: str,
+    **counts: int,
+) -> Dict[str, Any]:
+    """The summary shape both front ends share, counted in ``noun``."""
+    histogram = Histogram()
+    for decision in decisions:
+        histogram.observe(decision.latency_seconds)
+    return {
+        noun: len(decisions),
+        "admitted": sum(1 for d in decisions if d.admitted),
+        "rejected": sum(1 for d in decisions if not d.admitted),
+        **counts,
+        "cache_states": dict(Counter(d.cache_state for d in decisions)),
+        "wall_seconds": wall_seconds,
+        f"{noun}_per_second": (
+            len(decisions) / wall_seconds if wall_seconds > 0 else 0.0
+        ),
+        "p50_latency_seconds": histogram.quantile(0.50),
+        "p99_latency_seconds": histogram.quantile(0.99),
+        "latency_histogram": histogram.to_dict(),
+    }
+
+
 def summarize_decisions(
     decisions: Sequence[AdmissionDecision],
     wall_seconds: float,
@@ -133,24 +159,7 @@ def summarize_decisions(
     the same numbers a live metrics export shows.  The histogram itself
     rides along under ``latency_histogram``.
     """
-    histogram = Histogram()
-    for decision in decisions:
-        histogram.observe(decision.latency_seconds)
-    return {
-        "queries": len(decisions),
-        "admitted": sum(1 for d in decisions if d.admitted),
-        "rejected": sum(1 for d in decisions if not d.admitted),
-        "cache_states": dict(
-            Counter(d.cache_state for d in decisions)
-        ),
-        "wall_seconds": wall_seconds,
-        "queries_per_second": (
-            len(decisions) / wall_seconds if wall_seconds > 0 else 0.0
-        ),
-        "p50_latency_seconds": histogram.quantile(0.50),
-        "p99_latency_seconds": histogram.quantile(0.99),
-        "latency_histogram": histogram.to_dict(),
-    }
+    return _summary(decisions, wall_seconds, "queries")
 
 
 def decision_to_dict(decision: AdmissionDecision) -> Dict[str, Any]:
@@ -253,22 +262,9 @@ def summarize_online_decisions(
     never reached the solver), and the streaming latency histogram
     embedded for offline quantile work.
     """
-    histogram = Histogram()
-    for decision in decisions:
-        histogram.observe(decision.latency_seconds)
-    return {
-        "decisions": len(decisions),
-        "admitted": sum(1 for d in decisions if d.admitted),
-        "rejected": sum(1 for d in decisions if not d.admitted),
-        "unrouted": sum(1 for d in decisions if not d.routed),
-        "cache_states": dict(
-            Counter(d.cache_state for d in decisions)
-        ),
-        "wall_seconds": wall_seconds,
-        "decisions_per_second": (
-            len(decisions) / wall_seconds if wall_seconds > 0 else 0.0
-        ),
-        "p50_latency_seconds": histogram.quantile(0.50),
-        "p99_latency_seconds": histogram.quantile(0.99),
-        "latency_histogram": histogram.to_dict(),
-    }
+    return _summary(
+        decisions,
+        wall_seconds,
+        "decisions",
+        unrouted=sum(1 for d in decisions if not d.routed),
+    )

@@ -7,21 +7,17 @@ harder problem: the background IS the history of its own decisions.
 :class:`~repro.workloads.churn.FlowEvent` stream — flow arrivals and
 departures plus node down/up churn — and answers every arrival with the
 paper's Eq. 6 admission test against the currently-carried flows,
-re-solving *incrementally*:
-
-``result``
-    (link union, path, demand vector) → bandwidth, a pure lookup;
-``warm``
-    the union's cached master LP is retargeted at the arrival's path
-    (:meth:`~repro.core.lp.LinearProgram.set_column` on the ``f``
-    column) and departed load is retired from its demand rows in place
-    (:meth:`~repro.core.lp.LinearProgram.set_rhs`; every row whose RHS
-    drops counts as an ``online.column_retirements``), so the solve
-    reuses the assembled matrix and the previous basis;
-``cold``
-    an unseen link union builds a fresh master (counted as an
-    ``online.rebuild_fallbacks`` — the bench gate fails if these grow
-    faster than the event stream warrants).
+re-solving *incrementally* through a
+:class:`~repro.serve.session.MasterSession`: a repeated (union, path,
+demand vector) is a result-cache hit; otherwise the union's cached
+master LP is retargeted at the arrival's path and departed load leaves
+its demand rows in place
+(:meth:`~repro.core.lp.LinearProgram.set_rhs`; every row whose RHS
+drops counts as an ``online.column_retirements``) before a fresh HiGHS
+solve — the savings are the skipped enumeration and assembly, no basis
+is reused.  An unseen link union builds a fresh master (counted as an
+``online.rebuild_fallbacks`` — the bench gate fails if these grow
+faster than the event stream warrants).
 
 Byte-identity is the contract, not an aspiration: the warm path edits
 the cached program into *exactly* the program a cold
@@ -57,7 +53,6 @@ batch layer stay untouched.
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -66,30 +61,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.bandwidth import (
     _collect_links,
     available_path_bandwidth,
-    build_path_bandwidth_lp,
     link_demands_from_paths,
-    path_bandwidth_from_solution,
 )
-from repro.core.independent_sets import (
-    RateIndependentSet,
-    enumerate_maximal_independent_sets,
-)
-from repro.core.lp import LinearProgram
 from repro.errors import ConfigurationError, RoutingError, VerificationError
 from repro.fingerprint import fingerprint, model_fingerprint
 from repro.interference.base import InterferenceModel
 from repro.net.path import Path
 from repro.obs import get_recorder
-from repro.obs.explain import (
-    Explanation,
-    explain_path_bandwidth,
-    explain_solution,
-    top_binding_link,
-)
+from repro.obs.explain import Explanation
 from repro.routing.metrics import HopCountMetric, RoutingContext
 from repro.routing.shortest_path import route
-from repro.serve.cache import SolveCache
 from repro.serve.flight import DEFAULT_SLOW_LOG_SIZE, FlightRecorder
+from repro.serve.session import MasterSession, SolveOutcome
 from repro.workloads.churn import FlowEvent
 
 __all__ = [
@@ -139,72 +122,14 @@ class OnlineDecision:
     explanation: Optional[Explanation] = None
 
 
-class _OnlineMaster:
-    """A cached Eq. 6 master LP plus the state it was last solved at.
-
-    ``path_key`` tracks where the ``f`` column currently points,
-    ``demand_key`` the RHS vector (one float per union link, in union
-    order) currently loaded into the demand rows — the warm path diffs
-    both against the incoming query and edits only what changed.
-    """
-
-    __slots__ = (
-        "lp",
-        "f_var",
-        "lambda_vars",
-        "columns",
-        "path_key",
-        "demand_key",
-        "lock",
-    )
-
-    def __init__(
-        self,
-        lp: LinearProgram,
-        f_var: str,
-        lambda_vars: List[str],
-        columns: List[RateIndependentSet],
-        path_key: Tuple[str, ...],
-        demand_key: Tuple[float, ...],
-    ):
-        self.lp = lp
-        self.f_var = f_var
-        self.lambda_vars = lambda_vars
-        self.columns = columns
-        self.path_key = path_key
-        self.demand_key = demand_key
-        self.lock = threading.Lock()
-
-
-class _ArrivalOutcome:
-    """What one arrival's solve learned (answer + causal record)."""
-
-    __slots__ = (
-        "bandwidth",
-        "cache_state",
-        "fingerprint",
-        "bottleneck",
-        "explanation",
-    )
-
-    def __init__(self) -> None:
-        self.bandwidth = 0.0
-        self.cache_state = "cold"
-        self.fingerprint = ""
-        #: ``(link_id, shadow_price)`` of the top binding demand row —
-        #: always recorded on solved arrivals for the flight recorder.
-        self.bottleneck: Optional[Tuple[str, float]] = None
-        self.explanation: Optional[Explanation] = None
-
-
 class OnlineAdmissionController:
     """Streaming Eq. 6 admission over a churning carried-flow set.
 
     With ``incremental=True`` (the default) arrivals are answered
-    through the union-keyed caches; ``incremental=False`` is the
-    rebuild-per-event baseline — every arrival runs a cold
-    :func:`~repro.core.bandwidth.available_path_bandwidth` solve — used
-    by experiment X6 and the bench harness to price the caches.  Both
+    through the session's union-keyed caches; ``incremental=False`` is
+    the rebuild-per-event baseline — every arrival enumerates, assembles
+    and solves from scratch — used by experiment X6 and the bench
+    harness to price the caches.  Both
     modes make identical decisions (that *is* the byte-identity
     contract; ``pin=True`` asserts it per event).
 
@@ -220,8 +145,7 @@ class OnlineAdmissionController:
         model: InterferenceModel,
         max_sets: Optional[int] = None,
         tolerance: float = 1e-6,
-        enum_capacity: int = 64,
-        master_capacity: int = 64,
+        cache_capacity: int = 64,
         result_capacity: int = 4096,
         slow_log: int = DEFAULT_SLOW_LOG_SIZE,
         incremental: bool = True,
@@ -241,14 +165,10 @@ class OnlineAdmissionController:
             )
         self.model = model
         self.network = model.network
-        self.max_sets = max_sets
         self.tolerance = tolerance
         self.incremental = incremental
         self.pin = pin
         self.policy = policy
-        #: With ``explain=True`` every Eq. 6 decision carries an
-        #: :class:`~repro.obs.explain.Explanation`; off by default.
-        self.explain = explain
         if policy == "twohop":
             from repro.routing.admission import TwoHopAdmission
 
@@ -257,16 +177,21 @@ class OnlineAdmissionController:
             )
         else:
             self._twohop = None
-        self._model_fp = model_fingerprint(model)
-        self.enum_cache = SolveCache(
-            enum_capacity, "enum", prefix="online.cache"
+        model_fp = model_fingerprint(model)
+        self.session = MasterSession(
+            model,
+            lambda union_key, demand_key: fingerprint(
+                [model_fp, list(union_key), list(demand_key)]
+            ),
+            max_sets=max_sets,
+            cache_capacity=cache_capacity,
+            result_capacity=result_capacity,
+            prefix="online.cache",
+            explain=explain,
         )
-        self.master_cache = SolveCache(
-            master_capacity, "master", prefix="online.cache"
-        )
-        self.result_cache = SolveCache(
-            result_capacity, "result", prefix="online.cache"
-        )
+        self.enum_cache = self.session.enum_cache
+        self.master_cache = self.session.master_cache
+        self.result_cache = self.session.result_cache
         self.flight = FlightRecorder(slow_log)
         #: Carried flows in admission order: flow id → (path, demand).
         #: Insertion order is load-bearing — it fixes the link-union
@@ -275,13 +200,6 @@ class OnlineAdmissionController:
         self._carried: "OrderedDict[str, Tuple[Path, float]]" = OrderedDict()
         self._down: set = set()
         self._routes: Dict[Tuple[str, str], Optional[Path]] = {}
-        #: (union_key, demand_key) → digest.  The sha256 over canonical
-        #: JSON costs more than a result-cache hit does; under churn the
-        #: same carried-set configurations recur constantly, so the
-        #: digest is worth memoizing (unbounded, but the key space is
-        #: the visited configuration space — the same thing the result
-        #: cache already holds).
-        self._fp_memo: Dict[Tuple[Tuple[str, ...], Tuple[float, ...]], str] = {}
         self._metric = HopCountMetric()
         self._context = RoutingContext(model)
         #: Sequence ids handed to synthetic :meth:`admit_path` arrivals.
@@ -345,14 +263,13 @@ class OnlineAdmissionController:
         directly.  Sequence ids are allocated from a private counter so
         synthetic arrivals interleave safely with a real event stream.
         """
-        nodes = _path_nodes(path)
         event = FlowEvent(
             time=at,
             kind="arrival",
             seq=self._synthetic_seq,
             flow_id=flow_id,
-            source=nodes[0] if nodes else "",
-            destination=nodes[-1] if nodes else "",
+            source=path.source.node_id,
+            destination=path.destination.node_id,
             demand_mbps=demand_mbps,
         )
         self._synthetic_seq += 1
@@ -367,21 +284,17 @@ class OnlineAdmissionController:
         if path is _AUTO_ROUTE:
             path = self._route(event.source, event.destination)
         if path is None:
-            outcome = _ArrivalOutcome()
-            outcome.cache_state = "unrouted"
+            outcome = SolveOutcome(cache_state="unrouted")
             admitted = False
             recorder.count("online.unrouted")
         else:
             if self._twohop is not None:
-                outcome = _ArrivalOutcome()
-                outcome.cache_state = "twohop"
+                outcome = SolveOutcome(cache_state="twohop")
                 outcome.bandwidth = self._twohop.estimate(
                     path, self.carried()
                 ).available_bandwidth
-            elif self.incremental:
-                outcome = self._available_bandwidth(path)
             else:
-                outcome = self._cold_bandwidth(path)
+                outcome = self._solve(path)
             admitted = outcome.bandwidth + self.tolerance >= event.demand_mbps
             if self.pin:
                 self._pin_check(event, path, outcome, admitted)
@@ -395,23 +308,14 @@ class OnlineAdmissionController:
         recorder.gauge("online.carried_flows", len(self._carried))
         trace_id = f"e{event.seq:06d}"
         self.flight.record(
-            {
-                "trace_id": trace_id,
-                "query_id": event.flow_id,
-                "latency_seconds": latency,
-                "admitted": admitted,
-                "available_bandwidth_mbps": outcome.bandwidth,
-                "demand_mbps": event.demand_mbps,
-                "fingerprint": outcome.fingerprint,
-                "cache_state": outcome.cache_state,
-                "carried_flows": len(self._carried),
-                "bottleneck_link": (
-                    outcome.bottleneck[0] if outcome.bottleneck else None
-                ),
-                "bottleneck_price": (
-                    outcome.bottleneck[1] if outcome.bottleneck else 0.0
-                ),
-            }
+            outcome.flight_record(
+                trace_id,
+                event.flow_id,
+                latency,
+                admitted,
+                event.demand_mbps,
+                carried_flows=len(self._carried),
+            )
         )
         return OnlineDecision(
             seq=event.seq,
@@ -422,7 +326,11 @@ class OnlineAdmissionController:
             destination=event.destination,
             demand_mbps=event.demand_mbps,
             routed=path is not None,
-            path_nodes=_path_nodes(path),
+            path_nodes=(
+                tuple(node.node_id for node in path.nodes)
+                if path is not None
+                else ()
+            ),
             admitted=admitted,
             available_bandwidth_mbps=outcome.bandwidth,
             cache_state=outcome.cache_state,
@@ -458,161 +366,43 @@ class OnlineAdmissionController:
 
     # -- solving ----------------------------------------------------------------
 
-    def _fingerprint(
-        self,
-        union_key: Tuple[str, ...],
-        demand_key: Tuple[float, ...],
-    ) -> str:
-        """Memoised digest of (model, link union, demand vector)."""
-        memo_key = (union_key, demand_key)
-        digest = self._fp_memo.get(memo_key)
-        if digest is None:
-            digest = fingerprint(
-                [self._model_fp, list(union_key), list(demand_key)]
-            )
-            self._fp_memo[memo_key] = digest
-        return digest
-
-    def _query_state(self, path: Path):
-        """(background, union, keys, demands) for an arrival's solve.
+    def _solve(self, path: Path) -> SolveOutcome:
+        """Eq. 6 for ``path`` against the carried set, via the session.
 
         Demands are re-summed from the full carried set every time:
         incremental add/subtract would drift from a cold solve's floats
         (addition order matters), and the sum is linear in carried
         flows — noise next to the solve.
         """
-        background = list(self._carried.values())
+        recorder = get_recorder()
+        background = self.carried()
         union = _collect_links(background, path)
-        union_key = tuple(link.link_id for link in union)
-        path_key = tuple(link.link_id for link in path)
         demands = link_demands_from_paths(background)
         demand_key = tuple(demands.get(link, 0.0) for link in union)
-        return background, union, union_key, path_key, demands, demand_key
-
-    def _available_bandwidth(self, path: Path) -> _ArrivalOutcome:
-        """The incremental decision path: result → warm → cold."""
-        recorder = get_recorder()
-        (background, union, union_key, path_key,
-         demands, demand_key) = self._query_state(path)
-        outcome = _ArrivalOutcome()
-        outcome.fingerprint = self._fingerprint(union_key, demand_key)
-        cached = self.result_cache.get((union_key, path_key, demand_key))
-        if cached is not None:
-            # Cached entries carry the answer plus its provenance, so a
-            # result hit explains identically to the solve behind it.
-            outcome.bandwidth, outcome.bottleneck, outcome.explanation = (
-                cached
-            )
-            outcome.cache_state = "result"
-            return outcome
-
-        master = self.master_cache.get(union_key)
-        if master is None:
-            outcome.cache_state = "cold"
-            recorder.count("online.rebuild_fallbacks")
-            columns = self.enum_cache.get(union_key)
-            if columns is None:
-                columns = enumerate_maximal_independent_sets(
-                    self.model, union, self.max_sets
-                )
-                self.enum_cache.put(union_key, columns)
-            lp, f_var, lambda_vars = build_path_bandwidth_lp(
-                columns, union, demands, set(path.links)
-            )
-            master = _OnlineMaster(
-                lp, f_var, list(lambda_vars), columns, path_key, demand_key
-            )
-            self.master_cache.put(union_key, master)
-        else:
-            outcome.cache_state = "warm"
-            recorder.count("online.warm_resolves")
-        with master.lock:
-            if master.path_key != path_key:
-                # Retarget the cached program at the new arrival's path
-                # (same -1 orientation build_path_bandwidth_lp uses).
-                master.lp.set_column(
-                    master.f_var,
-                    {f"demand[{link_id}]": -1.0 for link_id in path_key},
-                )
-                master.path_key = path_key
-            if master.demand_key != demand_key:
-                for link_id, old, new in zip(
-                    union_key, master.demand_key, demand_key
-                ):
-                    if new != old:
-                        master.lp.set_rhs(f"demand[{link_id}]", new)
-                        if new < old:
-                            # Departed load leaving the warm master: the
-                            # row's requirement shrinks in place instead
-                            # of rebuilding the program without it.
-                            recorder.count("online.column_retirements")
-                master.demand_key = demand_key
-            solution = master.lp.solve()
-            result = path_bandwidth_from_solution(
-                solution, master.lambda_vars, master.columns, demands
-            )
-            outcome.bottleneck = top_binding_link(solution)
-            if self.explain:
-                outcome.explanation = explain_solution(
-                    solution,
-                    master.lp.certificate(),
-                    master.columns,
-                    union,
-                    background=background,
-                    bandwidth=result.available_bandwidth,
-                )
-        self.result_cache.put(
-            (union_key, path_key, demand_key),
-            (
-                result.available_bandwidth,
-                outcome.bottleneck,
-                outcome.explanation,
-            ),
+        outcome = self.session.solve(
+            path, union, demands, demand_key, background, self.incremental
         )
-        outcome.bandwidth = result.available_bandwidth
-        return outcome
-
-    def _cold_bandwidth(self, path: Path) -> _ArrivalOutcome:
-        """The rebuild-per-event baseline: no caches, fresh everything."""
-        recorder = get_recorder()
-        (background, _union, union_key, _path_key,
-         _demands, demand_key) = self._query_state(path)
-        recorder.count("online.rebuild_fallbacks")
-        outcome = _ArrivalOutcome()
-        outcome.cache_state = "cold"
-        outcome.fingerprint = self._fingerprint(union_key, demand_key)
-        if self.explain:
-            result, explanation = explain_path_bandwidth(
-                self.model, path, background, max_sets=self.max_sets
-            )
-            outcome.explanation = explanation
-            prices = explanation.marginal_bandwidth
-            if prices:
-                # Same pick as top_binding_link: max price, then the
-                # smaller link id.
-                link_id = min(
-                    prices, key=lambda member: (-prices[member], member)
-                )
-                if prices[link_id] > 0.0:
-                    outcome.bottleneck = (link_id, prices[link_id])
-        else:
-            result = available_path_bandwidth(
-                self.model, path, background, max_sets=self.max_sets
-            )
-        outcome.bandwidth = result.available_bandwidth
+        if outcome.cache_state == "warm":
+            recorder.count("online.warm_resolves")
+        elif outcome.cache_state == "cold":
+            recorder.count("online.rebuild_fallbacks")
+        if outcome.retired_rows:
+            # Departed load left the warm master: each such demand row's
+            # requirement shrank in place instead of a rebuild.
+            recorder.count("online.column_retirements", outcome.retired_rows)
         return outcome
 
     def _pin_check(
         self,
         event: FlowEvent,
         path: Path,
-        outcome: _ArrivalOutcome,
+        outcome: SolveOutcome,
         admitted: bool,
     ) -> None:
         """Assert this decision == a cold Eq. 6 solve, bit for bit."""
         get_recorder().count("online.pin_checks")
         reference = available_path_bandwidth(
-            self.model, path, self.carried(), max_sets=self.max_sets
+            self.model, path, self.carried(), max_sets=self.session.max_sets
         )
         cold = reference.available_bandwidth
         cold_admitted = cold + self.tolerance >= event.demand_mbps
@@ -624,18 +414,6 @@ class OnlineAdmissionController:
                 f"(admitted={cold_admitted}), cache_state="
                 f"{outcome.cache_state}"
             )
-
-
-def _path_nodes(path: Optional[Path]) -> Tuple[str, ...]:
-    """The node-id sequence of ``path`` (empty when unrouted)."""
-    if path is None:
-        return ()
-    links = list(path)
-    if not links:
-        return ()
-    nodes = [links[0].sender.node_id]
-    nodes.extend(link.receiver.node_id for link in links)
-    return tuple(nodes)
 
 
 def run_online_session(

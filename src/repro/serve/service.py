@@ -4,23 +4,12 @@ A deployed estimator answers "can this path sustain rate r given the
 background?" thousands of times over the *same* topology, and the
 expensive parts of each answer — the interference kernel, the maximal
 independent sets, the assembled Eq. 6 master LP — depend only on the
-link universe, not on the query.  :class:`AdmissionService` exploits
-that: artifacts are cached in LRU :class:`~repro.serve.cache.SolveCache`
-stores keyed by the query's *link union* (the paper's ``P``: background
-links ∪ candidate-path links, the exact universe the cold solver
-enumerates over, so a cache hit is answer-preserving by construction),
-and a repeat union warm-starts the cached master LP by rewriting its
-``f`` column (:meth:`~repro.core.lp.LinearProgram.set_column`) instead
-of rebuilding the program.
-
-Three cache levels, cheapest hit last:
-
-``enum``
-    link-union → enumerated LP columns (the dominant cost);
-``master``
-    link-union → solved master LP, retargetable at a new path;
-``result``
-    (link-union, path) → available bandwidth, a pure lookup.
+link universe, not on the query.  :class:`AdmissionService` binds one
+model and background mix and answers queries through a
+:class:`~repro.serve.session.MasterSession`, whose ``enum`` /
+``master`` / ``result`` caches are keyed by the query's link union; a
+repeat union retargets the cached master LP's ``f`` column instead of
+rebuilding the program.
 
 :class:`BatchSession` runs a batch of queries grouped by link union so
 enumeration happens once per fingerprint even when the LRU caches are
@@ -33,11 +22,10 @@ record — per-cache-level outcomes, columns enumerated, LP iterations,
 warm vs cold — on the service's bounded
 :class:`~repro.serve.flight.FlightRecorder` slow-query log.
 
-Thread-safety: the caches lock internally and each master LP carries its
-own lock, so ``submit`` may be called from several threads; the
-process-global obs recorder's *span stack* is not thread-safe, so
-threaded batches (``workers > 1``) skip span recording and keep only
-counters, which the locks serialize.
+Thread-safety: the session's caches and master LPs lock internally, so
+``submit`` may be called from several threads; the process-global obs
+recorder's *span stack* is not thread-safe, so threaded batches
+(``workers > 1``) skip span recording and keep only counters.
 """
 
 from __future__ import annotations
@@ -46,20 +34,11 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.bandwidth import (
-    _collect_links,
-    build_path_bandwidth_lp,
-    link_demands_from_paths,
-    path_bandwidth_from_solution,
-)
-from repro.core.independent_sets import (
-    RateIndependentSet,
-    enumerate_maximal_independent_sets,
-)
-from repro.core.lp import LinearProgram
+from repro.core.bandwidth import _collect_links, link_demands_from_paths
 from repro.fingerprint import (
     background_fingerprint,
     fingerprint,
@@ -69,13 +48,9 @@ from repro.interference.base import InterferenceModel
 from repro.net.link import Link
 from repro.net.path import Path
 from repro.obs import get_recorder
-from repro.obs.explain import (
-    Explanation,
-    explain_solution,
-    top_binding_link,
-)
-from repro.serve.cache import SolveCache
+from repro.obs.explain import Explanation
 from repro.serve.flight import DEFAULT_SLOW_LOG_SIZE, FlightRecorder
+from repro.serve.session import MasterSession
 
 __all__ = [
     "AdmissionQuery",
@@ -130,67 +105,6 @@ class AdmissionDecision:
     explanation: Optional[Explanation] = None
 
 
-class _QueryOutcome:
-    """Everything one ``_available_bandwidth`` call learned.
-
-    The answer (``bandwidth``) plus its causal record — which cache
-    level answered, how many columns the program carried, whether the
-    LP was retargeted and how many iterations the solve took — which
-    ``submit`` folds into the decision and the flight record.
-    """
-
-    __slots__ = (
-        "fingerprint",
-        "bandwidth",
-        "cache_state",
-        "result_cache",
-        "columns_cache",
-        "lp_cache",
-        "columns",
-        "lp_warm_start",
-        "lp_iterations",
-        "bottleneck",
-        "explanation",
-    )
-
-    def __init__(self, fingerprint: str):
-        self.fingerprint = fingerprint
-        self.bandwidth = 0.0
-        self.cache_state = "cold"
-        self.result_cache = "miss"
-        self.columns_cache = "skipped"
-        self.lp_cache = "skipped"
-        self.columns = 0
-        self.lp_warm_start = False
-        self.lp_iterations = 0
-        #: ``(link_id, shadow_price)`` of the top binding demand row, or
-        #: ``None`` — always recorded, so the slow log can name where a
-        #: query contended even with explanations off.
-        self.bottleneck: Optional[Tuple[str, float]] = None
-        self.explanation: Optional[Explanation] = None
-
-
-class _MasterState:
-    """A cached Eq. 6 master LP, retargetable at a new candidate path."""
-
-    __slots__ = ("lp", "f_var", "lambda_vars", "columns", "path_key", "lock")
-
-    def __init__(
-        self,
-        lp: LinearProgram,
-        f_var: str,
-        lambda_vars: List[str],
-        columns: List[RateIndependentSet],
-        path_key: Tuple[str, ...],
-    ):
-        self.lp = lp
-        self.f_var = f_var
-        self.lambda_vars = lambda_vars
-        self.columns = columns
-        self.path_key = path_key
-        self.lock = threading.Lock()
-
-
 class AdmissionService:
     """Batch/async admission-query engine over one (model, background).
 
@@ -209,8 +123,7 @@ class AdmissionService:
         background: Sequence[Tuple[Path, float]] = (),
         max_sets: Optional[int] = None,
         tolerance: float = 1e-6,
-        enum_capacity: int = 64,
-        master_capacity: int = 64,
+        cache_capacity: int = 64,
         result_capacity: int = 4096,
         slow_log: int = DEFAULT_SLOW_LOG_SIZE,
         explain: bool = False,
@@ -218,19 +131,20 @@ class AdmissionService:
         self.model = model
         self.network = model.network
         self.background = list(background)
-        self.max_sets = max_sets
         self.tolerance = tolerance
-        #: With ``explain=True`` every decision carries an
-        #: :class:`~repro.obs.explain.Explanation` (certificate, binding
-        #: cliques, crowd-out); off by default — the hot path then adds
-        #: only the O(rows) bottleneck scan for the flight recorder.
-        self.explain = explain
         self._demands = link_demands_from_paths(self.background)
-        self._model_fp = model_fingerprint(model)
-        self._background_fp = background_fingerprint(self.background)
-        self.enum_cache = SolveCache(enum_capacity, "enum")
-        self.master_cache = SolveCache(master_capacity, "master")
-        self.result_cache = SolveCache(result_capacity, "result")
+        scope = [model_fingerprint(model), background_fingerprint(self.background)]
+        self.session = MasterSession(
+            model,
+            lambda union_key, _demand_key: fingerprint([*scope, list(union_key)]),
+            max_sets=max_sets,
+            cache_capacity=cache_capacity,
+            result_capacity=result_capacity,
+            explain=explain,
+        )
+        self.enum_cache = self.session.enum_cache
+        self.master_cache = self.session.master_cache
+        self.result_cache = self.session.result_cache
         self.flight = FlightRecorder(slow_log)
         self._count_lock = threading.Lock()
         self._trace_seq = 0
@@ -243,13 +157,8 @@ class AdmissionService:
 
     def query_fingerprint(self, path: Path) -> str:
         """Digest of (model, background, link union) — the cache locus."""
-        return fingerprint(
-            [
-                self._model_fp,
-                self._background_fp,
-                [link.link_id for link in self.link_union(path)],
-            ]
-        )
+        union_key = tuple(link.link_id for link in self.link_union(path))
+        return self.session.fingerprint(union_key, ())
 
     # -- serving ----------------------------------------------------------------
 
@@ -258,20 +167,24 @@ class AdmissionService:
         query: AdmissionQuery,
         record_span: bool = True,
         trace_id: Optional[str] = None,
+        union: Optional[Sequence[Link]] = None,
     ) -> AdmissionDecision:
         """Answer one query, using and feeding the caches.
 
         ``trace_id`` labels the query's flight record;
         :class:`BatchSession` derives one from the batch position, a
         standalone submit draws from the service-wide sequence.
+        ``union`` is the query's :meth:`link_union` when the caller has
+        already computed it (:class:`BatchSession` groups by it).
         """
         recorder = get_recorder()
         started = time.perf_counter()
-        if record_span:
-            with recorder.span("serve.query"):
-                outcome = self._available_bandwidth(query.path)
-        else:
-            outcome = self._available_bandwidth(query.path)
+        with recorder.span("serve.query") if record_span else nullcontext():
+            if union is None:
+                union = self.link_union(query.path)
+            outcome = self.session.solve(
+                query.path, union, self._demands, (), self.background
+            )
         admitted = outcome.bandwidth + self.tolerance >= query.demand_mbps
         latency = time.perf_counter() - started
         with self._count_lock:
@@ -280,31 +193,14 @@ class AdmissionService:
                 trace_id = f"t{self._trace_seq:06d}"
             recorder.count("serve.queries")
             recorder.count("serve.admitted" if admitted else "serve.rejected")
+            if outcome.lp_warm_start:
+                recorder.count("serve.lp.warm_starts")
             recorder.histogram("serve.latency_seconds", latency)
             recorder.histogram("serve.bandwidth_mbps", outcome.bandwidth)
         self.flight.record(
-            {
-                "trace_id": trace_id,
-                "query_id": query.query_id,
-                "latency_seconds": latency,
-                "admitted": admitted,
-                "available_bandwidth_mbps": outcome.bandwidth,
-                "demand_mbps": query.demand_mbps,
-                "fingerprint": outcome.fingerprint,
-                "cache_state": outcome.cache_state,
-                "result_cache": outcome.result_cache,
-                "columns_cache": outcome.columns_cache,
-                "lp_cache": outcome.lp_cache,
-                "columns": outcome.columns,
-                "lp_warm_start": outcome.lp_warm_start,
-                "lp_iterations": outcome.lp_iterations,
-                "bottleneck_link": (
-                    outcome.bottleneck[0] if outcome.bottleneck else None
-                ),
-                "bottleneck_price": (
-                    outcome.bottleneck[1] if outcome.bottleneck else 0.0
-                ),
-            }
+            outcome.flight_record(
+                trace_id, query.query_id, latency, admitted, query.demand_mbps
+            )
         )
         return AdmissionDecision(
             query_id=query.query_id,
@@ -329,94 +225,9 @@ class AdmissionService:
         """Answer a batch via a :class:`BatchSession` (input order kept)."""
         return BatchSession(self, workers=workers).run(queries)
 
-    def _available_bandwidth(self, path: Path) -> _QueryOutcome:
-        """The solve outcome (answer + causal record) for one path."""
-        recorder = get_recorder()
-        union = self.link_union(path)
-        union_key = tuple(link.link_id for link in union)
-        path_key = tuple(link.link_id for link in path)
-        outcome = _QueryOutcome(
-            fingerprint(
-                [self._model_fp, self._background_fp, list(union_key)]
-            )
-        )
-        cached = self.result_cache.get((union_key, path_key))
-        if cached is not None:
-            # The cached entry carries the bandwidth plus its provenance
-            # (bottleneck, explanation), so a result hit explains
-            # identically to the solve that filled it.
-            outcome.bandwidth, outcome.bottleneck, outcome.explanation = (
-                cached
-            )
-            outcome.cache_state = "result"
-            outcome.result_cache = "hit"
-            return outcome
 
-        def build() -> _MasterState:
-            outcome.lp_cache = "miss"
-            # get() + put() instead of get_or_compute so the outcome can
-            # tell a column-cache hit from a fresh enumeration; the pair
-            # records the identical hit/miss counters, and the factory
-            # already runs single-flight under the master cache's lock.
-            columns = self.enum_cache.get(union_key)
-            if columns is None:
-                outcome.columns_cache = "miss"
-                columns = enumerate_maximal_independent_sets(
-                    self.model, union, self.max_sets
-                )
-                self.enum_cache.put(union_key, columns)
-            else:
-                outcome.columns_cache = "hit"
-            lp, f_var, lambda_vars = build_path_bandwidth_lp(
-                columns, union, self._demands, set(path.links)
-            )
-            return _MasterState(lp, f_var, list(lambda_vars), columns, path_key)
-
-        master = self.master_cache.get_or_compute(union_key, build)
-        if outcome.lp_cache == "skipped":  # build() never ran
-            outcome.lp_cache = "hit"
-        outcome.cache_state = "cold" if outcome.lp_cache == "miss" else "warm"
-        outcome.columns = len(master.columns)
-        with master.lock:
-            if master.path_key != path_key:
-                # Retarget the cached program: the f column has a -1
-                # demand-row coefficient exactly on the query path's links
-                # (same orientation build_path_bandwidth_lp uses).
-                master.lp.set_column(
-                    master.f_var,
-                    {f"demand[{link_id}]": -1.0 for link_id in path_key},
-                )
-                master.path_key = path_key
-                outcome.lp_warm_start = True
-                recorder.count("serve.lp.warm_starts")
-            solution = master.lp.solve()
-            result = path_bandwidth_from_solution(
-                solution,
-                master.lambda_vars,
-                master.columns,
-                self._demands,
-            )
-            outcome.bottleneck = top_binding_link(solution)
-            if self.explain:
-                outcome.explanation = explain_solution(
-                    solution,
-                    master.lp.certificate(),
-                    master.columns,
-                    union,
-                    background=self.background,
-                    bandwidth=result.available_bandwidth,
-                )
-        outcome.lp_iterations = int(solution.iterations or 0)
-        self.result_cache.put(
-            (union_key, path_key),
-            (
-                result.available_bandwidth,
-                outcome.bottleneck,
-                outcome.explanation,
-            ),
-        )
-        outcome.bandwidth = result.available_bandwidth
-        return outcome
+#: A batched query: (batch position, query, its link union).
+_Member = Tuple[int, AdmissionQuery, List[Link]]
 
 
 class BatchSession:
@@ -445,23 +256,18 @@ class BatchSession:
     ) -> List[AdmissionDecision]:
         """Answer all queries; results align with the input order."""
         recorder = get_recorder()
-        groups: "OrderedDict[Tuple[str, ...], List[Tuple[int, AdmissionQuery]]]"
-        groups = OrderedDict()
+        groups: "OrderedDict[Tuple[str, ...], List[_Member]]" = OrderedDict()
         for position, query in enumerate(queries):
-            union_key = tuple(
-                link.link_id
-                for link in self.service.link_union(query.path)
-            )
-            groups.setdefault(union_key, []).append((position, query))
+            union = self.service.link_union(query.path)
+            union_key = tuple(link.link_id for link in union)
+            groups.setdefault(union_key, []).append((position, query, union))
         recorder.count("serve.batch.queries", len(queries))
         recorder.count("serve.batch.groups", len(groups))
 
         decisions: List[Optional[AdmissionDecision]] = [None] * len(queries)
         record_span = self.workers is None
 
-        def run_group(
-            members: List[Tuple[int, AdmissionQuery]],
-        ) -> None:
+        def run_group(members: List[_Member]) -> None:
             ordered = sorted(
                 members,
                 key=lambda member: (
@@ -469,13 +275,14 @@ class BatchSession:
                     member[0],
                 ),
             )
-            for position, query in ordered:
+            for position, query, union in ordered:
                 # Trace id from the batch position: stable across runs
                 # and across sequential vs threaded execution.
                 decisions[position] = self.service.submit(
                     query,
                     record_span=record_span,
                     trace_id=f"b{position:05d}",
+                    union=union,
                 )
 
         if self.workers is None:

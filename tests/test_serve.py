@@ -12,14 +12,19 @@ import json
 
 import pytest
 
-from repro.core.bandwidth import available_path_bandwidth
-from repro.errors import ConfigurationError
+from repro.core.bandwidth import (
+    available_path_bandwidth,
+    link_demands_from_paths,
+    path_bandwidth_from_solution,
+)
+from repro.errors import ConfigurationError, SolverError
 from repro.net.path import Path
 from repro.obs import Recorder, use_recorder
 from repro.serve import (
     AdmissionQuery,
     AdmissionService,
     BatchSession,
+    OnlineAdmissionController,
     SolveCache,
     decision_to_dict,
     load_background,
@@ -27,6 +32,7 @@ from repro.serve import (
     path_from_nodes,
     summarize_decisions,
 )
+from repro.testing.faults import inject_faults, plan_from_spec
 from repro.verify.instances import FAMILIES, iter_instances
 from repro.workloads.scenarios import scenario_one, scenario_two
 
@@ -202,8 +208,7 @@ class TestAdmissionService:
         links = list(scenario.path.links)
         service = AdmissionService(
             scenario.model,
-            enum_capacity=1,
-            master_capacity=1,
+            cache_capacity=1,
             result_capacity=1,
         )
         a = AdmissionQuery("a", Path(links[:2]), 1.0)
@@ -213,6 +218,83 @@ class TestAdmissionService:
         again = service.submit(a)
         assert again.cache_state == "cold"
         assert service.enum_cache.evictions >= 2
+
+
+class TestSolverFailure:
+    """A failed solve surfaces as the cold solver's error and leaves the
+    session clean: no result entry, master keys matching its program,
+    and the next query answered exactly as a cold solve."""
+
+    @staticmethod
+    def _front_end(kind, scenario):
+        background = [(scenario.path, 1.0)]
+        if kind == "batch":
+            service = AdmissionService(scenario.model, background)
+
+            def ask(path):
+                return service.submit(AdmissionQuery("q", path, 1.0))
+
+            return service, ask, lambda: background
+        controller = OnlineAdmissionController(scenario.model)
+        controller.admit_path("bg", scenario.path, 1.0)
+
+        def probe(path):
+            # An unsatisfiable demand is rejected, so probes never join
+            # the carried set.
+            return controller.admit_path("probe", path, float("inf"))
+
+        return controller, probe, controller.carried
+
+    @pytest.mark.parametrize("failing_solve", [1, 2])
+    @pytest.mark.parametrize("kind", ["batch", "online"])
+    def test_fatal_solve_leaves_nothing_stale(self, kind, failing_solve):
+        scenario = scenario_two()
+        links = list(scenario.path.links)
+        first, second = Path(links[:1]), Path(links[2:])
+        failing = [first, second][failing_solve - 1]
+        front, ask, carried = self._front_end(kind, scenario)
+        before = carried()
+
+        with pytest.raises(SolverError) as cold_error, inject_faults(
+            plan_from_spec("solver-fatal@1")
+        ):
+            available_path_bandwidth(scenario.model, failing, before)
+        with inject_faults(plan_from_spec(f"solver-fatal@{failing_solve}")):
+            if failing_solve == 2:
+                ask(first)
+            results_before = front.result_cache.keys()
+            with pytest.raises(SolverError) as error:
+                ask(failing)
+        assert type(error.value) is type(cold_error.value)
+        assert [a.method for a in error.value.attempts] == [
+            a.method for a in cold_error.value.attempts
+        ]
+        assert front.result_cache.keys() == results_before
+        assert carried() == before
+
+        # The master's keys describe the program it holds: solving it
+        # as-is answers for its path_key under its demand_key.
+        [union_key] = front.master_cache.keys()
+        master = front.master_cache.get(union_key)
+        by_id = {link.link_id: link for link in links}
+        union = [by_id[link_id] for link_id in union_key]
+        demands = link_demands_from_paths(before)
+        if kind == "online":
+            assert master.demand_key == tuple(
+                demands.get(link, 0.0) for link in union
+            )
+        held_path = Path(by_id[link_id] for link_id in master.path_key)
+        held = path_bandwidth_from_solution(
+            master.lp.solve(), master.lambda_vars, master.columns, demands
+        )
+        assert held.available_bandwidth == available_path_bandwidth(
+            scenario.model, held_path, before
+        ).available_bandwidth
+
+        cold = available_path_bandwidth(scenario.model, failing, before)
+        assert ask(failing).available_bandwidth_mbps == (
+            cold.available_bandwidth
+        )
 
 
 class TestBatchSession:

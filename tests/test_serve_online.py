@@ -130,6 +130,52 @@ class TestMechanism:
         )
 
 
+class TestFlightRecords:
+    def test_records_carry_the_causal_story(self, workload):
+        controller = OnlineAdmissionController(workload.model, slow_log=256)
+        decisions, _ = run_online_session(controller, workload.events)
+        records = controller.flight.slow_queries()
+        assert len(records) == len(decisions)
+        by_state = {}
+        for record in records:
+            assert record["trace_id"].startswith("e")
+            assert "carried_flows" in record
+            by_state.setdefault(record["cache_state"], []).append(record)
+        for record in by_state["cold"]:
+            assert (
+                record["result_cache"],
+                record["columns_cache"],
+                record["lp_cache"],
+            ) == ("miss", "miss", "miss")
+            assert record["columns"] > 0
+        for record in by_state["warm"]:
+            assert (record["result_cache"], record["lp_cache"]) == (
+                "miss",
+                "hit",
+            )
+            assert record["columns"] > 0
+        assert any(r["lp_warm_start"] for r in by_state["warm"])
+        assert any(r["lp_iterations"] > 0 for r in by_state["warm"])
+        for record in by_state["result"]:
+            assert record["result_cache"] == "hit"
+
+    def test_slow_log_fills_every_column(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            [
+                "serve", "--online", "--events", "60", "--slow-log", "4",
+                "--no-history",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        table = out[out.index("slow queries:"):].splitlines()[2:]
+        assert len(table) == 4
+        for row in table:
+            assert "?" not in row.split()
+
+
 class TestChurnSemantics:
     def _routed_arrival(self, workload):
         """The stream's first routed arrival (its event and route)."""

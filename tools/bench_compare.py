@@ -44,68 +44,47 @@ SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-#: Counters gated for regression.  All are deterministic per instance:
-#: the smoke run re-solves the same 4-hop chain every time, so any growth
-#: is an algorithmic change, not noise.
-TRACKED_COUNTERS = (
-    "enum.dfs_nodes",
-    "cg.iterations",
-    "cg.columns_added",
-    "lp.solves",
-)
+#: A counter gated under this rule must be present on both sides; a
+#: missing one is itself a regression.
+REQUIRED = "required"
+#: A counter gated under this rule is compared only when both records
+#: carry it: baselines predating a subsystem lack its counters, and
+#: their absence must not read as a regression.
+BOTH_SIDES = "both sides"
 
-#: Serving-layer counters (the bench-X5 segment), gated only when BOTH
-#: records carry them: baselines predating the serving layer have no
-#: ``serve.*`` counters, and their absence must not read as a
-#: regression the way a missing tracked counter does.  Misses growing
-#: means cache keys stopped matching (a caching regression); hits are
-#: deterministic for the fixed query stream, so any change is a
-#: behaviour change worth failing on.
-SERVE_COUNTERS = (
-    "serve.queries",
-    "serve.cache.enum.misses",
-    "serve.cache.master.misses",
-    "serve.cache.result.misses",
-    "serve.lp.warm_starts",
-)
-
-#: Online-controller counters (the bench online-churn segment), gated
-#: under the same both-sides rule as :data:`SERVE_COUNTERS`.  The churn
-#: stream is seed-fixed, so these are deterministic: retirements or
-#: warm re-solves *changing* means the incremental machinery changed
-#: behaviour, and rebuild fallbacks *growing* means cached unions
-#: stopped matching — the exact regression the incremental controller
-#: exists to prevent.
-ONLINE_COUNTERS = (
-    "online.arrivals",
-    "online.warm_resolves",
-    "online.rebuild_fallbacks",
-    "online.column_retirements",
-    "online.cache.result.misses",
-)
-
-#: Tile-decomposition counters (the bench scale segment), gated under
-#: the same both-sides rule.  The scale instance is seed-fixed, so the
-#: tile count, per-tile LP solves and restricted-column family size are
-#: deterministic: tiles *growing* means the decomposer stopped merging
-#: runs, and columns growing means the restricted LB family bloated —
-#: both are the decomposition doing more work per estimate.
-SCALE_COUNTERS = (
-    "scale.tiles",
-    "scale.tile_solves",
-    "scale.columns",
-)
-
-#: Provenance counters (dual certificates and explanations built), gated
-#: under the same both-sides rule.  For a fixed workload these are
-#: deterministic: certificates *growing* means something started
-#: certifying per query instead of per solve (an overhead regression on
-#: the explain-off path), and explanations growing means provenance is
-#: being built where it wasn't asked for.
-EXPLAIN_COUNTERS = (
-    "explain.certificates",
-    "explain.explanations",
-)
+#: Every gated counter and its rule, in report order.  All are
+#: deterministic for the fixed smoke instances, so growth is an
+#: algorithmic change, not noise.
+GATED_COUNTERS = {
+    # Solver work on the re-solved 4-hop chain.
+    "enum.dfs_nodes": REQUIRED,
+    "cg.iterations": REQUIRED,
+    "cg.columns_added": REQUIRED,
+    "lp.solves": REQUIRED,
+    # Serving layer (bench X5): misses growing means cache keys stopped
+    # matching; hits are fixed for the query stream.
+    "serve.queries": BOTH_SIDES,
+    "serve.cache.enum.misses": BOTH_SIDES,
+    "serve.cache.master.misses": BOTH_SIDES,
+    "serve.cache.result.misses": BOTH_SIDES,
+    "serve.lp.warm_starts": BOTH_SIDES,
+    # Online controller (churn stream): rebuild fallbacks growing means
+    # cached unions stopped matching.
+    "online.arrivals": BOTH_SIDES,
+    "online.warm_resolves": BOTH_SIDES,
+    "online.rebuild_fallbacks": BOTH_SIDES,
+    "online.column_retirements": BOTH_SIDES,
+    "online.cache.result.misses": BOTH_SIDES,
+    # Tile decomposition: more tiles or columns is more work per
+    # estimate.
+    "scale.tiles": BOTH_SIDES,
+    "scale.tile_solves": BOTH_SIDES,
+    "scale.columns": BOTH_SIDES,
+    # Provenance: growth means certificates or explanations are built
+    # where they were not asked for.
+    "explain.certificates": BOTH_SIDES,
+    "explain.explanations": BOTH_SIDES,
+}
 
 #: The smoke run solves only the 4-hop instance; compare against that row.
 SMOKE_HOPS = 4
@@ -170,20 +149,13 @@ def compare(
     """Return (report lines, regression lines) for the tracked counters."""
     lines = []
     regressions = []
-    serve_gated = [
+    gated = [
         name
-        for name in (
-            *SERVE_COUNTERS,
-            *ONLINE_COUNTERS,
-            *SCALE_COUNTERS,
-            *EXPLAIN_COUNTERS,
-        )
-        if name in baseline and name in smoke
+        for name, rule in GATED_COUNTERS.items()
+        if rule == REQUIRED or (name in baseline and name in smoke)
     ]
-    width = max(
-        len(name) for name in (*TRACKED_COUNTERS, *serve_gated)
-    )
-    for name in (*TRACKED_COUNTERS, *serve_gated):
+    width = max(len(name) for name in gated)
+    for name in gated:
         expected = baseline.get(name)
         observed = smoke.get(name)
         if expected is None or observed is None:
