@@ -335,18 +335,9 @@ def _maximal_cliques_bitset(
 
     start = (1 << count) - 1 if subset is None else subset
     if start:
-        # Opt-in compiled path (repro.scale.kernels): a numba-jitted
-        # uint64 search mirroring this one's pivot rule, branch order and
-        # node accounting exactly, so results and counters are identical.
-        from repro.scale.kernels import compiled_cliques
-
         recorder = get_recorder()
         with recorder.span("enum.independent_sets"):
-            compiled = compiled_cliques(adjacency, count, start)
-            if compiled is None:
-                expand(0, start, 0)
-            else:  # pragma: no cover - needs numba
-                cliques, dfs_nodes = compiled
+            expand(0, start, 0)
         # One batched update keeps the per-DFS-node cost recorder-free.
         recorder.count("enum.dfs_nodes", dfs_nodes)
         recorder.count("enum.maximal_sets_emitted", len(cliques))
@@ -374,8 +365,6 @@ def _enumerate_cumulative(
     a child subset costs O(nodes + members) instead of the O(members²)
     SINR recomputation the seed implementation paid at every node.
     """
-    from repro.scale.kernels import RateSelector, kernels_active
-
     ordered = sorted(links, key=lambda l: l.link_id)
     kernel = model.kernel
     entries = [kernel.entry(link) for link in ordered]
@@ -393,7 +382,7 @@ def _enumerate_cumulative(
                 return rate
         return None
 
-    def scalar_vector_for(subset, acc) -> Optional[List[Rate]]:
+    def vector_for(subset, acc) -> Optional[List[Rate]]:
         """Max rates of ``subset`` members (aligned), or None if infeasible.
 
         ``acc[j]`` is the summed received power at node ``j`` from all of
@@ -412,25 +401,6 @@ def _enumerate_cumulative(
                 return None
             rates.append(rate)
         return rates
-
-    if kernels_active():
-        # Opt-in vectorized feasibility (repro.scale.kernels): same IEEE
-        # division and threshold comparison as the scalar loop, so the
-        # chosen rates — and hence the DFS shape and counters — are
-        # bit-identical.
-        selector = RateSelector(entries, power, noise)
-
-        def vector_for(subset, acc) -> Optional[List[Rate]]:
-            chosen = selector.choose(subset, acc)
-            if chosen is None:
-                return None
-            return [
-                entries[index].rates[rate_index]
-                for index, rate_index in zip(subset, chosen)
-            ]
-
-    else:
-        vector_for = scalar_vector_for
 
     def is_maximal(subset, vector, acc, used_nodes) -> bool:
         members = set(subset)

@@ -1,26 +1,14 @@
-"""Scaling layer: interference tiles and optional compiled kernels.
+"""Scaling layer: interference tiles.
 
 Everything in :mod:`repro.core` is exact and global; this package is the
-first layer that trades exactness for scale, so every approximation comes
-with an oracle-guarded bound:
-
-* :mod:`repro.scale.tiles` — interference-tile decomposition with a
-  bracketing ``[lower_bound, upper_bound]`` estimate of Eq. 6 (verified
-  against the exact optimum by :mod:`repro.verify` wherever exact
-  enumeration is tractable);
-* :mod:`repro.scale.kernels` — opt-in vectorized / numba-compiled
-  replacements for the enumeration hot loops, pinned bit-identical to the
-  pure-Python reference paths.
+first layer that trades exactness for scale, so its approximation comes
+with an oracle-guarded bound: :mod:`repro.scale.tiles` decomposes a path
+into interference tiles and returns a bracketing
+``[lower_bound, upper_bound]`` estimate of Eq. 6, verified against the
+exact optimum by :mod:`repro.verify` wherever exact enumeration is
+tractable.
 """
 
-from repro.scale.kernels import (
-    RateSelector,
-    cliques_u64,
-    compiled_cliques,
-    compiled_kernels_available,
-    enable_compiled_kernels,
-    kernels_active,
-)
 from repro.scale.tiles import (
     Tile,
     TileConfig,
@@ -35,10 +23,4 @@ __all__ = [
     "TiledPathEstimate",
     "decompose_path",
     "tiled_path_bandwidth",
-    "compiled_kernels_available",
-    "enable_compiled_kernels",
-    "kernels_active",
-    "compiled_cliques",
-    "cliques_u64",
-    "RateSelector",
 ]

@@ -12,8 +12,7 @@ This module exploits that locality:
 * :func:`decompose_path` partitions the new path into **tiles** — merged
   maximal runs of consecutive mutually-conflicting path links, capped at
   :attr:`TileConfig.tile_size` links per tile, each extended with the
-  background links that conflict with (or, with
-  :attr:`TileConfig.radius_m`, lie within radius of) the tile's path links;
+  background links that conflict with the tile's path links;
 * :func:`tiled_path_bandwidth` solves one Eq. 6 LP **per tile** over only
   the tile's couple set and stitches the results into a two-sided estimate:
 
@@ -85,16 +84,10 @@ class TileConfig:
             argument.
         max_sets: Per-tile enumeration cap, forwarded to
             :func:`~repro.core.independent_sets.enumerate_maximal_independent_sets`.
-        radius_m: Optional geometric prefilter: background links whose
-            endpoints all lie farther than this from every tile path
-            endpoint are excluded before the exact conflict test.  ``None``
-            (default) uses conflicts only, which works for abstract
-            topologies too.
     """
 
     tile_size: int = 8
     max_sets: Optional[int] = None
-    radius_m: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -180,19 +173,6 @@ def _path_rates(
     return rates
 
 
-def _near_tile(
-    link: Link, tile_links: Sequence[Link], radius_m: float
-) -> bool:
-    """Whether ``link`` has an endpoint within ``radius_m`` of the tile."""
-    endpoints = (link.sender, link.receiver)
-    for tile_link in tile_links:
-        for anchor in (tile_link.sender, tile_link.receiver):
-            for node in endpoints:
-                if node.distance_to(anchor) <= radius_m:
-                    return True
-    return False
-
-
 def decompose_path(
     model: InterferenceModel,
     new_path: Path,
@@ -248,10 +228,6 @@ def decompose_path(
         member_ids = {link.link_id for link in tile_path}
         for couple in background_couples:
             if couple.link.link_id in member_ids:
-                continue
-            if config.radius_m is not None and not _near_tile(
-                couple.link, tile_path, config.radius_m
-            ):
                 continue
             if any(
                 model.conflicts(couple, path_couple)

@@ -338,3 +338,37 @@ class TestSloGate:
             ["--history", root, "--slo", str(tmp_path / "missing.toml")]
         )
         assert code == 2
+
+
+class TestSmokeGate:
+    """The smoke measurements against the committed baseline file."""
+
+    @pytest.fixture(scope="class")
+    def bench_runner(self):
+        sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
+        try:
+            import bench_runner
+        finally:
+            sys.path.pop(0)
+        return bench_runner
+
+    def test_smoke_counters_pass_committed_baseline(
+        self, bench_compare, bench_runner, tmp_path, capsys
+    ):
+        from repro.obs import Recorder, use_recorder, write_run_report
+
+        recorder = Recorder()
+        with use_recorder(recorder):
+            bench_runner.measure_solver_scaling(lengths=(4,), repeats=1)
+            before = dict(recorder.counters)
+            bench_runner.measure_scale(repeats=1, n_nodes=96)
+        leaked = {
+            name
+            for name, value in recorder.counters.items()
+            if value != before.get(name) and not name.startswith("scale.")
+        }
+        assert leaked == set()
+        trace = str(tmp_path / "trace.json")
+        write_run_report(recorder, trace)
+        assert bench_compare.main([trace]) == 0
+        assert "no counter regressions" in capsys.readouterr().out

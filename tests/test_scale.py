@@ -1,18 +1,10 @@
-"""The scaling layer: interference tiles, compiled kernels, and the
-scale-exposed bug pins (incremental kernel growth, vectorized matrix and
-link builds)."""
-
-import math
-import random
+"""The scaling layer: interference tiles and the scale-exposed bug pins
+(incremental kernel growth, vectorized matrix and link builds)."""
 
 import numpy as np
 import pytest
 
 from repro.core.bandwidth import available_path_bandwidth
-from repro.core.independent_sets import (
-    _maximal_cliques_bitset,
-    enumerate_maximal_independent_sets,
-)
 from repro.errors import InfeasibleProblemError
 from repro.interference.kernel import GeometricKernel, matrix_power_reference
 from repro.interference.protocol import ProtocolInterferenceModel
@@ -20,17 +12,7 @@ from repro.net.generators import scatter_topology
 from repro.net.random_topology import random_topology
 from repro.obs import Recorder, use_recorder
 from repro.phy.radio import RadioConfig
-from repro.scale import (
-    RateSelector,
-    TileConfig,
-    cliques_u64,
-    compiled_cliques,
-    compiled_kernels_available,
-    decompose_path,
-    enable_compiled_kernels,
-    kernels_active,
-    tiled_path_bandwidth,
-)
+from repro.scale import TileConfig, decompose_path, tiled_path_bandwidth
 from repro.verify.instances import iter_instances
 
 
@@ -173,132 +155,6 @@ class TestTiledBracket:
         assert recorder.counters["scale.tiles"] == len(estimate.tiles)
         assert recorder.counters["scale.tile_solves"] == len(estimate.tiles)
         assert recorder.counters["scale.columns"] == estimate.columns
-
-
-class TestCompiledKernels:
-    def test_flag_roundtrip(self):
-        assert not kernels_active()
-        try:
-            enable_compiled_kernels(True)
-            assert kernels_active()
-        finally:
-            enable_compiled_kernels(False)
-        assert not kernels_active()
-
-    def test_compiled_cliques_disabled_returns_none(self):
-        assert compiled_cliques([0], 1, 1) is None
-
-    def test_compiled_cliques_refuses_wide_graphs(self):
-        try:
-            enable_compiled_kernels(True)
-            assert compiled_cliques([0] * 65, 65, 1) is None
-        finally:
-            enable_compiled_kernels(False)
-
-    def test_cliques_u64_matches_bigint_reference(self):
-        """Same cliques, same order, same DFS-node count, on random
-        graphs up to the 64-vertex width limit."""
-        rng = random.Random("cliques-u64-pin")
-        for _ in range(60):
-            count = rng.randint(1, 16)
-            adjacency = [0] * count
-            for i in range(count):
-                for j in range(i + 1, count):
-                    if rng.random() < rng.choice((0.2, 0.5, 0.8)):
-                        adjacency[i] |= 1 << j
-                        adjacency[j] |= 1 << i
-            recorder = Recorder()
-            with use_recorder(recorder):
-                expected = _maximal_cliques_bitset(adjacency, count)
-            masks, dfs_nodes = cliques_u64(
-                adjacency, count, (1 << count) - 1
-            )
-            assert masks == expected
-            assert dfs_nodes == recorder.counters["enum.dfs_nodes"]
-
-    def test_vectorized_rate_selection_is_bit_identical(self):
-        """Enabling the kernels must not change the cumulative
-        enumeration at all: same sets, same order, same DFS counters."""
-        checked = 0
-        for instance in iter_instances(
-            8, seed=13, families=("physical-chain",)
-        ):
-            baseline_recorder = Recorder()
-            with use_recorder(baseline_recorder):
-                baseline = enumerate_maximal_independent_sets(
-                    instance.model, instance.links
-                )
-            vectorized_recorder = Recorder()
-            try:
-                enable_compiled_kernels(True)
-                with use_recorder(vectorized_recorder):
-                    vectorized = enumerate_maximal_independent_sets(
-                        instance.model, instance.links
-                    )
-            finally:
-                enable_compiled_kernels(False)
-            assert vectorized == baseline
-            assert (
-                vectorized_recorder.counters["enum.dfs_nodes"]
-                == baseline_recorder.counters["enum.dfs_nodes"]
-            )
-            checked += 1
-        assert checked == 8
-
-    def test_rate_selector_matches_scalar_loop(self):
-        """The selector's choice equals the scalar threshold scan on the
-        exact same floats, for every link against every interferer."""
-        network = random_topology(RadioConfig(), seed=8)
-        model = ProtocolInterferenceModel(network)
-        kernel = model.kernel
-        links = list(network.links)[:12]
-        entries = [kernel.entry(link) for link in links]
-        selector = RateSelector(entries, kernel.power, kernel.noise_mw)
-        for interferer in range(len(entries)):
-            subset = [
-                index
-                for index in range(len(entries))
-                if index != interferer
-            ]
-            acc = kernel.power[entries[interferer].sender_index].copy()
-            for index in subset:
-                acc = acc + kernel.power[entries[index].sender_index]
-            chosen = selector.choose(subset, acc)
-            expected = []
-            feasible = True
-            for index in subset:
-                entry = entries[index]
-                interference = (
-                    acc[entry.receiver_index]
-                    - kernel.power[
-                        entry.sender_index, entry.receiver_index
-                    ]
-                )
-                ratio = entry.signal_mw / (interference + kernel.noise_mw)
-                scalar = next(
-                    (
-                        rate_index
-                        for rate_index, threshold in enumerate(
-                            entry.thresholds
-                        )
-                        if ratio >= threshold
-                    ),
-                    None,
-                )
-                if scalar is None:
-                    feasible = False
-                    break
-                expected.append(scalar)
-            if not feasible:
-                assert chosen is None
-            else:
-                assert chosen is not None
-                assert list(chosen) == expected
-
-    def test_numba_availability_is_cached_bool(self):
-        first = compiled_kernels_available()
-        assert compiled_kernels_available() is first
-        assert isinstance(first, bool)
 
 
 class TestKernelGrowth:

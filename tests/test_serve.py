@@ -245,9 +245,17 @@ class TestSolverFailure:
 
         return controller, probe, controller.carried
 
+    @pytest.fixture
+    def recorder(self):
+        recorder = Recorder()
+        with use_recorder(recorder):
+            yield recorder
+
     @pytest.mark.parametrize("failing_solve", [1, 2])
     @pytest.mark.parametrize("kind", ["batch", "online"])
-    def test_fatal_solve_leaves_nothing_stale(self, kind, failing_solve):
+    def test_fatal_solve_leaves_nothing_stale(
+        self, kind, failing_solve, recorder
+    ):
         scenario = scenario_two()
         links = list(scenario.path.links)
         first, second = Path(links[:1]), Path(links[2:])
@@ -295,6 +303,28 @@ class TestSolverFailure:
         assert ask(failing).available_bandwidth_mbps == (
             cold.available_bandwidth
         )
+        if kind == "online":
+            # The failing solve reuses the background's master, so every
+            # freshly built master was solved and counted as a rebuild.
+            counters = recorder.counters
+            assert counters["online.rebuild_fallbacks"] == (
+                counters["online.cache.master.misses"]
+            )
+
+    def test_fatal_cold_solve_counts_miss_without_rebuild(self, recorder):
+        """A solve that raises on a freshly built master keeps the master
+        and its miss but counts no rebuild; the retry is a warm solve."""
+        scenario = scenario_two()
+        controller = OnlineAdmissionController(scenario.model)
+        with pytest.raises(SolverError), inject_faults(
+            plan_from_spec("solver-fatal@1")
+        ):
+            controller.admit_path("f", scenario.path, 1.0)
+        controller.admit_path("f", scenario.path, 1.0)
+        counters = recorder.counters
+        assert counters["online.cache.master.misses"] == 1
+        assert counters.get("online.rebuild_fallbacks", 0) == 0
+        assert counters["online.warm_resolves"] == 1
 
 
 class TestBatchSession:

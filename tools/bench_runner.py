@@ -393,7 +393,8 @@ def measure_scale(
     gauges are merged into the ambient recorder (plus the span tree
     under ``bench.scale``), so the history gate sees the tiling
     counters without this segment's LP work inflating the solver
-    counters of the scaling segments.
+    counters of the scaling segments; the model build and the exact
+    solve run under a private recorder for the same reason.
     """
     import networkx as nx
 
@@ -405,12 +406,14 @@ def measure_scale(
     from repro.scale import TileConfig, tiled_path_bandwidth
 
     ambient = get_recorder()
+    private = Recorder()
     # Constant node density: the full 192-node field is 850 x 1275 m.
     side = (n_nodes / 192.0) ** 0.5
     network = scatter_topology(
         n_nodes, 850.0 * side, 1275.0 * side, seed=8
     )
-    model = ProtocolInterferenceModel(network)
+    with use_recorder(private):
+        model = ProtocolInterferenceModel(network)
     graph = network.to_digraph()
     reachable = nx.single_source_shortest_path(graph, "n0")
     farthest = max(reachable, key=lambda node: len(reachable[node]))
@@ -486,9 +489,10 @@ def measure_scale(
         exact_mbps = None
         for _ in range(max(1, repeats - 1)):
             started = time.perf_counter()
-            exact_mbps = available_path_bandwidth(
-                model, new_path, background
-            ).available_bandwidth
+            with use_recorder(private):
+                exact_mbps = available_path_bandwidth(
+                    model, new_path, background
+                ).available_bandwidth
             exact_seconds = min(
                 exact_seconds, time.perf_counter() - started
             )
