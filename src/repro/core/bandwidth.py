@@ -46,6 +46,18 @@ __all__ = [
 ]
 
 
+def _check_demand(demand: float, kind: str, owner: object) -> None:
+    """Reject a NaN, infinite or negative demand on ``kind`` ``owner``."""
+    if not math.isfinite(demand):
+        raise InfeasibleProblemError(
+            f"non-finite demand {demand} on {kind} {owner}"
+        )
+    if demand < 0:
+        raise InfeasibleProblemError(
+            f"negative demand {demand} on {kind} {owner}"
+        )
+
+
 def link_demands_from_paths(
     background: Sequence[Tuple[Path, float]],
 ) -> Dict[Link, float]:
@@ -56,14 +68,7 @@ def link_demands_from_paths(
     """
     demands: Dict[Link, float] = {}
     for path, demand in background:
-        if not math.isfinite(demand):
-            raise InfeasibleProblemError(
-                f"non-finite demand {demand} on path {path}"
-            )
-        if demand < 0:
-            raise InfeasibleProblemError(
-                f"negative demand {demand} on path {path}"
-            )
+        _check_demand(demand, "path", path)
         for link in path:
             demands[link] = demands.get(link, 0.0) + demand
     return demands
@@ -82,6 +87,111 @@ def _collect_links(
         for link in new_path:
             seen.setdefault(link.link_id, link)
     return list(seen.values())
+
+
+# -- the time-share LP family (Eq. 4 and Eq. 6) ---------------------------------
+#
+# Every LP in repro.core has one time share λ per rate-coupled independent
+# set and one delivery row per link, Σ λ·r ≥ rhs.  Two shapes exist: with a
+# lead variable (f, θ or t) the program maximises it within one period
+# (an ``airtime`` row Σλ ≤ 1); without one it minimises total airtime.
+
+
+def _demand_row(link_id: str) -> str:
+    """Name of a link's delivery row in every time-share LP."""
+    return f"demand[{link_id}]"
+
+
+def _columns_for(
+    model: InterferenceModel,
+    links: Sequence[Link],
+    independent_sets: Optional[Sequence[RateIndependentSet]],
+    max_sets: Optional[int] = None,
+) -> List[RateIndependentSet]:
+    """The caller's LP columns, else every maximal independent set."""
+    if independent_sets is None:
+        return enumerate_maximal_independent_sets(model, links, max_sets)
+    return list(independent_sets)
+
+
+def _time_share_lp(
+    columns: Sequence[RateIndependentSet],
+    links: Sequence[Link],
+    rhs: Dict[Link, float],
+    lead: Optional[str] = None,
+    lead_entries: Optional[Dict[Link, float]] = None,
+    lead_bound: Optional[float] = None,
+    artificial_penalty: Optional[float] = None,
+) -> Tuple[LinearProgram, List[str]]:
+    """Assemble a time-share LP over ``columns``; returns ``(lp, lambda_vars)``.
+
+    Variables in order: ``lead`` (objective 1, upper bound ``lead_bound``)
+    when given, then ``lambda_<i>`` per column (objective 0 with a lead,
+    −1 without, i.e. minimise airtime), then with ``artificial_penalty``
+    one ``artificial[<link>]`` surplus per row at that cost.  Rows: the
+    ``airtime`` row when there is a lead, then one ``>= rhs[link]`` row
+    per link in ``links`` order, named by :func:`_demand_row`, where the
+    lead has coefficient ``lead_entries[link]``.
+    """
+    lp = LinearProgram()
+    if lead is not None:
+        lp.add_variable(lead, objective=1.0, upper_bound=lead_bound)
+    lambda_objective = 0.0 if lead is not None else -1.0
+    lambda_vars = [
+        lp.add_variable(f"lambda_{index}", objective=lambda_objective)
+        for index in range(len(columns))
+    ]
+    rows: Dict[Link, Dict[str, float]] = {link: {} for link in links}
+    if artificial_penalty is not None:
+        for link, row in rows.items():
+            var = lp.add_variable(
+                f"artificial[{link.link_id}]", objective=-artificial_penalty
+            )
+            row[var] = 1.0
+    if lead is not None:
+        lp.add_constraint_le(dict.fromkeys(lambda_vars, 1.0), 1.0, name="airtime")
+    for var, column in zip(lambda_vars, columns):
+        for link, mbps in column._mbps_by_link.items():
+            row = rows.get(link)
+            if row is not None and mbps > 0.0:
+                row[var] = mbps
+    lead_entries = lead_entries or {}
+    for link, row in rows.items():
+        if link in lead_entries:
+            row[lead] = lead_entries[link]
+        lp.add_constraint_ge(
+            row, rhs.get(link, 0.0), name=_demand_row(link.link_id)
+        )
+    return lp, lambda_vars
+
+
+def _add_time_share_column(
+    lp: LinearProgram, name: str, column: RateIndependentSet, lead: bool
+) -> str:
+    """Grow a :func:`_time_share_lp` program by one λ column.
+
+    ``lead`` says whether the program was built with a lead variable.
+    """
+    entries = {
+        _demand_row(couple.link.link_id): couple.rate.mbps
+        for couple in column.couples
+    }
+    if lead:
+        return lp.add_column(name, {"airtime": 1.0, **entries})
+    return lp.add_column(name, entries, objective=-1.0)
+
+
+def _schedule_from(
+    solution,
+    lambda_vars: Sequence[str],
+    columns: Sequence[RateIndependentSet],
+    scale: float = 1.0,
+) -> LinkSchedule:
+    """The schedule a solved time-share LP's λ values describe."""
+    return LinkSchedule(
+        ScheduleEntry(column, solution[var] * scale)
+        for var, column in zip(lambda_vars, columns)
+    )
 
 
 @dataclass
@@ -128,10 +238,7 @@ def available_path_bandwidth(
             posed.
     """
     links = _collect_links(background, new_path)
-    if independent_sets is None:
-        columns = enumerate_maximal_independent_sets(model, links, max_sets)
-    else:
-        columns = list(independent_sets)
+    columns = _columns_for(model, links, independent_sets, max_sets)
     demands = link_demands_from_paths(background)
     lp, f_var, lambda_vars = build_path_bandwidth_lp(
         columns, links, demands, set(new_path.links)
@@ -156,26 +263,10 @@ def build_path_bandwidth_lp(
     the ``demand[<link>]`` rows) — both callers construct the identical
     program, so cold and warm answers agree exactly.
     """
-    lp = LinearProgram()
-    f_var = lp.add_variable("f", objective=1.0)
-    lambda_vars = [
-        lp.add_variable(f"lambda_{index}") for index in range(len(columns))
-    ]
-    lp.add_constraint_le(
-        {var: 1.0 for var in lambda_vars}, 1.0, name="airtime"
+    lp, lambda_vars = _time_share_lp(
+        columns, links, demands, "f", dict.fromkeys(new_links, -1.0)
     )
-    for link in links:
-        coefficients: Dict[str, float] = {}
-        for var, column in zip(lambda_vars, columns):
-            rate = column.throughput_of(link)
-            if rate > 0.0:
-                coefficients[var] = rate
-        if link in new_links:
-            coefficients[f_var] = -1.0
-        lp.add_constraint_ge(
-            coefficients, demands.get(link, 0.0), name=f"demand[{link.link_id}]"
-        )
-    return lp, f_var, lambda_vars
+    return lp, "f", lambda_vars
 
 
 def path_bandwidth_from_solution(
@@ -185,10 +276,7 @@ def path_bandwidth_from_solution(
     demands: Dict[Link, float],
 ) -> PathBandwidthResult:
     """Package a solved Eq. 6 master LP as a :class:`PathBandwidthResult`."""
-    schedule = LinkSchedule(
-        ScheduleEntry(column, solution[var])
-        for var, column in zip(lambda_vars, columns)
-    )
+    schedule = _schedule_from(solution, lambda_vars, columns)
     # At saturation (background fills the channel) the solver reports the
     # zero optimum with its own noise, e.g. -0.0 or -1e-17; available
     # bandwidth is a physical quantity and must not go negative.
@@ -223,26 +311,10 @@ def min_airtime_schedule(
     links = _collect_links(background)
     if not links:
         return LinkSchedule(())
-    if independent_sets is None:
-        columns = enumerate_maximal_independent_sets(model, links, max_sets)
-    else:
-        columns = list(independent_sets)
-    demands = link_demands_from_paths(background)
-
-    lp = LinearProgram()
-    lambda_vars = [
-        lp.add_variable(f"lambda_{index}", objective=-1.0)
-        for index in range(len(columns))
-    ]
-    for link in links:
-        coefficients = {
-            var: column.throughput_of(link)
-            for var, column in zip(lambda_vars, columns)
-            if column.throughput_of(link) > 0.0
-        }
-        lp.add_constraint_ge(
-            coefficients, demands.get(link, 0.0), name=f"demand[{link.link_id}]"
-        )
+    columns = _columns_for(model, links, independent_sets, max_sets)
+    lp, lambda_vars = _time_share_lp(
+        columns, links, link_demands_from_paths(background)
+    )
     solution = lp.solve()
     total_airtime = -solution.objective
     if total_airtime > 1.0 + 1e-9:
@@ -251,10 +323,7 @@ def min_airtime_schedule(
             "airtime",
             residual=total_airtime - 1.0,
         )
-    return LinkSchedule(
-        ScheduleEntry(column, solution[var])
-        for var, column in zip(lambda_vars, columns)
-    )
+    return _schedule_from(solution, lambda_vars, columns)
 
 
 def tdma_schedule(
@@ -311,37 +380,19 @@ def joint_admission_scale(
     ``θ ≥ 1`` means the whole batch is admissible as asked.
 
     Returns:
-        (θ, optimal schedule at θ).
+        (θ, optimal schedule at θ); ``(inf, empty schedule)`` when no flow
+        has a positive demand, since nothing then limits θ.
     """
     links = _collect_links(flows)
-    if not links:
-        return float("inf"), LinkSchedule(())
-    if independent_sets is None:
-        columns = enumerate_maximal_independent_sets(model, links, max_sets)
-    else:
-        columns = list(independent_sets)
     demands = link_demands_from_paths(flows)
-
-    lp = LinearProgram()
-    theta = lp.add_variable("theta", objective=1.0)
-    lambda_vars = [
-        lp.add_variable(f"lambda_{index}") for index in range(len(columns))
-    ]
-    lp.add_constraint_le({var: 1.0 for var in lambda_vars}, 1.0, name="airtime")
-    for link in links:
-        demand = demands.get(link, 0.0)
-        if demand <= 0.0:
-            continue
-        coefficients = {
-            var: column.throughput_of(link)
-            for var, column in zip(lambda_vars, columns)
-            if column.throughput_of(link) > 0.0
-        }
-        coefficients[theta] = -demand
-        lp.add_constraint_ge(coefficients, 0.0, name=f"scale[{link.link_id}]")
-    solution = lp.solve()
-    schedule = LinkSchedule(
-        ScheduleEntry(column, solution[var])
-        for var, column in zip(lambda_vars, columns)
+    loaded = {link: -demand for link, demand in demands.items() if demand > 0.0}
+    if not loaded:
+        return float("inf"), LinkSchedule(())
+    columns = _columns_for(model, links, independent_sets, max_sets)
+    # Row θ·d_l ≤ Σλ·r_l per loaded link: the delivery row with rhs 0 and
+    # the lead θ at −d_l.
+    lp, lambda_vars = _time_share_lp(
+        columns, [link for link in links if link in loaded], {}, "theta", loaded
     )
-    return solution.objective, schedule
+    solution = lp.solve()
+    return solution.objective, _schedule_from(solution, lambda_vars, columns)

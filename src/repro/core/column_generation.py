@@ -1,9 +1,9 @@
-"""Column generation for the available-bandwidth LP.
+"""Column generation for the time-share LPs of Eq. 6 and Eq. 4.
 
 Full enumeration of maximal independent sets is exponential in the number
 of links; Section 3.2 of the paper notes the same explosion for cliques and
 leaves complexity reduction to future work.  This module implements the
-standard remedy for Eq. 6's column structure:
+standard remedy for the LP family's column structure:
 
 1. solve a **restricted master** LP over a small pool of independent sets;
 2. **price** a new column with the master's duals — the column that most
@@ -11,25 +11,34 @@ standard remedy for Eq. 6's column structure:
    link–rate conflict graph with couple weights ``π_link · r``;
 3. repeat until no positive-reduced-cost column exists.
 
-The pricing problem is itself NP-hard, so two oracles are provided: an
-exact one (enumerating maximal independent sets of the *weighted* conflict
-graph — affordable for mid-size instances because it runs on the pruned
-graph once per iteration) and a greedy+local-search one for larger
-instances.  With the exact oracle the procedure terminates at the true
-optimum; with the greedy oracle the result is a certified **lower bound**
-(it is still an Eq. 6 solution over a restricted family, Section 3.3).
+Both entry points — :func:`solve_with_column_generation` (Eq. 6, maximise
+``f``) and :func:`min_airtime_column_generation` (minimise airtime) — run
+one restricted-master loop, :func:`_restricted_master`.  The master is the
+program :func:`repro.core.bandwidth._time_share_lp` assembles, with one
+penalised artificial surplus per demand row, so its rows and their names
+are the ones every other LP in :mod:`repro.core` uses.
+
+The pricing problem is itself NP-hard, so :class:`_PricingProblem` offers
+two bitmask oracles: an exact one (maximal independent sets of the
+positive-weight part of the conflict graph — affordable for mid-size
+instances) and a greedy+local-search one for larger instances.  With the
+exact oracle the procedure terminates at the true optimum; with the greedy
+oracle the result is a certified **lower bound** (it is still an Eq. 6
+solution over a restricted family, Section 3.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.bandwidth import (
     PathBandwidthResult,
+    _add_time_share_column,
     _collect_links,
+    _demand_row,
+    _schedule_from,
+    _time_share_lp,
     link_demands_from_paths,
 )
 from repro.core.independent_sets import (
@@ -37,8 +46,8 @@ from repro.core.independent_sets import (
     _maximal_cliques_bitset,
     _pairwise_compatibility_masks,
 )
-from repro.core.lp import LinearProgram
-from repro.core.schedule import LinkSchedule, ScheduleEntry
+from repro.core.lp import LpSolution
+from repro.core.schedule import LinkSchedule
 from repro.errors import InfeasibleProblemError
 from repro.interference.base import InterferenceModel, LinkRate
 from repro.interference.conflict_graph import link_rate_vertices
@@ -54,6 +63,9 @@ __all__ = [
 
 #: Reduced-cost tolerance below which a column is not worth adding.
 _PRICING_EPS = 1e-9
+
+#: Objective penalty per Mbps of artificial surplus in the master.
+_BIG_M = 1e5
 
 
 @dataclass
@@ -88,67 +100,14 @@ def _initial_columns(
     return pool
 
 
-def _greedy_weighted_independent_set(
-    graph: nx.Graph, weights: Dict[LinkRate, float]
-) -> Set[LinkRate]:
-    """Greedy MWIS with 1-swap local search; deterministic tie-breaks."""
-    chosen: Set[LinkRate] = set()
-    blocked: Set[LinkRate] = set()
-    order = sorted(
-        (v for v in graph.nodes if weights.get(v, 0.0) > 0.0),
-        key=lambda v: (-weights[v] / (graph.degree[v] + 1.0), str(v)),
-    )
-    for vertex in order:
-        if vertex in blocked:
-            continue
-        chosen.add(vertex)
-        blocked.add(vertex)
-        blocked.update(graph.neighbors(vertex))
-    improved = True
-    while improved:
-        improved = False
-        for vertex in sorted(graph.nodes, key=str):
-            if vertex in chosen or weights.get(vertex, 0.0) <= 0.0:
-                continue
-            conflicts = [n for n in graph.neighbors(vertex) if n in chosen]
-            lost = sum(weights.get(n, 0.0) for n in conflicts)
-            if weights[vertex] > lost + _PRICING_EPS:
-                chosen.difference_update(conflicts)
-                chosen.add(vertex)
-                improved = True
-    return chosen
-
-
-def _exact_weighted_independent_set(
-    graph: nx.Graph, weights: Dict[LinkRate, float]
-) -> Set[LinkRate]:
-    """Exact MWIS via maximal cliques of the complement graph.
-
-    Every maximum-weight independent set extends to a maximal one with at
-    least the same weight (weights are non-negative), so scanning maximal
-    independent sets is exact.
-    """
-    positive = [v for v in graph.nodes if weights.get(v, 0.0) > 0.0]
-    subgraph = graph.subgraph(positive)
-    best: Set[LinkRate] = set()
-    best_weight = 0.0
-    complement = nx.complement(subgraph)
-    for clique in nx.find_cliques(complement):
-        weight = sum(weights[v] for v in clique)
-        if weight > best_weight:
-            best_weight = weight
-            best = set(clique)
-    return best
-
-
 class _PricingProblem:
     """Bitmask MWIS pricing state, built once per column-generation call.
 
     Holds the couple vertices and the compatibility masks of the link–rate
     conflict graph's complement, so every pricing round is an integer-mask
-    Bron–Kerbosch (exact) or greedy sweep instead of a fresh networkx
-    complement-and-clique pass.  Semantically equivalent to the nx-based
-    oracles above, which remain for callers that already hold a graph.
+    Bron–Kerbosch (exact) or greedy sweep over the same vertex indices.
+    Both oracles ignore vertices of nonpositive weight; the caller
+    accounts their time (``cg.pricing`` span) and calls.
     """
 
     def __init__(self, model: InterferenceModel, links: Sequence[Link]):
@@ -172,13 +131,12 @@ class _PricingProblem:
         return chosen
 
     def exact(self, weights: Dict[LinkRate, float]) -> Set[LinkRate]:
-        """Exact MWIS over the positive-weight vertices."""
-        recorder = get_recorder()
-        recorder.count("cg.pricing.exact_calls")
-        with recorder.span("cg.pricing"):
-            return self._exact(weights)
+        """Exact MWIS over the positive-weight vertices.
 
-    def _exact(self, weights: Dict[LinkRate, float]) -> Set[LinkRate]:
+        Every maximum-weight independent set extends to a maximal one of
+        the positive-weight subgraph with the same weight, so scanning
+        those maximal sets is exact.
+        """
         positive = 0
         for index, vertex in enumerate(self.vertices):
             if weights.get(vertex, 0.0) > 0.0:
@@ -200,17 +158,12 @@ class _PricingProblem:
         return self._members(best_mask)
 
     def greedy(self, weights: Dict[LinkRate, float]) -> Set[LinkRate]:
-        """Greedy MWIS + 1-swap local search, mask edition.
+        """Greedy MWIS + 1-swap local search; deterministic tie-breaks.
 
-        Same ordering and tie-breaks as
-        :func:`_greedy_weighted_independent_set`.
+        Vertices are taken by weight per (degree + 1), ties by ``str``;
+        then any vertex worth more than the chosen ones it conflicts with
+        swaps in, scanning in ``str`` order until nothing improves.
         """
-        recorder = get_recorder()
-        recorder.count("cg.pricing.greedy_calls")
-        with recorder.span("cg.pricing"):
-            return self._greedy(weights)
-
-    def _greedy(self, weights: Dict[LinkRate, float]) -> Set[LinkRate]:
         order = sorted(
             (
                 index
@@ -253,6 +206,110 @@ class _PricingProblem:
         return self._members(chosen)
 
 
+def _restricted_master(
+    model: InterferenceModel,
+    links: Sequence[Link],
+    demands: Dict[Link, float],
+    max_iterations: int,
+    exact_pricing: bool,
+    new_links: Optional[Set[Link]] = None,
+) -> Tuple[LpSolution, List[str], List[RateIndependentSet], int, bool]:
+    """The restricted-master loop behind both entry points.
+
+    With ``new_links`` the master maximises ``f`` on those links within
+    one period (Eq. 6) and a column improves it when its priced value
+    beats the airtime dual; without, it minimises total airtime and a
+    column must be worth more than one unit of airtime.  The master is
+    assembled once and grown in place by
+    :meth:`~repro.core.lp.LinearProgram.add_column`.  An artificial
+    surplus per demand row keeps it feasible before pricing has found
+    enough spatial reuse; the penalty drives them to zero, and a survivor
+    at convergence means the demands are genuinely undeliverable.
+
+    Returns ``(solution, lambda_vars, pool, iterations, proved_optimal)``:
+    the last solve and the λ variables it saw — the pool can be one
+    column ahead of it when the iteration budget runs out.
+
+    Raises:
+        ValueError: when ``max_iterations < 1``.
+        InfeasibleProblemError: when demand stays unserved at convergence.
+    """
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    recorder = get_recorder()
+    with recorder.span("cg.solve"):
+        pricing = _PricingProblem(model, links)
+        if exact_pricing:
+            oracle, oracle_calls = pricing.exact, "cg.pricing.exact_calls"
+        else:
+            oracle, oracle_calls = pricing.greedy, "cg.pricing.greedy_calls"
+        pool = _initial_columns(model, links)
+        pool_index = set(pool)
+        lead = new_links is not None
+        lp, lambda_vars = _time_share_lp(
+            pool,
+            links,
+            demands,
+            "f" if lead else None,
+            dict.fromkeys(new_links or (), -1.0),
+            artificial_penalty=_BIG_M,
+        )
+        initial_pool_size = len(pool)
+        iterations = 0
+        proved_optimal = False
+        while iterations < max_iterations:
+            iterations += 1
+            with recorder.span("cg.iteration"):
+                solution = lp.solve()
+                solved_vars = list(lambda_vars)
+                # LpSolution stores duals in the max-problem orientation:
+                # for every stored <= row, dual = ∂(max objective)/∂(rhs)
+                # >= 0.  A column improves the master iff Σ_l w_l · R[l]
+                # beats its airtime cost, w_l the demand-row duals.
+                threshold = solution.duals.get("airtime", 0.0) if lead else 1.0
+                prices: Dict[LinkRate, float] = {
+                    vertex: solution.duals.get(
+                        _demand_row(vertex.link.link_id), 0.0
+                    )
+                    * vertex.rate.mbps
+                    for vertex in pricing.vertices
+                }
+                recorder.count(oracle_calls)
+                with recorder.span("cg.pricing"):
+                    candidate_vertices = oracle(prices)
+                candidate_value = sum(prices[v] for v in candidate_vertices)
+                if candidate_value <= threshold + _PRICING_EPS:
+                    proved_optimal = exact_pricing
+                    break
+                candidate = RateIndependentSet(frozenset(candidate_vertices))
+                if candidate in pool_index:
+                    # The oracle re-proposed a known column: numerically
+                    # converged.
+                    proved_optimal = exact_pricing
+                    break
+                pool.append(candidate)
+                pool_index.add(candidate)
+                lambda_vars.append(
+                    _add_time_share_column(
+                        lp, f"lambda_{len(pool) - 1}", candidate, lead
+                    )
+                )
+        recorder.count("cg.iterations", iterations)
+        recorder.count("cg.columns_added", len(pool) - initial_pool_size)
+        residual = sum(
+            value
+            for name, value in solution.values.items()
+            if name.startswith("artificial[")
+        )
+        if residual > 1e-6:
+            raise InfeasibleProblemError(
+                "background demands cannot be delivered even with generated "
+                f"columns (residual {residual:.4f} Mbps unserved)",
+                residual=residual,
+            )
+    return solution, solved_vars, pool, iterations, proved_optimal
+
+
 def solve_with_column_generation(
     model: InterferenceModel,
     new_path: Path,
@@ -267,143 +324,26 @@ def solve_with_column_generation(
             is the link–rate conflict graph).
         new_path: Candidate path.
         background: Existing (path, demand) pairs.
-        max_iterations: Pricing-round budget; hitting it returns the
-            current (lower-bound) solution with ``proved_optimal=False``.
+        max_iterations: Pricing-round budget (at least 1); hitting it
+            returns the current (lower-bound) solution with
+            ``proved_optimal=False``.
         exact_pricing: Use the exact MWIS oracle (guarantees optimality at
             convergence) or the greedy oracle (faster, lower bound).
     """
-    recorder = get_recorder()
-    with recorder.span("cg.solve"):
-        return _solve_with_column_generation(
-            model, new_path, background, max_iterations, exact_pricing
-        )
-
-
-def _solve_with_column_generation(
-    model: InterferenceModel,
-    new_path: Path,
-    background: Sequence[Tuple[Path, float]],
-    max_iterations: int,
-    exact_pricing: bool,
-) -> ColumnGenerationResult:
-    recorder = get_recorder()
-    links = _collect_links(background, new_path)
     demands = link_demands_from_paths(background)
-    new_links = set(new_path.links)
-    pricing = _PricingProblem(model, links)
-    pool: List[RateIndependentSet] = _initial_columns(model, links)
-    pool_index = set(pool)
-
-    oracle = pricing.exact if exact_pricing else pricing.greedy
-
-    iterations = 0
-    proved_optimal = False
-    solution = None
-    # The master is assembled once; every pricing round solves it and, when
-    # an improving column is found, grows it by one variable via
-    # LinearProgram.add_column instead of rebuilding it from scratch.
-    # Artificial surplus per demand row keeps the restricted master feasible
-    # before pricing has discovered enough spatial reuse; the penalty drives
-    # them to zero, and any survivor at convergence means the background
-    # demands are genuinely undeliverable.
-    big_m = 1e5
-    lp = LinearProgram()
-    f_var = lp.add_variable("f", objective=1.0)
-    lambda_vars = [
-        lp.add_variable(f"lambda_{index}") for index in range(len(pool))
-    ]
-    artificial_vars = {
-        link.link_id: lp.add_variable(
-            f"artificial[{link.link_id}]", objective=-big_m
+    solution, lambda_vars, pool, iterations, proved_optimal = (
+        _restricted_master(
+            model,
+            _collect_links(background, new_path),
+            demands,
+            max_iterations,
+            exact_pricing,
+            set(new_path.links),
         )
-        for link in links
-    }
-    lp.add_constraint_le(
-        {var: 1.0 for var in lambda_vars}, 1.0, name="airtime"
-    )
-    for link in links:
-        coefficients: Dict[str, float] = {
-            artificial_vars[link.link_id]: 1.0
-        }
-        for var, column in zip(lambda_vars, pool):
-            rate = column.throughput_of(link)
-            if rate > 0.0:
-                coefficients[var] = rate
-        if link in new_links:
-            coefficients[f_var] = -1.0
-        lp.add_constraint_ge(
-            coefficients,
-            demands.get(link, 0.0),
-            name=f"demand[{link.link_id}]",
-        )
-    # Variables present in the last solved master — the schedule must only
-    # read values of variables that solve actually saw (the pool can be one
-    # column ahead when the iteration budget runs out).
-    solved_vars: List[str] = []
-    initial_pool_size = len(pool)
-    while iterations < max_iterations:
-        iterations += 1
-        with recorder.span("cg.iteration"):
-            solution = lp.solve()
-            solved_vars = list(lambda_vars)
-
-            # LpSolution stores duals in the max-problem orientation: for
-            # every stored <= row, dual = ∂(max objective)/∂(rhs) >= 0.  A
-            # column (independent set) improves the master iff
-            # Σ_l w_l · R_α[l] > u, with u the airtime dual and w_l the
-            # link demand-row duals.
-            mu = solution.duals.get("airtime", 0.0)
-            prices: Dict[LinkRate, float] = {}
-            for vertex in pricing.vertices:
-                pi = solution.duals.get(f"demand[{vertex.link.link_id}]", 0.0)
-                prices[vertex] = pi * vertex.rate.mbps
-            candidate_vertices = oracle(prices)
-            candidate_value = sum(prices[v] for v in candidate_vertices)
-            if candidate_value <= mu + _PRICING_EPS:
-                proved_optimal = exact_pricing
-                break
-            candidate = RateIndependentSet(frozenset(candidate_vertices))
-            if candidate in pool_index:
-                # The oracle re-proposed a known column: numerically
-                # converged.
-                proved_optimal = exact_pricing
-                break
-            pool.append(candidate)
-            pool_index.add(candidate)
-            lambda_vars.append(
-                lp.add_column(
-                    f"lambda_{len(pool) - 1}",
-                    entries={
-                        "airtime": 1.0,
-                        **{
-                            f"demand[{couple.link.link_id}]": couple.rate.mbps
-                            for couple in candidate
-                        },
-                    },
-                )
-            )
-    recorder.count("cg.iterations", iterations)
-    recorder.count("cg.columns_added", len(pool) - initial_pool_size)
-
-    residual = sum(
-        solution.values[name]
-        for name in solution.values
-        if name.startswith("artificial[")
-    )
-    if residual > 1e-6:
-        raise InfeasibleProblemError(
-            "background demands cannot be delivered even with generated "
-            f"columns (residual {residual:.4f} Mbps unserved)",
-            residual=residual,
-        )
-
-    schedule = LinkSchedule(
-        ScheduleEntry(column, solution[var])
-        for var, column in zip(solved_vars, pool)
     )
     result = PathBandwidthResult(
         available_bandwidth=solution.objective,
-        schedule=schedule,
+        schedule=_schedule_from(solution, lambda_vars, pool),
         independent_sets=list(pool),
         background_demands=demands,
     )
@@ -441,119 +381,24 @@ def min_airtime_column_generation(
         InfeasibleProblemError: when demands stay unserved at convergence,
             or (without ``allow_overload``) the optimal airtime exceeds
             one period.
+        ValueError: when ``max_iterations < 1``.
     """
-    recorder = get_recorder()
-    with recorder.span("cg.solve"):
-        return _min_airtime_column_generation(
-            model, background, max_iterations, exact_pricing, allow_overload
-        )
-
-
-def _min_airtime_column_generation(
-    model: InterferenceModel,
-    background: Sequence[Tuple[Path, float]],
-    max_iterations: int,
-    exact_pricing: bool,
-    allow_overload: bool,
-) -> LinkSchedule:
-    recorder = get_recorder()
     links = _collect_links(background)
     if not links:
         return LinkSchedule(())
-    demands = link_demands_from_paths(background)
-    pricing = _PricingProblem(model, links)
-    pool: List[RateIndependentSet] = _initial_columns(model, links)
-    pool_index = set(pool)
-    oracle = pricing.exact if exact_pricing else pricing.greedy
-    big_m = 1e5
-    solution = None
-    # One master, grown in place — same incremental scheme as
-    # solve_with_column_generation above.
-    lp = LinearProgram()
-    lambda_vars = [
-        lp.add_variable(f"lambda_{index}", objective=-1.0)
-        for index in range(len(pool))
-    ]
-    artificial_vars = {
-        link.link_id: lp.add_variable(
-            f"artificial[{link.link_id}]", objective=-big_m
-        )
-        for link in links
-    }
-    for link in links:
-        coefficients: Dict[str, float] = {
-            artificial_vars[link.link_id]: 1.0
-        }
-        for var, column in zip(lambda_vars, pool):
-            rate = column.throughput_of(link)
-            if rate > 0.0:
-                coefficients[var] = rate
-        lp.add_constraint_ge(
-            coefficients,
-            demands.get(link, 0.0),
-            name=f"demand[{link.link_id}]",
-        )
-    solved_vars: List[str] = []
-    initial_pool_size = len(pool)
-    iterations = 0
-    for _iteration in range(max_iterations):
-        iterations += 1
-        with recorder.span("cg.iteration"):
-            solution = lp.solve()
-            solved_vars = list(lambda_vars)
-            prices = {
-                vertex: solution.duals.get(
-                    f"demand[{vertex.link.link_id}]", 0.0
-                )
-                * vertex.rate.mbps
-                for vertex in pricing.vertices
-            }
-            candidate_vertices = oracle(prices)
-            candidate_value = sum(prices[v] for v in candidate_vertices)
-            if candidate_value <= 1.0 + _PRICING_EPS:
-                break
-            candidate = RateIndependentSet(frozenset(candidate_vertices))
-            if candidate in pool_index:
-                break
-            pool.append(candidate)
-            pool_index.add(candidate)
-            lambda_vars.append(
-                lp.add_column(
-                    f"lambda_{len(pool) - 1}",
-                    objective=-1.0,
-                    entries={
-                        f"demand[{couple.link.link_id}]": couple.rate.mbps
-                        for couple in candidate
-                    },
-                )
-            )
-    recorder.count("cg.iterations", iterations)
-    recorder.count("cg.columns_added", len(pool) - initial_pool_size)
-
-    residual = sum(
-        value
-        for name, value in solution.values.items()
-        if name.startswith("artificial[")
+    solution, lambda_vars, pool, _iterations, _proved = _restricted_master(
+        model,
+        links,
+        link_demands_from_paths(background),
+        max_iterations,
+        exact_pricing,
     )
-    if residual > 1e-6:
+    total = sum(solution.values[var] for var in lambda_vars)
+    if total <= 1.0 + 1e-9:
+        return _schedule_from(solution, lambda_vars, pool)
+    if not allow_overload:
         raise InfeasibleProblemError(
-            "background demands cannot be delivered "
-            f"(residual {residual:.4f} Mbps unserved)",
-            residual=residual,
+            f"background demands need {total:.4f} > 1 units of airtime",
+            residual=total - 1.0,
         )
-    total = sum(solution.values[var] for var in solved_vars)
-    if total > 1.0 + 1e-9:
-        if not allow_overload:
-            raise InfeasibleProblemError(
-                f"background demands need {total:.4f} > 1 units of airtime",
-                residual=total - 1.0,
-            )
-        scale = 1.0 / total
-        return LinkSchedule(
-            ScheduleEntry(column, solution[var] * scale)
-            for var, column in zip(solved_vars, pool)
-        )
-    return LinkSchedule(
-        ScheduleEntry(column, solution[var])
-        for var, column in zip(solved_vars, pool)
-    )
+    return _schedule_from(solution, lambda_vars, pool, 1.0 / total)

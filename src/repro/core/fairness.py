@@ -17,14 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.bandwidth import _collect_links
-from repro.core.independent_sets import (
-    RateIndependentSet,
-    enumerate_maximal_independent_sets,
+from repro.core.bandwidth import (
+    _collect_links,
+    _columns_for,
+    _schedule_from,
+    _time_share_lp,
 )
-from repro.core.lp import LinearProgram
-from repro.core.schedule import LinkSchedule, ScheduleEntry
+from repro.core.independent_sets import RateIndependentSet
+from repro.core.schedule import LinkSchedule
 from repro.interference.base import InterferenceModel
+from repro.net.link import Link
 from repro.net.path import Path
 
 __all__ = ["MaxMinAllocation", "max_min_fair_allocation"]
@@ -61,9 +63,9 @@ def _solve_round(
 ):
     """One LP: maximise the common rate t of unfrozen flows (or one flow).
 
-    Frozen flows keep their fixed rates.  Returns (objective, solution).
+    Frozen flows keep their fixed rates, carried as the delivery rows'
+    right-hand sides.  Returns ``(solution, lambda_vars)``.
     """
-    lp = LinearProgram()
     # Any flow rate is bounded by the fastest single-link rate among the
     # columns, which also keeps the LP bounded in the degenerate round
     # where every flow is already frozen (t then appears in no row).
@@ -75,22 +77,13 @@ def _solve_round(
         ),
         default=1.0,
     )
-    t_var = lp.add_variable("t", objective=1.0, upper_bound=max(rate_cap, 1.0))
-    lambda_vars = [
-        lp.add_variable(f"lambda_{index}") for index in range(len(columns))
-    ]
-    lp.add_constraint_le({v: 1.0 for v in lambda_vars}, 1.0, name="airtime")
-    n_flows = len(flow_links)
+    fixed_demands: Dict[Link, float] = {}
+    t_entries: Dict[Link, float] = {}
     for link in links:
-        coefficients: Dict[str, float] = {}
-        for var, column in zip(lambda_vars, columns):
-            rate = column.throughput_of(link)
-            if rate > 0.0:
-                coefficients[var] = rate
         fixed_demand = 0.0
         t_coefficient = 0.0
-        for flow_index in range(n_flows):
-            if link not in flow_links[flow_index]:
+        for flow_index, on_flow in enumerate(flow_links):
+            if link not in on_flow:
                 continue
             if flow_index in frozen:
                 fixed_demand += frozen[flow_index]
@@ -99,13 +92,13 @@ def _solve_round(
             # Unfrozen flows other than maximize_flow, when maximizing a
             # single flow, keep their current-round base rate via frozen;
             # callers freeze them before calling.
+        fixed_demands[link] = fixed_demand
         if t_coefficient > 0.0:
-            coefficients[t_var] = -t_coefficient
-        lp.add_constraint_ge(
-            coefficients, fixed_demand, name=f"demand[{link.link_id}]"
-        )
-    solution = lp.solve()
-    return solution
+            t_entries[link] = -t_coefficient
+    lp, lambda_vars = _time_share_lp(
+        columns, links, fixed_demands, "t", t_entries, max(rate_cap, 1.0)
+    )
+    return lp.solve(), lambda_vars
 
 
 def max_min_fair_allocation(
@@ -129,17 +122,14 @@ def max_min_fair_allocation(
         return MaxMinAllocation(rates=[], schedule=LinkSchedule(()), rounds=0)
     flow_pairs = [(path, 0.0) for path in paths]
     links = _collect_links(flow_pairs)
-    if independent_sets is None:
-        columns = enumerate_maximal_independent_sets(model, links, max_sets)
-    else:
-        columns = list(independent_sets)
+    columns = _columns_for(model, links, independent_sets, max_sets)
     flow_links = [set(path.links) for path in paths]
 
     frozen: Dict[int, float] = {}
     rounds = 0
     while len(frozen) < len(paths):
         rounds += 1
-        solution = _solve_round(columns, links, flow_links, frozen)
+        solution, _lambda_vars = _solve_round(columns, links, flow_links, frozen)
         level = solution.objective
         unfrozen = [i for i in range(len(paths)) if i not in frozen]
         # A flow saturates at this level when raising it alone (others
@@ -150,7 +140,7 @@ def max_min_fair_allocation(
             for other in unfrozen:
                 if other != flow_index:
                     probe_frozen[other] = level
-            probe = _solve_round(
+            probe, _lambda_vars = _solve_round(
                 columns, links, flow_links, probe_frozen,
                 maximize_flow=flow_index,
             )
@@ -163,11 +153,7 @@ def max_min_fair_allocation(
             frozen[flow_index] = level
 
     # Final LP with all rates fixed recovers a consistent schedule.
-    final = _solve_round(columns, links, flow_links, frozen,
-                         maximize_flow=None)
-    schedule = LinkSchedule(
-        ScheduleEntry(column, final.values[f"lambda_{index}"])
-        for index, column in enumerate(columns)
-    )
+    final, lambda_vars = _solve_round(columns, links, flow_links, frozen)
+    schedule = _schedule_from(final, lambda_vars, columns)
     rates = [frozen[i] for i in range(len(paths))]
     return MaxMinAllocation(rates=rates, schedule=schedule, rounds=rounds)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
+from repro.core.bandwidth import _check_demand, _columns_for, _time_share_lp
 from repro.core.independent_sets import RateIndependentSet
-from repro.core.lp import LinearProgram
 from repro.errors import InfeasibleProblemError
 from repro.interference.base import InterferenceModel
 from repro.net.link import Link
@@ -27,34 +27,26 @@ def required_airtime(
 
     Values above 1 mean the vector is infeasible; the magnitude says by how
     much (e.g. 1.2 = "needs 20% more channel than exists").
-    """
-    from repro.core.independent_sets import enumerate_maximal_independent_sets
 
+    Raises:
+        InfeasibleProblemError: for a NaN, infinite or negative demand, or
+            a demanded link no independent set serves.
+    """
+    for link, demand in demands.items():
+        _check_demand(demand, "link", repr(link.link_id))
     links = list(demands)
     if not links:
         return 0.0
-    if independent_sets is None:
-        columns = enumerate_maximal_independent_sets(model, links)
-    else:
-        columns = list(independent_sets)
-    lp = LinearProgram()
-    lambda_vars = [
-        lp.add_variable(f"lambda_{index}", objective=-1.0)
-        for index in range(len(columns))
-    ]
-    for link, demand in demands.items():
-        coefficients = {
-            var: column.throughput_of(link)
-            for var, column in zip(lambda_vars, columns)
-            if column.throughput_of(link) > 0.0
-        }
-        if not coefficients and demand > 0.0:
+    columns = _columns_for(model, links, independent_sets)
+    for link in links:
+        if demands[link] > 0.0 and not any(
+            column.throughput_of(link) > 0.0 for column in columns
+        ):
             raise InfeasibleProblemError(
                 f"no independent set serves link {link.link_id!r}"
             )
-        lp.add_constraint_ge(coefficients, demand, name=f"demand[{link.link_id}]")
-    solution = lp.solve()
-    return -solution.objective
+    lp, _lambda_vars = _time_share_lp(columns, links, demands)
+    return -lp.solve().objective
 
 
 def is_feasible(

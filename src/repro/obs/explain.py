@@ -328,19 +328,14 @@ def explain_path_bandwidth(
     """
     from repro.core.bandwidth import (
         _collect_links,
+        _columns_for,
         build_path_bandwidth_lp,
         link_demands_from_paths,
         path_bandwidth_from_solution,
     )
-    from repro.core.independent_sets import (
-        enumerate_maximal_independent_sets,
-    )
 
     links = _collect_links(background, new_path)
-    if independent_sets is None:
-        columns = enumerate_maximal_independent_sets(model, links, max_sets)
-    else:
-        columns = list(independent_sets)
+    columns = _columns_for(model, links, independent_sets, max_sets)
     demands = link_demands_from_paths(background)
     lp, _f_var, lambda_vars = build_path_bandwidth_lp(
         columns, links, demands, set(new_path.links)

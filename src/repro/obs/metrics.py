@@ -29,7 +29,7 @@ Exporters, smallest to largest surface:
 :func:`validate_openmetrics` is a dependency-free structural check
 (bucket monotonicity, ``+Inf`` == ``_count``, ``# EOF``) used by tests
 where the real ``prometheus_client`` parser is unavailable; CI runs the
-real parser in the ``metrics-smoke`` job.
+real parser in the ``bench-smoke`` job.
 """
 
 from __future__ import annotations

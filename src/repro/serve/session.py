@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import (
+    _demand_row,
     build_path_bandwidth_lp,
     path_bandwidth_from_solution,
 )
@@ -262,7 +263,7 @@ class MasterSession:
                 # the path's links (build_path_bandwidth_lp's orientation).
                 master.lp.set_column(
                     master.f_var,
-                    {f"demand[{link_id}]": -1.0 for link_id in path_key},
+                    {_demand_row(link_id): -1.0 for link_id in path_key},
                 )
                 master.path_key = path_key
                 outcome.lp_warm_start = True
@@ -271,7 +272,7 @@ class MasterSession:
                     union_key, master.demand_key, demand_key
                 ):
                     if new != old:
-                        master.lp.set_rhs(f"demand[{link_id}]", new)
+                        master.lp.set_rhs(_demand_row(link_id), new)
                         if new < old:
                             outcome.retired_rows += 1
                 master.demand_key = demand_key

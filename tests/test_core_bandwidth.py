@@ -149,6 +149,13 @@ class TestJointAdmission:
         assert theta == pytest.approx(5.0 / 3.0)
         assert schedule.total_airtime <= 1.0 + 1e-9
 
+    def test_all_zero_demands_is_infinite(self, s2_bundle):
+        theta, schedule = joint_admission_scale(
+            s2_bundle.model, [(s2_bundle.path, 0.0)]
+        )
+        assert theta == float("inf")
+        assert len(schedule) == 0
+
     def test_schedule_at_scale_delivers(self, s2_bundle):
         flows = [(s2_bundle.path, 10.0)]
         theta, schedule = joint_admission_scale(s2_bundle.model, flows)

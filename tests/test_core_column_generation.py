@@ -85,6 +85,23 @@ class TestDiagnostics:
             )
 
 
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        lambda bundle, **kw: solve_with_column_generation(
+            bundle.model, bundle.path, **kw
+        ),
+        lambda bundle, **kw: min_airtime_column_generation(
+            bundle.model, [(bundle.path, 1.0)], **kw
+        ),
+    ],
+    ids=["eq6", "min-airtime"],
+)
+def test_iteration_budget_below_one_rejected(s2_bundle, entry_point):
+    with pytest.raises(ValueError, match="max_iterations"):
+        entry_point(s2_bundle, max_iterations=0)
+
+
 class TestMinAirtimeCg:
     def test_matches_enumeration(self, s1_bundle):
         exact = min_airtime_schedule(s1_bundle.model, s1_bundle.background)

@@ -7,6 +7,8 @@ from repro.core.feasibility import (
     is_feasible,
     required_airtime,
 )
+from repro.errors import InfeasibleProblemError
+from repro.obs import Recorder, use_recorder
 
 
 class TestRequiredAirtime:
@@ -53,3 +55,29 @@ class TestMargin:
     def test_negative_margin_when_infeasible(self, s2_bundle):
         demands = {link: 32.4 for link in s2_bundle.path}
         assert feasibility_margin(s2_bundle.model, demands) == pytest.approx(-1.0)
+
+
+class TestDemandValidation:
+    """Bad demands are rejected like ``link_demands_from_paths`` does."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(-1.0, "negative"), (float("nan"), "non-finite")],
+        ids=["negative", "nan"],
+    )
+    def test_required_airtime_rejects(self, s2_bundle, bad, message):
+        demands = {link: 1.0 for link in s2_bundle.path}
+        demands[s2_bundle.path[0]] = bad
+        with pytest.raises(InfeasibleProblemError, match=message):
+            required_airtime(s2_bundle.model, demands)
+        with pytest.raises(InfeasibleProblemError, match=message):
+            feasibility_margin(s2_bundle.model, demands)
+        assert not is_feasible(s2_bundle.model, demands)
+
+    def test_nan_demand_never_reaches_the_solver(self, s2_bundle):
+        demands = {link: float("nan") for link in s2_bundle.path}
+        recorder = Recorder()
+        with use_recorder(recorder):
+            assert not is_feasible(s2_bundle.model, demands)
+        assert recorder.counters.get("lp.solves", 0) == 0
+        assert recorder.counters.get("lp.failures", 0) == 0

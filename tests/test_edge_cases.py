@@ -56,39 +56,56 @@ class TestFrameStride:
             assert math.gcd(stride, n) == 1
 
 
+def _pricing_problem(bundle):
+    """The pricing state and its conflict graph over ``bundle.path``."""
+    from repro.core.column_generation import _PricingProblem
+    from repro.interference.conflict_graph import (
+        build_link_rate_conflict_graph,
+    )
+
+    links = list(bundle.path.links)
+    return (
+        _PricingProblem(bundle.model, links),
+        build_link_rate_conflict_graph(bundle.model, links),
+    )
+
+
+def _assert_conflict_free(graph, chosen):
+    assert chosen
+    chosen_list = list(chosen)
+    for i, a in enumerate(chosen_list):
+        for b in chosen_list[i + 1:]:
+            assert not graph.has_edge(a, b)
+
+
 class TestGreedyPricingOracle:
     def test_greedy_respects_conflicts(self, s2_bundle):
-        from repro.core.column_generation import (
-            _greedy_weighted_independent_set,
-        )
-        from repro.interference.conflict_graph import (
-            build_link_rate_conflict_graph,
-        )
-
-        graph = build_link_rate_conflict_graph(
-            s2_bundle.model, list(s2_bundle.path.links)
-        )
-        weights = {vertex: vertex.rate.mbps for vertex in graph.nodes}
-        chosen = _greedy_weighted_independent_set(graph, weights)
-        assert chosen
-        chosen_list = list(chosen)
-        for i, a in enumerate(chosen_list):
-            for b in chosen_list[i + 1:]:
-                assert not graph.has_edge(a, b)
+        pricing, graph = _pricing_problem(s2_bundle)
+        weights = {vertex: vertex.rate.mbps for vertex in pricing.vertices}
+        _assert_conflict_free(graph, pricing.greedy(weights))
 
     def test_greedy_ignores_nonpositive_weights(self, s2_bundle):
-        from repro.core.column_generation import (
-            _greedy_weighted_independent_set,
-        )
-        from repro.interference.conflict_graph import (
-            build_link_rate_conflict_graph,
-        )
+        pricing, _graph = _pricing_problem(s2_bundle)
+        weights = {
+            vertex: -float(index % 2)
+            for index, vertex in enumerate(pricing.vertices)
+        }
+        assert pricing.greedy(weights) == set()
 
-        graph = build_link_rate_conflict_graph(
-            s2_bundle.model, list(s2_bundle.path.links)
-        )
-        weights = {vertex: 0.0 for vertex in graph.nodes}
-        assert _greedy_weighted_independent_set(graph, weights) == set()
+
+class TestExactPricingOracle:
+    def test_exact_respects_conflicts(self, s2_bundle):
+        pricing, graph = _pricing_problem(s2_bundle)
+        weights = {vertex: vertex.rate.mbps for vertex in pricing.vertices}
+        _assert_conflict_free(graph, pricing.exact(weights))
+
+    def test_exact_ignores_nonpositive_weights(self, s2_bundle):
+        pricing, _graph = _pricing_problem(s2_bundle)
+        weights = {
+            vertex: -float(index % 2)
+            for index, vertex in enumerate(pricing.vertices)
+        }
+        assert pricing.exact(weights) == set()
 
 
 class TestAllowOverload:
