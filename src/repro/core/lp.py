@@ -1,4 +1,4 @@
-"""Thin linear-programming layer over :func:`scipy.optimize.linprog`.
+"""Linear-programming layer: named variables over a direct HiGHS driver.
 
 Every optimisation in the library is an LP.  This module provides a small
 builder that keeps variables named, assembles the sparse standard form and
@@ -7,20 +7,20 @@ code above reads like the paper's formulations rather than like matrix
 plumbing.
 
 Constraints are accumulated as COO triplets and assembled per
-:meth:`LinearProgram.solve` — as a :class:`scipy.sparse.csr_matrix` for
-large programs, densified below a size threshold where HiGHS ingests a
-dense array faster.  :meth:`LinearProgram.add_column` grows an already-built
-program by one variable with coefficients in existing rows, which is what
-column generation needs: the master problem is assembled once and re-solved
-as columns arrive, never rebuilt.  :meth:`LinearProgram.set_column`
-*replaces* an existing variable's coefficients, which is what the serving
-layer's warm starts need: a cached master LP is retargeted at a new query
-path without touching its other columns.  :meth:`LinearProgram.set_rhs`
-rewrites one constraint's right-hand side in place (the matrix — and its
-assembly cache — survive); the online admission controller moves carried
-load in and out of a cached master with it.
-:meth:`LinearProgram.retire_column` masks a variable out of the program,
-returning a snapshot that :meth:`~LinearProgram.set_column` restores.
+:meth:`LinearProgram.solve` into a canonical
+:class:`scipy.sparse.csr_matrix`.  :meth:`LinearProgram.add_column` grows
+an already-built program by one variable with coefficients in existing
+rows, which is what column generation needs: the master problem is
+assembled once and re-solved as columns arrive, never rebuilt.
+:meth:`LinearProgram.set_column` *replaces* an existing variable's
+coefficients, which is what the serving layer's warm starts need: a
+cached master LP is retargeted at a new query path without touching its
+other columns.  :meth:`LinearProgram.set_rhs` rewrites one constraint's
+right-hand side in place (the matrix — and its assembly cache — survive);
+the online admission controller moves carried load in and out of a
+cached master with it.  :meth:`LinearProgram.retire_column` masks a
+variable out of the program, returning a snapshot that
+:meth:`~LinearProgram.set_column` restores.
 
 Re-solve work is memoised on a mutation version: an unchanged program
 returns its previous :class:`LpSolution` without calling the solver
@@ -31,6 +31,18 @@ triplets.  Both paths canonicalise the CSR (duplicates summed, indices
 sorted), so an incrementally assembled matrix is byte-identical to a
 cold rebuild and the solver sees the same program either way.
 
+Solving drives SciPy's bundled HiGHS binding
+(``scipy.optimize._highspy._core._Highs``) directly.  Each thread keeps
+one HiGHS handle per rung of :data:`SOLVER_ATTEMPT_CHAIN`, created on
+first use with exactly the options ``scipy.optimize.linprog`` sets for
+that method; every solve passes the whole program to its handle
+(``passModel``, which discards any previous basis and solution) and runs
+it.  So every solve starts from the same canonical state a fresh
+``linprog`` call does, and its values, duals, objective and iteration
+count are bit-identical to ``linprog``'s — without ``linprog``'s input
+cleaning, per-call option validation and handle construction, which
+cost several times HiGHS's own run on these small programs.
+
 :meth:`LinearProgram.solve` is resilient: a failed solver attempt walks a
 retry/fallback chain (:data:`SOLVER_ATTEMPT_CHAIN` — dual simplex, then
 interior point, then one relaxed-tolerance attempt) before giving up with
@@ -40,12 +52,13 @@ Infeasible and unbounded outcomes are reported immediately, never retried.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 from scipy.sparse import coo_matrix, csr_matrix, hstack as sparse_hstack
 
 from repro.errors import InfeasibleProblemError, SolverAttempt, SolverError
@@ -59,9 +72,9 @@ __all__ = [
     "set_solver_fault_hook",
 ]
 
-#: Below this many matrix cells the constraint matrix is passed to linprog
-#: dense — for tiny programs (the common case here) HiGHS's dense ingestion
-#: beats the sparse handoff.
+#: Below this many matrix cells the slacks ``b - A @ x`` are computed from
+#: the dense matrix, above it from the sparse one.  The two products can
+#: differ in the last ulp, so the threshold is part of the answer.
 _DENSE_CELL_LIMIT = 32768
 
 #: The retry/fallback chain of :meth:`LinearProgram.solve`: ``(method,
@@ -82,6 +95,151 @@ SOLVER_ATTEMPT_CHAIN = (
         },
     ),
 )
+
+#: HiGHS's ``solver`` option for each method of the chain (``"highs"``
+#: leaves HiGHS to choose, as ``linprog`` does).
+_HIGHS_SOLVERS = {"highs-ds": "simplex", "highs-ipm": "ipm", "highs": "choose"}
+
+#: Options every handle gets, in the order they are set: what ``linprog``
+#: passes for every HiGHS method (quiet, presolve on, no debug checks,
+#: dual simplex strategy).
+_HIGHS_OPTIONS = (
+    ("output_flag", False),
+    ("log_to_console", False),
+    ("presolve", "on"),
+    ("highs_debug_level", 0),
+    ("simplex_strategy", 1),
+)
+
+#: ``linprog``'s post-solve feasibility tolerance (``sqrt(1e-9) * 10``):
+#: an "optimal" point violating a bound or a row by more than this counts
+#: as a failed attempt.
+_RESULT_TOLERANCE = float(np.sqrt(1e-9) * 10)
+
+#: HiGHS model statuses with a defined meaning here, as ``linprog``'s
+#: status codes (0 optimal, 1 limit reached, 2 infeasible, 3 unbounded);
+#: every other status is 4, a failed attempt.
+_STATUS_CODES = {
+    _highs.HighsModelStatus.kOptimal: 0,
+    _highs.HighsModelStatus.kTimeLimit: 1,
+    _highs.HighsModelStatus.kIterationLimit: 1,
+    _highs.HighsModelStatus.kInfeasible: 2,
+    _highs.HighsModelStatus.kModelError: 2,
+    _highs.HighsModelStatus.kUnbounded: 3,
+}
+
+
+class _Handles(threading.local):
+    """This thread's HiGHS handles, one per chain rung, made on first use."""
+
+    def __init__(self) -> None:
+        self.by_rung: Dict[int, "_highs._Highs"] = {}
+
+
+_handles = _Handles()
+
+
+def _handle(rung: int) -> "_highs._Highs":
+    """The calling thread's HiGHS handle for chain rung ``rung``."""
+    handle = _handles.by_rung.get(rung)
+    if handle is None:
+        method, options = SOLVER_ATTEMPT_CHAIN[rung]
+        handle = _highs._Highs()
+        settings = _HIGHS_OPTIONS + (("solver", _HIGHS_SOLVERS[method]),)
+        for key, value in settings + tuple((options or {}).items()):
+            if handle.setOptionValue(key, value) != _highs.HighsStatus.kOk:
+                raise SolverError(f"HiGHS rejected option {key}={value!r}")
+        _handles.by_rung[rung] = handle
+    return handle
+
+
+def _highs_lp(
+    cost: np.ndarray, matrix: csr_matrix, rhs: np.ndarray, upper: np.ndarray
+) -> "_highs.HighsLp":
+    """``min cost.x  s.t.  matrix @ x <= rhs, 0 <= x <= upper`` as a HiGHS
+    model.  The matrix goes in column-major with explicit zeros dropped:
+    exactly the arrays ``linprog``'s ``csc_array`` conversion hands HiGHS."""
+    rows, cols = matrix.shape
+    columns = matrix.tocsc()
+    columns.eliminate_zeros()
+    model = _highs.HighsLp()
+    model.num_col_ = cols
+    model.num_row_ = rows
+    model.col_cost_ = cost
+    model.col_lower_ = np.zeros(cols)
+    model.col_upper_ = upper
+    model.row_lower_ = np.full(rows, -np.inf)
+    model.row_upper_ = rhs
+    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    model.a_matrix_.num_col_ = cols
+    model.a_matrix_.num_row_ = rows
+    model.a_matrix_.start_ = columns.indptr
+    model.a_matrix_.index_ = columns.indices
+    model.a_matrix_.value_ = columns.data
+    return model
+
+
+class _Outcome(NamedTuple):
+    """One HiGHS run, in ``linprog``'s terms."""
+
+    status: int
+    message: str
+    x: Optional[List[float]] = None
+    objective: float = 0.0
+    row_duals: Optional[List[float]] = None
+    iterations: int = 0
+
+
+def _run_highs(
+    rung: int,
+    model: "_highs.HighsLp",
+    rhs: np.ndarray,
+    upper: np.ndarray,
+) -> _Outcome:
+    """Solve ``model`` (a minimisation) on this thread's ``rung`` handle.
+
+    ``passModel`` resets the handle's basis and solution, so the run
+    starts from the state a fresh handle has.  Statuses and the
+    post-solve feasibility check follow ``linprog`` exactly.
+    """
+    handle = _handle(rung)
+    if handle.passModel(model) == _highs.HighsStatus.kError:
+        return _Outcome(2, "HiGHS rejected the model")
+    run_failed = handle.run() == _highs.HighsStatus.kError
+    status = handle.getModelStatus()
+    code = _STATUS_CODES.get(status, 4) or (4 if run_failed else 0)
+    message = handle.modelStatusToString(status)
+    if code:
+        return _Outcome(code, message)
+    info = handle.getInfo()
+    solution = handle.getSolution()
+    x = solution.col_value
+    objective = info.objective_function_value
+    values = np.asarray(x, dtype=float)
+    slack = rhs - np.asarray(solution.row_value, dtype=float)
+    tolerance = _RESULT_TOLERANCE
+    # Written so that a nan anywhere fails the check too.
+    if not (
+        (values >= -tolerance).all()
+        and (values <= upper + tolerance).all()
+        and (slack >= -tolerance).all()
+        and objective == objective
+    ):
+        return _Outcome(
+            4,
+            "The solution does not satisfy the constraints within the "
+            f"required tolerance of {tolerance:.2E}",
+        )
+    return _Outcome(
+        0,
+        message,
+        x=x,
+        objective=objective,
+        row_duals=solution.row_dual,
+        iterations=info.simplex_iteration_count
+        or info.ipm_iteration_count,
+    )
+
 
 #: Test-only hook (see :mod:`repro.testing.faults`): called before every
 #: solver attempt with ``(attempt_index, method)``; raising makes that
@@ -223,7 +381,7 @@ class LinearProgram:
 
     All variables are non-negative with an optional upper bound, which is
     the shape of every formulation in the paper (time shares, throughputs).
-    The solve maximises; internally the sign is flipped for linprog.
+    The solve maximises; internally the sign is flipped for HiGHS.
     """
 
     def __init__(self):
@@ -618,17 +776,20 @@ class LinearProgram:
         recorder.gauge("lp.rows", len(self._rhs))
         recorder.gauge("lp.cols", n)
         recorder.gauge("lp.nnz", len(self._entry_data))
-        c = -np.asarray(self._objective, dtype=float)  # linprog minimises
+        c = -np.asarray(self._objective, dtype=float)  # HiGHS minimises
         m = len(self._rhs)
-        if m:
-            a_ub = self._assemble(m, n)
-            if m * n <= _DENSE_CELL_LIMIT:
-                a_ub = a_ub.toarray()
-            b_ub = np.asarray(self._rhs, dtype=float)
-        else:
-            a_ub = None
-            b_ub = None
-        bounds = [(0.0, upper) for upper in self._upper]
+        matrix = self._assemble(m, n) if m else csr_matrix((0, n))
+        b_ub = np.asarray(self._rhs, dtype=float)
+        upper = np.array(
+            [np.inf if bound is None else bound for bound in self._upper],
+            dtype=float,
+        )
+        finite = bool(
+            np.isfinite(c).all()
+            and np.isfinite(matrix.data).all()
+            and np.isfinite(b_ub).all()
+        )
+        model = _highs_lp(c, matrix, b_ub, upper)
         attempts: List[SolverAttempt] = []
         for attempt_index, (method, options) in enumerate(
             SOLVER_ATTEMPT_CHAIN
@@ -638,15 +799,12 @@ class LinearProgram:
             try:
                 if _solver_fault_hook is not None:
                     _solver_fault_hook(attempt_index, method)
-                with recorder.span("lp.solve"):
-                    result = linprog(
-                        c,
-                        A_ub=a_ub,
-                        b_ub=b_ub,
-                        bounds=bounds,
-                        method=method,
-                        options=options or {},
+                if not finite:
+                    raise ValueError(
+                        "LP coefficients must not contain inf or nan"
                     )
+                with recorder.span("lp.solve"):
+                    result = _run_highs(attempt_index, model, b_ub, upper)
             except (InfeasibleProblemError, SolverError):
                 raise
             except Exception as error:
@@ -667,47 +825,37 @@ class LinearProgram:
                 raise SolverError(
                     "LP is unbounded — a constraint is missing"
                 )
-            if not result.success:
+            if result.status:
                 attempts.append(
                     SolverAttempt(
                         method,
                         options,
-                        status=int(result.status),
-                        message=str(result.message),
+                        status=result.status,
+                        message=result.message,
                     )
                 )
                 continue
             if attempt_index:
                 recorder.count("lp.fallbacks")
-            values = {
-                name: float(result.x[index])
-                for index, name in enumerate(self._names)
+            values = dict(zip(self._names, result.x))
+            duals = {
+                row_name: -dual
+                for row_name, dual in zip(self._row_names, result.row_duals)
             }
-            duals: Dict[str, float] = {}
-            marginals = getattr(
-                getattr(result, "ineqlin", None), "marginals", None
-            )
-            if marginals is not None:
-                duals = {
-                    row_name: -float(marginals[row_index])
-                    for row_index, row_name in enumerate(self._row_names)
-                }
             slacks: Dict[str, float] = {}
             if m:
                 # Recomputed from the program's own matrix rather than
                 # read from solver internals, so dual simplex and the
                 # highs-ipm fallback agree by construction.
-                residual = b_ub - a_ub @ result.x
-                slacks = {
-                    row_name: float(residual[row_index])
-                    for row_index, row_name in enumerate(self._row_names)
-                }
+                a_ub = matrix.toarray() if m * n <= _DENSE_CELL_LIMIT else matrix
+                residual = b_ub - a_ub @ np.asarray(result.x, dtype=float)
+                slacks = dict(zip(self._row_names, residual.tolist()))
             solution = LpSolution(
-                objective=-float(result.fun),
+                objective=-result.objective,
                 values=values,
                 duals=duals,
                 slacks=slacks,
-                iterations=int(getattr(result, "nit", 0) or 0),
+                iterations=int(result.iterations or 0),
             )
             self._solution = solution
             self._solved_version = self._version

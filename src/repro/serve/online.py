@@ -13,9 +13,10 @@ demand vector) is a result-cache hit; otherwise the union's cached
 master LP is retargeted at the arrival's path and departed load leaves
 its demand rows in place
 (:meth:`~repro.core.lp.LinearProgram.set_rhs`; every row whose RHS
-drops counts as an ``online.column_retirements``) before a fresh HiGHS
-solve — the savings are the skipped enumeration and assembly, no basis
-is reused.  An unseen link union builds a fresh master (counted as an
+drops counts as an ``online.column_retirements``) before a HiGHS solve
+from a canonical start on the thread's reused handle — the savings are
+the skipped enumeration and assembly, no basis is carried.  An unseen
+link union builds a fresh master (counted as an
 ``online.rebuild_fallbacks`` — the bench gate fails if these grow
 faster than the event stream warrants).
 

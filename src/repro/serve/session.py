@@ -23,9 +23,10 @@ links, the exact universe the cold solver enumerates over):
 ``enum``
     link union → enumerated LP columns, read when a master is built.
 
-Each solve is a fresh HiGHS run over the edited program (no basis is
-carried over): a cache hit saves enumeration and assembly, not simplex
-work.  The edited program is exactly the one a cold
+Each solve starts the edited program from a canonical state on the
+thread's reused HiGHS handle (no basis is carried over): a cache hit
+saves enumeration and assembly, not simplex work.  The edited program
+is exactly the one a cold
 :func:`~repro.core.bandwidth.available_path_bandwidth` call assembles
 (same canonicalized matrix, same RHS floats), so cached and cold
 answers are bit-equal.
@@ -39,6 +40,7 @@ and the next query on the union re-solves it correctly.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -158,16 +160,20 @@ class MasterSession:
     ``digest`` maps ``(union_key, demand_key)`` to the front end's
     decision fingerprint; the session memoises it, because the sha256
     over canonical JSON costs more than a result-cache hit and the same
-    configurations recur.  ``prefix`` namespaces the cache counters
-    (``serve.cache`` or ``online.cache``).  With ``explain=True`` every
+    configurations recur.  The memo is an LRU of ``result_capacity``
+    entries, like the result cache, so a long-running online controller
+    that sees ever new demand vectors holds a bounded number of them.
+    ``prefix`` namespaces the cache counters (``serve.cache`` or
+    ``online.cache``).  With ``explain=True`` every
     solve attaches an :class:`~repro.obs.explain.Explanation`
     (certificate, binding cliques, crowd-out); off, a solve adds only
     the O(rows) bottleneck scan for the flight recorder.
 
     Thread-safety: the caches lock internally, master builds are
     single-flight under the master cache's lock, and each master's edits
-    and solve run under its own lock.  The fingerprint memo is unlocked:
-    racing threads at worst compute the same digest twice.
+    and solve run under its own lock.  The fingerprint memo locks only
+    its lookups and inserts: racing threads at worst compute the same
+    digest twice.
     """
 
     def __init__(
@@ -187,17 +193,27 @@ class MasterSession:
         self.master_cache = SolveCache(cache_capacity, "master", prefix=prefix)
         self.result_cache = SolveCache(result_capacity, "result", prefix=prefix)
         self._digest = digest
-        self._fp_memo: Dict[Tuple[Tuple[str, ...], Tuple[float, ...]], str] = {}
+        #: ``(union_key, demand_key) -> digest``, least recently used first.
+        self._fp_memo: "OrderedDict[tuple, str]" = OrderedDict()
+        self._fp_capacity = result_capacity
+        self._fp_lock = threading.Lock()
 
     def fingerprint(
         self, union_key: Tuple[str, ...], demand_key: Tuple[float, ...]
     ) -> str:
         """Memoised decision fingerprint of (union, demand vector)."""
         memo_key = (union_key, demand_key)
-        digest = self._fp_memo.get(memo_key)
-        if digest is None:
-            digest = self._digest(union_key, demand_key)
-            self._fp_memo[memo_key] = digest
+        memo = self._fp_memo
+        with self._fp_lock:
+            digest = memo.get(memo_key)
+            if digest is not None:
+                memo.move_to_end(memo_key)
+                return digest
+        digest = self._digest(union_key, demand_key)
+        with self._fp_lock:
+            memo[memo_key] = digest
+            if len(memo) > self._fp_capacity:
+                memo.popitem(last=False)
         return digest
 
     def solve(

@@ -6,9 +6,10 @@ Eq. 6 and Eq. 9 linear programs, the Eq. 7 clique values — from first
 principles, deliberately sharing *no* code with the optimized
 implementations: subsets come from ``itertools``, dominance is a
 quadratic Python loop, LPs are assembled dense and handed straight to
-``scipy.optimize.linprog``, and schedules are replayed over integer
-slots.  Orders of magnitude slower, but with nothing to inherit a bug
-from.
+``scipy.optimize.milp`` with no integrality (a plain LP through SciPy's
+own HiGHS wrapper, never the library's driver), and schedules are
+replayed over integer slots.  Orders of magnitude slower, but with
+nothing to inherit a bug from.
 
 The only shared surface is the interference model's *primitives*
 (``standalone_rates``, ``is_independent``, ``conflicts``) — those are
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import LinearConstraint, milp
 
 from repro.errors import InfeasibleProblemError, VerificationError
 from repro.interference.base import InterferenceModel, LinkRate
@@ -183,6 +184,17 @@ def _column_throughput(column: FrozenSet[LinkRate], link: Link) -> float:
     return 0.0
 
 
+def _solve_dense(
+    cost: np.ndarray, rows: List[np.ndarray], rhs: List[float]
+):
+    """``min cost.x  s.t.  rows @ x <= rhs, x >= 0`` as a continuous
+    ``milp`` (its default bounds are ``0 <= x``)."""
+    return milp(
+        cost,
+        constraints=LinearConstraint(np.vstack(rows), -np.inf, np.array(rhs)),
+    )
+
+
 def reference_available_bandwidth(
     model: InterferenceModel,
     new_path: Path,
@@ -190,7 +202,7 @@ def reference_available_bandwidth(
     columns: Optional[Sequence[FrozenSet[LinkRate]]] = None,
     max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
 ) -> float:
-    """Eq. 6 solved dense: one ``scipy.optimize.linprog`` call.
+    """Eq. 6 solved dense: one ``scipy.optimize.milp`` call.
 
     Variables ``[f, λ₀ … λ_{m−1}]``; constraints are the airtime budget
     Σλ ≤ 1 and, per link, delivered throughput ≥ background demand plus
@@ -226,13 +238,7 @@ def reference_available_bandwidth(
             row[0] = 1.0
         rows.append(row)
         rhs.append(-demands.get(link, 0.0))
-    result = linprog(
-        cost,
-        A_ub=np.vstack(rows),
-        b_ub=np.array(rhs),
-        bounds=[(0.0, None)] * (m + 1),
-        method="highs",
-    )
+    result = _solve_dense(cost, rows, rhs)
     if result.status == 2:
         raise InfeasibleProblemError(
             "background demands are not schedulable (reference LP)"
@@ -391,13 +397,7 @@ def reference_clique_upper_bound(
             row[0] = 1.0
         rows.append(row)
         rhs.append(-demands.get(link, 0.0))
-    result = linprog(
-        cost,
-        A_ub=np.vstack(rows),
-        b_ub=np.array(rhs),
-        bounds=[(0.0, None)] * n_vars,
-        method="highs",
-    )
+    result = _solve_dense(cost, rows, rhs)
     if result.status == 2:
         raise InfeasibleProblemError(
             "background demands are not schedulable (reference Eq. 9 LP)"

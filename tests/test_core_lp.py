@@ -1,12 +1,25 @@
-"""The LP wrapper."""
+"""The LP wrapper and its HiGHS driver."""
 
+import gc
 import random
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
-from repro.core.lp import LinearProgram
+from repro.core.lp import (
+    _DENSE_CELL_LIMIT,
+    SOLVER_ATTEMPT_CHAIN,
+    LinearProgram,
+    LpSolution,
+    set_solver_fault_hook,
+)
 from repro.errors import InfeasibleProblemError, SolverError
 from repro.obs import Recorder, use_recorder
+from repro.testing.faults import FaultPlan, inject_faults
 
 
 class TestBasics:
@@ -451,3 +464,330 @@ class TestSlacksAndCertificate:
         ) == fallback.binding_constraints(tolerance=1e-7)
         for name, slack in primary.slacks.items():
             assert fallback.slacks[name] == pytest.approx(slack, abs=1e-7)
+
+
+# -- the HiGHS driver against linprog ------------------------------------------------
+
+
+def _bits(values):
+    """Float values as their IEEE-754 bit patterns (so -0.0 != 0.0)."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _linprog_result(lp, rung):
+    """``scipy.optimize.linprog`` on ``lp``'s stored standard form, with
+    the method and options of chain rung ``rung`` and the dense/sparse
+    matrix hand-off :meth:`LinearProgram.solve` used to make."""
+    method, options = SOLVER_ATTEMPT_CHAIN[rung]
+    n, m = lp.num_variables, lp.num_constraints
+    a_ub = b_ub = None
+    if m:
+        a_ub = lp._assemble(m, n)
+        if m * n <= _DENSE_CELL_LIMIT:
+            a_ub = a_ub.toarray()
+        b_ub = np.asarray(lp._rhs, dtype=float)
+    return linprog(
+        -np.asarray(lp._objective, dtype=float),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=[(0.0, upper) for upper in lp._upper],
+        method=method,
+        options=options or {},
+    )
+
+
+def _solve_from_rung(lp, rung):
+    """Solve ``lp`` with every rung before ``rung`` failed by the fault
+    hook; returns ``(solution or raised error, attempted rungs)``."""
+    attempted = []
+
+    def skip_earlier(attempt_index, method):
+        attempted.append(attempt_index)
+        if attempt_index < rung:
+            raise RuntimeError("injected: start the chain at a later rung")
+
+    set_solver_fault_hook(skip_earlier)
+    try:
+        try:
+            return lp.solve(), attempted
+        except (InfeasibleProblemError, SolverError) as error:
+            return error, attempted
+    finally:
+        set_solver_fault_hook(None)
+
+
+def _assert_matches_linprog(lp, rung):
+    """``lp`` solved from ``rung`` agrees with linprog on that rung: the
+    same solution bit for bit, or the same kind of failure."""
+    outcome, attempted = _solve_from_rung(lp, rung)
+    reference = _linprog_result(lp, rung)
+    if reference.status == 0:
+        assert isinstance(outcome, LpSolution), outcome
+        assert attempted[-1] == rung
+        assert _bits([outcome.objective]) == _bits([-reference.fun])
+        assert _bits(list(outcome.values.values())) == _bits(reference.x)
+        assert _bits(list(outcome.duals.values())) == _bits(
+            -reference.ineqlin.marginals
+        )
+        assert outcome.iterations == reference.nit
+    elif reference.status == 2:
+        assert isinstance(outcome, InfeasibleProblemError)
+        assert attempted[-1] == rung
+    elif reference.status == 3:
+        assert type(outcome) is SolverError
+        assert "unbounded" in str(outcome)
+        assert attempted[-1] == rung
+    else:
+        # A failed attempt: the chain moves on (or gives up after the
+        # last rung with the structured error).
+        assert rung + 1 in attempted or (
+            isinstance(outcome, SolverError) and outcome.attempts
+        )
+
+
+_COEFFICIENTS = st.one_of(
+    st.just(0.0),
+    st.integers(-4, 4).map(float),
+    st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _small_programs(draw):
+    """Small LPs: up to 5 variables with finite or ``None`` upper
+    bounds, 0-4 mixed ``<=``/``>=`` rows (zero rows allowed)."""
+    n = draw(st.integers(1, 5))
+    lp = LinearProgram()
+    names = [
+        lp.add_variable(
+            f"x{index}",
+            objective=draw(_COEFFICIENTS),
+            upper_bound=draw(
+                st.one_of(st.none(), st.floats(0.0, 10.0, allow_nan=False))
+            ),
+        )
+        for index in range(n)
+    ]
+    for row in range(draw(st.integers(0, 4))):
+        coefficients = {name: draw(_COEFFICIENTS) for name in names}
+        rhs = draw(st.floats(-5.0, 10.0, allow_nan=False))
+        if draw(st.booleans()):
+            lp.add_constraint_le(coefficients, rhs, name=f"r{row}")
+        else:
+            lp.add_constraint_ge(coefficients, rhs, name=f"r{row}")
+    return lp
+
+
+def _eq6_masters():
+    """Eq. 6 master LPs over ``paper_random_topology(seed=8)``: for the
+    serving workload's 8- and 10-flow backgrounds, one master per query
+    path (every subpath of the live routes) at three background loads,
+    the heaviest mostly infeasible."""
+    from repro.core.bandwidth import (
+        _collect_links,
+        build_path_bandwidth_lp,
+        link_demands_from_paths,
+    )
+    from repro.core.independent_sets import (
+        enumerate_maximal_independent_sets,
+    )
+    from repro.workloads.scenarios import admission_query_workload
+
+    masters = []
+    for n_flows in (8, 10):
+        workload = admission_query_workload(n_flows=n_flows, repeats=1)
+        paths = {query.path.nodes: query.path for query in workload.queries}
+        links = _collect_links(workload.background, next(iter(paths.values())))
+        columns = enumerate_maximal_independent_sets(workload.model, links)
+        for load in (0.2, 0.4, 0.8):
+            background = [(path, load) for path, _ in workload.background]
+            demands = link_demands_from_paths(background)
+            for path in paths.values():
+                lp, _, _ = build_path_bandwidth_lp(
+                    columns, links, demands, set(path.links)
+                )
+                masters.append(lp)
+    return masters
+
+
+def _sparse_program():
+    """A random 150 x 240 program: above the dense-slack threshold."""
+    rng = np.random.default_rng(5)
+    lp = LinearProgram()
+    names = [
+        lp.add_variable(f"x{j}", objective=float(rng.uniform(0.0, 2.0)))
+        for j in range(240)
+    ]
+    for row in range(150):
+        picked = rng.choice(240, size=6, replace=False)
+        lp.add_constraint_le(
+            {names[j]: float(rng.uniform(0.5, 3.0)) for j in picked},
+            float(rng.uniform(1.0, 4.0)),
+        )
+    assert lp.num_constraints * lp.num_variables > _DENSE_CELL_LIMIT
+    return lp
+
+
+def _infeasible_program():
+    lp = LinearProgram()
+    x = lp.add_variable("x", objective=1.0)
+    lp.add_constraint_le({x: 1.0}, 1.0)
+    lp.add_constraint_ge({x: 1.0}, 2.0)
+    return lp
+
+
+def _unbounded_program():
+    lp = LinearProgram()
+    x = lp.add_variable("x", objective=1.0)
+    lp.add_variable("y", objective=1.0, upper_bound=2.0)
+    lp.add_constraint_ge({x: 1.0}, 1.0)
+    return lp
+
+
+@pytest.mark.parametrize("rung", range(len(SOLVER_ATTEMPT_CHAIN)))
+class TestLinprogEquivalence:
+    """Every rung of the chain answers exactly what linprog answers with
+    the same method and options: values, duals, objective and iteration
+    count bit for bit, and the same exception for infeasible and
+    unbounded programs."""
+
+    @given(lp=_small_programs())
+    @settings(max_examples=150, deadline=None)
+    def test_small_programs(self, rung, lp):
+        _assert_matches_linprog(lp, rung)
+
+    def test_eq6_masters(self, rung):
+        masters = _eq6_masters()
+        assert len(masters) == 3 * (29 + 40)
+        for lp in masters:
+            _assert_matches_linprog(lp, rung)
+
+    def test_sparse_program(self, rung):
+        _assert_matches_linprog(_sparse_program(), rung)
+
+    def test_infeasible_program(self, rung):
+        lp = _infeasible_program()
+        outcome, _ = _solve_from_rung(lp, rung)
+        assert isinstance(outcome, InfeasibleProblemError)
+        _assert_matches_linprog(lp, rung)
+
+    def test_unbounded_program(self, rung):
+        lp = _unbounded_program()
+        outcome, _ = _solve_from_rung(lp, rung)
+        assert type(outcome) is SolverError
+        assert "unbounded" in str(outcome)
+        _assert_matches_linprog(lp, rung)
+
+
+def _solution_bits(solution):
+    return (
+        _bits([solution.objective]),
+        _bits(list(solution.values.values())),
+        _bits(list(solution.duals.values())),
+        _bits(list(solution.slacks.values())),
+        solution.iterations,
+    )
+
+
+class TestReusedHandles:
+    """The per-thread HiGHS handles carry nothing from one solve to the
+    next: each solve starts from the canonical state."""
+
+    def test_failures_leave_no_state_behind(self):
+        first = _solution_bits(_master_program(5).solve())
+        with pytest.raises(InfeasibleProblemError):
+            _infeasible_program().solve()
+        with pytest.raises(SolverError, match="unbounded"):
+            _unbounded_program().solve()
+        plan = FaultPlan(solver_failures=frozenset({1}))
+        with inject_faults(plan) as active:
+            # Solve #1's dual simplex attempt fails; highs-ipm answers.
+            _master_program(3).solve()
+        assert active.solver_faults_fired == 1
+        assert _solution_bits(_master_program(5).solve()) == first
+
+    def test_every_rung_handle_is_reusable(self):
+        """A handle that just solved a different program answers the
+        next one as a fresh handle would (same bits as linprog)."""
+        for rung in range(len(SOLVER_ATTEMPT_CHAIN)):
+            for lp in (_master_program(3), _master_program(7)):
+                _assert_matches_linprog(lp, rung)
+
+    def test_threads_get_their_serial_answers(self):
+        builders = [lambda k=k: _master_program(k) for k in range(2, 10)]
+        serial = [_solution_bits(build().solve()) for build in builders]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                parallel = list(
+                    pool.map(
+                        lambda build: _solution_bits(build().solve()), builders
+                    )
+                )
+                assert parallel == serial
+
+    def test_repeated_solves_do_not_grow_memory(self):
+        lp = _master_program(6)
+
+        def churn(count):
+            for index in range(count):
+                lp.set_rhs("airtime", 1.0 + (index % 7) * 0.125)
+                lp.solve()
+
+        churn(200)  # warm every lazily built structure first
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot()
+            churn(5000)
+            gc.collect()
+            after = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        growth = sum(
+            stat.size_diff for stat in after.compare_to(before, "filename")
+        )
+        assert growth < 256 * 1024
+
+
+class TestHighsBinding:
+    """The driver calls SciPy's bundled HiGHS binding directly; there is
+    no fallback path, so a SciPy without these members must fail here,
+    by name, rather than deep inside a solve."""
+
+    def test_binding_has_every_member_the_driver_uses(self):
+        from scipy.optimize._highspy import _core
+
+        missing = [
+            name
+            for name in ("_Highs", "HighsLp", "HighsStatus",
+                         "HighsModelStatus", "MatrixFormat")
+            if not hasattr(_core, name)
+        ]
+        missing += [
+            f"_Highs.{name}"
+            for name in ("setOptionValue", "passModel", "run",
+                         "getModelStatus", "modelStatusToString",
+                         "getInfo", "getSolution", "version")
+            if not hasattr(_core._Highs, name)
+        ]
+        model = _core.HighsLp()
+        missing += [
+            f"HighsLp.{name}"
+            for name in ("num_col_", "num_row_", "col_cost_", "col_lower_",
+                         "col_upper_", "row_lower_", "row_upper_")
+            if not hasattr(model, name)
+        ]
+        missing += [
+            f"HighsLp.a_matrix_.{name}"
+            for name in ("format_", "num_col_", "num_row_", "start_",
+                         "index_", "value_")
+            if not hasattr(model.a_matrix_, name)
+        ]
+        assert not missing, f"SciPy's HiGHS binding lacks {missing}"
+        info = _core._Highs().getInfo()
+        for name in ("objective_function_value", "simplex_iteration_count",
+                     "ipm_iteration_count"):
+            assert hasattr(info, name), f"HighsInfo lacks {name}"
+        solution = _core._Highs().getSolution()
+        for name in ("col_value", "row_value", "row_dual"):
+            assert hasattr(solution, name), f"HighsSolution lacks {name}"

@@ -77,7 +77,7 @@ class TestSolverFallback:
         ]
         assert all(
             a.message and a.status is None for a in attempts
-        )  # hook raised before linprog ran
+        )  # hook raised before HiGHS ran
         assert recorder.counters["lp.failures"] == 1
 
     def test_hooks_removed_on_exit(self):

@@ -27,6 +27,8 @@ from repro.serve import (
     run_online_session,
     summarize_online_decisions,
 )
+from repro.serve.session import MasterSession
+from repro.testing.faults import inject_faults, plan_from_spec
 from repro.verify.instances import FAMILIES, iter_instances
 from repro.workloads.churn import FlowEvent
 from repro.workloads.scenarios import online_churn_workload, scenario_one
@@ -128,6 +130,74 @@ class TestMechanism:
         assert recorder.counters["online.rebuild_fallbacks"] == len(
             [d for d in decisions if d.routed]
         )
+
+
+class TestSolverFallback:
+    """A solve whose dual-simplex attempt fails is answered by the
+    ``highs-ipm`` rung of the same driver.  Its decision is *not*
+    always bit-equal to the clean ``highs-ds`` one: interior point plus
+    crossover can land on the same vertex through different arithmetic.
+    What holds for every solve of the stream is the same verdict and a
+    bandwidth within the :class:`~repro.core.lp.DualCertificate`
+    tolerance of the clean answer."""
+
+    #: ``DualCertificate.valid``'s default (relative) tolerance.
+    TOLERANCE = 1e-6
+
+    def test_ipm_recovered_decisions(self, workload):
+        recorder = Recorder()
+        with use_recorder(recorder):
+            clean, _ = run_online_session(
+                OnlineAdmissionController(workload.model), workload.events
+            )
+        solves = recorder.counters["lp.solves"]
+        bit_equal = 0
+        for index in range(1, solves + 1):
+            with inject_faults(plan_from_spec(f"solver@{index}")) as active:
+                faulted, _ = run_online_session(
+                    OnlineAdmissionController(workload.model), workload.events
+                )
+            assert active.solver_faults_fired == 1
+            assert [d.admitted for d in faulted] == [d.admitted for d in clean]
+            for ours, theirs in zip(clean, faulted):
+                expected = ours.available_bandwidth_mbps
+                limit = self.TOLERANCE * max(1.0, abs(expected))
+                assert abs(theirs.available_bandwidth_mbps - expected) <= limit
+            bit_equal += [_essence(d) for d in faulted] == [
+                _essence(d) for d in clean
+            ]
+        # Exact == holds for most solves but not all (SciPy 1.17.1,
+        # HiGHS 1.12): the fallback is verdict-equal, not bit-equal.
+        assert 0 < bit_equal < solves
+
+
+class TestFingerprintMemo:
+    def test_memo_is_lru_bounded(self):
+        session = MasterSession(
+            model=None,
+            digest=lambda union, demands: f"{union}|{demands}",
+            result_capacity=8,
+        )
+        union = ("L1", "L2")
+        for step in range(100):
+            session.fingerprint(union, (float(step),))
+            session.fingerprint(union, (0.0,))  # kept hot
+        assert len(session._fp_memo) == 8
+        assert (union, (0.0,)) in session._fp_memo
+        assert (union, (99.0,)) in session._fp_memo
+        assert (union, (1.0,)) not in session._fp_memo
+
+    def test_bounded_memo_changes_no_answer(self, workload):
+        small = OnlineAdmissionController(workload.model, result_capacity=4)
+        decisions, _ = run_online_session(small, workload.events)
+        assert len({d.fingerprint for d in decisions if d.fingerprint}) > 4
+        assert len(small.session._fp_memo) <= 4
+        reference, _ = run_online_session(
+            OnlineAdmissionController(workload.model), workload.events
+        )
+        assert [_essence(d) for d in decisions] == [
+            _essence(d) for d in reference
+        ]
 
 
 class TestFlightRecords:
