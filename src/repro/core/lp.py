@@ -1,35 +1,34 @@
 """Linear-programming layer: named variables over a direct HiGHS driver.
 
 Every optimisation in the library is an LP.  This module provides a small
-builder that keeps variables named, assembles the sparse standard form and
+builder that keeps variables named, stores the sparse standard form and
 converts solver statuses into the library's exception types, so the model
 code above reads like the paper's formulations rather than like matrix
 plumbing.
 
-Constraints are accumulated as COO triplets and assembled per
-:meth:`LinearProgram.solve` into a canonical
-:class:`scipy.sparse.csr_matrix`.  :meth:`LinearProgram.add_column` grows
-an already-built program by one variable with coefficients in existing
+The constraint matrix is stored once, column by column, in the canonical
+form HiGHS takes: each column's row indices ascending, its nonzero
+values carrying the row's sign (a ``>=`` row is stored negated).  Every
+edit keeps that form: a new row appends its index, the largest so far,
+to each column it touches.  :meth:`LinearProgram.add_column` grows an
+already-built program by one variable with coefficients in existing
 rows, which is what column generation needs: the master problem is
-assembled once and re-solved as columns arrive, never rebuilt.
-:meth:`LinearProgram.set_column` *replaces* an existing variable's
-coefficients, which is what the serving layer's warm starts need: a
-cached master LP is retargeted at a new query path without touching its
-other columns.  :meth:`LinearProgram.set_rhs` rewrites one constraint's
-right-hand side in place (the matrix — and its assembly cache — survive);
-the online admission controller moves carried load in and out of a
-cached master with it.  :meth:`LinearProgram.retire_column` masks a
+built once and re-solved as columns arrive.
+:meth:`LinearProgram.set_column` *replaces* one variable's column, which
+is what the serving layer's warm starts need: a cached master LP is
+retargeted at a new query path without touching its other columns.
+:meth:`LinearProgram.set_rhs` rewrites one constraint's right-hand side
+in place; the online admission controller moves carried load in and out
+of a cached master with it.  :meth:`LinearProgram.retire_column` masks a
 variable out of the program, returning a snapshot that
-:meth:`~LinearProgram.set_column` restores.
+:meth:`~LinearProgram.set_column` restores.  Each solve reads HiGHS's
+column-major ``start``/``index``/``value`` arrays straight off the
+columns, so an edited program and one built fresh in the same state
+hand HiGHS the same arrays.
 
 Re-solve work is memoised on a mutation version: an unchanged program
 returns its previous :class:`LpSolution` without calling the solver
-(``lp.cache_hits``), and when the only mutations since the last solve
-were appended columns, assembly extends the cached CSR with a delta
-block (``lp.assembly.incremental``) instead of rebuilding from all
-triplets.  Both paths canonicalise the CSR (duplicates summed, indices
-sorted), so an incrementally assembled matrix is byte-identical to a
-cold rebuild and the solver sees the same program either way.
+(``lp.cache_hits``).
 
 Solving drives SciPy's bundled HiGHS binding
 (``scipy.optimize._highspy._core._Highs``) directly.  Each thread keeps
@@ -55,11 +54,11 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional
+from itertools import chain
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.optimize._highspy import _core as _highs
-from scipy.sparse import coo_matrix, csr_matrix, hstack as sparse_hstack
 
 from repro.errors import InfeasibleProblemError, SolverAttempt, SolverError
 from repro.obs import get_recorder
@@ -73,8 +72,8 @@ __all__ = [
 ]
 
 #: Below this many matrix cells the slacks ``b - A @ x`` are computed from
-#: the dense matrix, above it from the sparse one.  The two products can
-#: differ in the last ulp, so the threshold is part of the answer.
+#: the dense matrix, above it from the sparse columns.  The two products
+#: can differ in the last ulp, so the threshold is part of the answer.
 _DENSE_CELL_LIMIT = 32768
 
 #: The retry/fallback chain of :meth:`LinearProgram.solve`: ``(method,
@@ -154,14 +153,17 @@ def _handle(rung: int) -> "_highs._Highs":
 
 
 def _highs_lp(
-    cost: np.ndarray, matrix: csr_matrix, rhs: np.ndarray, upper: np.ndarray
+    cost: np.ndarray,
+    start: np.ndarray,
+    index: np.ndarray,
+    value: np.ndarray,
+    rhs: np.ndarray,
+    upper: np.ndarray,
 ) -> "_highs.HighsLp":
-    """``min cost.x  s.t.  matrix @ x <= rhs, 0 <= x <= upper`` as a HiGHS
-    model.  The matrix goes in column-major with explicit zeros dropped:
-    exactly the arrays ``linprog``'s ``csc_array`` conversion hands HiGHS."""
-    rows, cols = matrix.shape
-    columns = matrix.tocsc()
-    columns.eliminate_zeros()
+    """``min cost.x  s.t.  A @ x <= rhs, 0 <= x <= upper`` as a HiGHS
+    model, ``A`` given as :meth:`LinearProgram._column_arrays`: exactly
+    the arrays ``linprog``'s ``csc_array`` conversion hands HiGHS."""
+    rows, cols = len(rhs), len(cost)
     model = _highs.HighsLp()
     model.num_col_ = cols
     model.num_row_ = rows
@@ -173,9 +175,9 @@ def _highs_lp(
     model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
     model.a_matrix_.num_col_ = cols
     model.a_matrix_.num_row_ = rows
-    model.a_matrix_.start_ = columns.indptr
-    model.a_matrix_.index_ = columns.indices
-    model.a_matrix_.value_ = columns.data
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = index
+    model.a_matrix_.value_ = value
     return model
 
 
@@ -389,11 +391,11 @@ class LinearProgram:
         self._index: Dict[str, int] = {}
         self._objective: List[float] = []
         self._upper: List[Optional[float]] = []
-        # Constraint matrix as COO triplets (rows never change after being
-        # added; columns may grow through add_column).
-        self._entry_rows: List[int] = []
-        self._entry_cols: List[int] = []
-        self._entry_data: List[float] = []
+        # The constraint matrix, column by column: each column's row
+        # indices in ascending order and its nonzero values, stored with
+        # the row's sign.
+        self._column_rows: List[List[int]] = []
+        self._column_values: List[List[float]] = []
         self._rhs: List[float] = []
         self._row_names: List[str] = []
         self._row_index: Dict[str, int] = {}
@@ -401,23 +403,10 @@ class LinearProgram:
         #: lets add_column accept coefficients in the caller's orientation.
         self._row_signs: List[float] = []
         # Mutation version: bumped by every state change; the solution
-        # cache and the assembly cache key on it, so any mutation —
-        # including set_column, which rewrites triplets in place —
-        # invalidates stale solver state.
+        # cache keys on it, so any mutation invalidates the last solution.
         self._version = 0
         self._solved_version: Optional[int] = None
         self._solution: Optional[LpSolution] = None
-        # Assembly cache: the CSR built at the last solve, valid while
-        # mutations since then were pure column appends (new variables /
-        # add_column).  New rows or set_column clear it.
-        self._assembled: Optional[csr_matrix] = None
-        self._assembled_cols = 0
-        self._assembled_entries = 0
-
-    def _mutated(self, append_only: bool = False) -> None:
-        self._version += 1
-        if not append_only:
-            self._assembled = None
 
     # -- construction -------------------------------------------------------------
 
@@ -434,7 +423,9 @@ class LinearProgram:
         self._names.append(name)
         self._objective.append(objective)
         self._upper.append(upper_bound)
-        self._mutated(append_only=True)
+        self._column_rows.append([])
+        self._column_values.append([])
+        self._version += 1
         return name
 
     @property
@@ -448,6 +439,20 @@ class LinearProgram:
     def has_variable(self, name: str) -> bool:
         return name in self._index
 
+    def _column_of(self, name: str) -> int:
+        """Variable ``name``'s column; raises when there is none."""
+        column = self._index.get(name)
+        if column is None:
+            raise SolverError(f"unknown LP variable {name!r}")
+        return column
+
+    def _row_of(self, name: str) -> int:
+        """Constraint ``name``'s row; raises when there is none."""
+        row = self._row_index.get(name)
+        if row is None:
+            raise SolverError(f"unknown LP constraint {name!r}")
+        return row
+
     def _add_row(
         self,
         coefficients: Dict[str, float],
@@ -455,21 +460,24 @@ class LinearProgram:
         name: Optional[str],
         sign: float,
     ) -> str:
-        row_index = len(self._rhs)
-        for var, coeff in coefficients.items():
-            if var not in self._index:
-                raise SolverError(f"unknown LP variable {var!r}")
-            if coeff != 0.0:
-                self._entry_rows.append(row_index)
-                self._entry_cols.append(self._index[var])
-                self._entry_data.append(sign * coeff)
+        row = len(self._rhs)
+        entries = [
+            (self._column_of(var), coeff)
+            for var, coeff in coefficients.items()
+        ]
         if name is None:
-            name = f"c{row_index}"
+            name = f"c{row}"
+        if name in self._row_index:
+            raise SolverError(f"duplicate LP constraint {name!r}")
+        for column, coeff in entries:
+            if coeff != 0.0:
+                self._column_rows[column].append(row)
+                self._column_values[column].append(sign * coeff)
         self._rhs.append(sign * rhs)
         self._row_names.append(name)
-        self._row_index[name] = row_index
+        self._row_index[name] = row
         self._row_signs.append(sign)
-        self._mutated()
+        self._version += 1
         return name
 
     def add_constraint_le(
@@ -478,7 +486,12 @@ class LinearProgram:
         rhs: float,
         name: Optional[str] = None,
     ) -> str:
-        """Add ``sum(coeff * var) <= rhs``; returns the constraint name."""
+        """Add ``sum(coeff * var) <= rhs``; returns the constraint name.
+
+        ``name`` defaults to ``c<row index>``.  A name already in use
+        raises :class:`~repro.errors.SolverError`, as does an unknown
+        variable; either way the program is left unchanged.
+        """
         return self._add_row(coefficients, rhs, name, 1.0)
 
     def add_constraint_ge(
@@ -489,6 +502,22 @@ class LinearProgram:
     ) -> str:
         """Add ``sum(coeff * var) >= rhs`` (stored negated as ``<=``)."""
         return self._add_row(coefficients, rhs, name, -1.0)
+
+    def _stored_column(
+        self, entries: Dict[str, float]
+    ) -> Tuple[List[int], List[float]]:
+        """``entries`` (constraint names to coefficients in each row's
+        original orientation) as one stored column: rows ascending,
+        nonzero values with the row's sign applied."""
+        pairs = sorted(
+            (self._row_of(row_name), coeff)
+            for row_name, coeff in entries.items()
+        )
+        signs = self._row_signs
+        kept = [
+            (row, signs[row] * coeff) for row, coeff in pairs if coeff != 0.0
+        ]
+        return [row for row, _ in kept], [value for _, value in kept]
 
     def add_column(
         self,
@@ -503,19 +532,11 @@ class LinearProgram:
         the constraint's original orientation (the ``<=`` or ``>=`` form it
         was added with); the stored sign is applied here.  This is the
         incremental path column generation uses to grow the master problem
-        without re-assembling it.
+        without rebuilding it.
         """
+        column = self._stored_column(entries)
         var = self.add_variable(name, objective=objective, upper_bound=upper_bound)
-        column = self._index[var]
-        for row_name, coeff in entries.items():
-            row_index = self._row_index.get(row_name)
-            if row_index is None:
-                raise SolverError(f"unknown LP constraint {row_name!r}")
-            if coeff != 0.0:
-                self._entry_rows.append(row_index)
-                self._entry_cols.append(column)
-                self._entry_data.append(self._row_signs[row_index] * coeff)
-        self._mutated(append_only=True)
+        self._column_rows[-1], self._column_values[-1] = column
         return var
 
     def set_column(
@@ -537,41 +558,23 @@ class LinearProgram:
         is the serving layer's warm-start primitive: a cached master LP
         is retargeted at a new query path by rewriting one column
         instead of rebuilding every row, and it restores a column
-        masked by :meth:`retire_column`.  The triplet list is compacted,
-        so the next solve re-assembles from scratch; thereafter
-        incremental assembly resumes.
+        masked by :meth:`retire_column`.
         """
-        column = self._index.get(name)
-        if column is None:
-            raise SolverError(f"unknown LP variable {name!r}")
-        keep = [
-            position
-            for position, entry_col in enumerate(self._entry_cols)
-            if entry_col != column
-        ]
-        if len(keep) != len(self._entry_cols):
-            self._entry_rows = [self._entry_rows[i] for i in keep]
-            self._entry_cols = [self._entry_cols[i] for i in keep]
-            self._entry_data = [self._entry_data[i] for i in keep]
-        for row_name, coeff in entries.items():
-            row_index = self._row_index.get(row_name)
-            if row_index is None:
-                raise SolverError(f"unknown LP constraint {row_name!r}")
-            if coeff != 0.0:
-                self._entry_rows.append(row_index)
-                self._entry_cols.append(column)
-                self._entry_data.append(self._row_signs[row_index] * coeff)
+        column = self._column_of(name)
+        self._column_rows[column], self._column_values[column] = (
+            self._stored_column(entries)
+        )
         if objective is not None:
             self._objective[column] = objective
         if upper_bound is not _KEEP_BOUND:
             self._upper[column] = upper_bound  # type: ignore[assignment]
-        self._mutated()
+        self._version += 1
         return name
 
     def retire_column(self, name: str) -> Dict[str, object]:
         """Mask variable ``name`` out of the program, returning its state.
 
-        The column's triplets are removed, its objective zeroed and its
+        The column's entries are cleared, its objective zeroed and its
         upper bound pinned to ``0.0`` — the solver then sees a program
         in which the variable cannot carry value, without renumbering
         the surviving columns: the column stops contributing while the
@@ -582,38 +585,23 @@ class LinearProgram:
         ``lp.set_column(name, **snapshot)`` re-admits the column
         exactly as it was.
         """
-        column = self._index.get(name)
-        if column is None:
-            raise SolverError(f"unknown LP variable {name!r}")
-        entries: Dict[str, float] = {}
-        keep_rows: List[int] = []
-        keep_cols: List[int] = []
-        keep_data: List[float] = []
-        for row, col, value in zip(
-            self._entry_rows, self._entry_cols, self._entry_data
-        ):
-            if col == column:
-                row_name = self._row_names[row]
-                entries[row_name] = (
-                    entries.get(row_name, 0.0)
-                    + self._row_signs[row] * value
-                )
-            else:
-                keep_rows.append(row)
-                keep_cols.append(col)
-                keep_data.append(value)
+        column = self._column_of(name)
         snapshot: Dict[str, object] = {
-            "entries": entries,
+            "entries": {
+                self._row_names[row]: self._row_signs[row] * value
+                for row, value in zip(
+                    self._column_rows[column], self._column_values[column]
+                )
+            },
             "objective": self._objective[column],
             "upper_bound": self._upper[column],
         }
-        self._entry_rows = keep_rows
-        self._entry_cols = keep_cols
-        self._entry_data = keep_data
+        self._column_rows[column] = []
+        self._column_values[column] = []
         self._objective[column] = 0.0
         self._upper[column] = 0.0
         get_recorder().count("lp.column_retirements")
-        self._mutated()
+        self._version += 1
         return snapshot
 
     def set_rhs(self, name: str, rhs: float) -> str:
@@ -622,17 +610,12 @@ class LinearProgram:
         ``rhs`` is given in the constraint's original orientation (the
         ``<=`` or ``>=`` form it was added with); the stored sign is
         applied here, mirroring :meth:`add_column`.  The constraint
-        matrix is untouched, so the assembly cache survives — updating
-        a demand row on a warm master LP costs one float write plus the
-        re-solve.
+        matrix is untouched — updating a demand row on a warm master LP
+        costs one float write plus the re-solve.
         """
-        row_index = self._row_index.get(name)
-        if row_index is None:
-            raise SolverError(f"unknown LP constraint {name!r}")
-        self._rhs[row_index] = self._row_signs[row_index] * rhs
-        # The RHS vector lives outside the assembled CSR: bumping the
-        # version invalidates the solution cache but keeps the matrix.
-        self._mutated(append_only=True)
+        row = self._row_of(name)
+        self._rhs[row] = self._row_signs[row] * rhs
+        self._version += 1
         return name
 
     # -- certificates ----------------------------------------------------------------
@@ -642,7 +625,7 @@ class LinearProgram:
 
         Solves first when needed (an already-solved program reuses its
         cached solution), then evaluates the dual objective and the
-        complementary-slackness residuals from the stored matrix — one
+        complementary-slackness residuals from the stored columns — one
         sparse transpose-vector product.  The cost lands on the
         ``explain.certificate_seconds`` histogram and the
         ``explain.certificates`` counter.
@@ -651,31 +634,28 @@ class LinearProgram:
         recorder = get_recorder()
         started = time.perf_counter()
         n = len(self._names)
-        m = len(self._rhs)
         x = np.array(
             [solution.values[name] for name in self._names], dtype=float
         )
         c = np.asarray(self._objective, dtype=float)
-        dual_infeasibility = 0.0
-        if m:
-            matrix = self._assemble(m, n)
-            y = np.array(
-                [solution.duals.get(name, 0.0) for name in self._row_names],
-                dtype=float,
-            )
-            slack = np.array(
-                [solution.slacks.get(name, 0.0) for name in self._row_names],
-                dtype=float,
-            )
-            max_row_residual = float(np.max(np.abs(y * slack)))
-            dual_objective = float(np.dot(self._rhs, y))
-            reduced = c - matrix.T @ y
-            if y.size:
-                dual_infeasibility = max(0.0, -float(np.min(y)))
-        else:
-            max_row_residual = 0.0
-            dual_objective = 0.0
-            reduced = c.copy()
+        start, index, value = self._column_arrays()
+        y = np.array(
+            [solution.duals.get(name, 0.0) for name in self._row_names],
+            dtype=float,
+        )
+        slack = np.array(
+            [solution.slacks.get(name, 0.0) for name in self._row_names],
+            dtype=float,
+        )
+        max_row_residual = float(np.max(np.abs(y * slack), initial=0.0))
+        dual_objective = float(np.dot(self._rhs, y))
+        # bincount adds each column's entries in ascending row order, the
+        # order a sparse ``A.T @ y`` adds them in.
+        columns = np.repeat(np.arange(n), np.diff(start))
+        reduced = c - np.bincount(
+            columns, weights=value * y[index], minlength=n
+        )
+        dual_infeasibility = max(0.0, -float(np.min(y, initial=0.0)))
         max_column_residual = 0.0
         for column, upper in enumerate(self._upper):
             price = float(reduced[column])
@@ -710,51 +690,20 @@ class LinearProgram:
 
     # -- solving ---------------------------------------------------------------------
 
-    def _assemble(self, rows: int, cols: int) -> csr_matrix:
-        """The constraint matrix as a canonical CSR.
-
-        Extends the cached CSR from the last solve with a delta block of
-        the appended columns when every mutation since was an append;
-        rebuilds from all triplets otherwise.  Both paths end canonical
-        (duplicates summed, indices sorted), so the product is identical
-        either way — incremental assembly is a pure speedup.
-        """
-        recorder = get_recorder()
-        cached = self._assembled
-        if cached is not None and cached.shape[0] == rows:
-            start = self._assembled_entries
-            width = cols - self._assembled_cols
-            if width:
-                delta = coo_matrix(
-                    (
-                        self._entry_data[start:],
-                        (
-                            self._entry_rows[start:],
-                            [
-                                entry_col - self._assembled_cols
-                                for entry_col in self._entry_cols[start:]
-                            ],
-                        ),
-                    ),
-                    shape=(rows, width),
-                ).tocsr()
-                matrix = sparse_hstack([cached, delta], format="csr")
-                matrix.sum_duplicates()
-                matrix.sort_indices()
-            else:
-                matrix = cached
-            recorder.count("lp.assembly.incremental")
-        else:
-            matrix = coo_matrix(
-                (self._entry_data, (self._entry_rows, self._entry_cols)),
-                shape=(rows, cols),
-            ).tocsr()
-            matrix.sum_duplicates()
-            matrix.sort_indices()
-        self._assembled = matrix
-        self._assembled_cols = cols
-        self._assembled_entries = len(self._entry_data)
-        return matrix
+    def _column_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The constraint matrix as column-major ``(start, index, value)``
+        arrays: HiGHS's ``a_matrix_`` and ``csc_array``'s ``(indptr,
+        indices, data)``, read straight off the stored columns."""
+        start = np.zeros(len(self._column_rows) + 1, dtype=np.int32)
+        np.cumsum([len(rows) for rows in self._column_rows], out=start[1:])
+        nnz = int(start[-1])
+        index = np.fromiter(
+            chain.from_iterable(self._column_rows), dtype=np.int32, count=nnz
+        )
+        value = np.fromiter(
+            chain.from_iterable(self._column_values), dtype=float, count=nnz
+        )
+        return start, index, value
 
     def solve(self) -> LpSolution:
         """Maximise the objective; raise on infeasibility or solver failure.
@@ -775,10 +724,10 @@ class LinearProgram:
         recorder.count("lp.solves")
         recorder.gauge("lp.rows", len(self._rhs))
         recorder.gauge("lp.cols", n)
-        recorder.gauge("lp.nnz", len(self._entry_data))
         c = -np.asarray(self._objective, dtype=float)  # HiGHS minimises
         m = len(self._rhs)
-        matrix = self._assemble(m, n) if m else csr_matrix((0, n))
+        start, index, value = self._column_arrays()
+        recorder.gauge("lp.nnz", len(value))
         b_ub = np.asarray(self._rhs, dtype=float)
         upper = np.array(
             [np.inf if bound is None else bound for bound in self._upper],
@@ -786,10 +735,10 @@ class LinearProgram:
         )
         finite = bool(
             np.isfinite(c).all()
-            and np.isfinite(matrix.data).all()
+            and np.isfinite(value).all()
             and np.isfinite(b_ub).all()
         )
-        model = _highs_lp(c, matrix, b_ub, upper)
+        model = _highs_lp(c, start, index, value, b_ub, upper)
         attempts: List[SolverAttempt] = []
         for attempt_index, (method, options) in enumerate(
             SOLVER_ATTEMPT_CHAIN
@@ -842,14 +791,23 @@ class LinearProgram:
                 row_name: -dual
                 for row_name, dual in zip(self._row_names, result.row_duals)
             }
-            slacks: Dict[str, float] = {}
-            if m:
-                # Recomputed from the program's own matrix rather than
-                # read from solver internals, so dual simplex and the
-                # highs-ipm fallback agree by construction.
-                a_ub = matrix.toarray() if m * n <= _DENSE_CELL_LIMIT else matrix
-                residual = b_ub - a_ub @ np.asarray(result.x, dtype=float)
-                slacks = dict(zip(self._row_names, residual.tolist()))
+            # Slacks are recomputed from the program's own matrix rather
+            # than read from solver internals, so dual simplex and the
+            # highs-ipm fallback agree by construction.
+            x = np.asarray(result.x, dtype=float)
+            columns = np.repeat(np.arange(n), np.diff(start))
+            if m * n <= _DENSE_CELL_LIMIT:
+                dense = np.zeros((m, n))
+                dense[index, columns] = value
+                product = dense @ x
+            else:
+                # Each row's entries in ascending column order, as a
+                # sparse ``A @ x`` adds them.
+                product = np.bincount(
+                    index, weights=value * x[columns], minlength=m
+                )
+            residual = b_ub - product
+            slacks = dict(zip(self._row_names, residual.tolist()))
             solution = LpSolution(
                 objective=-result.objective,
                 values=values,

@@ -36,3 +36,22 @@ class TestApiIndex:
     def test_no_undocumented_public_symbols(self, renderer):
         rendered = renderer.render()
         assert "(undocumented)" not in rendered
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["--help"], 0), (["--no-such-flag"], 2)]
+    )
+    def test_arguments_never_reach_the_writer(
+        self, renderer, monkeypatch, capsys, argv, code
+    ):
+        """``--help`` prints usage and an unknown flag is a usage error;
+        neither renders nor writes docs/API.md."""
+
+        def no_render():
+            raise AssertionError("render() ran")
+
+        monkeypatch.setattr(renderer, "render", no_render)
+        with pytest.raises(SystemExit) as exit_info:
+            renderer.main(argv)
+        assert exit_info.value.code == code
+        captured = capsys.readouterr()
+        assert "usage: " in captured.out + captured.err

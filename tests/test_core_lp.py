@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from repro.core.lp import (
     _DENSE_CELL_LIMIT,
@@ -67,6 +68,44 @@ class TestErrors:
         lp = LinearProgram()
         with pytest.raises(SolverError):
             lp.add_constraint_le({"ghost": 1.0}, 1.0)
+
+    def test_duplicate_constraint(self):
+        """A reused row name is rejected and leaves the program as it was.
+
+        The unnamed second row would be auto-named ``c1``, clashing with
+        the first row's explicit name: its dual would overwrite the
+        first row's and ``set_rhs("c1", ...)`` would edit the wrong row.
+        """
+        lp = LinearProgram()
+        x = lp.add_variable("x", objective=1.0)
+        lp.add_constraint_le({x: 1.0}, 1.0, name="c1")
+        with pytest.raises(SolverError, match="duplicate LP constraint"):
+            lp.add_constraint_le({x: 1.0}, 2.0)
+        with pytest.raises(SolverError, match="duplicate LP constraint"):
+            lp.add_constraint_ge({x: 1.0}, 0.0, name="c1")
+        assert lp.num_constraints == 1
+        solution = lp.solve()
+        assert solution.objective == 1.0
+        assert solution.duals == {"c1": 1.0}
+
+    def test_rejected_edits_change_nothing(self):
+        """An edit naming an unknown variable or row raises before it
+        writes anything, however far into its entries the name sits."""
+        lp = _master_program(2)
+        with pytest.raises(SolverError, match="unknown LP variable"):
+            lp.add_constraint_le({"f": 1.0, "ghost": 1.0}, 1.0)
+        with pytest.raises(SolverError, match="unknown LP constraint"):
+            lp.add_column("lambda_2", {"airtime": 1.0, "ghost": 1.0})
+        with pytest.raises(SolverError, match="unknown LP constraint"):
+            lp.set_column("f", {"demand[b]": -1.0, "ghost": 1.0})
+        assert not lp.has_variable("lambda_2")
+        fresh = _master_program(2)
+        assert (lp.num_variables, lp.num_constraints) == (
+            fresh.num_variables,
+            fresh.num_constraints,
+        )
+        for ours, theirs in zip(lp._column_arrays(), fresh._column_arrays()):
+            assert ours.tolist() == theirs.tolist()
 
     def test_no_variables(self):
         with pytest.raises(SolverError):
@@ -227,15 +266,6 @@ class TestSetColumn:
 
 
 class TestIncrementalAssembly:
-    def test_incremental_resolve_counts(self):
-        lp = _master_program(2)
-        recorder = Recorder()
-        with use_recorder(recorder):
-            lp.solve()
-            lp.add_column("lambda_2", {"airtime": 1.0, "demand[a]": 5.0})
-            lp.solve()
-        assert recorder.counters["lp.assembly.incremental"] == 1
-
     def test_warm_resolves_match_cold_rebuilds_exactly(self):
         """Property: any append sequence solves bit-identically cold.
 
@@ -482,7 +512,8 @@ def _linprog_result(lp, rung):
     n, m = lp.num_variables, lp.num_constraints
     a_ub = b_ub = None
     if m:
-        a_ub = lp._assemble(m, n)
+        start, index, value = lp._column_arrays()
+        a_ub = csc_array((value, index, start), shape=(m, n))
         if m * n <= _DENSE_CELL_LIMIT:
             a_ub = a_ub.toarray()
         b_ub = np.asarray(lp._rhs, dtype=float)
@@ -747,6 +778,179 @@ class TestReusedHandles:
             stat.size_diff for stat in after.compare_to(before, "filename")
         )
         assert growth < 256 * 1024
+
+
+class _Shadow:
+    """A dense NumPy mirror of a program's state, in each row's original
+    orientation, updated by the same edits as the program itself."""
+
+    def __init__(self):
+        self.names, self.objective, self.upper = [], [], []
+        self.row_names, self.signs, self.rhs = [], [], []
+        self.matrix = np.zeros((0, 0))
+
+    def add_variable(self, name, objective, upper):
+        self.names.append(name)
+        self.objective.append(objective)
+        self.upper.append(upper)
+        self.matrix = np.hstack([self.matrix, np.zeros((len(self.rhs), 1))])
+
+    def add_row(self, name, coefficients, rhs, sign):
+        row = [coefficients.get(var, 0.0) for var in self.names]
+        self.matrix = np.vstack([self.matrix, [row]])
+        self.row_names.append(name)
+        self.signs.append(sign)
+        self.rhs.append(rhs)
+
+    def set_column(self, name, entries):
+        column = self.names.index(name)
+        self.matrix[:, column] = 0.0
+        for row_name, coeff in entries.items():
+            self.matrix[self.row_names.index(row_name), column] = coeff
+
+    def stored(self):
+        """The matrix as the program stores it: ``>=`` rows negated."""
+        return np.asarray(self.signs).reshape(-1, 1) * self.matrix
+
+    def build(self):
+        """A program in this state, built fresh through the public API."""
+        lp = LinearProgram()
+        for name, objective, upper in zip(
+            self.names, self.objective, self.upper
+        ):
+            lp.add_variable(name, objective=objective, upper_bound=upper)
+        for name, sign, rhs, row in zip(
+            self.row_names, self.signs, self.rhs, self.matrix
+        ):
+            add = lp.add_constraint_le if sign > 0 else lp.add_constraint_ge
+            add(dict(zip(self.names, row.tolist())), rhs, name=name)
+        return lp
+
+
+def _outcome_bits(lp):
+    try:
+        return _solution_bits(lp.solve())
+    except (InfeasibleProblemError, SolverError) as error:
+        return type(error).__name__
+
+
+_UPPER_BOUNDS = st.one_of(
+    st.none(), st.floats(0.0, 10.0, allow_nan=False)
+)
+_RIGHT_HAND_SIDES = st.floats(-5.0, 10.0, allow_nan=False)
+
+
+class TestMutationSequences:
+    """Any interleaving of edits leaves the program equal to one built
+    fresh from the same state: the same column arrays and the same
+    solution, bit for bit."""
+
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_edited_program_equals_fresh_build(self, data):
+        lp, shadow, retired = LinearProgram(), _Shadow(), {}
+        for _ in range(data.draw(st.integers(1, 24), label="steps")):
+            ops = ["add_variable", "add_row", "solve"]
+            if shadow.rhs:
+                ops += ["add_column", "set_rhs"]
+            if shadow.names:
+                ops += ["set_column", "retire_column"]
+            if retired:
+                ops.append("readmit")
+            op = data.draw(st.sampled_from(ops), label="op")
+            if op in ("add_variable", "add_column"):
+                name = f"x{len(shadow.names)}"
+                objective = data.draw(_COEFFICIENTS)
+                upper = data.draw(_UPPER_BOUNDS)
+                if op == "add_variable":
+                    lp.add_variable(name, objective, upper)
+                    shadow.add_variable(name, objective, upper)
+                else:
+                    entries = data.draw(
+                        st.dictionaries(
+                            st.sampled_from(shadow.row_names), _COEFFICIENTS
+                        )
+                    )
+                    lp.add_column(name, entries, objective, upper)
+                    shadow.add_variable(name, objective, upper)
+                    shadow.set_column(name, entries)
+            elif op == "add_row":
+                coefficients = data.draw(
+                    st.dictionaries(
+                        st.sampled_from(shadow.names or ["-"]),
+                        _COEFFICIENTS,
+                        max_size=len(shadow.names),
+                    )
+                )
+                rhs = data.draw(_RIGHT_HAND_SIDES)
+                sign = data.draw(st.sampled_from([1.0, -1.0]))
+                add = lp.add_constraint_le if sign > 0 else lp.add_constraint_ge
+                # Unnamed rows are auto-named; the shadow takes that name.
+                named = data.draw(st.booleans())
+                name = f"r{len(shadow.rhs)}" if named else None
+                name = add(coefficients, rhs, name=name)
+                shadow.add_row(name, coefficients, rhs, sign)
+            elif op == "set_rhs":
+                name = data.draw(st.sampled_from(shadow.row_names))
+                rhs = data.draw(_RIGHT_HAND_SIDES)
+                lp.set_rhs(name, rhs)
+                shadow.rhs[shadow.row_names.index(name)] = rhs
+            elif op == "set_column":
+                name = data.draw(st.sampled_from(shadow.names))
+                entries = data.draw(
+                    st.dictionaries(
+                        st.sampled_from(shadow.row_names or ["-"]),
+                        _COEFFICIENTS,
+                        max_size=len(shadow.row_names),
+                    )
+                )
+                column = shadow.names.index(name)
+                objective = data.draw(st.one_of(st.none(), _COEFFICIENTS))
+                if data.draw(st.booleans(), label="new upper bound"):
+                    upper = data.draw(_UPPER_BOUNDS)
+                    lp.set_column(name, entries, objective, upper)
+                    shadow.upper[column] = upper
+                else:
+                    lp.set_column(name, entries, objective)
+                if objective is not None:
+                    shadow.objective[column] = objective
+                shadow.set_column(name, entries)
+            elif op == "retire_column":
+                name = data.draw(st.sampled_from(shadow.names))
+                column = shadow.names.index(name)
+                snapshot = lp.retire_column(name)
+                assert snapshot == {
+                    "entries": {
+                        row_name: coeff
+                        for row_name, coeff in zip(
+                            shadow.row_names, shadow.matrix[:, column]
+                        )
+                        if coeff != 0.0
+                    },
+                    "objective": shadow.objective[column],
+                    "upper_bound": shadow.upper[column],
+                }
+                retired[name] = snapshot
+                shadow.set_column(name, {})
+                shadow.objective[column] = 0.0
+                shadow.upper[column] = 0.0
+            elif op == "readmit":
+                name = data.draw(st.sampled_from(sorted(retired)))
+                snapshot = retired.pop(name)
+                lp.set_column(name, **snapshot)
+                column = shadow.names.index(name)
+                shadow.set_column(name, snapshot["entries"])
+                shadow.objective[column] = snapshot["objective"]
+                shadow.upper[column] = snapshot["upper_bound"]
+            if op == "solve" and shadow.names:
+                assert _outcome_bits(lp) == _outcome_bits(shadow.build())
+            expected = csc_array(shadow.stored())
+            start, index, value = lp._column_arrays()
+            assert start.tolist() == expected.indptr.tolist()
+            assert index.tolist() == expected.indices.tolist()
+            assert _bits(value) == _bits(expected.data)
+        if shadow.names:
+            assert _outcome_bits(lp) == _outcome_bits(shadow.build())
 
 
 class TestHighsBinding:
