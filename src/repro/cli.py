@@ -837,7 +837,7 @@ def _explain_main(args: argparse.Namespace) -> int:
 
     bandwidth = result.available_bandwidth
     if args.demand is not None:
-        verdict = "admit" if args.demand <= bandwidth else "reject"
+        verdict = "admit" if result.supports(args.demand) else "reject"
         print(
             f"{args.query_id}: {verdict} {args.demand:.3f} Mbps over "
             f"{' -> '.join(nodes)} ({bandwidth:.6f} Mbps available)"

@@ -151,7 +151,8 @@ def clique_upper_bound(
 
     * clique constraints become  Σ_{k∈C} h_ik / r_ik ≤ γ_i,
     * the box 0 ≤ g_ik ≤ r_ik becomes 0 ≤ h_ik ≤ γ_i·r_ik (implied by the
-      singleton-containing cliques, so not added separately),
+      clique rows, since every link lies in some maximal clique, so not
+      added separately),
     * delivery becomes  Σ_i h_ik ≥ x-demands + f·I_new.
     """
     links = _collect_links(background, new_path)
@@ -181,22 +182,6 @@ def clique_upper_bound(
             lp.add_constraint_le(
                 coefficients, 0.0, name=f"clique[{i},{c_index}]"
             )
-        # Ensure the h <= gamma*r box even for links in no multi-link clique
-        # (every maximal clique family covers all links, but a defensive
-        # explicit bound costs one row per (i, k) only when missing).
-        covered = set()
-        for clique in fixed_rate_cliques(model, vector):
-            covered.update(c.link.link_id for c in clique.couples)
-        for link, rate in vector.items():
-            if link.link_id not in covered:
-                lp.add_constraint_le(
-                    {
-                        h_vars[(i, link.link_id)]: 1.0,
-                        gamma_vars[i]: -rate.mbps,
-                    },
-                    0.0,
-                    name=f"box[{i},{link.link_id}]",
-                )
     for link in links:
         coefficients = {
             h_vars[(i, link.link_id)]: 1.0

@@ -8,18 +8,25 @@ rates* additionally stays maximal under no rate increase of any member.
 The paper's Section 3.2 shows these cliques no longer yield valid upper
 bounds on feasible throughput when links may switch rates over time; they
 remain the backbone of (a) the per-rate-vector constraints of the corrected
-upper bound (Eq. 9) and (b) the distributed estimators of Section 4.  This
-module provides both the rate-coupled enumeration and the classical
-fixed-rate-vector clique enumeration used by Eq. 9.
+upper bound (Eq. 9) and (b) the distributed estimators of Section 4.
+
+Both the rate-coupled enumeration and the fixed-rate-vector enumeration of
+Eq. 9 are maximal cliques of the link–rate conflict graph, found by the
+same bitmask Bron–Kerbosch and compatibility masks that enumerate the
+maximal independent sets (:mod:`repro.core.independent_sets`); here the
+search runs on the conflict side, with couples of one link never adjacent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
+from repro.core.independent_sets import (
+    _mask_members,
+    _maximal_cliques_bitset,
+    _pairwise_compatibility_masks,
+)
 from repro.errors import InterferenceError
 from repro.interference.base import InterferenceModel, LinkRate
 from repro.interference.conflict_graph import link_rate_vertices
@@ -97,104 +104,49 @@ def clique_transmission_time(
     return clique.transmission_time(demands)
 
 
-def _couples_conflict_matrix(
-    model: InterferenceModel, vertices: Sequence[LinkRate]
-) -> Dict[LinkRate, Set[LinkRate]]:
-    """Adjacency of the conflict relation between distinct-link couples."""
-    adjacency: Dict[LinkRate, Set[LinkRate]] = {v: set() for v in vertices}
-    for i, a in enumerate(vertices):
-        for b in vertices[i + 1:]:
-            if a.link == b.link:
-                continue
-            if model.conflicts(a, b):
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-    return adjacency
+def _maximal_cliques(
+    model: InterferenceModel, couples: Sequence[LinkRate]
+) -> List[RateClique]:
+    """Maximal cliques of the conflict relation over ``couples``, sorted.
+
+    Runs the bitmask Bron–Kerbosch of :mod:`repro.core.independent_sets`
+    on the complement of the couples' compatibility masks, with the bits
+    of same-link couples cleared.  Couples of one link are then never
+    adjacent, so every clique holds one couple per link and plain graph
+    maximality is the paper's: no couple of a link outside C conflicts
+    with every member of C.
+    """
+    compatible = _pairwise_compatibility_masks(model, couples)
+    same_link: Dict[Link, int] = {}
+    for index, couple in enumerate(couples):
+        same_link[couple.link] = same_link.get(couple.link, 0) | 1 << index
+    full = (1 << len(couples)) - 1
+    conflict = [
+        full & ~mask & ~same_link[couple.link]
+        for mask, couple in zip(compatible, couples)
+    ]
+    cliques = [
+        RateClique(frozenset(_mask_members(mask, couples)))
+        for mask in _maximal_cliques_bitset(conflict, len(couples))
+    ]
+    cliques.sort(key=lambda c: (-c.size, str(c)))
+    return cliques
 
 
 def enumerate_maximal_rate_cliques(
-    model: InterferenceModel,
-    links: Sequence[Link],
-    max_cliques: Optional[int] = None,
+    model: InterferenceModel, links: Sequence[Link]
 ) -> List[RateClique]:
     """All maximal rate-coupled cliques over ``links``.
 
-    Bron–Kerbosch with pivoting over the couple-conflict relation, with the
-    extra structural rule that a clique holds at most one couple per link.
-    The one-rate-per-link rule is enforced by treating couples of the same
-    link as *non-adjacent*: they then can never be in one clique, and
-    maximality is checked against couples of unused links only.
-
-    Note maximality here is the paper's: "C ∪ {(L_i, r_i)} is not a clique
-    for any couple with L_i ∉ C".  Couples of links already in C are not
+    Maximality is the paper's: "C ∪ {(L_i, r_i)} is not a clique for any
+    couple with L_i ∉ C".  Couples of links already in C are not
     candidates for extension.
     """
-    vertices = link_rate_vertices(model, links)
-    adjacency = _couples_conflict_matrix(model, vertices)
-    results: List[RateClique] = []
-
-    def extend(
-        current: List[LinkRate],
-        candidates: Set[LinkRate],
-        excluded: Set[LinkRate],
-    ) -> None:
-        if not candidates and not excluded:
-            if current:
-                results.append(RateClique(frozenset(current)))
-                if max_cliques is not None and len(results) > max_cliques:
-                    raise InterferenceError(
-                        f"more than {max_cliques} maximal rate cliques; "
-                        "raise the cap or restrict the link set"
-                    )
-            return
-        pivot_pool = candidates | excluded
-        pivot = max(pivot_pool, key=lambda v: len(adjacency[v] & candidates))
-        for vertex in list(candidates - adjacency[pivot]):
-            used_links = {c.link for c in current}
-            if vertex.link in used_links:
-                candidates.discard(vertex)
-                excluded.add(vertex)
-                continue
-            same_link_blockers = {
-                v for v in candidates | excluded if v.link == vertex.link
-            }
-            extend(
-                current + [vertex],
-                (candidates & adjacency[vertex]) - same_link_blockers,
-                (excluded & adjacency[vertex]) - same_link_blockers,
-            )
-            candidates.discard(vertex)
-            excluded.add(vertex)
-
-    extend([], set(vertices), set())
-    # Bron-Kerbosch with the per-link restriction can emit duplicates or
-    # non-maximal artefacts in edge cases; normalise by deduplication and an
-    # explicit maximality filter.
-    unique = list(dict.fromkeys(results))
-    maximal = [c for c in unique if _is_maximal(model, c, vertices, adjacency)]
-    maximal.sort(key=lambda c: (-c.size, str(c)))
-    return maximal
-
-
-def _is_maximal(
-    model: InterferenceModel,
-    clique: RateClique,
-    vertices: Sequence[LinkRate],
-    adjacency: Dict[LinkRate, Set[LinkRate]],
-) -> bool:
-    used_links = clique.links
-    for vertex in vertices:
-        if vertex.link in used_links:
-            continue
-        if all(member in adjacency[vertex] for member in clique.couples):
-            return False
-    return True
+    return _maximal_cliques(model, link_rate_vertices(model, links))
 
 
 def maximal_cliques_with_maximum_rates(
-    model: InterferenceModel,
-    links: Sequence[Link],
-    max_cliques: Optional[int] = None,
+    model: InterferenceModel, links: Sequence[Link]
 ) -> List[RateClique]:
     """Maximal cliques that stay maximal under no single-rate increase.
 
@@ -204,7 +156,7 @@ def maximal_cliques_with_maximum_rates(
     keeps {(L1,54),...,(L4,54)} and {(L1,36),(L2,54),(L3,54)} and drops
     {(L1,36),(L2,36),(L3,36)}.)
     """
-    all_maximal = enumerate_maximal_rate_cliques(model, links, max_cliques)
+    all_maximal = enumerate_maximal_rate_cliques(model, links)
     maximal_index = set(all_maximal)
     kept: List[RateClique] = []
     for clique in all_maximal:
@@ -236,25 +188,9 @@ def fixed_rate_cliques(
 ) -> List[RateClique]:
     """Maximal cliques when every link's rate is pinned (Eq. 9 inner loop).
 
-    With rates fixed, conflicts reduce to a plain link graph; maximal
-    cliques come from networkx and are decorated back with the pinned
-    rates.
+    The same search as :func:`enumerate_maximal_rate_cliques`, over the one
+    couple per link that ``rate_vector`` names.
     """
-    links = list(rate_vector)
-    graph = nx.Graph()
-    graph.add_nodes_from(link.link_id for link in links)
-    couple = {link: LinkRate(link, rate_vector[link]) for link in links}
-    for i, a in enumerate(links):
-        for b in links[i + 1:]:
-            if model.conflicts(couple[a], couple[b]):
-                graph.add_edge(a.link_id, b.link_id)
-    by_id = {link.link_id: link for link in links}
-    cliques = []
-    for members in nx.find_cliques(graph):
-        cliques.append(
-            RateClique.from_pairs(
-                (by_id[m], rate_vector[by_id[m]]) for m in members
-            )
-        )
-    cliques.sort(key=lambda c: (-c.size, str(c)))
-    return cliques
+    return _maximal_cliques(
+        model, [LinkRate(link, rate) for link, rate in rate_vector.items()]
+    )

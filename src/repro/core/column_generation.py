@@ -43,6 +43,7 @@ from repro.core.bandwidth import (
 )
 from repro.core.independent_sets import (
     RateIndependentSet,
+    _mask_members,
     _maximal_cliques_bitset,
     _pairwise_compatibility_masks,
 )
@@ -122,14 +123,6 @@ class _PricingProblem:
         self.degrees = [mask.bit_count() for mask in self.conflict]
         self._by_str = sorted(range(count), key=lambda i: str(self.vertices[i]))
 
-    def _members(self, mask: int) -> Set[LinkRate]:
-        chosen: Set[LinkRate] = set()
-        while mask:
-            low_bit = mask & -mask
-            mask ^= low_bit
-            chosen.add(self.vertices[low_bit.bit_length() - 1])
-        return chosen
-
     def exact(self, weights: Dict[LinkRate, float]) -> Set[LinkRate]:
         """Exact MWIS over the positive-weight vertices.
 
@@ -147,15 +140,12 @@ class _PricingProblem:
             self.independent, len(self.vertices), subset=positive
         ):
             weight = 0.0
-            members = clique
-            while members:
-                low_bit = members & -members
-                members ^= low_bit
-                weight += weights[self.vertices[low_bit.bit_length() - 1]]
+            for vertex in _mask_members(clique, self.vertices):
+                weight += weights[vertex]
             if weight > best_weight:
                 best_weight = weight
                 best_mask = clique
-        return self._members(best_mask)
+        return set(_mask_members(best_mask, self.vertices))
 
     def greedy(self, weights: Dict[LinkRate, float]) -> Set[LinkRate]:
         """Greedy MWIS + 1-swap local search; deterministic tie-breaks.
@@ -193,17 +183,12 @@ class _PricingProblem:
                     continue
                 conflicting = self.conflict[index] & chosen
                 lost = 0.0
-                members = conflicting
-                while members:
-                    low_bit = members & -members
-                    members ^= low_bit
-                    lost += weights.get(
-                        self.vertices[low_bit.bit_length() - 1], 0.0
-                    )
+                for vertex in _mask_members(conflicting, self.vertices):
+                    lost += weights.get(vertex, 0.0)
                 if weight > lost + _PRICING_EPS:
                     chosen = (chosen & ~conflicting) | bit
                     improved = True
-        return self._members(chosen)
+        return set(_mask_members(chosen, self.vertices))
 
 
 def _restricted_master(

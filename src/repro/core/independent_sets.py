@@ -198,7 +198,9 @@ def enumerate_maximal_independent_sets(
                 found = _enumerate_cumulative(model, usable)
         else:
             with recorder.span("enum.pairwise"):
-                found = _enumerate_pairwise(model, usable)
+                found = _enumerate_pairwise(
+                    model, link_rate_vertices(model, usable)
+                )
         if max_sets is not None and len(found) > max_sets:
             raise InterferenceError(
                 f"{len(found)} maximal independent sets exceed the cap "
@@ -213,9 +215,9 @@ def enumerate_maximal_independent_sets(
 
 
 def _enumerate_pairwise(
-    model: InterferenceModel, links: Sequence[Link]
+    model: InterferenceModel, vertices: Sequence[LinkRate]
 ) -> List[RateIndependentSet]:
-    """Maximal independent sets via the link–rate conflict graph.
+    """Maximal independent sets of the conflict graph over ``vertices``.
 
     Maximal independent sets of the conflict graph are maximal cliques of
     its complement; both are computed here directly on integer bitmasks
@@ -227,18 +229,21 @@ def _enumerate_pairwise(
     final dominance-prune + deterministic sort make discovery order
     irrelevant.
     """
-    vertices = link_rate_vertices(model, links)
-    count = len(vertices)
     compatible = _pairwise_compatibility_masks(model, vertices)
-    results = []
-    for clique_mask in _maximal_cliques_bitset(compatible, count):
-        members = []
-        while clique_mask:
-            low_bit = clique_mask & -clique_mask
-            members.append(vertices[low_bit.bit_length() - 1])
-            clique_mask ^= low_bit
-        results.append(RateIndependentSet(frozenset(members)))
-    return results
+    return [
+        RateIndependentSet(frozenset(_mask_members(mask, vertices)))
+        for mask in _maximal_cliques_bitset(compatible, len(vertices))
+    ]
+
+
+def _mask_members(mask: int, vertices: Sequence[LinkRate]) -> List[LinkRate]:
+    """The couples whose bits are set in ``mask``, lowest index first."""
+    members = []
+    while mask:
+        low_bit = mask & -mask
+        mask ^= low_bit
+        members.append(vertices[low_bit.bit_length() - 1])
+    return members
 
 
 def _pairwise_compatibility_masks(
@@ -293,6 +298,12 @@ def _maximal_cliques_bitset(
     adjacency: List[int], count: int, subset: Optional[int] = None
 ) -> List[int]:
     """All maximal cliques of a bitmask-adjacency graph (Bron–Kerbosch).
+
+    The one clique search over couples.  On the compatibility masks it
+    finds maximal independent sets (:func:`_enumerate_pairwise`, for Eq. 6
+    and A1's fixed-rate columns, and exact pricing); on their complement
+    it finds the rate-coupled and fixed-rate cliques of
+    :mod:`repro.core.cliques`.
 
     With ``subset`` given, cliques are enumerated in (and maximal relative
     to) the sub-graph induced by that vertex mask — the pricing oracle's

@@ -14,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.core.bandwidth import available_path_bandwidth
 from repro.core.column_generation import (
     min_airtime_column_generation,
     solve_with_column_generation,
 )
-from repro.core.independent_sets import RateIndependentSet
+from repro.core.independent_sets import _enumerate_pairwise
 from repro.errors import InterferenceError
 from repro.estimation.estimators import ESTIMATORS
 from repro.estimation.idle_time import node_idleness_from_schedule, path_state_for
@@ -62,7 +60,10 @@ def fixed_rate_available_bandwidth(
 
     Columns are the maximal independent sets of the conflict graph induced
     on exactly the couples of ``rate_vector`` — the network each link pins
-    to one rate forever.
+    to one rate forever — found by the same bitmask search as Eq. 6's
+    enumeration and ordered as
+    :func:`~repro.core.independent_sets.enumerate_maximal_independent_sets`
+    orders its columns.
     """
     couples = [LinkRate(link, rate) for link, rate in rate_vector.items()]
     for couple in couples:
@@ -71,16 +72,8 @@ def fixed_rate_available_bandwidth(
                 f"link {couple.link.link_id!r} does not support "
                 f"{couple.rate.mbps:g} Mbps standalone"
             )
-    graph = nx.Graph()
-    graph.add_nodes_from(couples)
-    for i, a in enumerate(couples):
-        for b in couples[i + 1:]:
-            if model.conflicts(a, b):
-                graph.add_edge(a, b)
-    columns = [
-        RateIndependentSet(frozenset(members))
-        for members in nx.find_cliques(nx.complement(graph))
-    ]
+    columns = _enumerate_pairwise(model, couples)
+    columns.sort(key=lambda s: (-s.size, str(s)))
     result = available_path_bandwidth(
         model, path, background, independent_sets=columns
     )

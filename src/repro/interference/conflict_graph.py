@@ -7,9 +7,14 @@ always joined (a link transmits at one rate at a time), so:
 
 * maximal independent sets of links-with-rates (Sec. 2.4) are maximal
   independent sets of this graph, and
-* rate-coupled cliques (Sec. 3.1) are cliques of this graph **minus** the
-  artificial same-link edges (a clique in the paper never repeats a link;
-  we keep same-link edges out of clique enumeration by construction).
+* rate-coupled cliques (Sec. 3.1) are maximal cliques of this graph
+  **minus** the same-link edges (a clique in the paper never repeats a
+  link, and without those edges no clique can).
+
+:mod:`repro.core` searches this graph on integer bitmasks and never builds
+it; :func:`link_rate_vertices` fixes the vertex order of those masks.
+:func:`build_link_rate_conflict_graph` materialises the graph as a
+networkx object, the reference the tests compare those searches against.
 """
 
 from __future__ import annotations
@@ -44,17 +49,17 @@ def build_link_rate_conflict_graph(
     links: Sequence[Link],
     same_link_edges: bool = True,
 ) -> nx.Graph:
-    """Build the conflict graph over ``links``.
+    """Build the conflict graph over ``links`` as a networkx graph.
 
     Args:
         model: Decides pairwise conflicts.
         links: The links of interest (typically the union of all flow
             paths, the paper's ``P``).
         same_link_edges: Join couples of the same link.  Keep the default
-            for independent-set enumeration; cliques are enumerated with
-            these edges too but filtered to one couple per link, matching
-            the paper's definition of a clique as a set of links each
-            paired with one rate.
+            when the graph's complement should yield the maximal
+            independent sets; pass ``False`` for the graph whose maximal
+            cliques are the paper's rate-coupled cliques, one couple per
+            link.
 
     The returned graph's nodes are :class:`LinkRate` objects.
     """

@@ -1,5 +1,8 @@
 """The command-line interface."""
 
+import json
+
+import pytest
 
 from repro.cli import build_parser, main
 
@@ -173,3 +176,38 @@ class TestCheckpointCli:
         code = main(["run", "e2", "--checkpoint-dir", str(ckpt)])
         assert code == 2
         assert "belongs to" in capsys.readouterr().err
+
+
+class TestExplainVerdict:
+    """``repro explain --demand`` admits exactly what ``repro serve`` admits.
+
+    On ``n0 -> n1 -> n8`` of the paper's seed-8 topology 3.0 Mbps is
+    available; both front ends admit within the 1e-6 Mbps tolerance of
+    :meth:`~repro.core.bandwidth.PathBandwidthResult.supports`.
+    """
+
+    @pytest.mark.parametrize(
+        "demand, verdict", [("3.0000004", "admit"), ("3.01", "reject")]
+    )
+    def test_explain_agrees_with_serve(self, tmp_path, capsys, demand, verdict):
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(
+            json.dumps(
+                {"id": "q1", "path": ["n0", "n1", "n8"],
+                 "demand_mbps": float(demand)}
+            )
+            + "\n"
+        )
+        assert main(
+            ["serve", "--queries", str(queries), "--paper-seed", "8",
+             "--no-history"]
+        ) == 0
+        served = capsys.readouterr().out.splitlines()[1].split()
+        assert served[:2] == ["q1", verdict]
+        assert main(
+            ["explain", "--path", "n0,n1,n8", "--demand", demand,
+             "--paper-seed", "8", "--no-map"]
+        ) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith(f"query: {verdict} ")
+        assert "(3.000000 Mbps available)" in first

@@ -5,9 +5,13 @@ benchmarks/; here we run the cheap experiments fully and the expensive
 ones in reduced form, asserting structure and the headline relations.
 """
 
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.experiments.ablations import (
     fixed_rate_available_bandwidth,
     run_ablation_a1,
@@ -124,6 +128,33 @@ class TestAblationA1:
 
     def test_sixteen_fixed_vectors(self, result):
         assert len(result.fixed) == 16
+
+    def test_table_does_not_depend_on_hash_seed(self):
+        # Tied fixed-rate optima keep their printed order only if the LP
+        # columns come out in one order whatever the string-hash seed.
+        script = (
+            "from repro.experiments.ablations import run_ablation_a1\n"
+            "result = run_ablation_a1()\n"
+            "print(result.table())\n"
+            "print(repr(result.fixed))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=300,
+            )
+            assert completed.returncode == 0, completed.stderr
+            outputs.append(completed.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestFixedRateHelper:

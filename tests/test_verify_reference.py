@@ -1,12 +1,20 @@
 """Brute-force references agree with the optimized stack (paper scenarios)."""
 
+from unittest import mock
+
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.bandwidth import available_path_bandwidth
 from repro.core.bounds import clique_upper_bound
-from repro.core.cliques import fixed_rate_cliques
+from repro.core.cliques import enumerate_maximal_rate_cliques, fixed_rate_cliques
 from repro.core.independent_sets import enumerate_maximal_independent_sets
 from repro.errors import VerificationError
+from repro.experiments import ablations
+from repro.interference.base import LinkRate
+from repro.interference.conflict_graph import build_link_rate_conflict_graph
+from repro.verify.instances import instance_strategy
 from repro.verify.reference import (
     DEFAULT_MAX_ASSIGNMENTS,
     reference_available_bandwidth,
@@ -89,6 +97,56 @@ class TestCliqueReferences:
             for clique in reference_fixed_rate_cliques(s2.model, vector)
         }
         assert optimized == reference
+
+    @given(instance=instance_strategy(), data=st.data())
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_clique_families_match_networkx(self, instance, data):
+        # Every couple family runs on the one bitmask Bron–Kerbosch; pin
+        # each against networkx on the conflict graph over the same links.
+        model = instance.model
+        usable = [
+            link for link in instance.links if model.standalone_rates(link)
+        ]
+        rate_graph = build_link_rate_conflict_graph(
+            model, usable, same_link_edges=False
+        )
+        assert {
+            frozenset(clique.couples)
+            for clique in enumerate_maximal_rate_cliques(model, usable)
+        } == {frozenset(clique) for clique in nx.find_cliques(rate_graph)}
+        if not usable:
+            return
+        conflict = build_link_rate_conflict_graph(model, usable)
+        for _ in range(3):
+            vector = {
+                link: data.draw(st.sampled_from(model.standalone_rates(link)))
+                for link in usable
+            }
+            assert {
+                frozenset(clique.couples)
+                for clique in fixed_rate_cliques(model, vector)
+            } == {
+                frozenset(clique)
+                for clique in reference_fixed_rate_cliques(model, vector)
+            }
+            pinned = conflict.subgraph(
+                LinkRate(link, rate) for link, rate in vector.items()
+            )
+            with mock.patch.object(
+                ablations, "available_path_bandwidth"
+            ) as solve:
+                ablations.fixed_rate_available_bandwidth(
+                    model, instance.new_path, vector
+                )
+            columns = solve.call_args.kwargs["independent_sets"]
+            assert {frozenset(column.couples) for column in columns} == {
+                frozenset(members)
+                for members in nx.find_cliques(nx.complement(pinned))
+            }
 
     def test_clique_value_is_eq7(self, s2, s2_links):
         table = s2.network.radio.rate_table
