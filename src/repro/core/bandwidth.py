@@ -20,17 +20,24 @@ Also here:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.independent_sets import (
+    ColumnFamily,
     RateIndependentSet,
     enumerate_maximal_independent_sets,
 )
 from repro.core.lp import LinearProgram
-from repro.core.schedule import LinkSchedule, ScheduleEntry
+from repro.core.schedule import (
+    _DROP_BELOW,
+    LinkSchedule,
+    ScheduleEntry,
+    _check_time_share,
+)
 from repro.errors import InfeasibleProblemError
-from repro.interference.base import InterferenceModel
+from repro.interference.base import InterferenceModel, LinkRate
 from repro.net.link import Link
 from repro.net.path import Path
 
@@ -95,11 +102,16 @@ def _collect_links(
 # set and one delivery row per link, Σ λ·r ≥ rhs.  Two shapes exist: with a
 # lead variable (f, θ or t) the program maximises it within one period
 # (an ``airtime`` row Σλ ≤ 1); without one it minimises total airtime.
+# Columns travel as a ColumnFamily: the LP is read off its couple masks,
+# and a set is built only for a column the solution schedules.
 
 
 def _demand_row(link_id: str) -> str:
-    """Name of a link's delivery row in every time-share LP."""
-    return f"demand[{link_id}]"
+    """Name of a link's delivery row in every time-share LP.
+
+    Interned, like the λ names: the cached master LPs all share them.
+    """
+    return sys.intern(f"demand[{link_id}]")
 
 
 def _columns_for(
@@ -107,11 +119,11 @@ def _columns_for(
     links: Sequence[Link],
     independent_sets: Optional[Sequence[RateIndependentSet]],
     max_sets: Optional[int] = None,
-) -> List[RateIndependentSet]:
+) -> ColumnFamily:
     """The caller's LP columns, else every maximal independent set."""
     if independent_sets is None:
         return enumerate_maximal_independent_sets(model, links, max_sets)
-    return list(independent_sets)
+    return ColumnFamily.of(independent_sets)
 
 
 def _time_share_lp(
@@ -133,13 +145,14 @@ def _time_share_lp(
     per link in ``links`` order, named by :func:`_demand_row`, where the
     lead has coefficient ``lead_entries[link]``.
     """
+    family = ColumnFamily.of(columns)
     lp = LinearProgram()
     if lead is not None:
         lp.add_variable(lead, objective=1.0, upper_bound=lead_bound)
     lambda_objective = 0.0 if lead is not None else -1.0
     lambda_vars = [
-        lp.add_variable(f"lambda_{index}", objective=lambda_objective)
-        for index in range(len(columns))
+        lp.add_variable(sys.intern(f"lambda_{index}"), objective=lambda_objective)
+        for index in range(len(family))
     ]
     rows: Dict[Link, Dict[str, float]] = {link: {} for link in links}
     if artificial_penalty is not None:
@@ -150,9 +163,15 @@ def _time_share_lp(
             row[var] = 1.0
     if lead is not None:
         lp.add_constraint_le(dict.fromkeys(lambda_vars, 1.0), 1.0, name="airtime")
-    for var, column in zip(lambda_vars, columns):
-        for link, mbps in column._mbps_by_link.items():
-            row = rows.get(link)
+    # Per couple: the row of its link (None outside ``links``) and its Mbps.
+    couple_rows = [
+        (rows.get(couple.link), couple.rate.mbps) for couple in family.couples
+    ]
+    for var, mask in zip(lambda_vars, family.masks):
+        while mask:
+            low_bit = mask & -mask
+            mask ^= low_bit
+            row, mbps = couple_rows[low_bit.bit_length() - 1]
             if row is not None and mbps > 0.0:
                 row[var] = mbps
     lead_entries = lead_entries or {}
@@ -166,15 +185,15 @@ def _time_share_lp(
 
 
 def _add_time_share_column(
-    lp: LinearProgram, name: str, column: RateIndependentSet, lead: bool
+    lp: LinearProgram, name: str, couples: Iterable[LinkRate], lead: bool
 ) -> str:
-    """Grow a :func:`_time_share_lp` program by one λ column.
+    """Grow a :func:`_time_share_lp` program by one λ column of ``couples``.
 
     ``lead`` says whether the program was built with a lead variable.
     """
     entries = {
         _demand_row(couple.link.link_id): couple.rate.mbps
-        for couple in column.couples
+        for couple in couples
     }
     if lead:
         return lp.add_column(name, {"airtime": 1.0, **entries})
@@ -187,11 +206,18 @@ def _schedule_from(
     columns: Sequence[RateIndependentSet],
     scale: float = 1.0,
 ) -> LinkSchedule:
-    """The schedule a solved time-share LP's λ values describe."""
-    return LinkSchedule(
-        ScheduleEntry(column, solution[var] * scale)
-        for var, column in zip(lambda_vars, columns)
-    )
+    """The schedule a solved time-share LP's λ values describe.
+
+    Every λ is checked now, like a :class:`ScheduleEntry`'s time share;
+    the kept columns' sets are built only when the schedule is read.
+    """
+    shares = []
+    for var, index in zip(lambda_vars, range(len(columns))):
+        share = solution[var] * scale
+        _check_time_share(share)
+        if share > _DROP_BELOW:
+            shares.append((index, share))
+    return LinkSchedule._of_columns(columns, shares)
 
 
 @dataclass
@@ -202,8 +228,10 @@ class PathBandwidthResult:
     available_bandwidth: float
     #: An optimal schedule realising it (background + new flow together).
     schedule: LinkSchedule
-    #: The LP columns (maximal independent sets) the model considered.
-    independent_sets: List[RateIndependentSet]
+    #: The LP columns (maximal independent sets) the model considered, as
+    #: a :class:`~repro.core.independent_sets.ColumnFamily`: a read-only
+    #: sequence whose sets are built when read.
+    independent_sets: Sequence[RateIndependentSet]
     #: Per-link demand of the background traffic alone.
     background_demands: Dict[Link, float]
 
@@ -286,7 +314,7 @@ def path_bandwidth_from_solution(
     return PathBandwidthResult(
         available_bandwidth=bandwidth,
         schedule=schedule,
-        independent_sets=list(columns),
+        independent_sets=ColumnFamily.of(columns),
         background_demands=demands,
     )
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.independent_sets import (
+    _column_order,
     _mask_members,
     _maximal_cliques_bitset,
     _pairwise_compatibility_masks,
@@ -107,7 +108,8 @@ def clique_transmission_time(
 def _maximal_cliques(
     model: InterferenceModel, couples: Sequence[LinkRate]
 ) -> List[RateClique]:
-    """Maximal cliques of the conflict relation over ``couples``, sorted.
+    """Maximal cliques of the conflict relation over ``couples``, sorted
+    as Eq. 6's columns are (size descending, then couple names).
 
     Runs the bitmask Bron–Kerbosch of :mod:`repro.core.independent_sets`
     on the complement of the couples' compatibility masks, with the bits
@@ -125,12 +127,11 @@ def _maximal_cliques(
         full & ~mask & ~same_link[couple.link]
         for mask, couple in zip(compatible, couples)
     ]
-    cliques = [
+    masks = _maximal_cliques_bitset(conflict, len(couples))
+    return [
         RateClique(frozenset(_mask_members(mask, couples)))
-        for mask in _maximal_cliques_bitset(conflict, len(couples))
+        for mask in _column_order(couples, masks)
     ]
-    cliques.sort(key=lambda c: (-c.size, str(c)))
-    return cliques
 
 
 def enumerate_maximal_rate_cliques(

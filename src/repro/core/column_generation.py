@@ -42,7 +42,7 @@ from repro.core.bandwidth import (
     link_demands_from_paths,
 )
 from repro.core.independent_sets import (
-    RateIndependentSet,
+    ColumnFamily,
     _mask_members,
     _maximal_cliques_bitset,
     _pairwise_compatibility_masks,
@@ -81,23 +81,22 @@ class ColumnGenerationResult:
     proved_optimal: bool
 
 
-def _initial_columns(
-    model: InterferenceModel, links: Sequence[Link]
-) -> List[RateIndependentSet]:
-    """A feasible starting pool: one singleton set per usable link.
+def _initial_columns(vertices: Sequence[LinkRate]) -> List[int]:
+    """A feasible starting pool: one singleton mask per usable link.
 
-    Singletons at the maximum standalone rate always form valid columns and
-    make the master feasible whenever the demands are feasible at all on a
-    TDMA (one-at-a-time) basis; the pricing loop then discovers spatial
-    reuse.
+    ``vertices`` lists each link's couples fastest first
+    (:func:`~repro.interference.conflict_graph.link_rate_vertices`), so a
+    link's first couple is its maximum standalone rate.  Those singletons
+    always form valid columns and make the master feasible whenever the
+    demands are feasible at all on a TDMA (one-at-a-time) basis; the
+    pricing loop then discovers spatial reuse.
     """
     pool = []
-    for link in links:
-        rates = model.standalone_rates(link)
-        if rates:
-            pool.append(
-                RateIndependentSet(frozenset({LinkRate(link, rates[0])}))
-            )
+    seen: Set[str] = set()
+    for index, vertex in enumerate(vertices):
+        if vertex.link.link_id not in seen:
+            seen.add(vertex.link.link_id)
+            pool.append(1 << index)
     return pool
 
 
@@ -121,6 +120,7 @@ class _PricingProblem:
             for index, mask in enumerate(self.independent)
         ]
         self.degrees = [mask.bit_count() for mask in self.conflict]
+        self.bit = {vertex: 1 << index for index, vertex in enumerate(self.vertices)}
         self._by_str = sorted(range(count), key=lambda i: str(self.vertices[i]))
 
     def exact(self, weights: Dict[LinkRate, float]) -> Set[LinkRate]:
@@ -198,7 +198,7 @@ def _restricted_master(
     max_iterations: int,
     exact_pricing: bool,
     new_links: Optional[Set[Link]] = None,
-) -> Tuple[LpSolution, List[str], List[RateIndependentSet], int, bool]:
+) -> Tuple[LpSolution, List[str], ColumnFamily, int, bool]:
     """The restricted-master loop behind both entry points.
 
     With ``new_links`` the master maximises ``f`` on those links within
@@ -212,8 +212,10 @@ def _restricted_master(
     at convergence means the demands are genuinely undeliverable.
 
     Returns ``(solution, lambda_vars, pool, iterations, proved_optimal)``:
-    the last solve and the λ variables it saw — the pool can be one
-    column ahead of it when the iteration budget runs out.
+    the last solve and the λ variables it saw — the pool, a
+    :class:`~repro.core.independent_sets.ColumnFamily` over the pricing
+    vertices, can be one column ahead of it when the iteration budget
+    runs out.
 
     Raises:
         ValueError: when ``max_iterations < 1``.
@@ -228,11 +230,12 @@ def _restricted_master(
             oracle, oracle_calls = pricing.exact, "cg.pricing.exact_calls"
         else:
             oracle, oracle_calls = pricing.greedy, "cg.pricing.greedy_calls"
-        pool = _initial_columns(model, links)
+        vertices = pricing.vertices
+        pool = _initial_columns(vertices)
         pool_index = set(pool)
         lead = new_links is not None
         lp, lambda_vars = _time_share_lp(
-            pool,
+            ColumnFamily(vertices, pool),
             links,
             demands,
             "f" if lead else None,
@@ -257,7 +260,7 @@ def _restricted_master(
                         _demand_row(vertex.link.link_id), 0.0
                     )
                     * vertex.rate.mbps
-                    for vertex in pricing.vertices
+                    for vertex in vertices
                 }
                 recorder.count(oracle_calls)
                 with recorder.span("cg.pricing"):
@@ -266,7 +269,7 @@ def _restricted_master(
                 if candidate_value <= threshold + _PRICING_EPS:
                     proved_optimal = exact_pricing
                     break
-                candidate = RateIndependentSet(frozenset(candidate_vertices))
+                candidate = sum(pricing.bit[v] for v in candidate_vertices)
                 if candidate in pool_index:
                     # The oracle re-proposed a known column: numerically
                     # converged.
@@ -276,7 +279,7 @@ def _restricted_master(
                 pool_index.add(candidate)
                 lambda_vars.append(
                     _add_time_share_column(
-                        lp, f"lambda_{len(pool) - 1}", candidate, lead
+                        lp, f"lambda_{len(pool) - 1}", candidate_vertices, lead
                     )
                 )
         recorder.count("cg.iterations", iterations)
@@ -292,7 +295,13 @@ def _restricted_master(
                 f"columns (residual {residual:.4f} Mbps unserved)",
                 residual=residual,
             )
-    return solution, solved_vars, pool, iterations, proved_optimal
+    return (
+        solution,
+        solved_vars,
+        ColumnFamily(vertices, pool),
+        iterations,
+        proved_optimal,
+    )
 
 
 def solve_with_column_generation(
@@ -329,7 +338,7 @@ def solve_with_column_generation(
     result = PathBandwidthResult(
         available_bandwidth=solution.objective,
         schedule=_schedule_from(solution, lambda_vars, pool),
-        independent_sets=list(pool),
+        independent_sets=pool,
         background_demands=demands,
     )
     return ColumnGenerationResult(

@@ -8,21 +8,35 @@ zero).  Unlike the single-rate case, the links of one maximal set can be a
 subset of another's — the smaller set trades concurrency for faster rates —
 so maximality is rate-aware.
 
-Two enumeration strategies are provided, dispatched on the model:
+Eq. 6's columns come out of one pipeline over integer bitmasks:
 
-* **pairwise** (protocol / declared models): maximal independent sets of
-  the link–rate conflict graph, via maximal cliques of its complement;
-* **cumulative** (physical model): recursive subset search with Eq. 3
-  feasibility, keeping exactly the sets that satisfy the paper's
-  maximality definition.
+1. **masks** — the couples of the links of interest
+   (:func:`~repro.interference.conflict_graph.link_rate_vertices`) are the
+   vertices, and every maximal set is found as one vertex bitmask, by one
+   of two strategies dispatched on the model:
 
-Proposition 3 says these maximal sets with maximum rate vectors suffice to
-express the feasibility condition (Eq. 4); :func:`prune_dominated` removes
-any remaining redundant columns.
+   * **pairwise** (protocol / declared models): maximal independent sets
+     of the link–rate conflict graph, via maximal cliques of its
+     complement (bitmask Bron–Kerbosch);
+   * **cumulative** (physical model): recursive subset search with Eq. 3
+     feasibility, keeping exactly the sets that satisfy the paper's
+     maximality definition;
+
+2. **prune** — Proposition 3 says these maximal sets with maximum rate
+   vectors suffice to express the feasibility condition (Eq. 4);
+   :func:`prune_dominated` removes any remaining redundant columns with
+   per-couple bitsets;
+3. **order** — size descending, then couple names, from the masks and a
+   per-couple name rank;
+4. **sets on demand** — the result is a :class:`ColumnFamily`, the pair
+   (couples, one mask per column).  LP assembly reads the masks; a
+   :class:`RateIndependentSet` is built only when a caller indexes or
+   iterates the family.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -68,7 +82,7 @@ class RateIndependentSet:
 
     @cached_property
     def _mbps_by_link(self) -> Dict[Link, float]:
-        """Link→Mbps lookup used by dominance checks and LP assembly."""
+        """Link→Mbps lookup used by dominance checks and throughput queries."""
         return {c.link: c.rate.mbps for c in self.couples}
 
     @property
@@ -116,61 +130,202 @@ class RateIndependentSet:
     def __len__(self) -> int:
         return len(self.couples)
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:  # pragma: no cover - also the column order key
+        """``{(link,rate), …}``, couples sorted by their own ``str``.
+
+        Not only cosmetic: Eq. 6 columns are ordered by size, then by
+        this string, so it fixes the LP's column order.
+        :func:`_column_order` reproduces that order from per-couple name
+        ranks without building the string.
+        """
         inner = ", ".join(
             sorted(str(c) for c in self.couples)
         )
         return "{" + inner + "}"
 
 
+def _mask_members(mask: int, vertices: Sequence[LinkRate]) -> List[LinkRate]:
+    """The couples whose bits are set in ``mask``, lowest index first."""
+    members = []
+    while mask:
+        low_bit = mask & -mask
+        mask ^= low_bit
+        members.append(vertices[low_bit.bit_length() - 1])
+    return members
+
+
+class ColumnFamily(SequenceABC):
+    """Eq. 6 columns as couple bitmasks; sets are built on demand.
+
+    ``couples`` lists the vertices (each couple once) and ``masks[k]`` has
+    bit ``i`` set when column ``k`` holds ``couples[i]``.  Read as a
+    ``Sequence[RateIndependentSet]``: indexing or iterating builds the
+    sets, which the family does not keep.  A family compares equal to a
+    list or tuple holding the same sets in the same order.
+    """
+
+    __slots__ = ("couples", "masks")
+
+    def __init__(self, couples: Sequence[LinkRate], masks: Iterable[int]):
+        self.couples: Tuple[LinkRate, ...] = tuple(couples)
+        self.masks: Tuple[int, ...] = tuple(masks)
+
+    @classmethod
+    def of(cls, sets: Iterable[RateIndependentSet]) -> "ColumnFamily":
+        """The family of ``sets`` in their order (a family is returned as is)."""
+        if isinstance(sets, ColumnFamily):
+            return sets
+        index: Dict[LinkRate, int] = {}
+        masks = []
+        for independent_set in sets:
+            mask = 0
+            for couple in independent_set.couples:
+                mask |= 1 << index.setdefault(couple, len(index))
+            masks.append(mask)
+        return cls(index, masks)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ColumnFamily(self.couples, self.masks[index])
+        return RateIndependentSet(
+            frozenset(_mask_members(self.masks[index], self.couples))
+        )
+
+    def __iter__(self):
+        couples = self.couples
+        for mask in self.masks:
+            yield RateIndependentSet(frozenset(_mask_members(mask, couples)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ColumnFamily) and other.couples == self.couples:
+            return other.masks == self.masks
+        if isinstance(other, (ColumnFamily, list, tuple)):
+            return len(self) == len(other) and all(
+                mine == theirs for mine, theirs in zip(self, other)
+            )
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"ColumnFamily({list(self)!r})"
+
+
 def prune_dominated(
     sets: Iterable[RateIndependentSet],
-) -> List[RateIndependentSet]:
+) -> ColumnFamily:
     """Drop sets dominated by another set of the collection.
 
-    Each set becomes one row of a per-link throughput matrix (0 Mbps for
-    absent links); set ``o`` dominates candidate ``c`` exactly when row
-    ``o`` is elementwise ``>=`` row ``c`` and the rows differ, so the whole
-    quadratic comparison runs as one vectorized matrix test instead of
-    nested Python loops over couple dicts.  Rates are positive, hence
-    distinct sets always have distinct rows and the empty set's all-zero
-    row is dominated by any other — matching :meth:`RateIndependentSet.dominates`
-    exactly.
+    Set ``o`` dominates ``c`` when it holds every link of ``c`` at an
+    equal or faster rate and differs (Eq. 4's ``>=``; see
+    :meth:`RateIndependentSet.dominates`).  The test runs on the family's
+    masks with one inverted bitset per couple: ``at_least[v]`` is the set
+    of columns holding ``v``'s link at ``v``'s rate or faster, and a
+    column is dominated exactly when the AND of ``at_least`` over its
+    couples has a bit other than its own.  The empty set is therefore
+    dominated by any other set.  Duplicates are dropped; the survivors
+    keep their input order.  ``sets`` may be any sequence of sets, a
+    :class:`ColumnFamily` included, and so is the result.
     """
-    unique = list(dict.fromkeys(sets))
+    family = ColumnFamily.of(sets)
+    return ColumnFamily(
+        family.couples, _undominated(family.couples, family.masks)
+    )
+
+
+def _undominated(couples: Sequence[LinkRate], masks: Sequence[int]) -> List[int]:
+    """The masks of :func:`prune_dominated`'s survivors, first copies only."""
+    unique = list(dict.fromkeys(masks))
     count = len(unique)
     if count <= 1:
-        return list(unique)
-    link_index: Dict[Link, int] = {}
-    for candidate in unique:
-        for link in candidate._mbps_by_link:
-            if link not in link_index:
-                link_index[link] = len(link_index)
-    matrix = np.zeros((count, max(len(link_index), 1)))
-    for row, candidate in enumerate(unique):
-        for link, mbps in candidate._mbps_by_link.items():
-            matrix[row, link_index[link]] = mbps
-    kept: List[RateIndependentSet] = []
-    # Chunk candidates so the (rows × chunk × links) comparison tensor stays
-    # small even for large families.
-    chunk = max(1, (8 << 20) // max(count * matrix.shape[1], 1))
-    for start in range(0, count, chunk):
-        block = matrix[start:start + chunk]
-        # covered[o, c] == all(matrix[o] >= block[c]); the diagonal entry
-        # (o == start + c) is always True, so "dominated" is count > 1.
-        covered = (matrix[:, None, :] >= block[None, :, :]).all(axis=2)
-        dominated = covered.sum(axis=0) > 1
-        for offset, is_dominated in enumerate(dominated):
-            if not is_dominated:
-                kept.append(unique[start + offset])
+        return unique
+    # holders[v]: the columns holding couple v.
+    holders = [0] * len(couples)
+    column_bit = 1
+    for mask in unique:
+        while mask:
+            low_bit = mask & -mask
+            mask ^= low_bit
+            holders[low_bit.bit_length() - 1] |= column_bit
+        column_bit <<= 1
+    # at_least[v]: the columns holding v's link at v's rate or faster.
+    at_least = list(holders)
+    by_link: Dict[str, List[int]] = {}
+    for vertex, couple in enumerate(couples):
+        by_link.setdefault(couple.link.link_id, []).append(vertex)
+    for group in by_link.values():
+        if len(group) > 1:
+            for vertex in group:
+                mbps = couples[vertex].rate.mbps
+                for other in group:
+                    if other != vertex and couples[other].rate.mbps >= mbps:
+                        at_least[vertex] |= holders[other]
+    everyone = (1 << count) - 1
+    kept = []
+    own = 1
+    for mask in unique:
+        common = everyone
+        rest = mask
+        while rest and common != own:
+            low_bit = rest & -rest
+            rest ^= low_bit
+            common &= at_least[low_bit.bit_length() - 1]
+        if common == own:
+            kept.append(mask)
+        own <<= 1
     return kept
+
+
+def _column_order(couples: Sequence[LinkRate], masks: Sequence[int]) -> List[int]:
+    """``masks`` sorted by size descending, then by couple names.
+
+    This is the order ``sort(key=lambda s: (-s.size, str(s)))`` gives the
+    sets, computed without their strings.  Each couple gets one bit of a
+    re-ranked mask, higher for an earlier name; equal names share a bit,
+    as they only occur on couples of one link, which no set holds twice.
+    Between two sets of one size, ``str`` decides at the first name where
+    their sorted name lists differ, and the set holding it has the larger
+    re-ranked mask.  That holds while no couple name is a proper prefix
+    of another; when one is (a link id holding ``)``), the sets' strings
+    are compared instead.
+    """
+    names = [str(couple) for couple in couples]
+    rank_bit = [0] * len(couples)
+    bit = 1 << len(couples)
+    previous = None
+    for vertex in sorted(range(len(couples)), key=names.__getitem__):
+        name = names[vertex]
+        if name != previous:
+            if previous is not None and name.startswith(previous):
+                return sorted(
+                    masks,
+                    key=lambda mask: (
+                        -mask.bit_count(),
+                        "{" + ", ".join(sorted(_mask_members(mask, names))) + "}",
+                    ),
+                )
+            bit >>= 1
+            previous = name
+        rank_bit[vertex] = bit
+
+    def key(mask: int) -> Tuple[int, int]:
+        size = mask.bit_count()
+        ranked = 0
+        while mask:
+            low_bit = mask & -mask
+            mask ^= low_bit
+            ranked |= rank_bit[low_bit.bit_length() - 1]
+        return -size, -ranked
+
+    return sorted(masks, key=key)
 
 
 def enumerate_maximal_independent_sets(
     model: InterferenceModel,
     links: Sequence[Link],
     max_sets: Optional[int] = None,
-) -> List[RateIndependentSet]:
+) -> ColumnFamily:
     """All maximal independent sets with maximum rate vectors over ``links``.
 
     Args:
@@ -186,64 +341,52 @@ def enumerate_maximal_independent_sets(
     Returns:
         Dominance-pruned maximal sets, deterministically ordered (by size
         descending, then lexicographically by couple names) so downstream
-        LPs are reproducible.
+        LPs are reproducible, as a :class:`ColumnFamily` over the links'
+        couples.
     """
     recorder = get_recorder()
     with recorder.span("enum.sets"):
-        usable = [link for link in links if model.standalone_rates(link)]
-        if not usable:
-            return []
+        vertices = link_rate_vertices(model, links)
+        if not vertices:
+            return ColumnFamily((), ())
         if isinstance(model, PhysicalInterferenceModel):
             with recorder.span("enum.cumulative"):
-                found = _enumerate_cumulative(model, usable)
+                masks = _enumerate_cumulative(model, vertices)
         else:
             with recorder.span("enum.pairwise"):
-                found = _enumerate_pairwise(
-                    model, link_rate_vertices(model, usable)
-                )
-        if max_sets is not None and len(found) > max_sets:
+                masks = _enumerate_pairwise(model, vertices)
+        if max_sets is not None and len(masks) > max_sets:
             raise InterferenceError(
-                f"{len(found)} maximal independent sets exceed the cap "
+                f"{len(masks)} maximal independent sets exceed the cap "
                 f"{max_sets}; use column generation for this instance"
             )
         with recorder.span("enum.prune"):
-            pruned = prune_dominated(found)
-        pruned.sort(key=lambda s: (-s.size, str(s)))
-        recorder.count("enum.sets_found", len(found))
-        recorder.count("enum.sets_pruned", len(found) - len(pruned))
-    return pruned
+            pruned = prune_dominated(ColumnFamily(vertices, masks))
+        ordered = ColumnFamily(
+            pruned.couples, _column_order(pruned.couples, pruned.masks)
+        )
+        recorder.count("enum.sets_found", len(masks))
+        recorder.count("enum.sets_pruned", len(masks) - len(ordered))
+    return ordered
 
 
 def _enumerate_pairwise(
     model: InterferenceModel, vertices: Sequence[LinkRate]
-) -> List[RateIndependentSet]:
+) -> List[int]:
     """Maximal independent sets of the conflict graph over ``vertices``.
 
     Maximal independent sets of the conflict graph are maximal cliques of
     its complement; both are computed here directly on integer bitmasks
     (Bron–Kerbosch with pivoting) instead of materializing networkx
-    graphs.  Kernel-backed models get their pairwise compatibility matrix
-    from one vectorized SINR evaluation; other models fall back to
-    per-pair :meth:`~repro.interference.base.InterferenceModel.conflicts`
-    calls.  The family found is the same either way — and the caller's
-    final dominance-prune + deterministic sort make discovery order
-    irrelevant.
+    graphs, and returned as vertex masks in discovery order.
+    Kernel-backed models get their pairwise compatibility matrix from one
+    vectorized SINR evaluation; other models fall back to per-pair
+    :meth:`~repro.interference.base.InterferenceModel.conflicts` calls.
+    The family found is the same either way — and the caller's final
+    dominance-prune + deterministic sort make discovery order irrelevant.
     """
     compatible = _pairwise_compatibility_masks(model, vertices)
-    return [
-        RateIndependentSet(frozenset(_mask_members(mask, vertices)))
-        for mask in _maximal_cliques_bitset(compatible, len(vertices))
-    ]
-
-
-def _mask_members(mask: int, vertices: Sequence[LinkRate]) -> List[LinkRate]:
-    """The couples whose bits are set in ``mask``, lowest index first."""
-    members = []
-    while mask:
-        low_bit = mask & -mask
-        mask ^= low_bit
-        members.append(vertices[low_bit.bit_length() - 1])
-    return members
+    return _maximal_cliques_bitset(compatible, len(vertices))
 
 
 def _pairwise_compatibility_masks(
@@ -267,11 +410,11 @@ def _pairwise_compatibility_masks(
         return masks
     # Vectorized path: one link-level SINR-ratio matrix serves every
     # couple pair (the interferer's rate never matters, only its sender).
-    entries = [kernel.entry(v.link) for v in vertices]
-    senders = np.array([e.sender_index for e in entries])
-    receivers = np.array([e.receiver_index for e in entries])
-    sender_ids = [e.sender_id for e in entries]
-    receiver_ids = [e.receiver_id for e in entries]
+    by_link = {vertex.link.link_id: vertex.link for vertex in vertices}
+    entry_of = dict(zip(by_link, kernel.entries(by_link.values())))
+    entries = [entry_of[vertex.link.link_id] for vertex in vertices]
+    senders = np.array([e.sender_index for e in entries], dtype=np.intp)
+    receivers = np.array([e.receiver_index for e in entries], dtype=np.intp)
     signals = np.array([e.signal_mw for e in entries])
     thresholds = np.array([v.rate.sinr_linear for v in vertices])
     # ratio[i, j]: SINR at couple i's receiver with couple j's sender as
@@ -280,17 +423,18 @@ def _pairwise_compatibility_masks(
     ratio = signals[:, None] / (interference + kernel.noise_mw)
     survives = ratio >= thresholds[:, None]
     compatible = survives & survives.T
-    for i in range(count):
-        for j in range(i + 1, count):
-            if entries[i] is entries[j] or (
-                sender_ids[i] in (sender_ids[j], receiver_ids[j])
-                or receiver_ids[i] in (sender_ids[j], receiver_ids[j])
-            ):
-                compatible[i, j] = compatible[j, i] = False
-    np.fill_diagonal(compatible, False)
+    # Half-duplex: couples whose links share a node never coexist; that
+    # covers couples of one link and the diagonal.
+    compatible &= senders[:, None] != senders[None, :]
+    compatible &= senders[:, None] != receivers[None, :]
+    compatible &= receivers[:, None] != senders[None, :]
+    compatible &= receivers[:, None] != receivers[None, :]
+    rows = np.packbits(compatible, axis=1, bitorder="little")
+    width = rows.shape[1]
+    packed = rows.tobytes()
     return [
-        sum(1 << int(j) for j in np.nonzero(compatible[i])[0])
-        for i in range(count)
+        int.from_bytes(packed[start:start + width], "little")
+        for start in range(0, count * width, width)
     ]
 
 
@@ -356,33 +500,40 @@ def _maximal_cliques_bitset(
 
 
 def _enumerate_cumulative(
-    model: PhysicalInterferenceModel, links: Sequence[Link]
-) -> List[RateIndependentSet]:
+    model: PhysicalInterferenceModel, vertices: Sequence[LinkRate]
+) -> List[int]:
     """Exact enumeration under cumulative interference (Eq. 3).
 
-    Explores link subsets depth-first; a subset is feasible when every
-    member keeps a positive maximum rate under the set's cumulative
-    interference.  Feasibility is monotone downwards (removing a link only
-    raises SINRs), so infeasible branches prune their supersets.  A feasible
-    set is kept when it is maximal in the paper's sense: every addable link
-    either breaks the set or lowers some member's maximum rate — which,
-    under cumulative interference, reduces to "adding the link changes the
-    rate vector of the current members or is infeasible"; since adding an
-    interferer can only lower SINRs, that is "adding the link lowers some
-    member's rate or is infeasible".
+    Explores subsets of the vertices' links depth-first; a subset is
+    feasible when every member keeps a positive maximum rate under the
+    set's cumulative interference.  Feasibility is monotone downwards
+    (removing a link only raises SINRs), so infeasible branches prune
+    their supersets.  A feasible set is kept when it is maximal in the
+    paper's sense: every addable link either breaks the set or lowers some
+    member's maximum rate — which, under cumulative interference, reduces
+    to "adding the link changes the rate vector of the current members or
+    is infeasible"; since adding an interferer can only lower SINRs, that
+    is "adding the link lowers some member's rate or is infeasible".  Each
+    kept set is emitted once, as a mask over ``vertices``, in discovery
+    order.
 
     The DFS carries the accumulated per-node interference vector of the
     current subset (one power-matrix row added per descent), so evaluating
     a child subset costs O(nodes + members) instead of the O(members²)
     SINR recomputation the seed implementation paid at every node.
     """
-    ordered = sorted(links, key=lambda l: l.link_id)
+    by_link: Dict[str, Link] = {}
+    bit_of: Dict[Tuple[str, Rate], int] = {}
+    for index, vertex in enumerate(vertices):
+        by_link.setdefault(vertex.link.link_id, vertex.link)
+        bit_of[vertex.link.link_id, vertex.rate] = 1 << index
+    ordered = sorted(by_link.values(), key=lambda l: l.link_id)
     kernel = model.kernel
-    entries = [kernel.entry(link) for link in ordered]
+    entries = kernel.entries(ordered)
     power = kernel.power
     noise = kernel.noise_mw
     n_links = len(ordered)
-    results: List[RateIndependentSet] = []
+    results: List[int] = []
     seen: set = set()
     dfs_nodes = 0
 
@@ -450,15 +601,12 @@ def _enumerate_cumulative(
         nonlocal dfs_nodes
         dfs_nodes += 1
         if subset and is_maximal(subset, vector, acc, used_nodes):
-            candidate = RateIndependentSet(
-                frozenset(
-                    LinkRate(ordered[index], rate)
-                    for index, rate in zip(subset, vector)
-                )
-            )
-            if candidate not in seen:
-                seen.add(candidate)
-                results.append(candidate)
+            mask = 0
+            for index, rate in zip(subset, vector):
+                mask |= bit_of[ordered[index].link_id, rate]
+            if mask not in seen:
+                seen.add(mask)
+                results.append(mask)
         for index in range(start, n_links):
             entry = entries[index]
             if entry.sender_id in used_nodes or entry.receiver_id in used_nodes:

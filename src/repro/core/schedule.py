@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import ScheduleError
@@ -27,6 +28,28 @@ __all__ = ["ScheduleEntry", "LinkSchedule"]
 #: Tolerance for floating-point airtime accounting.
 _EPS = 1e-9
 
+#: Time shares at or below this are solver noise: a :class:`LinkSchedule`
+#: drops their entries by default.
+_DROP_BELOW = 1e-12
+
+
+def _check_time_share(time_share: float) -> None:
+    """Reject a non-finite or negative (beyond ``_EPS``) time share."""
+    if not math.isfinite(time_share):
+        raise ScheduleError(
+            f"non-finite time share {time_share} in schedule entry"
+        )
+    if time_share < -_EPS:
+        raise ScheduleError(
+            f"negative time share {time_share} in schedule entry"
+        )
+
+
+def _check_airtime(total: float) -> None:
+    """Reject a schedule using more than one period."""
+    if total > 1.0 + 1e-6:
+        raise ScheduleError(f"schedule uses {total:.6f} > 1 units of airtime")
+
 
 @dataclass(frozen=True)
 class ScheduleEntry:
@@ -36,14 +59,7 @@ class ScheduleEntry:
     time_share: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.time_share):
-            raise ScheduleError(
-                f"non-finite time share {self.time_share} in schedule entry"
-            )
-        if self.time_share < -_EPS:
-            raise ScheduleError(
-                f"negative time share {self.time_share} in schedule entry"
-            )
+        _check_time_share(self.time_share)
 
     def throughput_of(self, link: Link) -> float:
         """Mbps this entry contributes to ``link`` (λ_i · r*_ij)."""
@@ -61,16 +77,37 @@ class LinkSchedule:
     def __init__(
         self,
         entries: Iterable[ScheduleEntry],
-        drop_below: float = 1e-12,
+        drop_below: float = _DROP_BELOW,
     ):
         self._entries: Tuple[ScheduleEntry, ...] = tuple(
             e for e in entries if e.time_share > drop_below
         )
-        total = sum(e.time_share for e in self._entries)
-        if total > 1.0 + 1e-6:
-            raise ScheduleError(
-                f"schedule uses {total:.6f} > 1 units of airtime"
-            )
+        _check_airtime(sum(e.time_share for e in self._entries))
+
+    @classmethod
+    def _of_columns(
+        cls,
+        columns: Sequence[RateIndependentSet],
+        shares: Sequence[Tuple[int, float]],
+    ) -> "LinkSchedule":
+        """Run ``columns[index]`` for ``share`` per ``(index, share)``.
+
+        The shares must be checked and above ``_DROP_BELOW`` already.  The
+        entries are built when first read, so a caller that never reads
+        them never builds a set out of a column family.
+        """
+        schedule = cls.__new__(cls)
+        schedule._pending = (columns, tuple(shares))
+        _check_airtime(sum(share for _index, share in shares))
+        return schedule
+
+    @cached_property
+    def _entries(self) -> Tuple[ScheduleEntry, ...]:
+        # Reached only by schedules made with _of_columns.
+        columns, shares = self._pending
+        return tuple(
+            ScheduleEntry(columns[index], share) for index, share in shares
+        )
 
     # -- container protocol ----------------------------------------------------
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import InterferenceError
 from repro.net.link import Link
@@ -14,13 +14,14 @@ from repro.phy.rates import Rate
 __all__ = ["LinkRate", "InterferenceModel"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkRate:
     """A (link, rate) couple — the unit the multirate model reasons about.
 
     Section 2.4 / 3.1 of the paper: in a multirate network both independent
     sets and cliques are sets of such couples, because whether two links can
-    coexist depends on the rates they use.
+    coexist depends on the rates they use.  Slotted: every cached column
+    family keeps its couples.
     """
 
     link: Link
@@ -70,6 +71,12 @@ class InterferenceModel(ABC):
         """Model-specific conflict test for couples on non-adjacent links."""
 
     # -- public API --------------------------------------------------------------
+
+    def standalone_rates_of(
+        self, links: Sequence[Link]
+    ) -> List[Tuple[Rate, ...]]:
+        """:meth:`standalone_rates` of each of ``links``, in order."""
+        return [self.standalone_rates(link) for link in links]
 
     def max_standalone_rate(self, link: Link) -> Optional[Rate]:
         rates = self.standalone_rates(link)

@@ -37,11 +37,12 @@ def link_rate_vertices(
     Couples are the vertices of the conflict graph; a link with no
     standalone rate contributes none (it can never transmit, Prop. 2).
     """
-    vertices: List[LinkRate] = []
-    for link in links:
-        for rate in model.standalone_rates(link):
-            vertices.append(LinkRate(link, rate))
-    return vertices
+    links = list(links)
+    return [
+        LinkRate(link, rate)
+        for link, rates in zip(links, model.standalone_rates_of(links))
+        for rate in rates
+    ]
 
 
 def build_link_rate_conflict_graph(

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -189,6 +189,33 @@ class GeometricKernel:
             get_recorder().count("kernel.entry.hits")
             return cached
         get_recorder().count("kernel.entry.misses")
+        return self._build_entry(link)
+
+    def entries(self, links: Iterable[Link]) -> List[LinkEntry]:
+        """:meth:`entry` for each of ``links``, in order.
+
+        Hits and misses count as they would one call at a time, but with
+        one recorder update each per batch.
+        """
+        cached = self._entries
+        found: List[LinkEntry] = []
+        hits = 0
+        for link in links:
+            entry = cached.get(link.link_id)
+            if entry is None:
+                entry = self._build_entry(link)
+            else:
+                hits += 1
+            found.append(entry)
+        recorder = get_recorder()
+        if len(found) > hits:
+            recorder.count("kernel.entry.misses", len(found) - hits)
+        if hits:
+            recorder.count("kernel.entry.hits", hits)
+        return found
+
+    def _build_entry(self, link: Link) -> LinkEntry:
+        """Compute and cache ``link``'s entry (the miss path)."""
         self._ensure_current()
         radio = self.network.radio
         length = link.length_m

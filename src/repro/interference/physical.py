@@ -21,7 +21,7 @@ enumeration evaluates the same subsets many times over.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.interference.base import InterferenceModel, LinkRate
 from repro.interference.kernel import GeometricKernel
@@ -64,6 +64,11 @@ class PhysicalInterferenceModel(InterferenceModel):
 
     def standalone_rates(self, link: Link) -> Tuple[Rate, ...]:
         return self._kernel.entry(link).rates
+
+    def standalone_rates_of(
+        self, links: Sequence[Link]
+    ) -> List[Tuple[Rate, ...]]:
+        return [entry.rates for entry in self._kernel.entries(links)]
 
     # -- cumulative computations ------------------------------------------------
 

@@ -15,7 +15,7 @@ are handled.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from repro.interference.base import InterferenceModel, LinkRate
 from repro.interference.kernel import GeometricKernel
@@ -51,6 +51,11 @@ class ProtocolInterferenceModel(InterferenceModel):
 
     def standalone_rates(self, link: Link) -> Tuple[Rate, ...]:
         return self._kernel.entry(link).rates
+
+    def standalone_rates_of(
+        self, links: Sequence[Link]
+    ) -> List[Tuple[Rate, ...]]:
+        return [entry.rates for entry in self._kernel.entries(links)]
 
     def _receiver_survives(self, victim: LinkRate, interferer: Link) -> bool:
         """SINR test at ``victim``'s receiver with one interfering sender."""

@@ -338,7 +338,7 @@ def _check_pruning(ctx: InstanceArtifacts) -> Tuple[bool, str]:
             f"{len(ctx.reference_unpruned)} -> {len(reference)} sets"
         )
     return False, (
-        f"vectorized prune kept {len(optimized)} sets, reference "
+        f"bitset prune kept {len(optimized)} sets, reference "
         f"kept {len(reference)} ({len(optimized ^ reference)} differ)"
     )
 

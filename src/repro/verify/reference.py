@@ -14,7 +14,7 @@ nothing to inherit a bug from.
 The only shared surface is the interference model's *primitives*
 (``standalone_rates``, ``is_independent``, ``conflicts``) — those are
 the definitions; what is under differential test is everything built on
-top of them (Bron–Kerbosch bitmasks, cumulative DFS, vectorized
+top of them (Bron–Kerbosch bitmasks, cumulative DFS, bitset
 pruning, sparse incremental LPs, column generation).
 
 Exhaustive enumeration is exponential by design, so every entry point
@@ -41,6 +41,7 @@ from repro.net.path import Path
 __all__ = [
     "reference_maximal_sets",
     "reference_prune",
+    "tensor_prune",
     "reference_independent_sets",
     "reference_available_bandwidth",
     "reference_fixed_rate_cliques",
@@ -156,9 +157,9 @@ def reference_prune(
 ) -> List[FrozenSet[LinkRate]]:
     """Quadratic-loop dominance filter over couple sets.
 
-    The straight transcription of the dominance rule the vectorized
-    :func:`repro.core.independent_sets.prune_dominated` implements with a
-    matrix comparison.
+    The straight transcription of the dominance rule
+    :func:`repro.core.independent_sets.prune_dominated` implements with
+    per-couple bitsets.
     """
     unique = list(dict.fromkeys(families))
     return [
@@ -166,6 +167,47 @@ def reference_prune(
         for candidate in unique
         if not any(_dominates(other, candidate) for other in unique)
     ]
+
+
+def tensor_prune(
+    families: Sequence[FrozenSet[LinkRate]],
+) -> List[FrozenSet[LinkRate]]:
+    """The dominance filter as one ``>=`` test on a Mbps matrix.
+
+    The oracle for families too large for :func:`reference_prune`'s
+    Python loops (the 192-node X7 union holds over a thousand maximal
+    sets).  Each couple set becomes one row of a per-link Mbps matrix,
+    0 for absent links; row ``o`` dominates row ``c`` when it is
+    elementwise ``>=`` and the sets differ.  Rates are positive, so
+    distinct sets have distinct rows and the empty set's all-zero row
+    is dominated by any other.  Survivors keep their input order.
+    """
+    unique = list(dict.fromkeys(families))
+    count = len(unique)
+    if count <= 1:
+        return unique
+    rows = [_rate_map(couples) for couples in unique]
+    link_index: Dict[Link, int] = {}
+    for rates in rows:
+        for link in rates:
+            link_index.setdefault(link, len(link_index))
+    matrix = np.zeros((count, max(len(link_index), 1)))
+    for row, rates in enumerate(rows):
+        for link, mbps in rates.items():
+            matrix[row, link_index[link]] = mbps
+    kept: List[FrozenSet[LinkRate]] = []
+    # Chunk candidates so the (rows × chunk × links) tensor stays small.
+    chunk = max(1, (8 << 20) // (count * matrix.shape[1]))
+    for start in range(0, count, chunk):
+        block = matrix[start:start + chunk]
+        # covered[o, c] == all(matrix[o] >= block[c]); the diagonal entry
+        # (o == start + c) is always True, so "dominated" is count > 1.
+        covered = (matrix[:, None, :] >= block[None, :, :]).all(axis=2)
+        dominated = covered.sum(axis=0) > 1
+        kept.extend(
+            unique[start + offset] for offset in np.flatnonzero(~dominated)
+        )
+    return kept
 
 
 def reference_independent_sets(

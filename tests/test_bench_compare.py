@@ -21,6 +21,8 @@ def bench_compare():
 
 BASELINE_COUNTERS = {
     "enum.dfs_nodes": 100,
+    "enum.sets_found": 30,
+    "enum.maximal_sets_emitted": 60,
     "cg.iterations": 10,
     "cg.columns_added": 5,
     "lp.solves": 20,

@@ -1,29 +1,36 @@
 """The optimized hot paths must agree exactly with reference implementations.
 
 The performance work (precomputed power kernel, memoized rate vectors,
-bitmask clique enumeration, vectorized dominance pruning, incremental LP
-columns, process-parallel sweeps) is pure plumbing: every observable result
+bitmask clique enumeration, bitset dominance pruning and mask-ranked
+column order, incremental LP columns, process-parallel sweeps) is pure
+plumbing: every observable result
 must match what the original straightforward implementations produced.
 These tests pin that equivalence on random geometric topologies.
 """
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.independent_sets import (
+    ColumnFamily,
     RateIndependentSet,
+    _column_order,
     enumerate_maximal_independent_sets,
     prune_dominated,
 )
 from repro.core.lp import LinearProgram
 from repro.errors import SolverError
 from repro.experiments.seed_study import run_seed_study
+from repro.interference.base import LinkRate
 from repro.interference.conflict_graph import build_link_rate_conflict_graph
 from repro.interference.physical import PhysicalInterferenceModel
 from repro.interference.protocol import ProtocolInterferenceModel
+from repro.net.link import Link
+from repro.net.node import Node
 from repro.net.topology import Network
 from repro.phy.radio import RadioConfig
+from repro.phy.rates import Rate
 from repro.phy.sinr import sinr
 
 
@@ -255,6 +262,93 @@ def test_prune_dominated_matches_reference(network):
         for couple in independent_set:
             family.append(RateIndependentSet(frozenset({couple})))
     assert prune_dominated(family) == reference_prune(family)
+
+
+# -- hand-made couple families ------------------------------------------------
+#
+# Abstract links and rates chosen to stress the bitset prune and the
+# mask-ranked order: one rate's ``:g`` string is a prefix of another's
+# (5.5 and 55, 5 and 54), two distinct rates share 5.5 Mbps (equal names,
+# mutual domination), and the link id "x,5)" makes the couple name
+# "(x,5)" a proper prefix of "(x,5),54)".
+
+_PIN_NODES = [Node(f"v{index}") for index in range(10)]
+_PIN_LINKS = [
+    Link(link_id, _PIN_NODES[2 * index], _PIN_NODES[2 * index + 1])
+    for index, link_id in enumerate(("a", "a1", "b", "x", "x,5)"))
+]
+_PIN_RATES = [
+    Rate(5.5, 8.0, 100.0),
+    Rate(55.0, 20.0, 60.0),
+    Rate(5.0, 6.0, 150.0),
+    Rate(54.0, 19.0, 60.0),
+    Rate(5.5, 9.0, 90.0),
+]
+
+
+def _pin_family(*assignments):
+    """One set per ``{link index: rate index}`` assignment."""
+    return [
+        RateIndependentSet(
+            frozenset(
+                LinkRate(_PIN_LINKS[link], _PIN_RATES[rate])
+                for link, rate in assignment.items()
+            )
+        )
+        for assignment in assignments
+    ]
+
+
+@st.composite
+def couple_families(draw):
+    """Sets of couples, one rate per link; duplicates and the empty set."""
+    family = _pin_family(
+        *draw(
+            st.lists(
+                st.dictionaries(
+                    st.sampled_from(range(len(_PIN_LINKS))),
+                    st.sampled_from(range(len(_PIN_RATES))),
+                    max_size=4,
+                ),
+                max_size=12,
+            )
+        )
+    )
+    if draw(st.booleans()):
+        family.insert(
+            draw(st.integers(0, len(family))), RateIndependentSet(frozenset())
+        )
+    for _ in range(draw(st.integers(0, 3)) if family else 0):
+        family.insert(
+            draw(st.integers(0, len(family))),
+            family[draw(st.integers(0, len(family) - 1))],
+        )
+    return family
+
+
+@given(family=couple_families())
+@settings(max_examples=200, deadline=None)
+def test_bitset_prune_matches_quadratic_reference(family):
+    """Same survivors in input order, duplicates and the empty set included."""
+    kept = prune_dominated(family)
+    assert isinstance(kept, ColumnFamily)
+    assert list(kept) == reference_prune(family)
+    assert prune_dominated(ColumnFamily.of(family)) == kept
+
+
+@given(family=couple_families())
+# "{(x,5)}" sorts after "{(x,5),54)}": "}" > ",".
+@example(family=_pin_family({3: 2}, {4: 3}))
+# Equal names (a at either 5.5 Mbps rate): the b couple decides.
+@example(family=_pin_family({0: 0, 2: 0}, {0: 4, 2: 2}))
+@settings(max_examples=200, deadline=None)
+def test_mask_order_matches_string_sort(family):
+    """The rank-derived column order is ``sort(key=(-size, str))``."""
+    columns = ColumnFamily.of(family)
+    ordered = ColumnFamily(
+        columns.couples, _column_order(columns.couples, columns.masks)
+    )
+    assert list(ordered) == sorted(family, key=lambda s: (-s.size, str(s)))
 
 
 # -- incremental LP -----------------------------------------------------------

@@ -56,8 +56,11 @@ BOTH_SIDES = "both sides"
 #: deterministic for the fixed smoke instances, so growth is an
 #: algorithmic change, not noise.
 GATED_COUNTERS = {
-    # Solver work on the re-solved 4-hop chain.
+    # Solver work on the re-solved 4-hop chain.  The two set counts
+    # catch enumeration growth the DFS-node count can miss.
     "enum.dfs_nodes": REQUIRED,
+    "enum.sets_found": REQUIRED,
+    "enum.maximal_sets_emitted": REQUIRED,
     "cg.iterations": REQUIRED,
     "cg.columns_added": REQUIRED,
     "lp.solves": REQUIRED,
