@@ -18,7 +18,10 @@ Typical use::
     print(format_trace(recorder))
 
 or, from the command line, ``repro run e3 --trace`` /
-``--trace-json report.json``.
+``--trace-json report.json``.  Every run entry point (``repro run``,
+``repro serve [--online]``, ``tools/bench_runner.py``) drives its
+recorder, live metrics flusher and end-of-run sinks through one
+:class:`TelemetrySession`.
 
 Beyond aggregates, v2 adds three persistent/inspectable layers:
 per-event **timelines** (``Recorder(events=True)``, exported as Chrome
@@ -102,8 +105,10 @@ from repro.obs.report import (
     environment_info,
     format_trace,
     run_report,
+    write_json_document,
     write_run_report,
 )
+from repro.obs.session import TelemetrySession, history_store
 
 __all__ = [
     "Recorder",
@@ -116,7 +121,10 @@ __all__ = [
     "format_trace",
     "run_report",
     "write_run_report",
+    "write_json_document",
     "environment_info",
+    "TelemetrySession",
+    "history_store",
     "EventBuffer",
     "DEFAULT_MAX_EVENTS",
     "to_trace_events",

@@ -23,9 +23,9 @@ to stdout for pipelines).
 
 from __future__ import annotations
 
-import json
-import sys
 from typing import Any, Dict, List, Sequence, Tuple
+
+from repro.obs.report import write_json_document
 
 __all__ = ["to_trace_events", "write_trace_events"]
 
@@ -148,12 +148,4 @@ def to_trace_events(source) -> Dict[str, Any]:
 
 def write_trace_events(source, path: str) -> Dict[str, Any]:
     """Write :func:`to_trace_events` to ``path`` (``-`` = stdout)."""
-    document = to_trace_events(source)
-    if path == "-":
-        json.dump(document, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-    return document
+    return write_json_document(to_trace_events(source), path)

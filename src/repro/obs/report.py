@@ -21,6 +21,7 @@ __all__ = [
     "format_trace",
     "run_report",
     "write_run_report",
+    "write_json_document",
     "environment_info",
 ]
 
@@ -183,11 +184,20 @@ def write_run_report(
     )
     if extra:
         document.update(extra)
+    return write_json_document(document, path)
+
+
+def write_json_document(document: Any, path: str) -> Any:
+    """Write ``document`` as indented JSON plus a newline; returns it.
+
+    ``path`` ``"-"`` writes to stdout — every JSON document the CLI
+    emits (run reports, timelines, ``--json`` decisions) goes through
+    here, after the human-readable output.
+    """
+    rendered = json.dumps(document, indent=2) + "\n"
     if path == "-":
-        json.dump(document, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(rendered)
     else:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
+            handle.write(rendered)
     return document
