@@ -12,78 +12,61 @@ queries over every subpath of the live routes) is answered two ways:
   stream: enumeration and the master LP cached per link union, paths
   warm-started via column rewrite, repeats memoised.
 
-Asserted shape: the two disagree on *nothing* (equal bandwidths, equal
-decisions — the caches are keyed on the exact universe the cold solver
-uses), the warm stream is ≥ 3× faster, and the obs counters prove the
-mechanism (one enumeration, warm starts, result hits).  Decision-latency
-percentiles (p50/p99) are printed for the trajectory file.
+Both are measured by ``tools/bench_runner.py``'s
+``measure_serve_throughput`` (best of its repeats).  Asserted shape:
+the two disagree on *nothing* (equal bandwidths, equal decisions — the
+caches are keyed on the exact universe the cold solver uses), the warm
+stream is ≥ 3× faster, and the obs counters prove the mechanism (one
+enumeration, warm starts, result hits).  Decision-latency percentiles
+(p50/p99) are printed for the trajectory file.
 """
 
+import os
+import sys
 import time
 
 import pytest
 
-from repro.core.bandwidth import available_path_bandwidth
-from repro.obs import Recorder, use_recorder
-from repro.serve import AdmissionService, summarize_decisions
-from repro.workloads.scenarios import admission_query_workload
+from repro.serve import AdmissionService
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
+try:
+    from bench_runner import measure_serve_throughput
+finally:
+    sys.path.pop(0)
 
 #: The acceptance floor for warm-over-cold throughput on this workload.
 MIN_SPEEDUP = 3.0
 
 
 @pytest.fixture(scope="module")
-def workload():
-    return admission_query_workload()
+def measurement():
+    return measure_serve_throughput()
 
 
 @pytest.fixture(scope="module")
-def measurement(workload):
-    cold_started = time.perf_counter()
-    cold = {}
-    for query in workload.queries:
-        result = available_path_bandwidth(
-            workload.model, query.path, workload.background
-        )
-        cold[query.query_id] = (
-            result.available_bandwidth,
-            result.supports(query.demand_mbps),
-        )
-    cold_seconds = time.perf_counter() - cold_started
-
-    recorder = Recorder()
-    warm_started = time.perf_counter()
-    with use_recorder(recorder):
-        service = AdmissionService(workload.model, workload.background)
-        decisions = service.submit_many(workload.queries)
-    warm_seconds = time.perf_counter() - warm_started
-    return {
-        "cold": cold,
-        "cold_seconds": cold_seconds,
-        "decisions": decisions,
-        "warm_seconds": warm_seconds,
-        "counters": recorder.counters,
-        "histograms": recorder.snapshot()["histograms"],
-        "summary": summarize_decisions(decisions, warm_seconds),
-    }
+def workload(measurement):
+    return measurement[1]["workload"]
 
 
 def test_x5_identical_decisions(measurement):
     """Cache hits change the cost of an answer, never the answer."""
-    for decision in measurement["decisions"]:
-        bandwidth, admitted = measurement["cold"][decision.query_id]
+    _, detail = measurement
+    for decision in detail["decisions"]:
+        bandwidth, admitted = detail["cold"][decision.query_id]
         assert decision.available_bandwidth_mbps == bandwidth
         assert decision.admitted == admitted
 
 
 def test_x5_decision_mix(measurement, workload):
     """The stream exercises both outcomes (else the equality test is thin)."""
-    admitted = sum(1 for d in measurement["decisions"] if d.admitted)
+    admitted = sum(1 for d in measurement[1]["decisions"] if d.admitted)
     assert 0 < admitted < len(workload.queries)
 
 
 def test_x5_warm_speedup(measurement):
-    speedup = measurement["cold_seconds"] / measurement["warm_seconds"]
+    row, _ = measurement
+    speedup = row["cold_seconds"] / row["warm_seconds"]
     assert speedup >= MIN_SPEEDUP, (
         f"warm serving only {speedup:.1f}x faster than cold re-solving "
         f"(needs >= {MIN_SPEEDUP}x)"
@@ -92,7 +75,7 @@ def test_x5_warm_speedup(measurement):
 
 def test_x5_cache_mechanism(measurement):
     """The speedup comes from the advertised mechanism, not luck."""
-    counters = measurement["counters"]
+    counters = measurement[1]["recorder"].counters
     # Every query shares one link union: one enumeration serves them all.
     assert counters["serve.cache.enum.misses"] == 1
     assert counters["serve.cache.master.misses"] == 1
@@ -101,16 +84,15 @@ def test_x5_cache_mechanism(measurement):
 
 
 def test_x5_latency_percentiles(measurement):
-    summary = measurement["summary"]
-    assert 0.0 < summary["p50_latency_seconds"] <= summary["p99_latency_seconds"]
+    row, _ = measurement
+    assert 0.0 < row["p50_latency_seconds"] <= row["p99_latency_seconds"]
     print()
     print(
-        f"cold {measurement['cold_seconds']:.3f}s, "
-        f"warm {measurement['warm_seconds']:.3f}s "
-        f"({measurement['cold_seconds'] / measurement['warm_seconds']:.1f}x), "
-        f"{summary['queries_per_second']:.0f} q/s, "
-        f"p50 {summary['p50_latency_seconds'] * 1e3:.3f} ms, "
-        f"p99 {summary['p99_latency_seconds'] * 1e3:.3f} ms"
+        f"cold {row['cold_seconds']:.3f}s, "
+        f"warm {row['warm_seconds']:.3f}s ({row['speedup']:.1f}x), "
+        f"{row['warm_qps']:.0f} q/s, "
+        f"p50 {row['p50_latency_seconds'] * 1e3:.3f} ms, "
+        f"p99 {row['p99_latency_seconds'] * 1e3:.3f} ms"
     )
 
 
@@ -122,25 +104,27 @@ def test_x5_streaming_percentiles_match_post_hoc(measurement):
 
     from repro.obs import HISTOGRAM_FACTOR, HISTOGRAM_LOWEST
 
-    summary = measurement["summary"]
-    ordered = sorted(d.latency_seconds for d in measurement["decisions"])
+    row, detail = measurement
+    ordered = sorted(d.latency_seconds for d in detail["decisions"])
     # The recorder saw the same stream the summary histogram did.
-    recorded = measurement["histograms"]["serve.latency_seconds"]
-    assert recorded["count"] == len(ordered)
+    histograms = detail["recorder"].snapshot()["histograms"]
+    assert histograms["serve.latency_seconds"]["count"] == len(ordered)
     for q, key in ((0.50, "p50_latency_seconds"), (0.99, "p99_latency_seconds")):
         rank = min(len(ordered), max(1, math.ceil(q * len(ordered))))
         exact = ordered[rank - 1]
         ceiling = max(exact * HISTOGRAM_FACTOR, HISTOGRAM_LOWEST)
-        assert exact <= summary[key] <= ceiling * (1 + 1e-9), key
+        assert exact <= row[key] <= ceiling * (1 + 1e-9), key
 
 
 def test_x5_explain_off_pays_for_no_provenance(measurement):
     """With ``explain`` off the serve path builds no certificates and no
     explanations — the ``explain.*`` instrumentation is strictly opt-in."""
-    counters = measurement["counters"]
-    assert "explain.certificates" not in counters
-    assert "explain.explanations" not in counters
-    assert "explain.certificate_seconds" not in measurement["histograms"]
+    recorder = measurement[1]["recorder"]
+    assert "explain.certificates" not in recorder.counters
+    assert "explain.explanations" not in recorder.counters
+    assert "explain.certificate_seconds" not in (
+        recorder.snapshot()["histograms"]
+    )
 
 
 def test_x5_explain_off_overhead_under_five_percent(measurement, workload):
@@ -151,8 +135,9 @@ def test_x5_explain_off_overhead_under_five_percent(measurement, workload):
     telemetry overhead pin, charge three times that so the margin is 3x."""
     from repro.obs.explain import top_binding_link
 
-    baseline = measurement["warm_seconds"]
-    n_scans = measurement["counters"]["serve.cache.result.misses"]
+    row, detail = measurement
+    baseline = row["warm_seconds"]
+    n_scans = detail["recorder"].counters["serve.cache.result.misses"]
     link_ids = sorted(
         {
             link.link_id

@@ -13,95 +13,62 @@ is replayed through two controllers:
   (``set_column`` retargeting, ``set_rhs`` retirement of departed load)
   plus a (union, path, demands) result cache.
 
-Asserted shape: the decision streams are *identical* (byte-identity is
-the contract, not a tolerance), the incremental replay is ≥ 5× faster
-(best of ``REPEATS`` wall clocks each, since scipy's per-solve overhead
-makes single runs noisy), and the obs counters prove the mechanism —
-result hits, warm re-solves, cold fallbacks and demand-row retirements
-all nonzero, so the stream genuinely walks every decision path.
+Both are measured by ``tools/bench_runner.py``'s
+``measure_online_churn``.  Asserted shape: the decision streams are
+*identical* (byte-identity is the contract, not a tolerance), the
+incremental replay is ≥ 5× faster (best of the harness's repeats wall
+clocks each, since scipy's per-solve overhead makes single runs noisy),
+and the obs counters prove the mechanism — result hits, warm re-solves,
+cold fallbacks and demand-row retirements all nonzero, so the stream
+genuinely walks every decision path.
 """
+
+import os
+import sys
 
 import pytest
 
-from repro.obs import Recorder, use_recorder
-from repro.serve import summarize_online_decisions
 from repro.serve.online import OnlineAdmissionController, run_online_session
-from repro.workloads.scenarios import online_churn_workload
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tools"))
+try:
+    from bench_runner import decision_essence, measure_online_churn
+finally:
+    sys.path.pop(0)
 
 #: Acceptance floor for incremental-over-rebuild decision throughput.
 MIN_SPEEDUP = 5.0
-#: Best-of repeats per controller (scipy's ~ms solve floor is noisy).
-REPEATS = 3
 
 
 @pytest.fixture(scope="module")
-def workload():
-    return online_churn_workload()
-
-
-def _replay(workload, repeats, **controller_kwargs):
-    """Best-of-``repeats`` replay; (decisions, seconds, last counters)."""
-    best_seconds = float("inf")
-    decisions = []
-    recorder = Recorder()
-    for _ in range(repeats):
-        recorder = Recorder()
-        with use_recorder(recorder):
-            controller = OnlineAdmissionController(
-                workload.model, **controller_kwargs
-            )
-            decisions, wall = run_online_session(
-                controller, workload.events
-            )
-        best_seconds = min(best_seconds, wall)
-    return decisions, best_seconds, recorder.counters
+def measurement():
+    return measure_online_churn()
 
 
 @pytest.fixture(scope="module")
-def measurement(workload):
-    online, online_seconds, counters = _replay(workload, REPEATS)
-    rebuild, rebuild_seconds, _ = _replay(
-        workload, REPEATS, incremental=False
-    )
-    return {
-        "online": online,
-        "online_seconds": online_seconds,
-        "rebuild": rebuild,
-        "rebuild_seconds": rebuild_seconds,
-        "counters": counters,
-        "summary": summarize_online_decisions(online, online_seconds),
-    }
-
-
-def _essence(decision):
-    """Everything but the legitimately different cost axes."""
-    return (
-        decision.seq,
-        decision.flow_id,
-        decision.routed,
-        decision.path_nodes,
-        decision.admitted,
-        decision.available_bandwidth_mbps,
-        decision.carried_flows,
-        decision.fingerprint,
-    )
+def workload(measurement):
+    return measurement[1]["workload"]
 
 
 def test_x6_identical_decisions(measurement):
     """Byte-identity: the caches change cost, never an answer."""
-    assert len(measurement["online"]) == len(measurement["rebuild"])
-    for warm, cold in zip(measurement["online"], measurement["rebuild"]):
-        assert _essence(warm) == _essence(cold)
+    _, detail = measurement
+    online, rebuild = detail["decisions"], detail["rebuild_decisions"]
+    assert len(online) == len(rebuild)
+    for warm, cold in zip(online, rebuild):
+        assert decision_essence(warm) == decision_essence(cold)
 
 
 def test_x6_decision_mix(measurement):
     """Both outcomes occur (else the identity test proves little)."""
-    admitted = sum(1 for d in measurement["online"] if d.admitted)
-    assert 0 < admitted < len(measurement["online"])
+    decisions = measurement[1]["decisions"]
+    admitted = sum(1 for d in decisions if d.admitted)
+    assert 0 < admitted < len(decisions)
 
 
 def test_x6_incremental_speedup(measurement):
-    speedup = measurement["rebuild_seconds"] / measurement["online_seconds"]
+    row, _ = measurement
+    speedup = row["rebuild_seconds"] / row["online_seconds"]
     assert speedup >= MIN_SPEEDUP, (
         f"incremental replay only {speedup:.1f}x faster than "
         f"rebuild-per-event (needs >= {MIN_SPEEDUP}x)"
@@ -110,7 +77,7 @@ def test_x6_incremental_speedup(measurement):
 
 def test_x6_cache_mechanism(measurement):
     """The speedup comes from the advertised mechanism, not luck."""
-    counters = measurement["counters"]
+    counters = measurement[1]["recorder"].counters
     assert counters["online.cache.result.hits"] >= 1
     assert counters["online.warm_resolves"] >= 1
     assert counters["online.rebuild_fallbacks"] >= 1
@@ -126,21 +93,20 @@ def test_x6_node_churn_exercised(measurement, workload):
     """The stream's node episodes actually hit the controller."""
     kinds = {event.kind for event in workload.events}
     assert "node-down" in kinds
-    counters = measurement["counters"]
+    counters = measurement[1]["recorder"].counters
     assert counters["online.node_down"] >= 1
 
 
 def test_x6_latency_percentiles(measurement):
-    summary = measurement["summary"]
-    assert 0.0 < summary["p50_latency_seconds"] <= summary["p99_latency_seconds"]
+    row, _ = measurement
+    assert 0.0 < row["p50_latency_seconds"] <= row["p99_latency_seconds"]
     print()
     print(
-        f"rebuild {measurement['rebuild_seconds']:.3f}s, "
-        f"incremental {measurement['online_seconds']:.3f}s "
-        f"({measurement['rebuild_seconds'] / measurement['online_seconds']:.1f}x), "
-        f"{summary['decisions_per_second']:.0f} dec/s, "
-        f"p50 {summary['p50_latency_seconds'] * 1e3:.3f} ms, "
-        f"p99 {summary['p99_latency_seconds'] * 1e3:.3f} ms"
+        f"rebuild {row['rebuild_seconds']:.3f}s, "
+        f"incremental {row['online_seconds']:.3f}s ({row['speedup']:.1f}x), "
+        f"{row['online_dps']:.0f} dec/s, "
+        f"p50 {row['p50_latency_seconds'] * 1e3:.3f} ms, "
+        f"p99 {row['p99_latency_seconds'] * 1e3:.3f} ms"
     )
 
 

@@ -55,7 +55,7 @@ from repro.experiments.failures import (
 from repro.experiments.fig2_paths import Fig2Result, run_fig2
 from repro.experiments.fig3_routing import Fig3Config, Fig3Result, run_fig3
 from repro.experiments.fig4_estimation import Fig4Result, run_fig4
-from repro.experiments.parallel import fault_tolerant_map, parallel_map
+from repro.experiments.parallel import fault_tolerant_map
 from repro.experiments.report import format_table
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 from repro.experiments.ascii_map import render_topology
@@ -106,7 +106,6 @@ __all__ = [
     "ScaleStudyResult",
     "EXPERIMENTS",
     "run_experiment",
-    "parallel_map",
     "fault_tolerant_map",
     "ItemFailure",
     "collect_failures",

@@ -4,20 +4,18 @@ Kept separate from :mod:`repro.experiments.runner` so experiment modules
 can import it without touching the experiment registry (which imports the
 experiment modules — a cycle otherwise).
 
-Two entry points share the machinery:
-
-* :func:`parallel_map` — the original fail-fast map: any exception
-  aborts the sweep.  Byte-identical results sequential vs parallel.
-* :func:`fault_tolerant_map` — per-item fault isolation and
-  checkpointing.  A worker exception (or a crashed worker process)
-  records a structured :class:`~repro.experiments.failures.ItemFailure`
-  with the active collector and leaves a ``None`` hole in the result
-  list instead of killing the sweep; items stranded by a broken process
-  pool are re-executed in-process (MapReduce-style re-execution), so one
-  dead worker costs one item, not the run.  When a checkpoint store is
-  active (``repro run --checkpoint-dir``), completed items are persisted
-  and previously stored items are loaded instead of re-executed — a
-  resumed sweep is byte-identical to an uninterrupted one.
+:func:`fault_tolerant_map` maps a function over items, in-process or
+across a process pool, with results in input order either way.  With no
+failure collector active it is fail-fast: the first exception aborts
+the sweep.  Under a collector a worker exception (or a crashed worker
+process) records a structured
+:class:`~repro.experiments.failures.ItemFailure` and leaves a ``None``
+hole in the result list instead of killing the sweep; items stranded by
+a broken process pool are re-executed in-process (MapReduce-style
+re-execution), so one dead worker costs one item, not the run.  When a
+checkpoint store is active (``repro run --checkpoint-dir``), completed
+items are persisted and previously stored items are loaded instead of
+re-executed — a resumed sweep is byte-identical to an uninterrupted one.
 
 When a recorder is active (``repro run --trace``), each worker process
 records into a fresh :class:`~repro.obs.Recorder` and ships its snapshot
@@ -48,7 +46,7 @@ from repro.experiments.checkpoint import get_checkpoint_store
 from repro.experiments.failures import ItemFailure, record_failure
 from repro.obs import Recorder, get_recorder, use_recorder
 
-__all__ = ["parallel_map", "fault_tolerant_map", "set_worker_fault_hook"]
+__all__ = ["fault_tolerant_map", "set_worker_fault_hook"]
 
 _ItemT = TypeVar("_ItemT")
 _ResultT = TypeVar("_ResultT")
@@ -64,27 +62,6 @@ def set_worker_fault_hook(hook: Optional[Callable[[str], bool]]) -> None:
     """Install (or with ``None`` remove) the worker fault-injection hook."""
     global _worker_fault_hook
     _worker_fault_hook = hook
-
-
-def _traced_call(
-    payload: Tuple[Callable[[Any], Any], Any, bool],
-) -> Tuple[Any, float, Dict[str, Any]]:
-    """Worker-side wrapper: run one item under a fresh recorder.
-
-    Returns (result, wall seconds, recorder snapshot).  ``events`` is the
-    parent recorder's event mode: an event-mode parent gets event-mode
-    workers, so each worker ships a timeline the parent keeps as its own
-    export track.  Module-level so it pickles; the previous recorder is
-    always restored because pool workers are reused across items.
-    """
-    fn, item, events = payload
-    recorder = Recorder(events=events)
-    started = time.perf_counter()
-    with use_recorder(recorder):
-        result = fn(item)
-    seconds = time.perf_counter() - started
-    recorder.histogram("parallel.item_seconds", seconds)
-    return result, seconds, recorder.snapshot()
 
 
 def _isolated_call(
@@ -110,52 +87,6 @@ def _isolated_call(
     return result, seconds, recorder.snapshot()
 
 
-def parallel_map(
-    fn: Callable[[_ItemT], _ResultT],
-    items: Sequence[_ItemT],
-    workers: Optional[int] = None,
-) -> List[_ResultT]:
-    """Map ``fn`` over ``items``, optionally across processes.
-
-    With ``workers`` ``None``/``<= 1`` (or fewer than two items) this is a
-    plain in-process list map.  Otherwise the items are dispatched to a
-    :class:`~concurrent.futures.ProcessPoolExecutor`; ``fn`` and every item
-    must be picklable, and results are returned in input order regardless
-    of completion order — parallelism never changes the output.
-
-    Fail-fast: the first exception aborts the sweep.  Sweeps that should
-    survive bad items use :func:`fault_tolerant_map`.
-    """
-    items = list(items)
-    recorder = get_recorder()
-    if workers is None or workers <= 1 or len(items) <= 1:
-        if not recorder.enabled:
-            return [fn(item) for item in items]
-        results: List[_ResultT] = []
-        for index, item in enumerate(items):
-            started = time.perf_counter()
-            with recorder.span(f"parallel.worker[{index}]"):
-                results.append(fn(item))
-            recorder.histogram(
-                "parallel.item_seconds", time.perf_counter() - started
-            )
-        return results
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        if not recorder.enabled:
-            return list(pool.map(fn, items))
-        events = getattr(recorder, "events_enabled", False)
-        outcomes = list(
-            pool.map(_traced_call, [(fn, item, events) for item in items])
-        )
-    results = []
-    for index, (result, seconds, snapshot) in enumerate(outcomes):
-        recorder.merge(
-            snapshot, under=f"parallel.worker[{index}]", seconds=seconds
-        )
-        results.append(result)
-    return results
-
-
 def _injected_crash_failure(key: str, seed: Optional[int]) -> ItemFailure:
     return ItemFailure(
         item_key=key,
@@ -174,14 +105,17 @@ def fault_tolerant_map(
 ) -> List[Optional[_ResultT]]:
     """Map ``fn`` over ``items`` with per-item fault isolation.
 
-    Semantics on top of :func:`parallel_map`:
+    With ``workers`` ``None``/``<= 1`` (or fewer than two pending items)
+    the items run in-process; otherwise they are dispatched to a
+    :class:`~concurrent.futures.ProcessPoolExecutor`, so ``fn`` and every
+    item must be picklable.  Results come back in input order either way
+    — parallelism never changes the output.  On top of that:
 
     * a failed item records an
       :class:`~repro.experiments.failures.ItemFailure` with the active
       collector (:func:`~repro.experiments.failures.collect_failures`)
       and yields ``None`` at its position — the sweep continues.  With no
-      collector active the original exception propagates (fail-fast, like
-      :func:`parallel_map`);
+      collector active the original exception propagates (fail-fast);
     * a crashed worker *process* breaks the pool, but not the sweep: the
       items stranded by the break are re-executed in-process, in input
       order, so only items that fail deterministically are lost;

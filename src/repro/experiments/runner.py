@@ -2,7 +2,8 @@
 
 Experiments that sweep independent units of work (seeds, routing metrics)
 accept an opt-in ``workers=N`` and fan the sweep out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` via :func:`parallel_map`.
+:class:`~concurrent.futures.ProcessPoolExecutor` via
+:func:`~repro.experiments.parallel.fault_tolerant_map`.
 Each worker rebuilds its state from the sweep's seeds, and results come
 back in submission order, so a parallel run is byte-identical to the
 sequential one.
@@ -15,10 +16,9 @@ from typing import Callable, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.failures import tag_experiment
-from repro.experiments.parallel import parallel_map
 from repro.obs import get_recorder
 
-__all__ = ["ExperimentSpec", "EXPERIMENTS", "run_experiment", "parallel_map"]
+__all__ = ["ExperimentSpec", "EXPERIMENTS", "run_experiment"]
 
 
 @dataclass(frozen=True)

@@ -97,9 +97,10 @@ def _evaluate_seed(
 ) -> Tuple[int, Optional[Dict[str, int]]]:
     """Admitted-count triple for one seed; ``None`` counts when skipped.
 
-    Module-level (picklable) so :func:`parallel_map` can ship it to worker
-    processes; everything is rebuilt from the seed, making parallel runs
-    byte-identical to sequential ones.
+    Module-level (picklable) so
+    :func:`~repro.experiments.parallel.fault_tolerant_map` can ship it to
+    worker processes; everything is rebuilt from the seed, making
+    parallel runs byte-identical to sequential ones.
     """
     seed, n_flows, demand_mbps, min_distance_m = args
     try:

@@ -5,9 +5,8 @@ metrics a run emits — tail-latency ceilings on histograms, hit-rate
 floors on counter pairs, error budgets on the fraction of observations
 past a threshold — and :func:`evaluate_slos` checks one metrics
 snapshot against them.  ``tools/slo_check.py`` wraps this as a CLI with
-a pass/fail exit code, and ``tools/bench_compare.py --slo`` applies the
-same objectives to the newest history record, so CI fails on budget
-burn rather than only on counter regressions.
+a pass/fail exit code; CI runs it on the smoke lanes' metrics exports,
+so it fails on budget burn rather than only on counter regressions.
 
 Objective kinds (``[[objective]]`` tables in the TOML file):
 

@@ -19,6 +19,16 @@ def bench_compare():
     return bench_compare
 
 
+@pytest.fixture(scope="module")
+def bench_runner():
+    sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
+    try:
+        import bench_runner
+    finally:
+        sys.path.pop(0)
+    return bench_runner
+
+
 BASELINE_COUNTERS = {
     "enum.dfs_nodes": 100,
     "enum.sets_found": 30,
@@ -243,116 +253,8 @@ class TestHistoryMode:
         assert "required" in capsys.readouterr().err
 
 
-class TestSloGate:
-    """``--slo``: the SLO check rides on top of the counter gate."""
-
-    def _slo(self, tmp_path, hit_min="0.3"):
-        path = tmp_path / "slo.toml"
-        path.write_text(
-            "[[objective]]\n"
-            'name = "hit-rate"\nkind = "ratio"\n'
-            'numerator = "serve.cache.result.hits"\n'
-            'denominator = ["serve.cache.result.hits", '
-            '"serve.cache.result.misses"]\n'
-            f"min = {hit_min}\n"
-        )
-        return str(path)
-
-    def _history(self, tmp_path, runs):
-        from repro.obs import HistoryStore, Recorder, build_run_record
-
-        store = HistoryStore(str(tmp_path / "h"))
-        for counters in runs:
-            recorder = Recorder()
-            for name, value in {**BASELINE_COUNTERS, **counters}.items():
-                recorder.count(name, value)
-            store.append(
-                build_run_record(
-                    recorder, experiments=["bench"], label="bench-smoke"
-                )
-            )
-        return str(tmp_path / "h")
-
-    HEALTHY = {
-        "serve.cache.result.hits": 8,
-        "serve.cache.result.misses": 2,
-    }
-    # Hit-rate collapses (0/2 < 0.3) while no gated counter *grows*:
-    # hits dropping reads as an improvement to the counter gate, so only
-    # the SLO check can catch this regression.
-    STARVED = {
-        "serve.cache.result.hits": 0,
-        "serve.cache.result.misses": 2,
-    }
-
-    def test_burn_fails_even_without_counter_regression(
-        self, bench_compare, tmp_path, capsys
-    ):
-        root = self._history(tmp_path, [self.HEALTHY, self.STARVED])
-        code = bench_compare.main(
-            ["--history", root, "--slo", self._slo(tmp_path)]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "no counter regressions" in out and "FAIL" in out
-
-    def test_healthy_candidate_passes(self, bench_compare, tmp_path, capsys):
-        root = self._history(tmp_path, [self.HEALTHY, self.HEALTHY])
-        code = bench_compare.main(
-            ["--history", root, "--slo", self._slo(tmp_path)]
-        )
-        assert code == 0
-        assert "1 passed" in capsys.readouterr().out
-
-    def test_single_run_store_still_slo_gated(
-        self, bench_compare, tmp_path, capsys
-    ):
-        root = self._history(tmp_path, [self.STARVED])
-        code = bench_compare.main(
-            ["--history", root, "--slo", self._slo(tmp_path)]
-        )
-        assert code == 1
-
-    def test_trace_mode_applies_slo_too(
-        self, bench_compare, tmp_path, capsys
-    ):
-        baseline = write(tmp_path / "baseline.json", make_baseline())
-        trace = write(
-            tmp_path / "trace.json",
-            {"counters": {**BASELINE_COUNTERS, **self.STARVED}},
-        )
-        code = bench_compare.main(
-            [
-                trace,
-                "--baseline",
-                baseline,
-                "--slo",
-                self._slo(tmp_path),
-            ]
-        )
-        assert code == 1
-
-    def test_unreadable_slo_file_exits_two(
-        self, bench_compare, tmp_path, capsys
-    ):
-        root = self._history(tmp_path, [self.HEALTHY, self.HEALTHY])
-        code = bench_compare.main(
-            ["--history", root, "--slo", str(tmp_path / "missing.toml")]
-        )
-        assert code == 2
-
-
 class TestSmokeGate:
     """The smoke measurements against the committed baseline file."""
-
-    @pytest.fixture(scope="class")
-    def bench_runner(self):
-        sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
-        try:
-            import bench_runner
-        finally:
-            sys.path.pop(0)
-        return bench_runner
 
     def test_smoke_counters_pass_committed_baseline(
         self, bench_compare, bench_runner, tmp_path, capsys
@@ -376,6 +278,54 @@ class TestSmokeGate:
         assert "no counter regressions" in capsys.readouterr().out
 
 
+class TestIdentityChecks:
+    """The harness refuses to report a fast path whose answer moved.
+
+    ``benchmarks/bench_x5…x7`` measure through the same functions, so
+    these checks guard both the BENCH file and the benchmark suite.
+    """
+
+    def test_serve_mismatch_raises(self, bench_runner, monkeypatch):
+        import dataclasses
+
+        from repro.serve import AdmissionService
+
+        submit_many = AdmissionService.submit_many
+
+        def skewed(self, queries, workers=None):
+            decisions = submit_many(self, queries, workers)
+            decisions[0] = dataclasses.replace(
+                decisions[0],
+                available_bandwidth_mbps=(
+                    decisions[0].available_bandwidth_mbps + 1.0
+                ),
+            )
+            return decisions
+
+        monkeypatch.setattr(AdmissionService, "submit_many", skewed)
+        with pytest.raises(AssertionError, match="serve mismatch"):
+            bench_runner.measure_serve_throughput(repeats=1)
+
+    def test_online_divergence_raises(self, bench_runner, monkeypatch):
+        import dataclasses
+
+        from repro.serve import online
+
+        run_online_session = online.run_online_session
+
+        def skewed(controller, events):
+            decisions, wall = run_online_session(controller, events)
+            if controller.incremental:
+                decisions[-1] = dataclasses.replace(
+                    decisions[-1], admitted=not decisions[-1].admitted
+                )
+            return decisions, wall
+
+        monkeypatch.setattr(online, "run_online_session", skewed)
+        with pytest.raises(AssertionError, match="decision diverged"):
+            bench_runner.measure_online_churn(repeats=1, n_events=40)
+
+
 class TestRunnerSinks:
     """``tools/bench_runner.py``'s sinks, with the measurements stubbed.
 
@@ -385,14 +335,9 @@ class TestRunnerSinks:
     """
 
     @pytest.fixture
-    def stubbed_runner(self, monkeypatch):
+    def stubbed_runner(self, bench_runner, monkeypatch):
         import collections
 
-        sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
-        try:
-            import bench_runner
-        finally:
-            sys.path.pop(0)
         from repro.obs import get_recorder
 
         def row():
@@ -406,7 +351,7 @@ class TestRunnerSinks:
 
         def segment(*args, **kwargs):
             get_recorder().count("serve.queries")
-            return row()
+            return row(), {}
 
         outcome = {"returncode": 0}
         monkeypatch.setattr(bench_runner, "measure_solver_scaling", scaling)

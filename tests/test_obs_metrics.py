@@ -207,12 +207,14 @@ class TestRecorderHistograms:
         assert forward.snapshot()["histograms"]["lat"]["count"] == 6
 
     def test_parallel_map_observes_item_seconds(self):
-        from repro.experiments.parallel import parallel_map
+        from repro.experiments.parallel import fault_tolerant_map
 
         for workers in (None, 2):
             recorder = Recorder()
             with use_recorder(recorder):
-                results = parallel_map(_square, [1, 2, 3, 4], workers=workers)
+                results = fault_tolerant_map(
+                    _square, [1, 2, 3, 4], workers=workers
+                )
             assert results == [1, 4, 9, 16]
             data = recorder.snapshot()["histograms"]["parallel.item_seconds"]
             assert data["count"] == 4, f"workers={workers}"

@@ -185,30 +185,21 @@ def compare(
     return lines, regressions
 
 
-def _evaluate_slo(record: dict, slo_path: str) -> int:
-    """Check ``record``'s metrics against the SLO file; 0/1/2 exit code."""
-    from repro.obs.slo import evaluate_slos, format_slo_results, load_slo_file
-
-    try:
-        config = load_slo_file(slo_path)
-    except (OSError, ValueError) as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    results = evaluate_slos(config, record)
-    print(format_slo_results(results))
-    if any(result["status"] == "fail" for result in results):
-        return 1
-    return 0
+def _report(lines: list[str], regressions: list[str]) -> int:
+    """Print the comparison; 1 on any regression, else 0."""
+    for line in lines:
+        print(line)
+    if not regressions:
+        print("no counter regressions")
+        return 0
+    print("counter regressions detected:", file=sys.stderr)
+    for line in regressions:
+        print(f"  {line}", file=sys.stderr)
+    return 1
 
 
-def _compare_history(
-    history_dir: str, tolerance: float, slo: str | None = None
-) -> int:
-    """Gate the newest history record against the one before it.
-
-    With ``slo`` set, the newest record is additionally checked against
-    the SLO file — a burn fails the gate even when every counter held.
-    """
+def _compare_history(history_dir: str, tolerance: float) -> int:
+    """Gate the newest history record against the one before it."""
     from repro.obs.history import HistoryStore
 
     store = HistoryStore(history_dir)
@@ -224,7 +215,7 @@ def _compare_history(
             f"history store {store.path} holds one run; nothing to gate "
             "against yet"
         )
-        return _evaluate_slo(records[-1], slo) if slo is not None else 0
+        return 0
     baseline, candidate = records[-2], records[-1]
     lines, regressions = compare(
         candidate["counters"], baseline["counters"], tolerance=tolerance
@@ -233,19 +224,7 @@ def _compare_history(
         f"solver counters: history run {candidate.get('run_id', '?')!r} vs "
         f"baseline run {baseline.get('run_id', '?')!r}"
     )
-    for line in lines:
-        print(line)
-    exit_code = 0
-    if regressions:
-        print("counter regressions detected:", file=sys.stderr)
-        for line in regressions:
-            print(f"  {line}", file=sys.stderr)
-        exit_code = 1
-    else:
-        print("no counter regressions")
-    if slo is not None:
-        exit_code = max(exit_code, _evaluate_slo(candidate, slo))
-    return exit_code
+    return _report(lines, regressions)
 
 
 def main(argv=None) -> int:
@@ -275,14 +254,6 @@ def main(argv=None) -> int:
         help="allowed fractional growth before failing (default 0: "
         "tracked counters are deterministic)",
     )
-    parser.add_argument(
-        "--slo",
-        metavar="FILE",
-        default=None,
-        help="also check the candidate's metrics (histogram quantiles, "
-        "hit-rate floors, error budgets) against this .repro-slo.toml — "
-        "a burn fails the gate like a counter regression",
-    )
     args = parser.parse_args(argv)
 
     if args.history is not None:
@@ -293,7 +264,7 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-        return _compare_history(args.history, args.tolerance, slo=args.slo)
+        return _compare_history(args.history, args.tolerance)
     if args.trace is None:
         print("a trace file (or --history DIR) is required", file=sys.stderr)
         return 2
@@ -328,19 +299,7 @@ def main(argv=None) -> int:
         f"solver counters: {trace_path.name} vs "
         f"{baseline_path.name} run {label!r}"
     )
-    for line in lines:
-        print(line)
-    exit_code = 0
-    if regressions:
-        print("counter regressions detected:", file=sys.stderr)
-        for line in regressions:
-            print(f"  {line}", file=sys.stderr)
-        exit_code = 1
-    else:
-        print("no counter regressions")
-    if args.slo is not None:
-        exit_code = max(exit_code, _evaluate_slo(trace, args.slo))
-    return exit_code
+    return _report(lines, regressions)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 """Benchmark harness: run the ``benchmarks/bench_a*.py`` suite and record a
 ``BENCH_<date>.json`` trajectory file.
 
-Two kinds of measurement go into the file:
+Five kinds of measurement go into the file:
 
 * **solver scaling** — the bench-A6 chain instances re-measured directly
   (best of N repeats, fresh interference model per repeat so caches never
@@ -18,11 +18,15 @@ Two kinds of measurement go into the file:
   (identical decisions asserted), with decisions/sec, speedup, p50/p99
   latency and the ``online.*`` counters;
 * **scale** — the bench-X7 fixed-seed scatter field estimated with the
-  interference-tile decomposition and (full runs) the exact global
+  interference-tile decomposition and the exact global
   Eq. 6 enumeration, with the bracket asserted, the tiled-over-exact
   speedup, and the ``scale.*`` counters;
 * **pytest pass/fail** of the ablation benchmark files, so a timing run
   also proves the benchmarks still assert the paper's facts.
+
+The serve, online and scale measurements are the only implementation of
+those three paths: ``benchmarks/bench_x5…x7`` call them and assert on
+the ``(row, detail)`` pair each returns.
 
 Runs are appended under distinct labels, so one file can hold the
 pre-optimization baseline and the post-optimization numbers side by side::
@@ -209,6 +213,11 @@ def measure_serve_throughput(repeats: int = REPEATS):
     asserts the answers are identical before reporting.  The segment
     runs under its own recorder; only its ``serve.*`` metrics reach the
     ambient recorder, under ``bench.serve`` (:func:`_merge_segment`).
+
+    Returns ``(row, detail)``: ``row`` is the BENCH-file entry and
+    ``detail`` holds the ``workload``, the warm ``decisions``, the
+    ``cold`` answers by query id and the last repeat's ``recorder``
+    (every counter and histogram, not only the merged ``serve.*`` ones).
     """
     from repro.core.bandwidth import available_path_bandwidth
     from repro.obs import Recorder, use_recorder
@@ -257,7 +266,7 @@ def measure_serve_throughput(repeats: int = REPEATS):
                 f"vs cold ({bandwidth}, {admitted})"
             )
     summary = summarize_decisions(decisions, warm_seconds)
-    return {
+    row = {
         "queries": len(workload.queries),
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
@@ -269,6 +278,28 @@ def measure_serve_throughput(repeats: int = REPEATS):
         "admitted": summary["admitted"],
         "counters": serve_counters,
     }
+    detail = {
+        "workload": workload,
+        "decisions": decisions,
+        "cold": cold,
+        "recorder": recorder,
+    }
+    return row, detail
+
+
+def decision_essence(decision):
+    """An online decision minus what legitimately differs between the
+    incremental and rebuild controllers: latency and the cache path."""
+    return (
+        decision.seq,
+        decision.flow_id,
+        decision.routed,
+        decision.path_nodes,
+        decision.admitted,
+        decision.available_bandwidth_mbps,
+        decision.carried_flows,
+        decision.fingerprint,
+    )
 
 
 def measure_online_churn(repeats: int = REPEATS, n_events: int = 500):
@@ -284,6 +315,10 @@ def measure_online_churn(repeats: int = REPEATS, n_events: int = 500):
     incremental controller's gated counters; only the incremental
     side's ``online.*`` metrics are merged into the ambient recorder
     (plus both span trees under ``bench.online``).
+
+    Returns ``(row, detail)``: ``detail`` holds the ``workload``, both
+    decision streams (``decisions`` and ``rebuild_decisions``) and the
+    incremental side's last ``recorder``.
     """
     from repro.obs import Recorder, use_recorder
     from repro.serve import summarize_online_decisions
@@ -319,30 +354,17 @@ def measure_online_churn(repeats: int = REPEATS, n_events: int = 500):
             + rebuild_recorder.snapshot()["spans"]
         )
 
-    def _essence(decision):
-        # Everything except what legitimately differs between the two
-        # controllers: latency and the cache path taken.
-        return (
-            decision.seq,
-            decision.flow_id,
-            decision.routed,
-            decision.path_nodes,
-            decision.admitted,
-            decision.available_bandwidth_mbps,
-            decision.carried_flows,
-            decision.fingerprint,
-        )
-
     if len(online_decisions) != len(rebuild_decisions):
         raise AssertionError(
             f"online churn decision counts diverged: incremental "
             f"{len(online_decisions)} vs rebuild {len(rebuild_decisions)}"
         )
     for warm, cold in zip(online_decisions, rebuild_decisions):
-        if _essence(warm) != _essence(cold):
+        if decision_essence(warm) != decision_essence(cold):
             raise AssertionError(
                 f"online churn decision diverged on {warm.flow_id}: "
-                f"incremental {_essence(warm)} vs rebuild {_essence(cold)}"
+                f"incremental {decision_essence(warm)} vs rebuild "
+                f"{decision_essence(cold)}"
             )
 
     online_counters = _merge_segment(
@@ -353,7 +375,7 @@ def measure_online_churn(repeats: int = REPEATS, n_events: int = 500):
         spans=spans,
     )
     summary = summarize_online_decisions(online_decisions, online_seconds)
-    return {
+    row = {
         "events": len(workload.events),
         "decisions": len(online_decisions),
         "online_seconds": online_seconds,
@@ -366,41 +388,29 @@ def measure_online_churn(repeats: int = REPEATS, n_events: int = 500):
         "admitted": summary["admitted"],
         "counters": online_counters,
     }
+    detail = {
+        "workload": workload,
+        "decisions": online_decisions,
+        "rebuild_decisions": rebuild_decisions,
+        "recorder": recorder,
+    }
+    return row, detail
 
 
-def measure_scale(
-    repeats: int = REPEATS, n_nodes: int = 192, with_exact: bool = True
-):
-    """Tiled estimation at scale: the bench-X7 scatter field re-measured.
+def scale_field(n_nodes: int, width_m: float, height_m: float):
+    """The bench-X7 fixed-seed scatter field: ``(model, path, background)``.
 
-    Rebuilds the fixed-seed constant-density instance from
-    ``benchmarks/bench_x7_scale.py`` (192 nodes in full runs, a smaller
-    field in smoke), times the interference-tile estimate best of
-    ``repeats`` (fresh recorder per repeat so nothing carries over),
-    and — when ``with_exact`` — times the exact global Eq. 6
-    enumeration and asserts the tiled bracket contains its optimum
-    before reporting.  Only the segment's ``scale.*`` metrics are
-    merged into the ambient recorder, under ``bench.scale``; the model
-    build and the exact solve run under a private recorder for the same
-    reason (:func:`_merge_segment`).
+    ``path`` runs from ``n0`` to the node farthest from it in hops; two
+    shortest-path background flows of 0.5 Mbps cross the field.
     """
     import networkx as nx
 
-    from repro.core.bandwidth import available_path_bandwidth
     from repro.interference.protocol import ProtocolInterferenceModel
     from repro.net.generators import scatter_topology
     from repro.net.path import Path
-    from repro.obs import Recorder, use_recorder
-    from repro.scale import TileConfig, tiled_path_bandwidth
 
-    private = Recorder()
-    # Constant node density: the full 192-node field is 850 x 1275 m.
-    side = (n_nodes / 192.0) ** 0.5
-    network = scatter_topology(
-        n_nodes, 850.0 * side, 1275.0 * side, seed=8
-    )
-    with use_recorder(private):
-        model = ProtocolInterferenceModel(network)
+    network = scatter_topology(n_nodes, width_m, height_m, seed=8)
+    model = ProtocolInterferenceModel(network)
     graph = network.to_digraph()
     reachable = nx.single_source_shortest_path(graph, "n0")
     farthest = max(reachable, key=lambda node: len(reachable[node]))
@@ -427,6 +437,34 @@ def measure_scale(
                     0.5,
                 )
             )
+    return model, new_path, background
+
+
+def measure_scale(repeats: int = REPEATS, n_nodes: int = 192):
+    """Tiled estimation at scale: the bench-X7 scatter field re-measured.
+
+    Builds :func:`scale_field` at constant node density (192 nodes on
+    850 × 1275 m in full runs, a smaller field in smoke), times the
+    interference-tile estimate best of ``repeats`` (fresh recorder per
+    repeat so nothing carries over), times the exact global Eq. 6
+    enumeration and asserts the tiled bracket contains its optimum
+    before reporting.  Only the segment's ``scale.*`` metrics are merged
+    into the ambient recorder, under ``bench.scale``; the field build and
+    the exact solve run under a private recorder for the same reason
+    (:func:`_merge_segment`).
+
+    Returns ``(row, detail)``: ``detail`` holds the tiled ``estimate``,
+    the ``field`` it was computed on and the last repeat's ``recorder``.
+    """
+    from repro.core.bandwidth import available_path_bandwidth
+    from repro.obs import Recorder, use_recorder
+    from repro.scale import TileConfig, tiled_path_bandwidth
+
+    private = Recorder()
+    side = (n_nodes / 192.0) ** 0.5
+    with use_recorder(private):
+        field = scale_field(n_nodes, 850.0 * side, 1275.0 * side)
+    model, new_path, background = field
 
     tiled_seconds = float("inf")
     estimate = None
@@ -445,6 +483,25 @@ def measure_scale(
     scale_counters = _merge_segment(
         recorder, "scale.", "bench.scale", tiled_seconds
     )
+    exact_seconds = float("inf")
+    exact_mbps = None
+    for _ in range(max(1, repeats - 1)):
+        started = time.perf_counter()
+        with use_recorder(private):
+            exact_mbps = available_path_bandwidth(
+                model, new_path, background
+            ).available_bandwidth
+        exact_seconds = min(exact_seconds, time.perf_counter() - started)
+    tolerance = 1e-6 * max(1.0, abs(exact_mbps))
+    if not (
+        estimate.lower_bound <= exact_mbps + tolerance
+        and exact_mbps <= estimate.upper_bound + tolerance
+    ):
+        raise AssertionError(
+            f"tiled bracket [{estimate.lower_bound}, "
+            f"{estimate.upper_bound}] does not contain the exact "
+            f"optimum {exact_mbps} at {n_nodes} nodes"
+        )
     row = {
         "nodes": n_nodes,
         "hops": len(new_path),
@@ -454,33 +511,12 @@ def measure_scale(
         "upper_bound_mbps": estimate.upper_bound,
         "tiled_seconds": tiled_seconds,
         "counters": scale_counters,
+        "exact_mbps": exact_mbps,
+        "exact_seconds": exact_seconds,
+        "speedup": exact_seconds / tiled_seconds,
     }
-    if with_exact:
-        exact_seconds = float("inf")
-        exact_mbps = None
-        for _ in range(max(1, repeats - 1)):
-            started = time.perf_counter()
-            with use_recorder(private):
-                exact_mbps = available_path_bandwidth(
-                    model, new_path, background
-                ).available_bandwidth
-            exact_seconds = min(
-                exact_seconds, time.perf_counter() - started
-            )
-        tolerance = 1e-6 * max(1.0, abs(exact_mbps))
-        if not (
-            estimate.lower_bound <= exact_mbps + tolerance
-            and exact_mbps <= estimate.upper_bound + tolerance
-        ):
-            raise AssertionError(
-                f"tiled bracket [{estimate.lower_bound}, "
-                f"{estimate.upper_bound}] does not contain the exact "
-                f"optimum {exact_mbps} at {n_nodes} nodes"
-            )
-        row["exact_mbps"] = exact_mbps
-        row["exact_seconds"] = exact_seconds
-        row["speedup"] = exact_seconds / tiled_seconds
-    return row
+    detail = {"estimate": estimate, "field": field, "recorder": recorder}
+    return row, detail
 
 
 def run_pytest_benchmarks(smoke: bool = False):
@@ -600,9 +636,11 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     with session:
         scaling = measure_solver_scaling(lengths=lengths, repeats=repeats)
-        serve_row = measure_serve_throughput(repeats=repeats)
-        online_row = measure_online_churn(repeats=repeats, n_events=n_events)
-        scale_row = measure_scale(repeats=repeats, n_nodes=n_nodes)
+        serve_row, _ = measure_serve_throughput(repeats=repeats)
+        online_row, _ = measure_online_churn(
+            repeats=repeats, n_events=n_events
+        )
+        scale_row, _ = measure_scale(repeats=repeats, n_nodes=n_nodes)
     wall = time.perf_counter() - started
     pytest_result = None
     if not args.smoke and not args.skip_pytest:
