@@ -8,10 +8,10 @@ Two fixed-seed constant-density scatter instances, both built by
   global Eq. 6 enumeration still finishes in seconds.  The tiled
   estimate must bracket the exact optimum (``LB ≤ exact ≤ UB``) and beat
   the global solve by ≥ ``MIN_SPEEDUP`` (measured best-of-repeats).
-  The measured ratio is 4–7× (exact 0.04–0.055 s, tiled 0.007–0.010 s
-  on a 2-core VM), below the floor, since the exact solve fell from
-  1.88 s to about 0.045 s: ``test_x7_speedup`` fails until the floor or
-  the field is revisited;
+  The measured ratio is 5.7–7.4× (exact 0.037–0.054 s, tiled
+  0.005–0.009 s on a 2-core VM), below the floor, since the exact solve
+  fell from 1.88 s to about 0.045 s: ``test_x7_speedup`` fails until
+  the floor or the field is revisited;
 * **frontier instance** (1000 nodes, 1897 × 2846 m) — far past exact
   tractability; the tiled estimate must complete end to end with a
   nonnegative bracket, which is the whole point of the decomposition.

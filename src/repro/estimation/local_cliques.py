@@ -7,12 +7,18 @@ links that are mutually conflicting at their effective rates, and keep the
 maximal runs.  Consecutive links always conflict (they share a node), so
 every run of length ≥ 2 starts as a clique and extends while the new link
 conflicts with *all* members.
+
+The conflicts are read from the couples' packed compatibility masks
+(:func:`~repro.core.independent_sets._pairwise_compatibility_masks`, one
+vectorized evaluation for kernel-backed models): a run extends while the
+next couple's mask has no bit in common with the run so far.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping
+from typing import List, Mapping, Sequence
 
+from repro.core.independent_sets import _pairwise_compatibility_masks
 from repro.interference.base import InterferenceModel, LinkRate
 from repro.net.path import Path
 from repro.phy.rates import Rate
@@ -40,15 +46,23 @@ def local_interference_cliques(
     couples = [
         LinkRate(link, rates[link.link_id]) for link in path
     ]
-    n = len(couples)
+    compatible = _pairwise_compatibility_masks(model, couples)
+    return _clique_runs(compatible, len(couples))
+
+
+def _clique_runs(compatible: Sequence[int], count: int) -> List[List[int]]:
+    """The maximal clique runs of the first ``count`` couples.
+
+    ``compatible[i]`` has bit ``j`` set when couples ``i`` and ``j`` can
+    transmit together; bits at ``count`` and above are ignored.
+    """
     runs: List[List[int]] = []
-    for start in range(n):
+    for start in range(count):
         end = start
-        while end + 1 < n and all(
-            model.conflicts(couples[end + 1], couples[member])
-            for member in range(start, end + 1)
-        ):
+        run = 1 << start
+        while end + 1 < count and not compatible[end + 1] & run:
             end += 1
+            run |= 1 << end
         runs.append(list(range(start, end + 1)))
     # Runs are contiguous index intervals with strictly increasing starts,
     # so a run is contained in another iff an *earlier* run reaches at least

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    AbstractSet,
     Any,
     Dict,
     List,
@@ -163,9 +162,7 @@ def top_binding_link(solution: Any) -> Optional[Tuple[str, float]]:
 
 
 def _conflict_components(
-    binding_ids: Sequence[str],
-    columns: Sequence[Any],
-    links_by_id: Mapping[str, Any],
+    binding_ids: Sequence[str], columns: Sequence[Any]
 ) -> List[List[str]]:
     """Group binding links into mutually interfering regions.
 
@@ -173,25 +170,37 @@ def _conflict_components(
     independent set carries positive throughput on both; binding links
     that can *never* be co-scheduled contend for the same airtime, and
     connected components of that conflict relation are the contention
-    regions the explanation reports.
+    regions the explanation reports.  "Scheduled together" is read from
+    one bitset of columns per binding link, filled from the masks of
+    ``ColumnFamily.of(columns)``.
     """
+    # Imported here: repro.core imports repro.obs for its recorder.
+    from repro.core.independent_sets import ColumnFamily
+
     ids = sorted(binding_ids)
-    compatible = {identifier: set() for identifier in ids}
-    id_set = set(ids)
-    for column in columns:
-        present = [
-            identifier
-            for identifier in ids
-            if column.throughput_of(links_by_id[identifier]) > 0.0
-        ]
-        for left in present:
-            for right in present:
-                if left != right:
-                    compatible[left].add(right)
+    position = {identifier: index for index, identifier in enumerate(ids)}
+    family = ColumnFamily.of(columns)
+    # owner[v]: the binding link couple v carries throughput on.
+    owner: Dict[int, int] = {}
+    relevant = 0
+    for index, couple in enumerate(family.couples):
+        at = position.get(couple.link.link_id)
+        if at is not None and couple.rate.mbps > 0.0:
+            owner[index] = at
+            relevant |= 1 << index
+    # held[p]: the columns scheduling binding link p.
+    held = [0] * len(ids)
+    column_bit = 1
+    for mask in family.masks:
+        mask &= relevant
+        while mask:
+            low_bit = mask & -mask
+            mask ^= low_bit
+            held[owner[low_bit.bit_length() - 1]] |= column_bit
+        column_bit <<= 1
     components: List[List[str]] = []
-    unvisited = list(ids)
     seen: set = set()
-    for start in unvisited:
+    for start in range(len(ids)):
         if start in seen:
             continue
         component = []
@@ -199,10 +208,12 @@ def _conflict_components(
         seen.add(start)
         while frontier:
             current = frontier.pop()
-            component.append(current)
-            conflicts = id_set - compatible[current] - {current}
-            for neighbour in sorted(conflicts):
-                if neighbour not in seen:
+            component.append(ids[current])
+            for neighbour in range(len(ids)):
+                if (
+                    neighbour not in seen
+                    and not held[current] & held[neighbour]
+                ):
                     seen.add(neighbour)
                     frontier.append(neighbour)
         components.append(sorted(component))
@@ -228,7 +239,6 @@ def explain_solution(
     the crowd-out attribution; pass the decision's clamped bandwidth via
     ``bandwidth`` when it differs from the raw objective.
     """
-    links_by_id = {link.link_id: link for link in links}
     prices: Dict[str, float] = {}
     binding_ids: List[str] = []
     for link in links:
@@ -241,7 +251,7 @@ def explain_solution(
         if binding or price > 0.0:
             prices[link.link_id] = price
 
-    components = _conflict_components(binding_ids, columns, links_by_id)
+    components = _conflict_components(binding_ids, columns)
     cliques = [
         BindingClique(
             links=tuple(component),

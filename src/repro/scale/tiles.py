@@ -12,7 +12,10 @@ This module exploits that locality:
 * :func:`decompose_path` partitions the new path into **tiles** — merged
   maximal runs of consecutive mutually-conflicting path links, capped at
   :attr:`TileConfig.tile_size` links per tile, each extended with the
-  background links that conflict with the tile's path links;
+  background links that conflict with the tile's path links.  Runs and
+  membership are read from one packed compatibility matrix over the path
+  and background couples (``_pairwise_compatibility_masks``, the rows
+  enumeration uses), not from per-pair ``conflicts`` calls;
 * :func:`tiled_path_bandwidth` solves one Eq. 6 LP **per tile** over only
   the tile's couple set and stitches the results into a two-sided estimate:
 
@@ -27,10 +30,22 @@ This module exploits that locality:
     enumerated sets (an independent set is a property of its members only,
     so tile-local sets are valid global columns), residual columns over the
     background links no tile covers (windowed enumerations stitched into
-    cross-window sets wherever :meth:`~repro.interference.base.InterferenceModel.is_independent`
-    confirms the union — without them far-apart background flows would get
-    no spatial reuse and the restricted LP could go infeasible), and a
-    standalone-rate singleton for every involved link still uncovered.
+    cross-window sets wherever the union stays independent — without them
+    far-apart background flows would get no spatial reuse and the
+    restricted LP could go infeasible), and a standalone-rate singleton
+    for every involved link still uncovered.  Stitching ANDs the packed
+    compatibility rows of the couples merged so far; that decides
+    independence under the pairwise models, and under the physical
+    model, whose Eq. 3 interference is cumulative,
+    :meth:`~repro.interference.base.InterferenceModel.is_independent`
+    confirms every union the masks accept.
+
+  All columns of an estimate stay couple bitmasks over one couple index:
+  the tile families are remapped into it and pooled on their masks, and
+  the lower-bound solve receives a
+  :class:`~repro.core.independent_sets.ColumnFamily`, so no
+  :class:`~repro.core.independent_sets.RateIndependentSet` is built
+  except for the columns a schedule reads.
 
   When a single tile covers every involved link, both bounds collapse onto
   the exact Eq. 6 construction — same enumeration, same LP, bit-identical
@@ -50,12 +65,15 @@ from repro.core.bandwidth import (
     link_demands_from_paths,
 )
 from repro.core.independent_sets import (
-    RateIndependentSet,
+    ColumnFamily,
+    _mask_members,
+    _pairwise_compatibility_masks,
     enumerate_maximal_independent_sets,
 )
 from repro.errors import InfeasibleProblemError
-from repro.estimation.local_cliques import local_interference_cliques
+from repro.estimation.local_cliques import _clique_runs
 from repro.interference.base import InterferenceModel, LinkRate
+from repro.interference.physical import PhysicalInterferenceModel
 from repro.net.link import Link
 from repro.net.path import Path
 from repro.obs import get_recorder
@@ -186,6 +204,9 @@ def decompose_path(
     merges adjacent runs up to :attr:`TileConfig.tile_size` path links per
     tile, and attaches to each tile exactly the background links that
     conflict with one of its path links at maximum standalone rates.
+    Both read one packed compatibility matrix over the path and
+    background couples: a background couple joins a tile when its
+    conflict bits meet the tile's interval of path-link bits.
 
     Raises:
         InfeasibleProblemError: when some path link supports no rate at
@@ -199,7 +220,19 @@ def decompose_path(
         raise InfeasibleProblemError(
             f"path {new_path} has a link with no standalone rate"
         )
-    runs = local_interference_cliques(model, new_path, rates)
+    path_couples = [
+        LinkRate(link, rates[link.link_id]) for link in path_links
+    ]
+    background_couples: List[LinkRate] = []
+    for link in _collect_links(background):
+        rate = model.max_standalone_rate(link)
+        if rate is not None:
+            background_couples.append(LinkRate(link, rate))
+    compatible = _pairwise_compatibility_masks(
+        model, path_couples + background_couples
+    )
+    count = len(path_couples)
+    runs = _clique_runs(compatible, count)
     groups: List[Tuple[int, int]] = []
     current_start, current_end = runs[0][0], runs[0][-1]
     for run in runs[1:]:
@@ -211,29 +244,23 @@ def decompose_path(
             current_start, current_end = start, end
     groups.append((current_start, current_end))
 
-    path_couples = [
-        LinkRate(link, rates[link.link_id]) for link in path_links
+    # Per background couple: the path couples it conflicts with.
+    path_bits = (1 << count) - 1
+    path_conflicts = [
+        (couple.link.link_id, path_bits & ~row)
+        for couple, row in zip(background_couples, compatible[count:])
     ]
-    background_couples: List[LinkRate] = []
-    for link in _collect_links(background):
-        rate = model.max_standalone_rate(link)
-        if rate is not None:
-            background_couples.append(LinkRate(link, rate))
-
     global_order = _collect_links(background, new_path)
     tiles: List[Tile] = []
     for index, (start, end) in enumerate(groups):
         tile_path = path_links[start : end + 1]
-        tile_couples = path_couples[start : end + 1]
+        interval = ((1 << (end + 1)) - 1) >> start << start
         member_ids = {link.link_id for link in tile_path}
-        for couple in background_couples:
-            if couple.link.link_id in member_ids:
-                continue
-            if any(
-                model.conflicts(couple, path_couple)
-                for path_couple in tile_couples
-            ):
-                member_ids.add(couple.link.link_id)
+        member_ids.update(
+            link_id
+            for link_id, conflicts in path_conflicts
+            if conflicts & interval
+        )
         links = tuple(
             link for link in global_order if link.link_id in member_ids
         )
@@ -249,21 +276,47 @@ def decompose_path(
     return tiles
 
 
+def _remapped(family: ColumnFamily, bit_of: Dict[LinkRate, int]) -> List[int]:
+    """``family``'s masks over the bits ``bit_of`` gives its couples.
+
+    Couples not yet in ``bit_of`` get the next free bit, so one index
+    serves every family of an estimate.
+    """
+    bits = [
+        1 << bit_of.setdefault(couple, len(bit_of))
+        for couple in family.couples
+    ]
+    remapped = []
+    for mask in family.masks:
+        out = 0
+        while mask:
+            low_bit = mask & -mask
+            mask ^= low_bit
+            out |= bits[low_bit.bit_length() - 1]
+        remapped.append(out)
+    return remapped
+
+
 def _residual_columns(
     model: InterferenceModel,
     background: Sequence[Tuple[Path, float]],
     covered: set,
     tile_size: int,
-) -> List[RateIndependentSet]:
+) -> ColumnFamily:
     """Lower-bound columns for background links outside every tile.
 
     Each background path's uncovered links are windowed (``tile_size``
     links per window) and enumerated locally; one stitching pass then
-    round-robins across the windows, merging columns whenever the model
-    confirms the union is still independent, so flows in distant parts of
-    the field can share airtime in the restricted LP.  Every emitted
-    column is validated (or enumerated) under ``model`` itself, so the
-    Section 3.3 lower-bound contract is preserved exactly.
+    round-robins across the windows, merging columns whenever the union
+    is still independent, so flows in distant parts of the field can
+    share airtime in the restricted LP.  The union test ANDs the packed
+    compatibility rows of the columns merged so far: pairwise
+    compatibility is necessary for independence in every model and
+    sufficient in the pairwise ones, while under the physical model's
+    cumulative Eq. 3 :meth:`~repro.interference.base.InterferenceModel.is_independent`
+    confirms each union the masks accept.  Every emitted column is thus
+    validated (or enumerated) under ``model`` itself, so the Section 3.3
+    lower-bound contract is preserved exactly.
     """
     windows: List[List[Link]] = []
     seen = set(covered)
@@ -278,30 +331,45 @@ def _residual_columns(
             if segment:
                 windows.append(segment)
                 segment = []
-    window_columns = [
-        columns
+    bit_of: Dict[LinkRate, int] = {}
+    window_masks = [
+        _remapped(family, bit_of)
         for window in windows
-        if (columns := enumerate_maximal_independent_sets(model, window))
+        if (family := enumerate_maximal_independent_sets(model, window))
     ]
-    residual = [column for columns in window_columns for column in columns]
-    if len(window_columns) > 1:
-        rounds = min(8, max(len(columns) for columns in window_columns))
+    couples = list(bit_of)
+    residual = [mask for masks in window_masks for mask in masks]
+    if len(window_masks) > 1:
+        compatible = _pairwise_compatibility_masks(model, couples)
+        cumulative = isinstance(model, PhysicalInterferenceModel)
+        everyone = (1 << len(couples)) - 1
+        rounds = min(8, max(len(masks) for masks in window_masks))
         for round_index in range(rounds):
-            merged: List[LinkRate] = []
-            for columns in window_columns:
-                candidate = columns[round_index % len(columns)]
-                union = merged + list(candidate.couples)
-                if model.is_independent(union):
-                    merged = union
+            merged = 0
+            allowed = everyone
+            for masks in window_masks:
+                candidate = masks[round_index % len(masks)]
+                if candidate & ~allowed:
+                    continue
+                union = merged | candidate
+                if cumulative and not model.is_independent(
+                    _mask_members(union, couples)
+                ):
+                    continue
+                merged = union
+                while candidate:
+                    low_bit = candidate & -candidate
+                    candidate ^= low_bit
+                    allowed &= compatible[low_bit.bit_length() - 1]
             if merged:
-                residual.append(RateIndependentSet(frozenset(merged)))
-    return residual
+                residual.append(merged)
+    return ColumnFamily(couples, residual)
 
 
 def _attribute_bottleneck(
     index: int,
     tile: Tile,
-    program: Tuple[object, List[RateIndependentSet]],
+    program: Tuple[object, ColumnFamily],
     background: Sequence[Tuple[Path, float]],
     upper: float,
 ) -> Optional[TileAttribution]:
@@ -357,8 +425,11 @@ def tiled_path_bandwidth(
         recorder.count("scale.tiles", len(tiles))
         demands = link_demands_from_paths(background)
         tile_optima: List[float] = []
-        tile_programs: List[Tuple[object, List[RateIndependentSet]]] = []
-        column_pool: Dict[RateIndependentSet, None] = {}
+        tile_programs: List[Tuple[object, ColumnFamily]] = []
+        # One couple index per estimate; the pool dedupes tile columns
+        # on their masks over it, keeping first-seen order.
+        bit_of: Dict[LinkRate, int] = {}
+        column_pool: Dict[int, None] = {}
         for tile in tiles:
             with recorder.span("scale.tile_lp"):
                 columns = enumerate_maximal_independent_sets(
@@ -373,8 +444,7 @@ def tiled_path_bandwidth(
             recorder.count("scale.tile_solves")
             tile_optima.append(value)
             tile_programs.append((lp, columns))
-            for column in columns:
-                column_pool.setdefault(column)
+            column_pool.update(dict.fromkeys(_remapped(columns, bit_of)))
 
         bottleneck = min(
             range(len(tile_optima)), key=tile_optima.__getitem__
@@ -388,20 +458,26 @@ def tiled_path_bandwidth(
         covered = {
             link.link_id for tile in tiles for link in tile.links
         }
-        lb_columns = list(column_pool)
-        for column in _residual_columns(
+        lb_masks = list(column_pool)
+        residual = _residual_columns(
             model, background, covered, config.tile_size
-        ):
-            lb_columns.append(column)
-            covered.update(link.link_id for link in column.links)
+        )
+        lb_masks.extend(_remapped(residual, bit_of))
+        scheduled = 0
+        for mask in residual.masks:
+            scheduled |= mask
+        covered.update(
+            couple.link.link_id
+            for couple in _mask_members(scheduled, residual.couples)
+        )
         for link in _collect_links(background, new_path):
             if link.link_id in covered:
                 continue
             rate = model.max_standalone_rate(link)
             if rate is not None:
-                lb_columns.append(
-                    RateIndependentSet(frozenset({LinkRate(link, rate)}))
-                )
+                couple = LinkRate(link, rate)
+                lb_masks.append(1 << bit_of.setdefault(couple, len(bit_of)))
+        lb_columns = ColumnFamily(bit_of, lb_masks)
         recorder.count("scale.columns", len(lb_columns))
         try:
             lower = available_path_bandwidth(

@@ -201,17 +201,21 @@ class TestMainExitCodes:
 class TestHistoryMode:
     """The history-store baseline source (``--history DIR``)."""
 
-    def _seed(self, tmp_path, counters_list):
+    def _seed(self, tmp_path, counters_list, fingerprints=None):
         from repro.obs import HistoryStore, Recorder, build_run_record
 
         store = HistoryStore(str(tmp_path / "h"))
-        for counters in counters_list:
+        fingerprints = fingerprints or [None] * len(counters_list)
+        for counters, fingerprint in zip(counters_list, fingerprints):
             recorder = Recorder()
             for name, value in counters.items():
                 recorder.count(name, value)
             store.append(
                 build_run_record(
-                    recorder, experiments=["bench"], label="bench-smoke"
+                    recorder,
+                    experiments=["bench"],
+                    label="bench-smoke",
+                    fingerprint=fingerprint,
                 )
             )
         return str(tmp_path / "h")
@@ -233,6 +237,51 @@ class TestHistoryMode:
         root = self._seed(tmp_path, [dict(BASELINE_COUNTERS)])
         assert bench_compare.main(["--history", root]) == 0
         assert "nothing to gate against" in capsys.readouterr().out
+
+    def test_other_fingerprint_is_not_a_baseline(
+        self, bench_compare, tmp_path, capsys
+    ):
+        """A smoke run then a full run: different workloads, no gate."""
+        full = dict(BASELINE_COUNTERS, **{"enum.dfs_nodes": 900})
+        root = self._seed(
+            tmp_path, [dict(BASELINE_COUNTERS), full], ["smoke", "full"]
+        )
+        assert bench_compare.main(["--history", root]) == 0
+        out = capsys.readouterr().out
+        assert "no earlier run with args fingerprint 'full'" in out
+        assert "nothing to gate against" in out
+
+    def test_baseline_is_last_run_with_same_fingerprint(
+        self, bench_compare, tmp_path, capsys
+    ):
+        """A, then B, then A': A' is gated against A, not B."""
+        full = dict(BASELINE_COUNTERS, **{"enum.dfs_nodes": 900})
+        root = self._seed(
+            tmp_path,
+            [dict(BASELINE_COUNTERS), full, dict(BASELINE_COUNTERS)],
+            ["smoke", "full", "smoke"],
+        )
+        from repro.obs import HistoryStore
+
+        first = HistoryStore(root).runs()[0]["run_id"]
+        assert bench_compare.main(["--history", root]) == 0
+        out = capsys.readouterr().out
+        assert f"baseline run {first!r}" in out
+        assert "no counter regressions" in out
+
+    def test_growth_against_same_fingerprint_exits_one(
+        self, bench_compare, tmp_path, capsys
+    ):
+        """A, then B, then a grown A': the growth over A fails."""
+        full = dict(BASELINE_COUNTERS, **{"enum.dfs_nodes": 900})
+        grown = dict(BASELINE_COUNTERS, **{"lp.solves": 21})
+        root = self._seed(
+            tmp_path,
+            [dict(BASELINE_COUNTERS), full, grown],
+            ["smoke", "full", "smoke"],
+        )
+        assert bench_compare.main(["--history", root]) == 1
+        assert "lp.solves" in capsys.readouterr().err
 
     def test_empty_store_exits_two(self, bench_compare, tmp_path, capsys):
         root = str(tmp_path / "empty")

@@ -17,9 +17,10 @@ Two baseline sources:
     python tools/bench_runner.py --smoke --trace-json smoke-trace.json
     python tools/bench_compare.py smoke-trace.json --baseline BENCH_2026-08-06.json
 
-* the ``repro.obs`` run-history store — the last *recorded* bench run is
-  the baseline and the newest one the candidate, so the gate tracks the
-  store instead of a hand-appended JSON blob::
+* the ``repro.obs`` run-history store — the newest recorded bench run is
+  the candidate and the most recent earlier run with the same args
+  fingerprint the baseline, so the gate tracks the store instead of a
+  hand-appended JSON blob::
 
     python tools/bench_runner.py --smoke --history-dir .repro-history
     python tools/bench_compare.py --history .repro-history
@@ -28,8 +29,8 @@ Counters *dropping* below baseline is fine (that is an optimization,
 report-only); growth beyond ``--tolerance`` (default 0, counters are
 exact) fails with exit code 1.  Exit code 2 means the inputs were
 unusable (missing file, no counter-bearing baseline run).  A history
-store with fewer than two runs exits 0 — the first CI run after a cache
-reset has nothing to gate against yet.
+store with no earlier run of the candidate's fingerprint exits 0 — the
+first CI run after a cache reset has nothing to gate against yet.
 """
 
 from __future__ import annotations
@@ -199,7 +200,13 @@ def _report(lines: list[str], regressions: list[str]) -> int:
 
 
 def _compare_history(history_dir: str, tolerance: float) -> int:
-    """Gate the newest history record against the one before it."""
+    """Gate the newest history record against the last one like it.
+
+    The baseline is the most recent earlier record with the same
+    ``args_fingerprint``: a smoke run and a full run solve different
+    instances, so their counters are not comparable.  When no earlier
+    record shares the fingerprint there is nothing to gate against yet.
+    """
     from repro.obs.history import HistoryStore
 
     store = HistoryStore(history_dir)
@@ -210,13 +217,22 @@ def _compare_history(history_dir: str, tolerance: float) -> int:
             file=sys.stderr,
         )
         return 2
-    if len(records) < 2:
+    candidate = records[-1]
+    fingerprint = candidate.get("args_fingerprint")
+    baseline = next(
+        (
+            record
+            for record in reversed(records[:-1])
+            if record.get("args_fingerprint") == fingerprint
+        ),
+        None,
+    )
+    if baseline is None:
         print(
-            f"history store {store.path} holds one run; nothing to gate "
-            "against yet"
+            f"history store {store.path} holds no earlier run with args "
+            f"fingerprint {fingerprint!r}; nothing to gate against yet"
         )
         return 0
-    baseline, candidate = records[-2], records[-1]
     lines, regressions = compare(
         candidate["counters"], baseline["counters"], tolerance=tolerance
     )
@@ -245,7 +261,8 @@ def main(argv=None) -> int:
         metavar="DIR",
         default=None,
         help="gate the newest run in this repro.obs history store against "
-        "the previous one instead of comparing a trace file",
+        "the last earlier run with its args fingerprint instead of "
+        "comparing a trace file",
     )
     parser.add_argument(
         "--tolerance",
