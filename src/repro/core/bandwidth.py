@@ -22,11 +22,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.independent_sets import (
     ColumnFamily,
     RateIndependentSet,
+    _mask_members,
     enumerate_maximal_independent_sets,
 )
 from repro.core.lp import LinearProgram
@@ -105,13 +108,31 @@ def _collect_links(
 # Columns travel as a ColumnFamily: the LP is read off its couple masks,
 # and a set is built only for a column the solution schedules.
 
+#: ``lambda_<i>`` by index, interned: every cached master LP shares them.
+#: It grows to the largest family assembled so far.
+_LAMBDA_NAMES: List[str] = []
 
+
+@lru_cache(maxsize=None)
 def _demand_row(link_id: str) -> str:
     """Name of a link's delivery row in every time-share LP.
 
-    Interned, like the λ names: the cached master LPs all share them.
+    Interned and kept per link id (one entry per link id ever asked
+    for), like the λ names: the cached master LPs all share them.
     """
     return sys.intern(f"demand[{link_id}]")
+
+
+def _lambda_names(count: int) -> List[str]:
+    """The names of the first ``count`` λ columns."""
+    global _LAMBDA_NAMES
+    names = _LAMBDA_NAMES
+    if len(names) < count:
+        # Replaced, never appended to, and read through the local: a
+        # thread that replaces it concurrently cannot shorten this list.
+        new = [sys.intern(f"lambda_{index}") for index in range(len(names), count)]
+        names = _LAMBDA_NAMES = names + new
+    return names[:count]
 
 
 def _columns_for(
@@ -144,43 +165,62 @@ def _time_share_lp(
     ``airtime`` row when there is a lead, then one ``>= rhs[link]`` row
     per link in ``links`` order, named by :func:`_demand_row`, where the
     lead has coefficient ``lead_entries[link]``.
+
+    The matrix is written in the program's stored form in one pass over
+    the family's masks, exactly as the row-by-row build stores it: each
+    column's rows ascending, ``>=`` rows negated, zero coefficients and
+    couples on links outside ``links`` left out (of two couples of one
+    link in a column, the later one counts).  ``links`` must not repeat
+    a link id: the duplicate row name raises.
     """
     family = ColumnFamily.of(columns)
-    lp = LinearProgram()
-    if lead is not None:
-        lp.add_variable(lead, objective=1.0, upper_bound=lead_bound)
-    lambda_objective = 0.0 if lead is not None else -1.0
-    lambda_vars = [
-        lp.add_variable(sys.intern(f"lambda_{index}"), objective=lambda_objective)
-        for index in range(len(family))
+    leads = [] if lead is None else [lead]
+    first = len(leads)  # the first demand row: row 0 is airtime with a lead
+    airtime, ones = [0] * first, [1.0] * first  # a λ's airtime entry, if any
+    row_of = {link.link_id: row for row, link in enumerate(links, first)}
+    # Per couple: its stored (row, -Mbps) entry, None when it has none.
+    couple_entries = [
+        (row_of[couple.link.link_id], -couple.rate.mbps)
+        if couple.link.link_id in row_of and couple.rate.mbps > 0.0
+        else None
+        for couple in family.couples
     ]
-    rows: Dict[Link, Dict[str, float]] = {link: {} for link in links}
-    if artificial_penalty is not None:
-        for link, row in rows.items():
-            var = lp.add_variable(
-                f"artificial[{link.link_id}]", objective=-artificial_penalty
-            )
-            row[var] = 1.0
-    if lead is not None:
-        lp.add_constraint_le(dict.fromkeys(lambda_vars, 1.0), 1.0, name="airtime")
-    # Per couple: the row of its link (None outside ``links``) and its Mbps.
-    couple_rows = [
-        (rows.get(couple.link), couple.rate.mbps) for couple in family.couples
-    ]
-    for var, mask in zip(lambda_vars, family.masks):
-        while mask:
-            low_bit = mask & -mask
-            mask ^= low_bit
-            row, mbps = couple_rows[low_bit.bit_length() - 1]
-            if row is not None and mbps > 0.0:
-                row[var] = mbps
-    lead_entries = lead_entries or {}
-    for link, row in rows.items():
-        if link in lead_entries:
-            row[lead] = lead_entries[link]
-        lp.add_constraint_ge(
-            row, rhs.get(link, 0.0), name=_demand_row(link.link_id)
-        )
+    lead_entries = lead_entries if leads and lead_entries else {}
+    entry_rows = [row for row, link in enumerate(links, 1) if lead_entries.get(link, 0.0) != 0.0]
+    entry_values = [-lead_entries[links[row - 1]] for row in entry_rows]
+    start = [0] + [len(entry_rows)] * first
+    # A column's entries in bit order are in row order when the couples
+    # are (enumerated families' are); otherwise they are sorted stably,
+    # so that of two couples of one link the later one counts.
+    rows_in_bit_order = [entry[0] for entry in filter(None, couple_entries)]
+    in_row_order = rows_in_bit_order == sorted(rows_in_bit_order)
+    for mask in family.masks:
+        entries = filter(None, _mask_members(mask, couple_entries))
+        column = dict(entries if in_row_order else sorted(entries, key=itemgetter(0)))
+        entry_rows += [*airtime, *column]
+        entry_values += [*ones, *column.values()]
+        start.append(len(entry_rows))
+    penalized = links if artificial_penalty is not None else ()
+    artificials = [f"artificial[{link.link_id}]" for link in penalized]
+    entry_rows += range(first, first + len(artificials))
+    entry_values += [-1.0] * len(artificials)
+    start += range(start[-1] + 1, start[-1] + 1 + len(artificials))
+    lambda_vars = _lambda_names(len(family))
+    lp = LinearProgram._from_columns(
+        (
+            leads + lambda_vars + artificials,
+            [1.0] * first
+            + [0.0 if leads else -1.0] * len(family)
+            + [-artificial_penalty for _ in artificials],
+            [lead_bound] * first + [None] * (len(family) + len(artificials)),
+        ),
+        (start, entry_rows, entry_values),
+        (
+            ["airtime"] * first + [_demand_row(link.link_id) for link in links],
+            [1.0] * first + [-1.0 * rhs.get(link, 0.0) for link in links],
+            [1.0] * first + [-1.0] * len(links),
+        ),
+    )
     return lp, lambda_vars
 
 
@@ -372,8 +412,6 @@ def tdma_schedule(
         InfeasibleProblemError: when the serialised slots alone exceed one
             period.
     """
-    from repro.interference.base import LinkRate
-
     demands = link_demands_from_paths(background)
     entries = []
     for link, demand in demands.items():

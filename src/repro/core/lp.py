@@ -6,11 +6,15 @@ converts solver statuses into the library's exception types, so the model
 code above reads like the paper's formulations rather than like matrix
 plumbing.
 
-The constraint matrix is stored once, column by column, in the canonical
-form HiGHS takes: each column's row indices ascending, its nonzero
-values carrying the row's sign (a ``>=`` row is stored negated).  Every
-edit keeps that form: a new row appends its index, the largest so far,
-to each column it touches.  :meth:`LinearProgram.add_column` grows an
+The constraint matrix is stored once, in the column-major form HiGHS
+takes: flat ``start``/``index``/``value`` lists, each column's row
+indices ascending and its nonzero values carrying the row's sign (a
+``>=`` row is stored negated).  A program is built either row by row
+(:meth:`LinearProgram.add_variable` and ``add_constraint_*``, a new row
+merged into the end of each column it touches) or in one step from
+lists already in that form (:meth:`LinearProgram._from_columns`, which
+:func:`repro.core.bandwidth._time_share_lp` fills in one pass over a
+column family).  :meth:`LinearProgram.add_column` grows an
 already-built program by one variable with coefficients in existing
 rows, which is what column generation needs: the master problem is
 built once and re-solved as columns arrive.
@@ -24,25 +28,26 @@ variable out of the program, returning a snapshot that
 :meth:`~LinearProgram.set_column` restores.
 
 Each program keeps one HiGHS input model (``HighsLp``: costs, bounds,
-row bounds and the column-major ``start``/``index``/``value`` matrix)
-between solves, next to the right-hand sides, matrix and upper bounds
-it was set from.  Each edit marks which side it changed, and the next
-solve rebuilds only that side and sets it on the kept model:
+row bounds and the matrix) between solves; the model and the input the
+last solve read share the program's matrix lists.  Each edit marks
+which side it changed, and the next solve re-sets only that side on
+the kept model:
 
 * :meth:`~LinearProgram.set_rhs` marks the row bounds, which are
   re-read;
 * :meth:`~LinearProgram.set_column` and
-  :meth:`~LinearProgram.retire_column` mark the column side: the
-  matrix lists, costs and upper bounds are rebuilt from the stored
-  columns and set on the model; the model object stays;
+  :meth:`~LinearProgram.retire_column` splice one column's slice of
+  the matrix lists and mark the column side: the lists, costs and
+  upper bounds are set on the model; the model object stays;
 * :meth:`~LinearProgram.add_variable`, ``add_constraint_*`` and
   :meth:`~LinearProgram.add_column` change the shape, so the model is
   built afresh.
 
-The right-hand sides and matrix are replaced, never written in place,
-so a solution keeps those of its own version.  An edited program and one built fresh in
-the same state hand HiGHS the same arrays, bit for bit.  Whether the
-costs, coefficients and bounds are finite is checked when they are
+The right-hand sides and matrix lists a solve has read are replaced,
+never written in place (copy-on-write), so a solution keeps those of
+its own version.  An edited program and one built fresh in the same
+state hand HiGHS the same arrays, bit for bit.  Whether the costs,
+coefficients and bounds are finite is checked when they are
 refreshed; a solve with non-finite input raises
 :class:`~repro.errors.SolverError` before any solver attempt.
 
@@ -76,10 +81,9 @@ from __future__ import annotations
 import math
 import threading
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
 from typing import (
     Callable,
     Dict,
@@ -215,21 +219,15 @@ def _highs_lp(
     return model
 
 
-def _column_starts(rows: Sequence[List[int]]) -> List[int]:
-    """Where each stored column starts in the flattened matrix, and the
-    number of entries: HiGHS's ``a_matrix_.start_``."""
-    return list(accumulate(map(len, rows), initial=0))
-
-
 class _Input(NamedTuple):
     """One version of a program's right-hand sides and constraint matrix
     ``A`` (column-major ``start``/``index``/``value`` lists), as its
     input model holds them: what the slacks ``rhs - A @ x`` are computed
     from.  The binding copies a list into the model's matrix several
-    times faster than a NumPy array, and the lists share their numbers
-    with the stored columns.  Nothing here is written in place: an edit
-    replaces what it changes, so a solution can keep the input of the
-    version it solved.  Costs and upper bounds are not kept per version:
+    times faster than a NumPy array, and the lists are the program's
+    own.  Nothing here is written in place: an edit replaces what it
+    changes, so a solution can keep the input of the version it
+    solved.  Costs and upper bounds are not kept per version:
     no solution reads them."""
 
     rhs: np.ndarray
@@ -489,11 +487,12 @@ class LinearProgram:
         self._index: Dict[str, int] = {}
         self._objective: List[float] = []
         self._upper: List[Optional[float]] = []
-        # The constraint matrix, column by column: each column's row
-        # indices in ascending order and its nonzero values, stored with
-        # the row's sign.
-        self._column_rows: List[List[int]] = []
-        self._column_values: List[List[float]] = []
+        # The constraint matrix in HiGHS's column-major form: column j's
+        # row indices (ascending) and nonzero values (with the row's
+        # sign) are ``_entry_rows``/``_entry_values[_start[j]:_start[j + 1]]``.
+        self._start: List[int] = [0]
+        self._entry_rows: List[int] = []
+        self._entry_values: List[float] = []
         self._rhs: List[float] = []
         self._row_names: List[str] = []
         self._row_index: Dict[str, int] = {}
@@ -508,7 +507,7 @@ class LinearProgram:
         # The HiGHS input model, the input it was last set from and its
         # upper bounds (which every solve's feasibility check reads).
         # ``None`` after a new variable or row: the next solve builds
-        # them afresh.  Otherwise the next solve rebuilds the side (the
+        # them afresh.  Otherwise the next solve re-sets the side (the
         # columns or the right-hand sides) the edits since the last one
         # marked stale.
         self._model: Optional["_highs.HighsLp"] = None
@@ -521,6 +520,33 @@ class LinearProgram:
         self._columns_problem: Optional[str] = None
         self._rhs_problem: Optional[str] = None
 
+    @classmethod
+    def _from_columns(cls, columns: tuple, matrix: tuple, rows: tuple) -> "LinearProgram":
+        """A program built in one step from its stored lists.
+
+        ``columns`` is ``(names, objectives, upper bounds)``, ``matrix``
+        the ``(start, index, value)`` lists in the stored form (each
+        column's rows ascending, values carrying the row's sign) and
+        ``rows`` ``(names, right-hand sides, signs)``, each right-hand
+        side with its row's sign applied.  The program takes the lists
+        as they are.  A variable or constraint name given twice raises
+        :class:`~repro.errors.SolverError` as ``add_variable`` and
+        ``add_constraint_*`` do, and no program is returned.
+        """
+        lp = cls()
+        lp._names, lp._objective, lp._upper = columns
+        lp._start, lp._entry_rows, lp._entry_values = matrix
+        lp._row_names, lp._rhs, lp._row_signs = rows
+        for kind, names, index in (
+            ("variable", lp._names, lp._index),
+            ("constraint", lp._row_names, lp._row_index),
+        ):
+            index.update(zip(names, range(len(names))))
+            if len(index) < len(names):
+                name = next(n for at, n in enumerate(names) if names.index(n) < at)
+                raise SolverError(f"duplicate LP {kind} {name!r}")
+        return lp
+
     # -- construction -------------------------------------------------------------
 
     def add_variable(
@@ -530,17 +556,7 @@ class LinearProgram:
         upper_bound: Optional[float] = None,
     ) -> str:
         """Register variable ``name`` ≥ 0; returns the name for chaining."""
-        if name in self._index:
-            raise SolverError(f"duplicate LP variable {name!r}")
-        self._index[name] = len(self._names)
-        self._names.append(name)
-        self._objective.append(objective)
-        self._upper.append(upper_bound)
-        self._column_rows.append([])
-        self._column_values.append([])
-        self._model = None
-        self._version += 1
-        return name
+        return self.add_column(name, {}, objective, upper_bound)
 
     @property
     def num_variables(self) -> int:
@@ -575,18 +591,22 @@ class LinearProgram:
         sign: float,
     ) -> str:
         row = len(self._rhs)
-        entries = [
-            (self._column_of(var), coeff)
-            for var, coeff in coefficients.items()
-        ]
+        columns = [self._column_of(var) for var in coefficients]
         if name is None:
             name = f"c{row}"
         if name in self._row_index:
             raise SolverError(f"duplicate LP constraint {name!r}")
-        for column, coeff in entries:
-            if coeff != 0.0:
-                self._column_rows[column].append(row)
-                self._column_values[column].append(sign * coeff)
+        entries = sorted((j, sign * c) for j, c in zip(columns, coefficients.values()) if c != 0.0)
+        # The new row, the largest index so far, goes at the end of each
+        # column it touches (last column first, into copies of the
+        # lists), and every later column starts that much further on.
+        start, touched = self._start, [column for column, _ in entries]
+        rows, values = self._entry_rows[:], self._entry_values[:]
+        for column, value in reversed(entries):
+            rows.insert(start[column + 1], row)
+            values.insert(start[column + 1], value)
+        self._start = [at + bisect_left(touched, j) for j, at in enumerate(start)]
+        self._entry_rows, self._entry_values = rows, values
         self._rhs.append(sign * rhs)
         self._row_names.append(name)
         self._row_index[name] = row
@@ -649,10 +669,28 @@ class LinearProgram:
         incremental path column generation uses to grow the master problem
         without rebuilding it.
         """
-        column = self._stored_column(entries)
-        var = self.add_variable(name, objective=objective, upper_bound=upper_bound)
-        self._column_rows[-1], self._column_values[-1] = column
-        return var
+        rows, values = self._stored_column(entries)
+        if name in self._index:
+            raise SolverError(f"duplicate LP variable {name!r}")
+        self._index[name] = len(self._names)
+        self._names.append(name)
+        self._objective.append(objective)
+        self._upper.append(upper_bound)
+        self._start = self._start + [self._start[-1]]
+        self._splice_column(len(self._names) - 1, rows, values)
+        self._model = None
+        return name
+
+    def _splice_column(self, column: int, rows: List[int], values: List[float]) -> None:
+        """Replace ``column``'s slice of the matrix lists with a stored
+        column, in new lists: the old ones may belong to a solution."""
+        start, begin, end = self._start, self._start[column], self._start[column + 1]
+        self._entry_rows = self._entry_rows[:begin] + rows + self._entry_rows[end:]
+        self._entry_values = self._entry_values[:begin] + values + self._entry_values[end:]
+        shift = len(rows) - (end - begin)
+        self._start = start[:column + 1] + [at + shift for at in start[column + 1:]]
+        self._stale_columns = True
+        self._version += 1
 
     def set_column(
         self,
@@ -676,15 +714,11 @@ class LinearProgram:
         masked by :meth:`retire_column`.
         """
         column = self._column_of(name)
-        self._column_rows[column], self._column_values[column] = (
-            self._stored_column(entries)
-        )
+        self._splice_column(column, *self._stored_column(entries))
         if objective is not None:
             self._objective[column] = objective
         if upper_bound is not _KEEP_BOUND:
             self._upper[column] = upper_bound  # type: ignore[assignment]
-        self._stale_columns = True
-        self._version += 1
         return name
 
     def retire_column(self, name: str) -> Dict[str, object]:
@@ -702,23 +736,19 @@ class LinearProgram:
         exactly as it was.
         """
         column = self._column_of(name)
+        begin, end = self._start[column], self._start[column + 1]
         snapshot: Dict[str, object] = {
             "entries": {
                 self._row_names[row]: self._row_signs[row] * value
-                for row, value in zip(
-                    self._column_rows[column], self._column_values[column]
-                )
+                for row, value in zip(self._entry_rows[begin:end], self._entry_values[begin:end])
             },
             "objective": self._objective[column],
             "upper_bound": self._upper[column],
         }
-        self._column_rows[column] = []
-        self._column_values[column] = []
+        self._splice_column(column, [], [])
         self._objective[column] = 0.0
         self._upper[column] = 0.0
-        self._stale_columns = True
         get_recorder().count("lp.column_retirements")
-        self._version += 1
         return snapshot
 
     def set_rhs(self, name: str, rhs: float) -> str:
@@ -811,19 +841,20 @@ class LinearProgram:
     def _input(self) -> _Input:
         """The current version's input, with the input model set from
         it: built afresh after a new variable or row; otherwise the
-        column-side arrays and the row bounds that edits since the last
-        call left stale are rebuilt and set on the kept model."""
+        column side and the row bounds that edits since the last call
+        left stale are set on the kept model."""
         model = self._model
+        start, index, value = self._start, self._entry_rows, self._entry_values
         if model is None:
             rhs = np.array(self._rhs, dtype=float)
-            start, index, value, cost, upper = self._column_side()
+            cost, upper = self._costs_and_bounds()
             self._model = _highs_lp(cost, start, index, value, rhs, upper)
             self._check_columns(cost, upper, value)
             self._check_rhs(rhs)
         else:
-            rhs, start, index, value = self._inputs
+            rhs = self._inputs.rhs
             if self._stale_columns:
-                start, index, value, cost, upper = self._column_side()
+                cost, upper = self._costs_and_bounds()
                 model.col_cost_ = cost
                 model.col_upper_ = upper
                 matrix = model.a_matrix_
@@ -838,40 +869,35 @@ class LinearProgram:
         inputs = self._inputs = _Input(rhs, start, index, value)
         return inputs
 
-    def _column_side(
-        self,
-    ) -> Tuple[List[int], List[int], List[float], np.ndarray, np.ndarray]:
-        """The matrix lists ``(start, index, value)``, the HiGHS costs
-        (the objective negated) and the upper bounds (``inf`` for
-        ``None``), built from the stored columns; the upper bounds are
-        kept for the feasibility check of every solve."""
-        upper = self._upper_bounds = np.array(
-            [np.inf if bound is None else bound for bound in self._upper],
-            dtype=float,
-        )
-        return (
-            _column_starts(self._column_rows),
-            list(chain.from_iterable(self._column_rows)),
-            list(chain.from_iterable(self._column_values)),
-            -np.asarray(self._objective, dtype=float),
-            upper,
-        )
+    def _costs_and_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The HiGHS costs (the objective negated) and upper bounds
+        (``inf`` for ``None``); the upper bounds are kept for the
+        feasibility check of every solve."""
+        upper = [np.inf if bound is None else bound for bound in self._upper]
+        self._upper_bounds = np.array(upper, dtype=float)
+        return -np.asarray(self._objective, dtype=float), self._upper_bounds
 
-    def _check_columns(
-        self, cost: np.ndarray, upper: np.ndarray, value: List[float]
-    ) -> None:
-        """Record whether the costs, coefficients and upper bounds can go
-        to HiGHS; the column side is then up to date."""
+    def _check_columns(self, cost: np.ndarray, upper: np.ndarray, value: List[float]) -> None:
+        """Record why the costs, coefficients or upper bounds cannot go
+        to HiGHS (``None``: they can): the first NaN or infinite cost or
+        coefficient, or NaN or ``-inf`` upper bound (``+inf`` and
+        ``None`` mean unbounded).  The column side is then up to date."""
+        self._columns_problem, self._stale_columns = None, False
         # A finite sum proves every coefficient finite; only a non-finite
         # one (or an overflow) needs the entry-wise look.
-        self._columns_problem = (
-            None
-            if np.isfinite(cost).all()
-            and (upper > -np.inf).all()
-            and math.isfinite(sum(value))
-            else self._columns_problem_of(cost, upper, value)
-        )
-        self._stale_columns = False
+        if np.isfinite(cost).all() and (upper > -np.inf).all() and math.isfinite(sum(value)):
+            return
+        for what, usable, given, per_entry in (
+            ("objective coefficient", np.isfinite(cost), self._objective, False),
+            ("upper bound", upper > -np.inf, self._upper, False),
+            ("a constraint coefficient", np.isfinite(value), value, True),
+        ):
+            if not usable.all():
+                at = int(np.argmin(usable))
+                # An entry's column is the last one starting at or before it.
+                column = bisect_right(self._start, at) - 1 if per_entry else at
+                self._columns_problem = f"{what} of {self._names[column]!r} is {given[at]!r}"
+                return
 
     def _check_rhs(self, rhs: np.ndarray) -> None:
         """Record whether the right-hand sides can go to HiGHS, naming
@@ -885,35 +911,6 @@ class LinearProgram:
                 f"{self._row_signs[row] * self._rhs[row]!r}"
             )
         self._stale_rhs = False
-
-    def _columns_problem_of(
-        self, cost: np.ndarray, upper: np.ndarray, value: List[float]
-    ) -> Optional[str]:
-        """Why the costs, coefficients or upper bounds cannot go to
-        HiGHS: the first NaN or infinite cost or coefficient, or NaN or
-        ``-inf`` upper bound (``+inf`` and ``None`` mean unbounded)."""
-        finite = np.isfinite(cost)
-        if not finite.all():
-            column = int(np.argmin(finite))
-            return (
-                f"objective coefficient of {self._names[column]!r} is "
-                f"{self._objective[column]!r}"
-            )
-        bounded = upper > -np.inf
-        if not bounded.all():
-            column = int(np.argmin(bounded))
-            return (
-                f"upper bound of {self._names[column]!r} is "
-                f"{self._upper[column]!r}"
-            )
-        for entry, coefficient in enumerate(value):
-            if not math.isfinite(coefficient):
-                column = bisect_right(_column_starts(self._column_rows), entry) - 1
-                return (
-                    f"a constraint coefficient of {self._names[column]!r} "
-                    f"is {coefficient!r}"
-                )
-        return None
 
     # -- solving ---------------------------------------------------------------------
 

@@ -78,6 +78,18 @@ class InterferenceModel(ABC):
         """:meth:`standalone_rates` of each of ``links``, in order."""
         return [self.standalone_rates(link) for link in links]
 
+    def standalone_couples_of(
+        self, links: Sequence[Link]
+    ) -> List[Tuple[LinkRate, ...]]:
+        """Each of ``links``' (link, rate) couples over its standalone
+        rates, fastest first.  The models of this package return one
+        couple object per (link, rate) every time, so the column
+        families they enumerate share their couples."""
+        return [
+            tuple(LinkRate(link, rate) for rate in rates)
+            for link, rates in zip(links, self.standalone_rates_of(links))
+        ]
+
     def max_standalone_rate(self, link: Link) -> Optional[Rate]:
         rates = self.standalone_rates(link)
         return rates[0] if rates else None

@@ -34,14 +34,17 @@ def link_rate_vertices(
 ) -> List[LinkRate]:
     """All (link, rate) couples over the links' standalone rates.
 
-    Couples are the vertices of the conflict graph; a link with no
-    standalone rate contributes none (it can never transmit, Prop. 2).
+    Couples are the vertices of the conflict graph, in ``links`` order
+    and each link's fastest first; a link with no standalone rate
+    contributes none (it can never transmit, Prop. 2).  They come from
+    :meth:`~repro.interference.base.InterferenceModel.standalone_couples_of`,
+    so every call over a model of this package returns the same couple
+    objects.
     """
-    links = list(links)
     return [
-        LinkRate(link, rate)
-        for link, rates in zip(links, model.standalone_rates_of(links))
-        for rate in rates
+        couple
+        for couples in model.standalone_couples_of(list(links))
+        for couple in couples
     ]
 
 

@@ -16,7 +16,7 @@ conflict graph (which is always correct).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import InterferenceError, TopologyError
 from repro.interference.base import InterferenceModel, LinkRate
@@ -102,6 +102,7 @@ class DeclaredInterferenceModel(InterferenceModel):
             network.link(rule.link_a)
             network.link(rule.link_b)
         self._standalone: Dict[str, Tuple[Rate, ...]] = {}
+        self._couples: Dict[str, Tuple[LinkRate, ...]] = {}
         table = network.radio.rate_table
         standalone_mbps = dict(standalone_mbps or {})
         for link in network.links:
@@ -116,6 +117,9 @@ class DeclaredInterferenceModel(InterferenceModel):
             else:
                 rates = table.rates
             self._standalone[link.link_id] = rates
+            self._couples[link.link_id] = tuple(
+                LinkRate(link, rate) for rate in rates
+            )
         if standalone_mbps:
             raise TopologyError(
                 f"standalone_mbps names unknown links: "
@@ -128,6 +132,11 @@ class DeclaredInterferenceModel(InterferenceModel):
 
     def standalone_rates(self, link: Link) -> Tuple[Rate, ...]:
         return self._standalone[link.link_id]
+
+    def standalone_couples_of(
+        self, links: Sequence[Link]
+    ) -> List[Tuple[LinkRate, ...]]:
+        return [self._couples[link.link_id] for link in links]
 
     def _conflict(self, a: LinkRate, b: LinkRate) -> bool:
         return any(rule.applies(a, b) for rule in self._rules)

@@ -42,6 +42,7 @@ from typing import Dict, Iterable, List, Tuple
 import numpy as np
 
 from repro.errors import TopologyError
+from repro.interference.base import LinkRate
 from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.topology import Network
@@ -82,6 +83,9 @@ class LinkEntry:
         signal_mw: Received signal power at the link's receiver.
         rates: Standalone rates (Eq. 1), fastest first.
         thresholds: Linear SINR thresholds aligned with ``rates``.
+        couples: The link's (link, rate) couples aligned with ``rates``:
+            the one couple object per (link, rate) that every column
+            family over this kernel's model shares.
     """
 
     sender_index: int
@@ -91,6 +95,7 @@ class LinkEntry:
     signal_mw: float
     rates: Tuple[Rate, ...]
     thresholds: Tuple[float, ...]
+    couples: Tuple[LinkRate, ...]
 
 
 class GeometricKernel:
@@ -234,6 +239,7 @@ class GeometricKernel:
             signal_mw=signal,
             rates=rates,
             thresholds=tuple(rate.sinr_linear for rate in rates),
+            couples=tuple(LinkRate(link, rate) for rate in rates),
         )
         self._entries[link.link_id] = entry
         return entry

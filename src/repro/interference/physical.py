@@ -70,6 +70,11 @@ class PhysicalInterferenceModel(InterferenceModel):
     ) -> List[Tuple[Rate, ...]]:
         return [entry.rates for entry in self._kernel.entries(links)]
 
+    def standalone_couples_of(
+        self, links: Sequence[Link]
+    ) -> List[Tuple[LinkRate, ...]]:
+        return [entry.couples for entry in self._kernel.entries(links)]
+
     # -- cumulative computations ------------------------------------------------
 
     def sinr_in_set(self, link: Link, links: FrozenSet[Link]) -> float:

@@ -57,6 +57,11 @@ class ProtocolInterferenceModel(InterferenceModel):
     ) -> List[Tuple[Rate, ...]]:
         return [entry.rates for entry in self._kernel.entries(links)]
 
+    def standalone_couples_of(
+        self, links: Sequence[Link]
+    ) -> List[Tuple[LinkRate, ...]]:
+        return [entry.couples for entry in self._kernel.entries(links)]
+
     def _receiver_survives(self, victim: LinkRate, interferer: Link) -> bool:
         """SINR test at ``victim``'s receiver with one interfering sender."""
         kernel = self._kernel

@@ -1432,3 +1432,334 @@ class TestLazySlacks:
             stat.size_diff for stat in after.compare_to(before, "filename")
         )
         assert growth < 256 * 1024
+
+
+# -- the one-pass time-share assembly ----------------------------------------------
+
+
+def _row_by_row_time_share_lp(
+    columns, links, rhs, lead=None, lead_entries=None, lead_bound=None,
+    artificial_penalty=None,
+):
+    """The reference: a time-share LP built through the public row-by-row
+    API (one ``add_variable`` per variable, one ``add_constraint_*`` per
+    row), as :func:`~repro.core.bandwidth._time_share_lp` assembled it
+    before it wrote the matrix lists in one pass."""
+    from repro.core.independent_sets import ColumnFamily
+
+    family = ColumnFamily.of(columns)
+    lp = LinearProgram()
+    if lead is not None:
+        lp.add_variable(lead, objective=1.0, upper_bound=lead_bound)
+    lambda_objective = 0.0 if lead is not None else -1.0
+    lambda_vars = [
+        lp.add_variable(f"lambda_{index}", objective=lambda_objective)
+        for index in range(len(family))
+    ]
+    rows = {link: {} for link in links}
+    if artificial_penalty is not None:
+        for link, row in rows.items():
+            var = lp.add_variable(
+                f"artificial[{link.link_id}]", objective=-artificial_penalty
+            )
+            row[var] = 1.0
+    if lead is not None:
+        lp.add_constraint_le(dict.fromkeys(lambda_vars, 1.0), 1.0, name="airtime")
+    couple_rows = [
+        (rows.get(couple.link), couple.rate.mbps) for couple in family.couples
+    ]
+    for var, mask in zip(lambda_vars, family.masks):
+        while mask:
+            low_bit = mask & -mask
+            mask ^= low_bit
+            row, mbps = couple_rows[low_bit.bit_length() - 1]
+            if row is not None and mbps > 0.0:
+                row[var] = mbps
+    lead_entries = lead_entries or {}
+    for link, row in rows.items():
+        if link in lead_entries:
+            row[lead] = lead_entries[link]
+        lp.add_constraint_ge(row, rhs.get(link, 0.0), name=f"demand[{link.link_id}]")
+    return lp, lambda_vars
+
+
+def _zero_rate():
+    """A rate with zero throughput, which :class:`Rate` itself refuses."""
+    from repro.phy.rates import Rate
+
+    zero = object.__new__(Rate)
+    for name, value in (("mbps", 0.0), ("sinr_db", 0.0), ("range_m", 1.0)):
+        object.__setattr__(zero, name, value)
+    return zero
+
+
+def _chain_links():
+    from repro.net.generators import chain_topology
+
+    network = chain_topology(9, 70.0)
+    links = [
+        network.link_between(f"n{index}", f"n{index + 1}") for index in range(8)
+    ]
+    return links, list(network.radio.rate_table)[:3]
+
+
+_CHAIN_LINKS, _CHAIN_RATES = _chain_links()
+
+
+@st.composite
+def _time_share_cases(draw):
+    """A family over the chain's couples (any couple order, so columns
+    may hold two couples of one link, zero-Mbps couples included) and
+    the program's links, right-hand sides, lead and artificials: links
+    outside the family, couples outside the links and links without a
+    right-hand side all occur."""
+    from repro.core.independent_sets import ColumnFamily
+    from repro.interference.base import LinkRate
+
+    rates = _CHAIN_RATES + ([_zero_rate()] if draw(st.booleans()) else [])
+    pool = [LinkRate(link, rate) for link in _CHAIN_LINKS for rate in rates]
+    couples = draw(st.lists(st.sampled_from(pool), unique=True, max_size=12))
+    if draw(st.booleans()):
+        couples.sort(key=lambda couple: _CHAIN_LINKS.index(couple.link))
+    masks = draw(st.lists(st.integers(0, 2 ** len(couples) - 1), max_size=10))
+    links = draw(st.permutations(_CHAIN_LINKS))[: draw(st.integers(0, 8))]
+    rhs = {
+        link: draw(st.one_of(st.floats(0.0, 5.0), st.integers(0, 3)))
+        for link in links
+        if draw(st.booleans())
+    }
+    lead = draw(st.sampled_from([None, "f", "theta"]))
+    lead_entries = {
+        link: draw(_COEFFICIENTS) for link in _CHAIN_LINKS if draw(st.booleans())
+    }
+    return (
+        ColumnFamily(couples, masks),
+        links,
+        rhs,
+        lead,
+        lead_entries if lead is not None else None,
+        draw(st.one_of(st.none(), st.floats(0.5, 20.0))) if lead else None,
+        draw(st.one_of(st.none(), st.just(1e3))),
+    )
+
+
+def _same_programs(lp, reference):
+    assert lp._names == reference._names
+    assert lp._row_names == reference._row_names
+    assert _fresh_model_fields(lp) == _fresh_model_fields(reference)
+    assert _outcome_bits(lp) == _outcome_bits(reference)
+    assert _model_fields(lp._model) == _model_fields(reference._model)
+
+
+class TestBulkAssembly:
+    """``_time_share_lp`` writes the matrix lists in one pass; the
+    program equals one built row by row through the public API, field
+    for field in the HiGHS model and bit for bit in the solve, before
+    and after the same follow-up edits."""
+
+    @given(case=_time_share_cases(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_row_by_row_build(self, case, data):
+        from repro.core.bandwidth import _add_time_share_column, _time_share_lp
+
+        family, links, rhs, lead, lead_entries, lead_bound, penalty = case
+        lp, lambda_vars = _time_share_lp(
+            family, links, rhs, lead, lead_entries, lead_bound, penalty
+        )
+        reference, reference_vars = _row_by_row_time_share_lp(
+            family, links, rhs, lead, lead_entries, lead_bound, penalty
+        )
+        assert lambda_vars == reference_vars
+        if lp.num_variables:
+            _same_programs(lp, reference)
+        if not links:
+            return
+        couples = data.draw(
+            st.lists(st.sampled_from(family.couples or [None]), max_size=3)
+        )
+        couples = [
+            couple for couple in couples if couple is not None and couple.link in links
+        ]
+        row_names = lp._row_names
+        for program in (lp, reference):
+            name = f"lambda_{len(lambda_vars)}"
+            _add_time_share_column(program, name, set(couples), lead is not None)
+        if lambda_vars:
+            entries = data.draw(
+                st.dictionaries(st.sampled_from(row_names), _COEFFICIENTS)
+            )
+            target = data.draw(st.sampled_from(lambda_vars))
+            for program in (lp, reference):
+                program.set_column(target, entries)
+        row = data.draw(st.sampled_from(row_names))
+        value = data.draw(_RIGHT_HAND_SIDES)
+        coefficients = data.draw(
+            st.dictionaries(st.sampled_from(lp._names), _COEFFICIENTS)
+        )
+        for program in (lp, reference):
+            program.set_rhs(row, value)
+            program.add_constraint_ge(coefficients, 0.5, name="extra")
+        _same_programs(lp, reference)
+
+    def test_eq6_masters_equal_row_by_row_builds(self):
+        """The serving workload's masters (``_eq6_masters``) through both
+        builds."""
+        from repro.core.bandwidth import (
+            _collect_links,
+            build_path_bandwidth_lp,
+            link_demands_from_paths,
+        )
+        from repro.core.independent_sets import (
+            enumerate_maximal_independent_sets,
+        )
+        from repro.workloads.scenarios import admission_query_workload
+
+        workload = admission_query_workload(n_flows=8, repeats=1)
+        paths = {query.path.nodes: query.path for query in workload.queries}
+        links = _collect_links(workload.background, next(iter(paths.values())))
+        columns = enumerate_maximal_independent_sets(workload.model, links)
+        demands = link_demands_from_paths(workload.background)
+        for path in list(paths.values())[:10]:
+            new_links = set(path.links)
+            lp, _, _ = build_path_bandwidth_lp(columns, links, demands, new_links)
+            reference, _ = _row_by_row_time_share_lp(
+                columns, links, demands, "f", dict.fromkeys(new_links, -1.0)
+            )
+            _same_programs(lp, reference)
+
+    def test_assembly_makes_no_row_by_row_call(self, monkeypatch):
+        from repro.core.bandwidth import _time_share_lp
+
+        family, links, rhs, *rest = _version_case()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("row-by-row call during the bulk assembly")
+
+        for method in ("add_variable", "add_column", "_add_row"):
+            monkeypatch.setattr(LinearProgram, method, refuse)
+        lp, _ = _time_share_lp(family, links, rhs, *rest, artificial_penalty=1e3)
+        assert lp.num_constraints == len(links) + 1
+
+    def test_duplicate_link_raises_before_any_program(self):
+        from repro.core.bandwidth import _time_share_lp
+        from repro.net.link import Link
+
+        family, links, rhs, *rest = _version_case()
+        twin = Link(links[0].link_id, links[1].sender, links[1].receiver)
+        with pytest.raises(SolverError, match=r"duplicate LP constraint 'demand\[") as raised:
+            _time_share_lp(family, [*links, twin], rhs, *rest)
+        assert links[0].link_id in str(raised.value)
+        with pytest.raises(SolverError, match="duplicate LP variable 'lambda_0'"):
+            _time_share_lp(family, links, rhs, "lambda_0", rest[1])
+
+    def test_lambda_names_under_threads(self, monkeypatch):
+        """The shared λ name table is replaced, never appended to: threads
+        asking for different lengths at once each get their own names."""
+        import sys
+        import threading
+
+        from repro.core import bandwidth
+
+        def ask(count, failures):
+            for _ in range(200):
+                names = bandwidth._lambda_names(count)
+                if names != [f"lambda_{index}" for index in range(count)]:
+                    failures.append(count)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                monkeypatch.setattr(bandwidth, "_LAMBDA_NAMES", [])
+                failures = []
+                workers = [
+                    threading.Thread(target=ask, args=(count, failures))
+                    for count in (3, 40, 7, 120, 1, 64, 15, 300)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30)
+                    assert not worker.is_alive()
+                assert failures == []
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_bulk_constructor_names_the_first_repeat(self):
+        columns = (["x", "y", "y", "x"], [0.0] * 4, [None] * 4)
+        matrix = ([0, 0, 0, 0, 0], [], [])
+        with pytest.raises(SolverError, match="duplicate LP variable 'y'"):
+            LinearProgram._from_columns(columns, matrix, ([], [], []))
+        rows = (["a", "b", "a"], [1.0] * 3, [1.0] * 3)
+        with pytest.raises(SolverError, match="duplicate LP variable 'y'"):
+            LinearProgram._from_columns(columns, matrix, rows)
+        columns = (["x"], [1.0], [1.0])
+        with pytest.raises(SolverError, match="duplicate LP constraint 'a'"):
+            LinearProgram._from_columns(columns, ([0, 0], [], []), rows)
+
+
+def _version_case():
+    """An Eq. 6-shaped family over the chain: couples in link order."""
+    from repro.core.independent_sets import ColumnFamily
+    from repro.interference.base import LinkRate
+
+    links = _CHAIN_LINKS[:5]
+    couples = [LinkRate(link, _CHAIN_RATES[0]) for link in links]
+    masks = [0b00101, 0b01010, 0b10100, 0b01001, 0b10010]
+    rhs = {links[0]: 2.0, links[3]: 1.0}
+    new_links = {links[1]: -1.0, links[2]: -1.0}
+    return ColumnFamily(couples, masks), links, rhs, "f", new_links
+
+
+def _input_bits(inputs):
+    return (
+        _bits(inputs.rhs),
+        list(inputs.start),
+        list(inputs.index),
+        _bits(inputs.value),
+    )
+
+
+_FIRST_ROW, _THIRD_ROW = (f"demand[{_CHAIN_LINKS[i].link_id}]" for i in (0, 2))
+_EDITS = {
+    "set_column": lambda lp: lp.set_column(
+        "lambda_1", {"airtime": 1.0, _FIRST_ROW: 9.0}
+    ),
+    "add_column": lambda lp: lp.add_column(
+        "lambda_9", {"airtime": 1.0, _FIRST_ROW: 5.0, _THIRD_ROW: 4.0}
+    ),
+    "add_variable": lambda lp: lp.add_variable("spare", objective=0.5, upper_bound=1.0),
+    "add_row": lambda lp: lp.add_constraint_le(
+        {"lambda_0": 1.0, "lambda_3": 2.0}, 0.25, name="cap"
+    ),
+}
+
+
+class TestSolutionVersions:
+    """An edit replaces the matrix lists a solve read, never writes into
+    them: the solution keeps the arrays, slacks and certificate inputs
+    of its own version, and the edited program answers as one that was
+    never solved before the edit."""
+
+    @pytest.mark.parametrize("edit", sorted(_EDITS))
+    def test_edits_leave_earlier_solutions_alone(self, edit):
+        from repro.core.bandwidth import _time_share_lp
+
+        case = _version_case()
+        lp, _ = _time_share_lp(*case)
+        twin, _ = _time_share_lp(*case)
+        unsolved, _ = _time_share_lp(*case)
+        first = lp.solve()
+        inputs = _input_bits(first._inputs)
+        expected_slacks = _bits(list(twin.solve().slacks.values()))
+        expected_certificate = lp.certificate()
+        _EDITS[edit](lp)
+        _EDITS[edit](unsolved)
+        second = lp.solve()
+        assert second is not first
+        assert _input_bits(first._inputs) == inputs
+        assert _bits(list(first.slacks.values())) == expected_slacks
+        assert twin.certificate() == expected_certificate
+        assert _solution_bits(second) == _solution_bits(unsolved.solve())
+        assert lp.certificate() == unsolved.certificate()
+        assert _input_bits(second._inputs) == _input_bits(unsolved._inputs)

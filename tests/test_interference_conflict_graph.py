@@ -1,6 +1,7 @@
 """Link–rate conflict graph construction."""
 
 
+from repro.core.independent_sets import enumerate_maximal_independent_sets
 from repro.interference.base import LinkRate
 from repro.interference.conflict_graph import (
     build_link_rate_conflict_graph,
@@ -21,6 +22,42 @@ class TestVertices:
         vertices = link_rate_vertices(line_protocol, links)
         for vertex in vertices:
             assert vertex.rate in line_protocol.standalone_rates(vertex.link)
+
+
+class TestSharedCouples:
+    """A model hands out one couple object per (link, rate), so column
+    families enumerated over it share their couples."""
+
+    def _check(self, model, links):
+        first = link_rate_vertices(model, links)
+        assert first == [
+            LinkRate(link, rate)
+            for link in links
+            for rate in model.standalone_rates(link)
+        ]
+        for link in links:
+            rates = [v.rate.mbps for v in first if v.link == link]
+            assert rates == sorted(rates, reverse=True)  # fastest first
+        again = {
+            (v.link.link_id, v.rate.mbps): v
+            for v in link_rate_vertices(model, list(reversed(links)))
+        }
+        assert all(
+            again[(v.link.link_id, v.rate.mbps)] is v for v in first
+        )
+        family = enumerate_maximal_independent_sets(model, links)
+        assert all(
+            again[(v.link.link_id, v.rate.mbps)] is v for v in family.couples
+        )
+
+    def test_declared_model(self, s2_bundle):
+        self._check(s2_bundle.model, list(s2_bundle.path.links))
+
+    def test_protocol_model(self, line_protocol):
+        self._check(line_protocol, list(line_protocol.network.links))
+
+    def test_physical_model(self, line_physical):
+        self._check(line_physical, list(line_physical.network.links))
 
 
 class TestGraph:
