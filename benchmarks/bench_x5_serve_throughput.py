@@ -133,32 +133,32 @@ def test_x5_explain_off_overhead_under_five_percent(measurement, workload):
     warm serve baseline.  Result-cache hits reuse the stored bottleneck,
     so the real work is one scan per result-cache miss; as in the
     telemetry overhead pin, charge three times that so the margin is 3x."""
+    from repro.core.bandwidth import build_path_bandwidth_lp
+    from repro.core.independent_sets import ColumnFamily
     from repro.obs.explain import top_binding_link
 
     row, detail = measurement
     baseline = row["warm_seconds"]
     n_scans = detail["recorder"].counters["serve.cache.result.misses"]
-    link_ids = sorted(
-        {
-            link.link_id
-            for query in workload.queries
-            for link in query.path
-        }
-    )
-    duals = {f"demand[{link_id}]": 0.25 for link_id in link_ids}
-    duals["airtime"] = 1.0
+    links = {
+        link.link_id: link for query in workload.queries for link in query.path
+    }
+    program = build_path_bandwidth_lp(ColumnFamily((), ()), list(links.values()), {}, set())
 
     class SolutionStub:
         pass
 
+    # The airtime row's dual, then one per demand row.
     solution = SolutionStub()
-    solution.duals = duals
+    solution.duals = dict(
+        zip(program.lp._row_names, [1.0] + [0.25] * len(links))
+    )
 
     cost = float("inf")
     for _ in range(3):
         started = time.perf_counter()
         for _ in range(3 * n_scans):
-            top_binding_link(solution)
+            top_binding_link(program, solution)
         cost = min(cost, time.perf_counter() - started)
     assert cost < 0.05 * baseline, (
         f"3x top-binding-link scans cost {cost * 1e3:.1f} ms against a "

@@ -14,7 +14,11 @@ Also here:
   vector (used to model optimally scheduled background traffic and derive
   per-node idleness for Section 4's estimators);
 * :func:`joint_admission_scale` — the "several flows join simultaneously"
-  extension mentioned at the end of Section 2.5.
+  extension mentioned at the end of Section 2.5;
+* :class:`TimeShareProgram` — the one layout every LP in
+  :mod:`repro.core` shares (Eq. 4 and Eq. 6), and the only code that
+  knows it: it grows, retargets and edits the program and reads its
+  solutions by position, so no caller spells or parses a row name.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from repro.core.independent_sets import (
     _mask_members,
     enumerate_maximal_independent_sets,
 )
-from repro.core.lp import LinearProgram
+from repro.core.lp import LinearProgram, LpSolution
 from repro.core.schedule import (
     _DROP_BELOW,
     LinkSchedule,
@@ -46,6 +50,7 @@ from repro.net.path import Path
 
 __all__ = [
     "PathBandwidthResult",
+    "TimeShareProgram",
     "available_path_bandwidth",
     "build_path_bandwidth_lp",
     "path_bandwidth_from_solution",
@@ -155,8 +160,8 @@ def _time_share_lp(
     lead_entries: Optional[Dict[Link, float]] = None,
     lead_bound: Optional[float] = None,
     artificial_penalty: Optional[float] = None,
-) -> Tuple[LinearProgram, List[str]]:
-    """Assemble a time-share LP over ``columns``; returns ``(lp, lambda_vars)``.
+) -> TimeShareProgram:
+    """Assemble a time-share LP over ``columns`` as a :class:`TimeShareProgram`.
 
     Variables in order: ``lead`` (objective 1, upper bound ``lead_bound``)
     when given, then ``lambda_<i>`` per column (objective 0 with a lead,
@@ -221,43 +226,114 @@ def _time_share_lp(
             [1.0] * first + [-1.0] * len(links),
         ),
     )
-    return lp, lambda_vars
+    at = first + len(family)  # the first artificial's column
+    return TimeShareProgram(lp, family, links, lead, slice(at, at + len(artificials)))
 
 
-def _add_time_share_column(
-    lp: LinearProgram, name: str, couples: Iterable[LinkRate], lead: bool
-) -> str:
-    """Grow a :func:`_time_share_lp` program by one λ column of ``couples``.
+class TimeShareProgram:
+    """A time-share LP of :func:`_time_share_lp` and the layout it has.
 
-    ``lead`` says whether the program was built with a lead variable.
+    ``lp`` is the program, ``columns`` the
+    :class:`~repro.core.independent_sets.ColumnFamily` whose masks are its
+    λ columns in order, ``links`` the links of its demand rows in row
+    order and ``lead`` the lead variable's name (``None`` without one).
+    Columns: the lead, the family's first λs, the artificial surpluses,
+    then the λs :meth:`add_column` grew; rows: ``airtime`` with a lead,
+    then one demand row per link.  This class is the only code that
+    knows that layout: it edits the program through
+    :class:`~repro.core.lp.LinearProgram`'s named edits and reads a
+    solution by position.
     """
-    entries = {
-        _demand_row(couple.link.link_id): couple.rate.mbps
-        for couple in couples
-    }
-    if lead:
-        return lp.add_column(name, {"airtime": 1.0, **entries})
-    return lp.add_column(name, entries, objective=-1.0)
 
+    __slots__ = ("lp", "columns", "links", "lead", "_first", "_artificials")
 
-def _schedule_from(
-    solution,
-    lambda_vars: Sequence[str],
-    columns: Sequence[RateIndependentSet],
-    scale: float = 1.0,
-) -> LinkSchedule:
-    """The schedule a solved time-share LP's λ values describe.
+    def __init__(
+        self,
+        lp: LinearProgram,
+        columns: ColumnFamily,
+        links: Sequence[Link],
+        lead: Optional[str],
+        artificials: slice,
+    ):
+        self.lp = lp
+        self.columns = columns
+        self.links: Tuple[Link, ...] = tuple(links)
+        self.lead = lead
+        # The lead's column and the airtime row come first when there is a lead.
+        self._first = 0 if lead is None else 1
+        self._artificials = artificials
 
-    Every λ is checked now, like a :class:`ScheduleEntry`'s time share;
-    the kept columns' sets are built only when the schedule is read.
-    """
-    shares = []
-    for var, index in zip(lambda_vars, range(len(columns))):
-        share = solution[var] * scale
-        _check_time_share(share)
-        if share > _DROP_BELOW:
-            shares.append((index, share))
-    return LinkSchedule._of_columns(columns, shares)
+    # -- edits ---------------------------------------------------------------------
+
+    def add_column(self, mask: int) -> None:
+        """Grow the program by one λ column: the couples of ``mask``."""
+        family = self.columns
+        name = _lambda_names(len(family) + 1)[-1]
+        entries = {
+            _demand_row(couple.link.link_id): couple.rate.mbps
+            for couple in _mask_members(mask, family.couples)
+        }
+        if self.lead is None:
+            self.lp.add_column(name, entries, objective=-1.0)
+        else:
+            self.lp.add_column(name, {"airtime": 1.0, **entries})
+        self.columns = ColumnFamily(family.couples, family.masks + (mask,))
+
+    def retarget(self, link_ids: Iterable[str]) -> None:
+        """Put the lead on the links ``link_ids``: coefficient −1 in their
+        demand rows and 0 in every other row, as Eq. 6 puts ``f`` on the
+        new path's links."""
+        self.lp.set_column(self.lead, {_demand_row(link_id): -1.0 for link_id in link_ids})
+
+    def set_demand(self, link_id: str, demand: float) -> None:
+        """Set the right-hand side of link ``link_id``'s demand row."""
+        self.lp.set_rhs(_demand_row(link_id), demand)
+
+    # -- positional reads of a solution ----------------------------------------------
+
+    def bandwidth(self, solution: LpSolution) -> float:
+        """The optimum as a bandwidth: the solver's noise around a zero
+        optimum (e.g. -0.0 or -1e-17 when the background saturates the
+        channel) reads 0, since a bandwidth is never negative."""
+        value = solution.objective
+        return 0.0 if -1e-9 < value <= 0.0 else value
+
+    def shares(self, solution: LpSolution) -> List[float]:
+        """The λ of every column ``solution`` solved, in column order."""
+        values = list(solution.values.values())
+        artificials = self._artificials
+        return values[self._first:artificials.start] + values[artificials.stop:]
+
+    def schedule(self, solution: LpSolution, scale: float = 1.0) -> LinkSchedule:
+        """The schedule ``solution``'s λs (times ``scale``) describe.
+
+        Every λ is checked now, like a :class:`ScheduleEntry`'s time
+        share; the kept columns' sets are built only when the schedule
+        is read.
+        """
+        shares = []
+        for index, value in enumerate(self.shares(solution)):
+            share = value * scale
+            _check_time_share(share)
+            if share > _DROP_BELOW:
+                shares.append((index, share))
+        return LinkSchedule._of_columns(self.columns, shares)
+
+    def link_duals(self, solution: LpSolution) -> List[float]:
+        """The demand rows' duals, in ``links`` order."""
+        return list(solution.duals.values())[self._first:]
+
+    def link_slacks(self, solution: LpSolution) -> List[float]:
+        """The demand rows' slacks, in ``links`` order."""
+        return list(solution.slacks.values())[self._first:]
+
+    def airtime_dual(self, solution: LpSolution) -> float:
+        """The airtime row's dual; 0 without a lead (there is no row)."""
+        return next(iter(solution.duals.values())) if self._first else 0.0
+
+    def artificial_surplus(self, solution: LpSolution) -> float:
+        """The demand the artificial surpluses deliver (0 without them)."""
+        return sum(list(solution.values.values())[self._artificials])
 
 
 @dataclass
@@ -308,12 +384,8 @@ def available_path_bandwidth(
     links = _collect_links(background, new_path)
     columns = _columns_for(model, links, independent_sets, max_sets)
     demands = link_demands_from_paths(background)
-    lp, f_var, lambda_vars = build_path_bandwidth_lp(
-        columns, links, demands, set(new_path.links)
-    )
-    return path_bandwidth_from_solution(
-        lp.solve(), lambda_vars, columns, demands
-    )
+    program = build_path_bandwidth_lp(columns, links, demands, set(new_path.links))
+    return path_bandwidth_from_solution(program, program.lp.solve(), demands)
 
 
 def build_path_bandwidth_lp(
@@ -321,40 +393,30 @@ def build_path_bandwidth_lp(
     links: Sequence[Link],
     demands: Dict[Link, float],
     new_links: set,
-) -> Tuple[LinearProgram, str, List[str]]:
-    """Assemble the Eq. 6 master LP; returns ``(lp, f_var, lambda_vars)``.
+) -> TimeShareProgram:
+    """Assemble the Eq. 6 master LP, lead ``f``.
 
     Split out of :func:`available_path_bandwidth` so the serving layer
     (:mod:`repro.serve`) can build the program once per topology
-    fingerprint and warm-start it for later query paths by rewriting the
-    ``f`` column (:meth:`~repro.core.lp.LinearProgram.set_column` over
-    the ``demand[<link>]`` rows) — both callers construct the identical
-    program, so cold and warm answers agree exactly.
+    fingerprint and warm-start it for later query paths
+    (:meth:`TimeShareProgram.retarget` and
+    :meth:`~TimeShareProgram.set_demand`) — both callers construct the
+    identical program, so cold and warm answers agree exactly.
     """
-    lp, lambda_vars = _time_share_lp(
-        columns, links, demands, "f", dict.fromkeys(new_links, -1.0)
-    )
-    return lp, "f", lambda_vars
+    return _time_share_lp(columns, links, demands, "f", dict.fromkeys(new_links, -1.0))
 
 
 def path_bandwidth_from_solution(
-    solution,
-    lambda_vars: Sequence[str],
-    columns: Sequence[RateIndependentSet],
+    program: TimeShareProgram,
+    solution: LpSolution,
     demands: Dict[Link, float],
 ) -> PathBandwidthResult:
     """Package a solved Eq. 6 master LP as a :class:`PathBandwidthResult`."""
-    schedule = _schedule_from(solution, lambda_vars, columns)
-    # At saturation (background fills the channel) the solver reports the
-    # zero optimum with its own noise, e.g. -0.0 or -1e-17; available
-    # bandwidth is a physical quantity and must not go negative.
-    bandwidth = solution.objective
-    if -1e-9 < bandwidth <= 0.0:
-        bandwidth = 0.0
+    schedule = program.schedule(solution)
     return PathBandwidthResult(
-        available_bandwidth=bandwidth,
+        available_bandwidth=program.bandwidth(solution),
         schedule=schedule,
-        independent_sets=ColumnFamily.of(columns),
+        independent_sets=program.columns,
         background_demands=demands,
     )
 
@@ -380,10 +442,8 @@ def min_airtime_schedule(
     if not links:
         return LinkSchedule(())
     columns = _columns_for(model, links, independent_sets, max_sets)
-    lp, lambda_vars = _time_share_lp(
-        columns, links, link_demands_from_paths(background)
-    )
-    solution = lp.solve()
+    program = _time_share_lp(columns, links, link_demands_from_paths(background))
+    solution = program.lp.solve()
     total_airtime = -solution.objective
     if total_airtime > 1.0 + 1e-9:
         raise InfeasibleProblemError(
@@ -391,7 +451,7 @@ def min_airtime_schedule(
             "airtime",
             residual=total_airtime - 1.0,
         )
-    return _schedule_from(solution, lambda_vars, columns)
+    return program.schedule(solution)
 
 
 def tdma_schedule(
@@ -457,8 +517,8 @@ def joint_admission_scale(
     columns = _columns_for(model, links, independent_sets, max_sets)
     # Row θ·d_l ≤ Σλ·r_l per loaded link: the delivery row with rhs 0 and
     # the lead θ at −d_l.
-    lp, lambda_vars = _time_share_lp(
+    program = _time_share_lp(
         columns, [link for link in links if link in loaded], {}, "theta", loaded
     )
-    solution = lp.solve()
-    return solution.objective, _schedule_from(solution, lambda_vars, columns)
+    solution = program.lp.solve()
+    return solution.objective, program.schedule(solution)

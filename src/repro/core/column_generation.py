@@ -13,18 +13,17 @@ standard remedy for the LP family's column structure:
 
 Both entry points — :func:`solve_with_column_generation` (Eq. 6, maximise
 ``f``) and :func:`min_airtime_column_generation` (minimise airtime) — run
-one restricted-master loop, :func:`_restricted_master`.  The master is the
-program :func:`repro.core.bandwidth._time_share_lp` assembles, with one
-penalised artificial surplus per demand row, so its rows and their names
-are the ones every other LP in :mod:`repro.core` uses.
+one restricted-master loop, :func:`_restricted_master`.  The master is a
+:class:`~repro.core.bandwidth.TimeShareProgram`, the layout every other
+LP in :mod:`repro.core` has, with one penalised artificial surplus per
+demand row; the loop reads its duals and grows its columns through it.
 
-The pricing problem is itself NP-hard, so :class:`_PricingProblem` offers
-two bitmask oracles: an exact one (maximal independent sets of the
+The pricing problem is itself NP-hard; :class:`_PricingProblem` solves
+it exactly over bitmasks (maximal independent sets of the
 positive-weight part of the conflict graph — affordable for mid-size
-instances) and a greedy+local-search one for larger instances.  With the
-exact oracle the procedure terminates at the true optimum; with the greedy
-oracle the result is a certified **lower bound** (it is still an Eq. 6
-solution over a restricted family, Section 3.3).
+instances), so a loop that converges ends at the true optimum.  One cut
+short by its iteration budget is a certified **lower bound** (it is
+still an Eq. 6 solution over a restricted family, Section 3.3).
 """
 
 from __future__ import annotations
@@ -34,10 +33,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.bandwidth import (
     PathBandwidthResult,
-    _add_time_share_column,
+    TimeShareProgram,
     _collect_links,
-    _demand_row,
-    _schedule_from,
     _time_share_lp,
     link_demands_from_paths,
 )
@@ -76,8 +73,8 @@ class ColumnGenerationResult:
     result: PathBandwidthResult
     iterations: int
     columns_generated: int
-    #: True when the final pricing round proved optimality (exact oracle
-    #: found no improving column); False means the value is a lower bound.
+    #: True when pricing converged within the iteration budget (no
+    #: improving column is left); False means the value is a lower bound.
     proved_optimal: bool
 
 
@@ -105,26 +102,17 @@ class _PricingProblem:
 
     Holds the couple vertices and the compatibility masks of the link–rate
     conflict graph's complement, so every pricing round is an integer-mask
-    Bron–Kerbosch (exact) or greedy sweep over the same vertex indices.
-    Both oracles ignore vertices of nonpositive weight; the caller
-    accounts their time (``cg.pricing`` span) and calls.
+    Bron–Kerbosch over the same vertex indices.  The caller accounts its
+    time (``cg.pricing`` span) and calls.
     """
 
-    def __init__(self, model: InterferenceModel, links: Sequence[Link]):
-        self.vertices = link_rate_vertices(model, links)
-        self.independent = _pairwise_compatibility_masks(model, self.vertices)
-        count = len(self.vertices)
-        full = (1 << count) - 1
-        self.conflict = [
-            full & ~mask & ~(1 << index)
-            for index, mask in enumerate(self.independent)
-        ]
-        self.degrees = [mask.bit_count() for mask in self.conflict]
-        self.bit = {vertex: 1 << index for index, vertex in enumerate(self.vertices)}
-        self._by_str = sorted(range(count), key=lambda i: str(self.vertices[i]))
+    def __init__(self, model: InterferenceModel, vertices: Sequence[LinkRate]):
+        self.vertices = vertices
+        self.independent = _pairwise_compatibility_masks(model, vertices)
 
-    def exact(self, weights: Dict[LinkRate, float]) -> Set[LinkRate]:
-        """Exact MWIS over the positive-weight vertices.
+    def exact(self, weights: Dict[LinkRate, float]) -> int:
+        """The mask of a maximum-weight independent set of the
+        positive-weight vertices (``0`` when none has a positive weight).
 
         Every maximum-weight independent set extends to a maximal one of
         the positive-weight subgraph with the same weight, so scanning
@@ -145,77 +133,51 @@ class _PricingProblem:
             if weight > best_weight:
                 best_weight = weight
                 best_mask = clique
-        return set(_mask_members(best_mask, self.vertices))
+        return best_mask
 
-    def greedy(self, weights: Dict[LinkRate, float]) -> Set[LinkRate]:
-        """Greedy MWIS + 1-swap local search; deterministic tie-breaks.
 
-        Vertices are taken by weight per (degree + 1), ties by ``str``;
-        then any vertex worth more than the chosen ones it conflicts with
-        swaps in, scanning in ``str`` order until nothing improves.
-        """
-        order = sorted(
-            (
-                index
-                for index in range(len(self.vertices))
-                if weights.get(self.vertices[index], 0.0) > 0.0
-            ),
-            key=lambda index: (
-                -weights[self.vertices[index]] / (self.degrees[index] + 1.0),
-                str(self.vertices[index]),
-            ),
-        )
-        chosen = 0
-        blocked = 0
-        for index in order:
-            bit = 1 << index
-            if blocked & bit:
-                continue
-            chosen |= bit
-            blocked |= bit | self.conflict[index]
-        improved = True
-        while improved:
-            improved = False
-            for index in self._by_str:
-                bit = 1 << index
-                weight = weights.get(self.vertices[index], 0.0)
-                if chosen & bit or weight <= 0.0:
-                    continue
-                conflicting = self.conflict[index] & chosen
-                lost = 0.0
-                for vertex in _mask_members(conflicting, self.vertices):
-                    lost += weights.get(vertex, 0.0)
-                if weight > lost + _PRICING_EPS:
-                    chosen = (chosen & ~conflicting) | bit
-                    improved = True
-        return set(_mask_members(chosen, self.vertices))
+def _master(
+    model: InterferenceModel,
+    links: Sequence[Link],
+    demands: Dict[Link, float],
+    new_links: Optional[Set[Link]] = None,
+) -> TimeShareProgram:
+    """The restricted master before any pricing round.
+
+    With ``new_links`` it maximises ``f`` on those links within one
+    period (Eq. 6); without, it minimises total airtime.  Its columns
+    are :func:`_initial_columns` over the pricing vertices, and an
+    artificial surplus per demand row keeps it feasible before pricing
+    has found enough spatial reuse.
+    """
+    vertices = link_rate_vertices(model, links)
+    return _time_share_lp(
+        ColumnFamily(vertices, _initial_columns(vertices)),
+        links,
+        demands,
+        None if new_links is None else "f",
+        dict.fromkeys(new_links or (), -1.0),
+        artificial_penalty=_BIG_M,
+    )
 
 
 def _restricted_master(
     model: InterferenceModel,
-    links: Sequence[Link],
-    demands: Dict[Link, float],
+    program: TimeShareProgram,
     max_iterations: int,
-    exact_pricing: bool,
-    new_links: Optional[Set[Link]] = None,
-) -> Tuple[LpSolution, List[str], ColumnFamily, int, bool]:
+) -> Tuple[LpSolution, int, bool]:
     """The restricted-master loop behind both entry points.
 
-    With ``new_links`` the master maximises ``f`` on those links within
-    one period (Eq. 6) and a column improves it when its priced value
-    beats the airtime dual; without, it minimises total airtime and a
-    column must be worth more than one unit of airtime.  The master is
-    assembled once and grown in place by
-    :meth:`~repro.core.lp.LinearProgram.add_column`.  An artificial
-    surplus per demand row keeps it feasible before pricing has found
-    enough spatial reuse; the penalty drives them to zero, and a survivor
-    at convergence means the demands are genuinely undeliverable.
+    Solves ``program`` (a :func:`_master`) and grows it in place by the
+    column pricing finds, until no column improves it: with a lead, a
+    column improves it when its priced value beats the airtime dual;
+    without, when it is worth more than one unit of airtime.  The
+    artificials' penalty drives them to zero, and a survivor at
+    convergence means the demands are genuinely undeliverable.
 
-    Returns ``(solution, lambda_vars, pool, iterations, proved_optimal)``:
-    the last solve and the λ variables it saw — the pool, a
-    :class:`~repro.core.independent_sets.ColumnFamily` over the pricing
-    vertices, can be one column ahead of it when the iteration budget
-    runs out.
+    Returns ``(solution, iterations, converged)``: the last solve, the
+    rounds run and whether pricing converged within ``max_iterations``
+    (else ``program.columns`` is one column ahead of the solution).
 
     Raises:
         ValueError: when ``max_iterations < 1``.
@@ -225,83 +187,51 @@ def _restricted_master(
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     recorder = get_recorder()
     with recorder.span("cg.solve"):
-        pricing = _PricingProblem(model, links)
-        if exact_pricing:
-            oracle, oracle_calls = pricing.exact, "cg.pricing.exact_calls"
-        else:
-            oracle, oracle_calls = pricing.greedy, "cg.pricing.greedy_calls"
-        vertices = pricing.vertices
-        pool = _initial_columns(vertices)
-        pool_index = set(pool)
-        lead = new_links is not None
-        lp, lambda_vars = _time_share_lp(
-            ColumnFamily(vertices, pool),
-            links,
-            demands,
-            "f" if lead else None,
-            dict.fromkeys(new_links or (), -1.0),
-            artificial_penalty=_BIG_M,
-        )
-        initial_pool_size = len(pool)
+        vertices = program.columns.couples
+        pricing = _PricingProblem(model, vertices)
+        row_of = {link.link_id: row for row, link in enumerate(program.links)}
+        vertex_rows = [row_of[vertex.link.link_id] for vertex in vertices]
+        initial_pool_size = len(program.columns)
         iterations = 0
-        proved_optimal = False
+        converged = False
         while iterations < max_iterations:
             iterations += 1
             with recorder.span("cg.iteration"):
-                solution = lp.solve()
-                solved_vars = list(lambda_vars)
+                solution = program.lp.solve()
                 # LpSolution stores duals in the max-problem orientation:
                 # for every stored <= row, dual = ∂(max objective)/∂(rhs)
                 # >= 0.  A column improves the master iff Σ_l w_l · R[l]
                 # beats its airtime cost, w_l the demand-row duals.
-                threshold = solution.duals.get("airtime", 0.0) if lead else 1.0
+                threshold = program.airtime_dual(solution) if program.lead else 1.0
+                duals = program.link_duals(solution)
                 prices: Dict[LinkRate, float] = {
-                    vertex: solution.duals.get(
-                        _demand_row(vertex.link.link_id), 0.0
-                    )
-                    * vertex.rate.mbps
-                    for vertex in vertices
+                    vertex: duals[row] * vertex.rate.mbps
+                    for vertex, row in zip(vertices, vertex_rows)
                 }
-                recorder.count(oracle_calls)
+                recorder.count("cg.pricing.exact_calls")
                 with recorder.span("cg.pricing"):
-                    candidate_vertices = oracle(prices)
-                candidate_value = sum(prices[v] for v in candidate_vertices)
-                if candidate_value <= threshold + _PRICING_EPS:
-                    proved_optimal = exact_pricing
-                    break
-                candidate = sum(pricing.bit[v] for v in candidate_vertices)
-                if candidate in pool_index:
-                    # The oracle re-proposed a known column: numerically
-                    # converged.
-                    proved_optimal = exact_pricing
-                    break
-                pool.append(candidate)
-                pool_index.add(candidate)
-                lambda_vars.append(
-                    _add_time_share_column(
-                        lp, f"lambda_{len(pool) - 1}", candidate_vertices, lead
-                    )
+                    candidate = pricing.exact(prices)
+                candidate_value = sum(
+                    prices[vertex] for vertex in _mask_members(candidate, vertices)
                 )
+                # A known column re-proposed means numerical convergence.
+                if (
+                    candidate_value <= threshold + _PRICING_EPS
+                    or candidate in program.columns.masks
+                ):
+                    converged = True
+                    break
+                program.add_column(candidate)
         recorder.count("cg.iterations", iterations)
-        recorder.count("cg.columns_added", len(pool) - initial_pool_size)
-        residual = sum(
-            value
-            for name, value in solution.values.items()
-            if name.startswith("artificial[")
-        )
+        recorder.count("cg.columns_added", len(program.columns) - initial_pool_size)
+        residual = program.artificial_surplus(solution)
         if residual > 1e-6:
             raise InfeasibleProblemError(
                 "background demands cannot be delivered even with generated "
                 f"columns (residual {residual:.4f} Mbps unserved)",
                 residual=residual,
             )
-    return (
-        solution,
-        solved_vars,
-        ColumnFamily(vertices, pool),
-        iterations,
-        proved_optimal,
-    )
+    return solution, iterations, converged
 
 
 def solve_with_column_generation(
@@ -309,7 +239,6 @@ def solve_with_column_generation(
     new_path: Path,
     background: Sequence[Tuple[Path, float]] = (),
     max_iterations: int = 200,
-    exact_pricing: bool = True,
 ) -> ColumnGenerationResult:
     """Solve Eq. 6 without enumerating all maximal independent sets.
 
@@ -321,31 +250,25 @@ def solve_with_column_generation(
         max_iterations: Pricing-round budget (at least 1); hitting it
             returns the current (lower-bound) solution with
             ``proved_optimal=False``.
-        exact_pricing: Use the exact MWIS oracle (guarantees optimality at
-            convergence) or the greedy oracle (faster, lower bound).
     """
     demands = link_demands_from_paths(background)
-    solution, lambda_vars, pool, iterations, proved_optimal = (
-        _restricted_master(
-            model,
-            _collect_links(background, new_path),
-            demands,
-            max_iterations,
-            exact_pricing,
-            set(new_path.links),
-        )
+    program = _master(
+        model, _collect_links(background, new_path), demands, set(new_path.links)
+    )
+    solution, iterations, converged = _restricted_master(
+        model, program, max_iterations
     )
     result = PathBandwidthResult(
         available_bandwidth=solution.objective,
-        schedule=_schedule_from(solution, lambda_vars, pool),
-        independent_sets=pool,
+        schedule=program.schedule(solution),
+        independent_sets=program.columns,
         background_demands=demands,
     )
     return ColumnGenerationResult(
         result=result,
         iterations=iterations,
-        columns_generated=len(pool),
-        proved_optimal=proved_optimal,
+        columns_generated=len(program.columns),
+        proved_optimal=converged,
     )
 
 
@@ -353,7 +276,6 @@ def min_airtime_column_generation(
     model: InterferenceModel,
     background: Sequence[Tuple[Path, float]],
     max_iterations: int = 200,
-    exact_pricing: bool = True,
     allow_overload: bool = False,
 ) -> LinkSchedule:
     """Column-generation counterpart of
@@ -380,19 +302,16 @@ def min_airtime_column_generation(
     links = _collect_links(background)
     if not links:
         return LinkSchedule(())
-    solution, lambda_vars, pool, _iterations, _proved = _restricted_master(
-        model,
-        links,
-        link_demands_from_paths(background),
-        max_iterations,
-        exact_pricing,
+    program = _master(model, links, link_demands_from_paths(background))
+    solution, _iterations, _converged = _restricted_master(
+        model, program, max_iterations
     )
-    total = sum(solution.values[var] for var in lambda_vars)
+    total = sum(program.shares(solution))
     if total <= 1.0 + 1e-9:
-        return _schedule_from(solution, lambda_vars, pool)
+        return program.schedule(solution)
     if not allow_overload:
         raise InfeasibleProblemError(
             f"background demands need {total:.4f} > 1 units of airtime",
             residual=total - 1.0,
         )
-    return _schedule_from(solution, lambda_vars, pool, 1.0 / total)
+    return program.schedule(solution, 1.0 / total)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.bandwidth import (
+    TimeShareProgram,
     _collect_links,
     _columns_for,
-    _schedule_from,
     _time_share_lp,
 )
 from repro.core.independent_sets import RateIndependentSet
@@ -54,17 +54,17 @@ class MaxMinAllocation:
         return sum(self.rates)
 
 
-def _solve_round(
+def _round_program(
     columns: Sequence[RateIndependentSet],
     links,
     flow_links: List[List],
     frozen: Dict[int, float],
     maximize_flow: Optional[int] = None,
-):
+) -> TimeShareProgram:
     """One LP: maximise the common rate t of unfrozen flows (or one flow).
 
     Frozen flows keep their fixed rates, carried as the delivery rows'
-    right-hand sides.  Returns ``(solution, lambda_vars)``.
+    right-hand sides.
     """
     # Any flow rate is bounded by the fastest single-link rate among the
     # columns, which also keeps the LP bounded in the degenerate round
@@ -95,10 +95,9 @@ def _solve_round(
         fixed_demands[link] = fixed_demand
         if t_coefficient > 0.0:
             t_entries[link] = -t_coefficient
-    lp, lambda_vars = _time_share_lp(
+    return _time_share_lp(
         columns, links, fixed_demands, "t", t_entries, max(rate_cap, 1.0)
     )
-    return lp.solve(), lambda_vars
 
 
 def max_min_fair_allocation(
@@ -129,8 +128,7 @@ def max_min_fair_allocation(
     rounds = 0
     while len(frozen) < len(paths):
         rounds += 1
-        solution, _lambda_vars = _solve_round(columns, links, flow_links, frozen)
-        level = solution.objective
+        level = _round_program(columns, links, flow_links, frozen).lp.solve().objective
         unfrozen = [i for i in range(len(paths)) if i not in frozen]
         # A flow saturates at this level when raising it alone (others
         # pinned at the level) cannot exceed the level.
@@ -140,11 +138,11 @@ def max_min_fair_allocation(
             for other in unfrozen:
                 if other != flow_index:
                     probe_frozen[other] = level
-            probe, _lambda_vars = _solve_round(
+            probe = _round_program(
                 columns, links, flow_links, probe_frozen,
                 maximize_flow=flow_index,
             )
-            if probe.objective <= level + _EPS:
+            if probe.lp.solve().objective <= level + _EPS:
                 newly_frozen.append(flow_index)
         if not newly_frozen:
             # Numerical corner: freeze everything at the level and stop.
@@ -153,7 +151,7 @@ def max_min_fair_allocation(
             frozen[flow_index] = level
 
     # Final LP with all rates fixed recovers a consistent schedule.
-    final, lambda_vars = _solve_round(columns, links, flow_links, frozen)
-    schedule = _schedule_from(final, lambda_vars, columns)
+    final = _round_program(columns, links, flow_links, frozen)
+    schedule = final.schedule(final.lp.solve())
     rates = [frozen[i] for i in range(len(paths))]
     return MaxMinAllocation(rates=rates, schedule=schedule, rounds=rounds)

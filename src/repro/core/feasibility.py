@@ -45,8 +45,7 @@ def required_airtime(
             raise InfeasibleProblemError(
                 f"no independent set serves link {link.link_id!r}"
             )
-    lp, _lambda_vars = _time_share_lp(columns, links, demands)
-    return -lp.solve().objective
+    return -_time_share_lp(columns, links, demands).lp.solve().objective
 
 
 def is_feasible(

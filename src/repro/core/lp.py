@@ -23,7 +23,9 @@ is what the serving layer's warm starts need: a cached master LP is
 retargeted at a new query path without touching its other columns.
 :meth:`LinearProgram.set_rhs` rewrites one constraint's right-hand side
 in place; the online admission controller moves carried load in and out
-of a cached master with it.  :meth:`LinearProgram.retire_column` masks a
+of a cached master with it.  The time-share LPs make these three edits
+through :class:`repro.core.bandwidth.TimeShareProgram`, which names
+their rows.  :meth:`LinearProgram.retire_column` masks a
 variable out of the program, returning a snapshot that
 :meth:`~LinearProgram.set_column` restores.
 

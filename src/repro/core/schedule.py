@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import ScheduleError
@@ -203,7 +204,10 @@ class LinkSchedule:
         and user-supplied schedules can opt in.
         """
         for index, entry in enumerate(self._entries):
-            if not model.is_independent(entry.independent_set.couples):
+            # In link-id order, not the set's hash order: the check stops
+            # at the first conflict, and the model's counters follow it.
+            couples = sorted(entry.independent_set.couples, key=attrgetter("link.link_id"))
+            if not model.is_independent(couples):
                 raise ScheduleError(
                     f"entry {index} is not an independent set: "
                     f"{entry.independent_set}"

@@ -21,6 +21,7 @@ enumeration evaluates the same subsets many times over.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.interference.base import InterferenceModel, LinkRate
@@ -123,7 +124,9 @@ class PhysicalInterferenceModel(InterferenceModel):
     def _compute_max_rate_vector(
         self, links: FrozenSet[Link]
     ) -> Optional[Dict[Link, Rate]]:
-        link_list = list(links)
+        # In link-id order, not the set's hash order: the scan stops at
+        # the first failing link, and the kernel's counters follow it.
+        link_list = sorted(links, key=attrgetter("link_id"))
         # Half-duplex pre-check: any node serving two links kills the set.
         seen_nodes: set = set()
         for link in link_list:

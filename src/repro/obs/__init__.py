@@ -44,7 +44,7 @@ Naming scheme (dotted, component-first): spans ``experiment.<id>``,
 counters ``kernel.entry.{hits,misses}``,
 ``kernel.vector_cache.{hits,misses}``, ``enum.{dfs_nodes,sets_found,
 sets_pruned}``, ``cg.{iterations,columns_added}``,
-``cg.pricing.{exact_calls,greedy_calls}``, ``lp.solves``,
+``cg.pricing.exact_calls``, ``lp.solves``,
 ``mac.{slots,attempts,collisions,successes,drops}``; gauges
 ``lp.{rows,cols,nnz}``.
 """

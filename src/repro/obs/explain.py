@@ -68,16 +68,6 @@ BINDING_SLACK_TOLERANCE = 1e-9
 #: bottleneck fingerprint is stable under last-bit float jitter.
 _PRICE_QUANTUM = 1e-9
 
-_DEMAND_PREFIX = "demand["
-
-
-def _demand_link(row_name: str) -> Optional[str]:
-    """The link id of a ``demand[<link>]`` row name, else ``None``."""
-    if row_name.startswith(_DEMAND_PREFIX) and row_name.endswith("]"):
-        return row_name[len(_DEMAND_PREFIX):-1]
-    return None
-
-
 @dataclass(frozen=True)
 class BindingClique:
     """One contention region binding the Eq. 6 optimum.
@@ -138,20 +128,22 @@ class Explanation:
         return self.binding_cliques[0] if self.binding_cliques else None
 
 
-def top_binding_link(solution: Any) -> Optional[Tuple[str, float]]:
+def top_binding_link(program: Any, solution: Any) -> Optional[Tuple[str, float]]:
     """The highest-priced demand row's ``(link_id, shadow_price)``.
 
-    A cheap always-on scan of the solution's duals — no columns, no
-    grouping — used by the flight recorder so every slow-log row names
-    where the query contended.  Returns ``None`` when no demand row
-    carries a positive price (the path was not demand-constrained).
-    Ties break on the smaller link id, keeping the pick deterministic.
+    A cheap always-on scan of the demand-row duals of ``solution``, a
+    solve of the :class:`~repro.core.bandwidth.TimeShareProgram`
+    ``program`` — no columns, no grouping — used by the flight recorder
+    so every slow-log row names where the query contended.  Returns
+    ``None`` when no demand row carries a positive price (the path was
+    not demand-constrained).  Ties break on the smaller link id, keeping
+    the pick deterministic.
     """
     best: Optional[Tuple[str, float]] = None
-    for row_name, price in solution.duals.items():
-        link_id = _demand_link(row_name)
-        if link_id is None or price <= 0.0:
+    for link, price in zip(program.links, program.link_duals(solution)):
+        if price <= 0.0:
             continue
+        link_id = link.link_id
         if (
             best is None
             or price > best[1]
@@ -221,37 +213,38 @@ def _conflict_components(
 
 
 def explain_solution(
+    program: Any,
     solution: Any,
     certificate: Any,
-    columns: Sequence[Any],
-    links: Sequence[Any],
     background: Sequence[Tuple[Any, float]] = (),
     bandwidth: Optional[float] = None,
     tolerance: float = BINDING_SLACK_TOLERANCE,
 ) -> Explanation:
     """Build the :class:`Explanation` for a solved Eq. 6 program.
 
-    ``solution`` is the master LP's :class:`~repro.core.lp.LpSolution`
-    (duals + slacks populated), ``certificate`` its
-    :class:`~repro.core.lp.DualCertificate`, ``columns`` the enumerated
-    rate-coupled independent sets and ``links`` the LP's link universe
-    in row order.  ``background`` (``(path, demand_mbps)`` pairs) feeds
-    the crowd-out attribution; pass the decision's clamped bandwidth via
-    ``bandwidth`` when it differs from the raw objective.
+    ``program`` is the master LP's
+    :class:`~repro.core.bandwidth.TimeShareProgram` (its columns and its
+    links in row order), ``solution`` its
+    :class:`~repro.core.lp.LpSolution` (duals + slacks populated) and
+    ``certificate`` its :class:`~repro.core.lp.DualCertificate`.
+    ``background`` (``(path, demand_mbps)`` pairs) feeds the crowd-out
+    attribution; pass the decision's clamped bandwidth via ``bandwidth``
+    when it differs from the raw objective.
     """
     prices: Dict[str, float] = {}
     binding_ids: List[str] = []
-    for link in links:
-        row_name = f"demand[{link.link_id}]"
-        price = float(solution.duals.get(row_name, 0.0))
-        slack = float(solution.slacks.get(row_name, 0.0))
+    for link, price, slack in zip(
+        program.links,
+        program.link_duals(solution),
+        program.link_slacks(solution),
+    ):
         binding = slack <= tolerance
         if binding:
             binding_ids.append(link.link_id)
         if binding or price > 0.0:
             prices[link.link_id] = price
 
-    components = _conflict_components(binding_ids, columns)
+    components = _conflict_components(binding_ids, program.columns)
     cliques = [
         BindingClique(
             links=tuple(component),
@@ -311,7 +304,7 @@ def explain_solution(
         available_bandwidth_mbps=float(
             solution.objective if bandwidth is None else bandwidth
         ),
-        airtime_price=float(solution.duals.get("airtime", 0.0)),
+        airtime_price=program.airtime_dual(solution),
         binding_cliques=tuple(cliques),
         marginal_bandwidth=prices,
         crowd_out=tuple(crowd_out),
@@ -347,18 +340,15 @@ def explain_path_bandwidth(
     links = _collect_links(background, new_path)
     columns = _columns_for(model, links, independent_sets, max_sets)
     demands = link_demands_from_paths(background)
-    lp, _f_var, lambda_vars = build_path_bandwidth_lp(
+    program = build_path_bandwidth_lp(
         columns, links, demands, set(new_path.links)
     )
-    solution = lp.solve()
-    result = path_bandwidth_from_solution(
-        solution, lambda_vars, columns, demands
-    )
+    solution = program.lp.solve()
+    result = path_bandwidth_from_solution(program, solution, demands)
     explanation = explain_solution(
+        program,
         solution,
-        lp.certificate(),
-        columns,
-        links,
+        program.lp.certificate(),
         background=background,
         bandwidth=result.available_bandwidth,
     )

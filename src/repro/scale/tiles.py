@@ -59,6 +59,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import (
+    TimeShareProgram,
     _collect_links,
     available_path_bandwidth,
     build_path_bandwidth_lp,
@@ -368,8 +369,7 @@ def _residual_columns(
 
 def _attribute_bottleneck(
     index: int,
-    tile: Tile,
-    program: Tuple[object, ColumnFamily],
+    program: TimeShareProgram,
     background: Sequence[Tuple[Path, float]],
     upper: float,
 ) -> Optional[TileAttribution]:
@@ -381,13 +381,11 @@ def _attribute_bottleneck(
     fingerprint are exactly what a decision explanation over the same
     program would show.
     """
-    lp, columns = program
     try:
         explanation = explain_solution(
-            lp.solve(),
-            lp.certificate(),
-            columns,
-            tile.links,
+            program,
+            program.lp.solve(),
+            program.lp.certificate(),
             background=background,
             bandwidth=upper,
         )
@@ -425,7 +423,7 @@ def tiled_path_bandwidth(
         recorder.count("scale.tiles", len(tiles))
         demands = link_demands_from_paths(background)
         tile_optima: List[float] = []
-        tile_programs: List[Tuple[object, ColumnFamily]] = []
+        tile_programs: List[TimeShareProgram] = []
         # One couple index per estimate; the pool dedupes tile columns
         # on their masks over it, keeping first-seen order.
         bit_of: Dict[LinkRate, int] = {}
@@ -435,15 +433,13 @@ def tiled_path_bandwidth(
                 columns = enumerate_maximal_independent_sets(
                     model, tile.links, config.max_sets
                 )
-                lp, _f_var, _lambda_vars = build_path_bandwidth_lp(
+                program = build_path_bandwidth_lp(
                     columns, tile.links, demands, set(tile.new_links)
                 )
-                value = lp.solve().objective
-                if -1e-9 < value <= 0.0:
-                    value = 0.0
+                value = program.bandwidth(program.lp.solve())
             recorder.count("scale.tile_solves")
             tile_optima.append(value)
-            tile_programs.append((lp, columns))
+            tile_programs.append(program)
             column_pool.update(dict.fromkeys(_remapped(columns, bit_of)))
 
         bottleneck = min(
@@ -451,8 +447,7 @@ def tiled_path_bandwidth(
         )
         upper = tile_optima[bottleneck]
         attribution = _attribute_bottleneck(
-            bottleneck, tiles[bottleneck], tile_programs[bottleneck],
-            background, upper,
+            bottleneck, tile_programs[bottleneck], background, upper,
         )
 
         covered = {

@@ -16,10 +16,10 @@ links, the exact universe the cold solver enumerates over):
     a pure lookup;
 ``master``
     link union → assembled Eq. 6 master LP, edited in place per query:
-    :meth:`~repro.core.lp.LinearProgram.set_column` retargets the ``f``
-    column at the query path and
-    :meth:`~repro.core.lp.LinearProgram.set_rhs` rewrites only the
-    demand rows whose value changed;
+    :meth:`~repro.core.bandwidth.TimeShareProgram.retarget` points the
+    ``f`` column at the query path and
+    :meth:`~repro.core.bandwidth.TimeShareProgram.set_demand` rewrites
+    only the demand rows whose value changed;
 ``enum``
     link union → enumerated LP columns, read when a master is built.
 
@@ -45,12 +45,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import (
-    _demand_row,
+    TimeShareProgram,
     build_path_bandwidth_lp,
     path_bandwidth_from_solution,
 )
 from repro.core.independent_sets import enumerate_maximal_independent_sets
-from repro.core.lp import LinearProgram
 from repro.interference.base import InterferenceModel
 from repro.net.link import Link
 from repro.net.path import Path
@@ -128,10 +127,7 @@ class SolveOutcome:
 class _Master:
     """A cached master LP and the path / demand vector it currently holds."""
 
-    lp: LinearProgram
-    f_var: str
-    lambda_vars: List[str]
-    columns: List[Any]
+    program: TimeShareProgram
     path_key: Tuple[str, ...]
     demand_key: Tuple[float, ...]
     lock: threading.Lock = field(default_factory=threading.Lock)
@@ -147,8 +143,7 @@ class _Master:
     ) -> "_Master":
         """Assemble the Eq. 6 program over ``columns`` for ``path``."""
         return cls(
-            *build_path_bandwidth_lp(columns, union, demands, set(path.links)),
-            columns,
+            build_path_bandwidth_lp(columns, union, demands, set(path.links)),
             tuple(link.link_id for link in path),
             demand_key,
         )
@@ -241,7 +236,7 @@ class MasterSession:
                 self.model, union, self.max_sets
             )
             master = _Master.build(columns, union, demands, path, demand_key)
-            self._solve(outcome, master, union, demands, background)
+            self._solve(outcome, master.program, demands, background)
             return outcome
         result_key = (union_key, path_key, demand_key)
         cached_result = self.result_cache.get(result_key)
@@ -275,12 +270,7 @@ class MasterSession:
             outcome.cache_state = "warm"
         with master.lock:
             if master.path_key != path_key:
-                # The f column has a -1 demand-row coefficient exactly on
-                # the path's links (build_path_bandwidth_lp's orientation).
-                master.lp.set_column(
-                    master.f_var,
-                    {_demand_row(link_id): -1.0 for link_id in path_key},
-                )
+                master.program.retarget(path_key)
                 master.path_key = path_key
                 outcome.lp_warm_start = True
             if master.demand_key != demand_key:
@@ -288,11 +278,11 @@ class MasterSession:
                     union_key, master.demand_key, demand_key
                 ):
                     if new != old:
-                        master.lp.set_rhs(_demand_row(link_id), new)
+                        master.program.set_demand(link_id, new)
                         if new < old:
                             outcome.retired_rows += 1
                 master.demand_key = demand_key
-            self._solve(outcome, master, union, demands, background)
+            self._solve(outcome, master.program, demands, background)
         self.result_cache.put(
             result_key,
             (outcome.bandwidth, outcome.bottleneck, outcome.explanation),
@@ -302,26 +292,22 @@ class MasterSession:
     def _solve(
         self,
         outcome: SolveOutcome,
-        master: _Master,
-        union: Sequence[Link],
+        program: TimeShareProgram,
         demands: Dict[Link, float],
         background: Sequence[Tuple[Path, float]],
     ) -> None:
-        """Solve ``master`` and fill the answer and its provenance in."""
-        solution = master.lp.solve()
-        result = path_bandwidth_from_solution(
-            solution, master.lambda_vars, master.columns, demands
-        )
-        outcome.bottleneck = top_binding_link(solution)
+        """Solve ``program`` and fill the answer and its provenance in."""
+        solution = program.lp.solve()
+        result = path_bandwidth_from_solution(program, solution, demands)
+        outcome.bottleneck = top_binding_link(program, solution)
         if self.explain:
             outcome.explanation = explain_solution(
+                program,
                 solution,
-                master.lp.certificate(),
-                master.columns,
-                union,
+                program.lp.certificate(),
                 background=background,
                 bandwidth=result.available_bandwidth,
             )
         outcome.bandwidth = result.available_bandwidth
-        outcome.columns = len(master.columns)
+        outcome.columns = len(program.columns)
         outcome.lp_iterations = int(solution.iterations or 0)

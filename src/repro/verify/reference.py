@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -121,9 +122,12 @@ def reference_maximal_sets(
         )
     feasible: List[FrozenSet[LinkRate]] = []
     for combo in itertools.product(*options):
-        couples = frozenset(c for c in combo if c is not None)
+        # Checked in assignment order: ``is_independent`` stops at the
+        # first conflict, so a set's hash order would make the model's
+        # work (and its counters) vary with the string hash seed.
+        couples = [c for c in combo if c is not None]
         if couples and model.is_independent(couples):
-            feasible.append(couples)
+            feasible.append(frozenset(couples))
     feasible_index = set(feasible)
     every_couple = [c for choice in options for c in choice if c is not None]
     maximal: List[FrozenSet[LinkRate]] = []
@@ -498,7 +502,9 @@ def replay_schedule(
     """
     entries = list(schedule.entries)
     independent = all(
-        model.is_independent(entry.independent_set.couples)
+        model.is_independent(
+            sorted(entry.independent_set.couples, key=attrgetter("link.link_id"))
+        )
         for entry in entries
     )
     raw = [entry.time_share * slots for entry in entries]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.bandwidth import (
     available_path_bandwidth,
+    build_path_bandwidth_lp,
     path_bandwidth_from_solution,
 )
 from repro.core.independent_sets import (
@@ -87,8 +88,8 @@ def test_fresh_submit_builds_no_set(model_type, built_sets):
     master = service.session.master_cache.get(
         tuple(link.link_id for link in union)
     )
-    assert isinstance(master.columns, ColumnFamily)
-    assert len(master.columns) > 1
+    assert isinstance(master.program.columns, ColumnFamily)
+    assert len(master.program.columns) > 1
 
 
 class _Solution:
@@ -98,25 +99,22 @@ class _Solution:
         self.values = values
         self.objective = objective
 
-    def __getitem__(self, name):
-        return self.values[name]
-
 
 @pytest.mark.parametrize("bad_share", [math.nan, math.inf, -1e-6])
 def test_unscheduled_columns_are_still_validated(bad_share, built_sets):
     network, path, _background = _chain(7)
+    links = list(path.links)
     columns = enumerate_maximal_independent_sets(
-        ProtocolInterferenceModel(network), list(path.links)
+        ProtocolInterferenceModel(network), links
     )
+    program = build_path_bandwidth_lp(columns, links, {}, set(links))
     lambda_vars = [f"lambda_{index}" for index in range(len(columns))]
-    values = dict.fromkeys(lambda_vars, 0.0)
+    values = {"f": 1.0, **dict.fromkeys(lambda_vars, 0.0)}
     values[lambda_vars[0]] = bad_share
     values[lambda_vars[1]] = 0.5
     built_sets.clear()
     with pytest.raises(ScheduleError):
-        path_bandwidth_from_solution(
-            _Solution(values), lambda_vars, columns, {}
-        )
+        path_bandwidth_from_solution(program, _Solution(values), {})
     assert built_sets == []
 
 

@@ -41,21 +41,6 @@ class TestAgreementWithEnumeration:
         cg = solve_with_column_generation(line_protocol, path)
         assert cg.result.available_bandwidth == pytest.approx(exact, rel=1e-6)
 
-    def test_greedy_pricing_is_lower_bound(self, line_protocol, line_network):
-        path = Path(
-            [
-                line_network.link_between("n0", "n1"),
-                line_network.link_between("n1", "n2"),
-            ]
-        )
-        exact = available_path_bandwidth(
-            line_protocol, path
-        ).available_bandwidth
-        cg = solve_with_column_generation(
-            line_protocol, path, exact_pricing=False
-        )
-        assert cg.result.available_bandwidth <= exact + 1e-6
-
 
 class TestDiagnostics:
     def test_schedule_is_valid(self, s2_bundle):

@@ -636,10 +636,10 @@ def _eq6_masters():
             background = [(path, load) for path, _ in workload.background]
             demands = link_demands_from_paths(background)
             for path in paths.values():
-                lp, _, _ = build_path_bandwidth_lp(
+                program = build_path_bandwidth_lp(
                     columns, links, demands, set(path.links)
                 )
-                masters.append(lp)
+                masters.append(program.lp)
     return masters
 
 
@@ -1483,6 +1483,18 @@ def _row_by_row_time_share_lp(
     return lp, lambda_vars
 
 
+def _add_column_by_name(lp, couples, lead):
+    """Grow a time-share LP by one λ column of ``couples`` through the
+    named API, as column generation grew its master before
+    :meth:`~repro.core.bandwidth.TimeShareProgram.add_column`."""
+    name = f"lambda_{sum(name.startswith('lambda_') for name in lp._names)}"
+    entries = {f"demand[{couple.link.link_id}]": couple.rate.mbps for couple in couples}
+    if lead:
+        lp.add_column(name, {"airtime": 1.0, **entries})
+    else:
+        lp.add_column(name, entries, objective=-1.0)
+
+
 def _zero_rate():
     """A rate with zero throughput, which :class:`Rate` itself refuses."""
     from repro.phy.rates import Rate
@@ -1560,30 +1572,34 @@ class TestBulkAssembly:
     @given(case=_time_share_cases(), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_equals_row_by_row_build(self, case, data):
-        from repro.core.bandwidth import _add_time_share_column, _time_share_lp
+        from repro.core.bandwidth import _time_share_lp
+        from repro.core.independent_sets import _mask_members
 
         family, links, rhs, lead, lead_entries, lead_bound, penalty = case
-        lp, lambda_vars = _time_share_lp(
+        program = _time_share_lp(
             family, links, rhs, lead, lead_entries, lead_bound, penalty
         )
-        reference, reference_vars = _row_by_row_time_share_lp(
+        lp = program.lp
+        reference, lambda_vars = _row_by_row_time_share_lp(
             family, links, rhs, lead, lead_entries, lead_bound, penalty
         )
-        assert lambda_vars == reference_vars
         if lp.num_variables:
             _same_programs(lp, reference)
         if not links:
             return
-        couples = data.draw(
-            st.lists(st.sampled_from(family.couples or [None]), max_size=3)
+        indices = data.draw(
+            st.lists(st.integers(0, max(len(family.couples) - 1, 0)), max_size=3)
         )
-        couples = [
-            couple for couple in couples if couple is not None and couple.link in links
-        ]
+        mask = 0
+        for index in indices:
+            if index < len(family.couples) and family.couples[index].link in links:
+                mask |= 1 << index
         row_names = lp._row_names
-        for program in (lp, reference):
-            name = f"lambda_{len(lambda_vars)}"
-            _add_time_share_column(program, name, set(couples), lead is not None)
+        program.add_column(mask)
+        _add_column_by_name(
+            reference, _mask_members(mask, family.couples), lead is not None
+        )
+        assert program.columns.masks == (*family.masks, mask)
         if lambda_vars:
             entries = data.draw(
                 st.dictionaries(st.sampled_from(row_names), _COEFFICIENTS)
@@ -1621,7 +1637,7 @@ class TestBulkAssembly:
         demands = link_demands_from_paths(workload.background)
         for path in list(paths.values())[:10]:
             new_links = set(path.links)
-            lp, _, _ = build_path_bandwidth_lp(columns, links, demands, new_links)
+            lp = build_path_bandwidth_lp(columns, links, demands, new_links).lp
             reference, _ = _row_by_row_time_share_lp(
                 columns, links, demands, "f", dict.fromkeys(new_links, -1.0)
             )
@@ -1637,7 +1653,7 @@ class TestBulkAssembly:
 
         for method in ("add_variable", "add_column", "_add_row"):
             monkeypatch.setattr(LinearProgram, method, refuse)
-        lp, _ = _time_share_lp(family, links, rhs, *rest, artificial_penalty=1e3)
+        lp = _time_share_lp(family, links, rhs, *rest, artificial_penalty=1e3).lp
         assert lp.num_constraints == len(links) + 1
 
     def test_duplicate_link_raises_before_any_program(self):
@@ -1698,6 +1714,160 @@ class TestBulkAssembly:
             LinearProgram._from_columns(columns, ([0, 0], [], []), rows)
 
 
+def _named_reads(program, solution):
+    """The reads :class:`~repro.core.bandwidth.TimeShareProgram` makes by
+    position, made by row and variable name instead, as the callers made
+    them before the program owned its layout."""
+    rows = [f"demand[{link.link_id}]" for link in program.links]
+    values = solution.values
+    lambdas = [f"lambda_{index}" for index in range(len(program.columns))]
+    return (
+        [solution.duals[row] for row in rows],
+        [solution.slacks[row] for row in rows],
+        solution.duals.get("airtime", 0.0),
+        sum(value for name, value in values.items() if name.startswith("artificial[")),
+        [values[name] for name in lambdas if name in values],
+    )
+
+
+def _assert_reads_by_name(program, solution):
+    from repro.core.schedule import _DROP_BELOW
+
+    duals, slacks, airtime, surplus, shares = _named_reads(program, solution)
+    assert _bits(program.link_duals(solution)) == _bits(duals)
+    assert _bits(program.link_slacks(solution)) == _bits(slacks)
+    assert _bits([program.airtime_dual(solution)]) == _bits([airtime])
+    assert _bits([program.artificial_surplus(solution)]) == _bits([surplus])
+    assert _bits(program.shares(solution)) == _bits(shares)
+    scheduled = [
+        (program.columns[index], share)
+        for index, share in enumerate(shares)
+        if share > _DROP_BELOW
+    ]
+    entries = program.schedule(solution).entries
+    assert [(e.independent_set, e.time_share) for e in entries] == scheduled
+    objective = solution.objective
+    clamped = 0.0 if -1e-9 < objective <= 0.0 else objective
+    assert _bits([program.bandwidth(solution)]) == _bits([clamped])
+
+
+class TestPositionalReads:
+    """:class:`~repro.core.bandwidth.TimeShareProgram` reads solutions by
+    position and edits by its own row names; both equal the name-based
+    reads and edits they replace, bit for bit."""
+
+    def test_verify_families(self):
+        from repro.core.bandwidth import (
+            _collect_links,
+            _time_share_lp,
+            build_path_bandwidth_lp,
+            link_demands_from_paths,
+        )
+        from repro.core.independent_sets import (
+            enumerate_maximal_independent_sets,
+        )
+        from repro.verify.instances import FAMILIES, generate_instance
+
+        solved = 0
+        for family in sorted(FAMILIES):
+            for seed in range(4):
+                instance = generate_instance(seed, family=family)
+                links = _collect_links(instance.background, instance.new_path)
+                columns = enumerate_maximal_independent_sets(instance.model, links)
+                demands = link_demands_from_paths(instance.background)
+                for program in (
+                    build_path_bandwidth_lp(
+                        columns, links, demands, set(instance.new_path.links)
+                    ),
+                    _time_share_lp(columns, links, demands),
+                ):
+                    try:
+                        solution = program.lp.solve()
+                    except InfeasibleProblemError:
+                        continue
+                    _assert_reads_by_name(program, solution)
+                    solved += 1
+        assert solved >= 30
+
+    @pytest.mark.parametrize("lead", [False, True])
+    def test_column_generation_master_grown_column_by_column(self, lead):
+        from repro.core.bandwidth import _collect_links, link_demands_from_paths
+        from repro.core.column_generation import _PricingProblem, _master
+        from repro.core.independent_sets import _mask_members
+        from repro.workloads.scenarios import admission_query_workload
+
+        workload = admission_query_workload(n_flows=8, repeats=1)
+        path = workload.queries[0].path
+        links = _collect_links(workload.background, path)
+        demands = link_demands_from_paths(workload.background)
+        program = _master(
+            workload.model, links, demands, set(path.links) if lead else None
+        )
+        twin = _master(
+            workload.model, links, demands, set(path.links) if lead else None
+        ).lp
+        pricing = _PricingProblem(workload.model, program.columns.couples)
+        grown = 0
+        for _round in range(40):
+            solution = program.lp.solve()
+            _assert_reads_by_name(program, solution)
+            assert _solution_bits(solution) == _solution_bits(twin.solve())
+            assert _model_fields(program.lp._model) == _model_fields(twin._model)
+            prices = {
+                vertex: solution.duals[f"demand[{vertex.link.link_id}]"] * vertex.rate.mbps
+                for vertex in program.columns.couples
+            }
+            mask = pricing.exact(prices)
+            if not mask or mask in program.columns.masks:
+                break
+            program.add_column(mask)
+            _add_column_by_name(twin, _mask_members(mask, program.columns.couples), lead)
+            grown += 1
+        assert grown >= 3
+        assert program.artificial_surplus(solution) == 0.0
+
+    def test_served_masters_after_retarget_and_demand_edits(self):
+        from repro.core.bandwidth import (
+            _collect_links,
+            build_path_bandwidth_lp,
+            link_demands_from_paths,
+        )
+        from repro.core.independent_sets import (
+            enumerate_maximal_independent_sets,
+        )
+        from repro.workloads.scenarios import admission_query_workload
+
+        workload = admission_query_workload(n_flows=8, repeats=1)
+        paths = list({query.path.nodes: query.path for query in workload.queries}.values())
+        links = _collect_links(workload.background, paths[0])
+        columns = enumerate_maximal_independent_sets(workload.model, links)
+        demands = link_demands_from_paths(workload.background)
+        program = build_path_bandwidth_lp(columns, links, demands, set(paths[0].links))
+        twin = build_path_bandwidth_lp(columns, links, demands, set(paths[0].links)).lp
+        rng = random.Random(3)
+        union = {link.link_id for link in links}
+        solved = 0
+        for path in paths[1:20]:
+            if not {link.link_id for link in path} <= union:
+                continue
+            path_ids = [link.link_id for link in path]
+            program.retarget(path_ids)
+            twin.set_column("f", {f"demand[{link_id}]": -1.0 for link_id in path_ids})
+            for link in rng.sample(links, 3):
+                demand = rng.choice([0.0, 0.1, 0.2, 0.4, 0.8])
+                program.set_demand(link.link_id, demand)
+                twin.set_rhs(f"demand[{link.link_id}]", demand)
+            assert _outcome_bits(program.lp) == _outcome_bits(twin)
+            assert _model_fields(program.lp._model) == _model_fields(twin._model)
+            try:
+                solution = program.lp.solve()
+            except InfeasibleProblemError:
+                continue
+            _assert_reads_by_name(program, solution)
+            solved += 1
+        assert solved >= 10
+
+
 def _version_case():
     """An Eq. 6-shaped family over the chain: couples in link order."""
     from repro.core.independent_sets import ColumnFamily
@@ -1746,9 +1916,7 @@ class TestSolutionVersions:
         from repro.core.bandwidth import _time_share_lp
 
         case = _version_case()
-        lp, _ = _time_share_lp(*case)
-        twin, _ = _time_share_lp(*case)
-        unsolved, _ = _time_share_lp(*case)
+        lp, twin, unsolved = (_time_share_lp(*case).lp for _ in range(3))
         first = lp.solve()
         inputs = _input_bits(first._inputs)
         expected_slacks = _bits(list(twin.solve().slacks.values()))

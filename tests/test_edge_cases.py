@@ -61,11 +61,12 @@ def _pricing_problem(bundle):
     from repro.core.column_generation import _PricingProblem
     from repro.interference.conflict_graph import (
         build_link_rate_conflict_graph,
+        link_rate_vertices,
     )
 
     links = list(bundle.path.links)
     return (
-        _PricingProblem(bundle.model, links),
+        _PricingProblem(bundle.model, link_rate_vertices(bundle.model, links)),
         build_link_rate_conflict_graph(bundle.model, links),
     )
 
@@ -78,26 +79,14 @@ def _assert_conflict_free(graph, chosen):
             assert not graph.has_edge(a, b)
 
 
-class TestGreedyPricingOracle:
-    def test_greedy_respects_conflicts(self, s2_bundle):
-        pricing, graph = _pricing_problem(s2_bundle)
-        weights = {vertex: vertex.rate.mbps for vertex in pricing.vertices}
-        _assert_conflict_free(graph, pricing.greedy(weights))
-
-    def test_greedy_ignores_nonpositive_weights(self, s2_bundle):
-        pricing, _graph = _pricing_problem(s2_bundle)
-        weights = {
-            vertex: -float(index % 2)
-            for index, vertex in enumerate(pricing.vertices)
-        }
-        assert pricing.greedy(weights) == set()
-
-
 class TestExactPricingOracle:
     def test_exact_respects_conflicts(self, s2_bundle):
+        from repro.core.independent_sets import _mask_members
+
         pricing, graph = _pricing_problem(s2_bundle)
         weights = {vertex: vertex.rate.mbps for vertex in pricing.vertices}
-        _assert_conflict_free(graph, pricing.exact(weights))
+        chosen = _mask_members(pricing.exact(weights), pricing.vertices)
+        _assert_conflict_free(graph, chosen)
 
     def test_exact_ignores_nonpositive_weights(self, s2_bundle):
         pricing, _graph = _pricing_problem(s2_bundle)
@@ -105,7 +94,7 @@ class TestExactPricingOracle:
             vertex: -float(index % 2)
             for index, vertex in enumerate(pricing.vertices)
         }
-        assert pricing.exact(weights) == set()
+        assert pricing.exact(weights) == 0
 
 
 class TestAllowOverload:

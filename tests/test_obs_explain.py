@@ -304,7 +304,13 @@ class TestOnlineExplanations:
         assert repeat.explanation == probe.explanation
 
     def test_top_binding_link_none_without_positive_prices(self):
+        from repro.core.bandwidth import build_path_bandwidth_lp
+        from repro.core.independent_sets import ColumnFamily
+
+        link = scenario_two().network.link("L1")
+        program = build_path_bandwidth_lp(ColumnFamily((), ()), [link], {}, {link})
+
         class FakeSolution:
             duals = {"airtime": 0.5, "demand[L1]": 0.0}
 
-        assert top_binding_link(FakeSolution()) is None
+        assert top_binding_link(program, FakeSolution()) is None

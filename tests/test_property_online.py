@@ -46,13 +46,15 @@ for _index, _family in enumerate(sorted(FAMILIES)):
 
 
 def _fresh_master(family):
+    """The family's master LP and its λ variables' names."""
     bundle = _BUNDLES[family]
-    return build_path_bandwidth_lp(
+    program = build_path_bandwidth_lp(
         bundle["columns"],
         bundle["links"],
         bundle["demands"],
         bundle["new_links"],
     )
+    return program.lp, [f"lambda_{index}" for index in range(len(program.columns))]
 
 
 def _solve_or_infeasible(lp):
@@ -87,7 +89,7 @@ class TestRetireReadmitLossless:
     @settings(max_examples=40, deadline=None)
     def test_any_orders_restore_the_fresh_optimum(self, plan):
         family, retire_order, readmit_order = plan
-        lp, _f_var, lambda_vars = _fresh_master(family)
+        lp, lambda_vars = _fresh_master(family)
         fresh = lp.solve()
 
         snapshots = {
@@ -102,9 +104,9 @@ class TestRetireReadmitLossless:
             for index, column in enumerate(bundle["columns"])
             if index not in snapshots
         ]
-        masked_lp, _, _ = build_path_bandwidth_lp(
+        masked_lp = build_path_bandwidth_lp(
             kept, bundle["links"], bundle["demands"], bundle["new_links"]
-        )
+        ).lp
         assert _solve_or_infeasible(lp) == _solve_or_infeasible(masked_lp)
 
         for index in readmit_order:
@@ -122,7 +124,7 @@ class TestRetireReadmitLossless:
         """Retires and re-admissions interleaved like a live stream."""
         import random
 
-        lp, _f_var, lambda_vars = _fresh_master(family)
+        lp, lambda_vars = _fresh_master(family)
         fresh_objective = lp.solve().objective
         rng = random.Random(seed)
         retired = {}

@@ -292,9 +292,8 @@ class TestSolverFailure:
                 demands.get(link, 0.0) for link in union
             )
         held_path = Path(by_id[link_id] for link_id in master.path_key)
-        held = path_bandwidth_from_solution(
-            master.lp.solve(), master.lambda_vars, master.columns, demands
-        )
+        program = master.program
+        held = path_bandwidth_from_solution(program, program.lp.solve(), demands)
         assert held.available_bandwidth == available_path_bandwidth(
             scenario.model, held_path, before
         ).available_bandwidth

@@ -194,19 +194,19 @@ def reference_tiled(monkeypatch, model, new_path, background, config, stats):
         columns = list(
             enumerate_maximal_independent_sets(model, tile.links, config.max_sets)
         )
-        lp, _f, _lambdas = build_path_bandwidth_lp(
+        program = build_path_bandwidth_lp(
             columns, tile.links, demands, set(tile.new_links)
         )
-        value = lp.solve().objective
+        value = program.lp.solve().objective
         if -1e-9 < value <= 0.0:
             value = 0.0
         tile_optima.append(value)
-        programs.append((lp, columns))
+        programs.append(program)
         for column in columns:
             column_pool.setdefault(column)
     bottleneck = min(range(len(tile_optima)), key=tile_optima.__getitem__)
     upper = tile_optima[bottleneck]
-    lp, columns = programs[bottleneck]
+    program = programs[bottleneck]
     links_by_id = {link.link_id: link for link in tiles[bottleneck].links}
     with monkeypatch.context() as patch:
         patch.setattr(
@@ -215,10 +215,9 @@ def reference_tiled(monkeypatch, model, new_path, background, config, stats):
             lambda ids, cols: reference_conflict_components(ids, cols, links_by_id),
         )
         explanation = explain.explain_solution(
-            lp.solve(),
-            lp.certificate(),
-            columns,
-            tiles[bottleneck].links,
+            program,
+            program.lp.solve(),
+            program.lp.certificate(),
             background=background,
             bandwidth=upper,
         )
@@ -444,8 +443,8 @@ class TestAgainstScalarReference:
             links = _collect_links(background, new_path)
             demands = link_demands_from_paths(background)
             new_links = dict.fromkeys(new_path.links, -1.0)
-            mine, _ = _time_share_lp(family, links, demands, "f", new_links)
-            theirs, _ = _time_share_lp(lb_columns, links, demands, "f", new_links)
+            mine = _time_share_lp(family, links, demands, "f", new_links).lp
+            theirs = _time_share_lp(lb_columns, links, demands, "f", new_links).lp
             assert _handed_to_highs(mine) == _handed_to_highs(theirs), name
 
 
@@ -529,20 +528,21 @@ class TestConflictComponents:
             links = _collect_links(background, new_path)
             family = enumerate_maximal_independent_sets(model, links)
             demands = link_demands_from_paths(background)
-            lp, _f, _lambdas = build_path_bandwidth_lp(
-                family, links, demands, set(new_path.links)
+            from_family, from_sets = (
+                build_path_bandwidth_lp(columns, links, demands, set(new_path.links))
+                for columns in (family, list(family))
             )
             try:
-                solution = lp.solve()
+                solution = from_family.lp.solve()
             except InfeasibleProblemError:
                 continue
-            certificate = lp.certificate()
-            from_family = explain.explain_solution(
-                solution, certificate, family, links, background=background
+            certificate = from_family.lp.certificate()
+            assert from_sets.lp.solve().values == solution.values
+            assert from_sets.lp.certificate() == certificate
+            assert explain.explain_solution(
+                from_family, solution, certificate, background=background
+            ) == explain.explain_solution(
+                from_sets, from_sets.lp.solve(), certificate, background=background
             )
-            from_sets = explain.explain_solution(
-                solution, certificate, list(family), links, background=background
-            )
-            assert from_family == from_sets
             checked += 1
         assert checked >= 20

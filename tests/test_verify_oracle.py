@@ -2,8 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.core.bandwidth import available_path_bandwidth
 from repro.core.bounds import lower_bound_from_subset
@@ -198,6 +203,31 @@ class TestCliIntegration:
         assert document["schema_version"] == VERIFY_SCHEMA_VERSION
         assert document["requested_instances"] == 3
         assert document["counters"]["verify.instances"] == 3
+
+    def test_json_does_not_depend_on_hash_seed(self, tmp_path):
+        # The reference enumeration and the schedule replays check
+        # independence couple by couple and stop at the first conflict,
+        # so the kernel counters in the report follow the order they are
+        # checked in; it must not be a set's hash order.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        reports = []
+        for hash_seed in ("0", "1"):
+            report = tmp_path / f"verify-{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "verify", "--instances", "6",
+                 "--seed", "0", "--json", str(report)],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=300,
+            )
+            assert completed.returncode == 0, completed.stderr
+            reports.append(report.read_text(encoding="utf-8"))
+        assert reports[0] == reports[1]
 
 
 class TestHypothesisProperty:
