@@ -148,11 +148,9 @@ def test_x5_explain_off_overhead_under_five_percent(measurement, workload):
     class SolutionStub:
         pass
 
-    # The airtime row's dual, then one per demand row.
+    # The airtime row's dual, then one per demand row, by position.
     solution = SolutionStub()
-    solution.duals = dict(
-        zip(program.lp._row_names, [1.0] + [0.25] * len(links))
-    )
+    solution.y = [1.0] + [0.25] * len(links)
 
     cost = float("inf")
     for _ in range(3):

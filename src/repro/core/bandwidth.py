@@ -300,9 +300,8 @@ class TimeShareProgram:
 
     def shares(self, solution: LpSolution) -> List[float]:
         """The λ of every column ``solution`` solved, in column order."""
-        values = list(solution.values.values())
-        artificials = self._artificials
-        return values[self._first:artificials.start] + values[artificials.stop:]
+        x, artificials = solution.x, self._artificials
+        return x[self._first:artificials.start] + x[artificials.stop:]
 
     def schedule(self, solution: LpSolution, scale: float = 1.0) -> LinkSchedule:
         """The schedule ``solution``'s λs (times ``scale``) describe.
@@ -321,19 +320,19 @@ class TimeShareProgram:
 
     def link_duals(self, solution: LpSolution) -> List[float]:
         """The demand rows' duals, in ``links`` order."""
-        return list(solution.duals.values())[self._first:]
+        return solution.y[self._first:]
 
     def link_slacks(self, solution: LpSolution) -> List[float]:
         """The demand rows' slacks, in ``links`` order."""
-        return list(solution.slacks.values())[self._first:]
+        return solution.s[self._first:]
 
     def airtime_dual(self, solution: LpSolution) -> float:
         """The airtime row's dual; 0 without a lead (there is no row)."""
-        return next(iter(solution.duals.values())) if self._first else 0.0
+        return solution.y[0] if self._first else 0.0
 
     def artificial_surplus(self, solution: LpSolution) -> float:
         """The demand the artificial surpluses deliver (0 without them)."""
-        return sum(list(solution.values.values())[self._artificials])
+        return sum(solution.x[self._artificials])
 
 
 @dataclass

@@ -55,8 +55,15 @@ refreshed; a solve with non-finite input raises
 
 Re-solve work is memoised on a mutation version: an unchanged program
 returns its previous :class:`LpSolution` without calling the solver
-(``lp.cache_hits``).  A solution's :attr:`~LpSolution.slacks` are
-computed on first read, from the arrays of the version it solved.
+(``lp.cache_hits``).  A solution keeps HiGHS's answer by position: the
+values as the list HiGHS returns and the negated row duals as a list.
+Its slacks are computed on first read, from the arrays of the version
+it solved, and its by-name ``values``, ``duals`` and ``slacks`` are
+views built on first read from that version's names, which the input
+keeps as tuples taken when the program's shape changed (the program's
+own name lists grow in place).  The time-share LPs read positions
+(:class:`repro.core.bandwidth.TimeShareProgram`), so a solve builds no
+dict.
 
 Solving drives SciPy's bundled HiGHS binding
 (``scipy.optimize._highspy._core._Highs``) directly.  Each thread keeps
@@ -222,20 +229,24 @@ def _highs_lp(
 
 
 class _Input(NamedTuple):
-    """One version of a program's right-hand sides and constraint matrix
-    ``A`` (column-major ``start``/``index``/``value`` lists), as its
-    input model holds them: what the slacks ``rhs - A @ x`` are computed
-    from.  The binding copies a list into the model's matrix several
+    """One version of a program's right-hand sides, constraint matrix
+    ``A`` (column-major ``start``/``index``/``value`` lists) and column
+    and row names, as its input model holds them: what the slacks
+    ``rhs - A @ x`` are computed from and what a solution's by-name views
+    read.  The binding copies a list into the model's matrix several
     times faster than a NumPy array, and the lists are the program's
     own.  Nothing here is written in place: an edit replaces what it
-    changes, so a solution can keep the input of the version it
-    solved.  Costs and upper bounds are not kept per version:
-    no solution reads them."""
+    changes, so a solution can keep the input of the version it solved.
+    The names are tuples taken when the shape changes (a new variable or
+    row), since the program's own name lists grow in place.  Costs and
+    upper bounds are not kept per version: no solution reads them."""
 
     rhs: np.ndarray
     start: List[int]
     index: List[int]
     value: List[float]
+    names: Tuple[str, ...]
+    row_names: Tuple[str, ...]
 
     def matrix(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(start, index, value)`` as NumPy arrays: ``csc_array``'s
@@ -252,7 +263,7 @@ class _Outcome(NamedTuple):
 
     status: int
     message: str
-    x: Optional[np.ndarray] = None
+    x: Optional[List[float]] = None
     objective: float = 0.0
     row_duals: Optional[List[float]] = None
     iterations: int = 0
@@ -280,7 +291,8 @@ def _run_highs(
         return _Outcome(code, handle.modelStatusToString(status))
     solution = handle.getSolution()
     objective = handle.getObjectiveValue()
-    values = np.asarray(solution.col_value, dtype=float)
+    x = solution.col_value  # a new list on every read
+    values = np.asarray(x, dtype=float)
     slack = rhs - np.asarray(solution.row_value, dtype=float)
     tolerance = _RESULT_TOLERANCE
     # Written so that a nan anywhere fails the check too.
@@ -303,7 +315,7 @@ def _run_highs(
     return _Outcome(
         0,
         "",
-        x=values,
+        x=x,
         objective=objective,
         row_duals=solution.row_dual,
         iterations=iterations,
@@ -330,29 +342,46 @@ def set_solver_fault_hook(
 
 @dataclass
 class LpSolution:
-    """Solved LP: objective value and per-variable values by name."""
+    """Solved LP: the objective, the variable values and the row duals.
+
+    The solve stores them by position, as HiGHS returns them: :attr:`x`
+    in column order and :attr:`y` in row order.  :attr:`values`,
+    :attr:`duals` and :attr:`slacks` are by-name views of them, built on
+    first read from the names of the version this solution solved (a
+    later ``add_column`` or ``add_constraint_*`` does not show in them).
+    Two solutions are equal when their objective, positions and
+    iteration counts are.
+    """
 
     objective: float
-    values: Dict[str, float]
-    #: Dual values (shadow prices) of the ``<=`` constraints, by constraint
-    #: name, when the solver reports them.  Used by column generation.
-    duals: Dict[str, float]
+    #: Variable values in column order.
+    x: List[float]
+    #: Dual values (shadow prices) of the ``<=`` rows, in row order.
+    #: Used by column generation.
+    y: List[float]
     #: Simplex/IPM iterations the solver reported (``None`` when
     #: unavailable).  A cached re-solve returns the original count.
-    iterations: Optional[int] = None
-    #: The solved version's right-hand sides and matrix: what
-    #: :attr:`slacks` and :meth:`LinearProgram.certificate` read, with
-    #: ``x`` from :attr:`values` and the row names from :attr:`duals`.
-    _inputs: Optional[_Input] = field(
-        default=None, repr=False, compare=False
-    )
+    iterations: Optional[int]
+    #: The solved version's right-hand sides, matrix and names: what
+    #: :attr:`s`, the views and :meth:`LinearProgram.certificate` read.
+    _inputs: _Input = field(repr=False, compare=False)
 
     def __getitem__(self, name: str) -> float:
         return self.values[name]
 
     @cached_property
-    def slacks(self) -> Dict[str, float]:
-        """Constraint slacks by name, computed on first read.
+    def values(self) -> Dict[str, float]:
+        """Variable values by name."""
+        return dict(zip(self._inputs.names, self.x))
+
+    @cached_property
+    def duals(self) -> Dict[str, float]:
+        """Row duals by constraint name, when the solver reports them."""
+        return dict(zip(self._inputs.row_names, self.y))
+
+    @cached_property
+    def s(self) -> List[float]:
+        """Constraint slacks in row order, computed on first read.
 
         The distance from binding, computed from the program's own
         matrix as ``rhs - A @ x`` in the stored ``<=`` orientation.  For
@@ -366,10 +395,8 @@ class LpSolution:
         change them.
         """
         inputs = self._inputs
-        if inputs is None:
-            return {}
-        m, n = len(inputs.rhs), len(self.values)
-        x = np.fromiter(self.values.values(), dtype=float, count=n)
+        m, n = len(inputs.rhs), len(self.x)
+        x = np.array(self.x)
         start, index, value = inputs.matrix()
         columns = np.repeat(np.arange(n), np.diff(start))
         if m * n <= _DENSE_CELL_LIMIT:
@@ -382,7 +409,12 @@ class LpSolution:
             product = np.bincount(
                 index, weights=value * x[columns], minlength=m
             )
-        return dict(zip(self.duals, (inputs.rhs - product).tolist()))
+        return (inputs.rhs - product).tolist()
+
+    @cached_property
+    def slacks(self) -> Dict[str, float]:
+        """Constraint slacks (:attr:`s`) by constraint name."""
+        return dict(zip(self._inputs.row_names, self.s))
 
     def binding_constraints(self, tolerance: float = 1e-9) -> List[str]:
         """Names of constraints binding at this solution.
@@ -393,7 +425,7 @@ class LpSolution:
         """
         return [
             name
-            for name, slack in self.slacks.items()
+            for name, slack in zip(self._inputs.row_names, self.s)
             if slack <= tolerance
         ]
 
@@ -785,11 +817,11 @@ class LinearProgram:
         recorder = get_recorder()
         started = time.perf_counter()
         inputs = solution._inputs
-        n, m = len(self._names), len(inputs.rhs)
-        x = np.fromiter(solution.values.values(), dtype=float, count=n)
+        n = len(self._names)
+        x = np.array(solution.x)
         c = np.asarray(self._objective, dtype=float)
-        y = np.fromiter(solution.duals.values(), dtype=float, count=m)
-        slack = np.fromiter(solution.slacks.values(), dtype=float, count=m)
+        y = np.array(solution.y)
+        slack = np.array(solution.s)
         max_row_residual = float(np.max(np.abs(y * slack), initial=0.0))
         dual_objective = float(np.dot(inputs.rhs, y))
         # bincount adds each column's entries in ascending row order, the
@@ -853,8 +885,9 @@ class LinearProgram:
             self._model = _highs_lp(cost, start, index, value, rhs, upper)
             self._check_columns(cost, upper, value)
             self._check_rhs(rhs)
+            names, row_names = tuple(self._names), tuple(self._row_names)
         else:
-            rhs = self._inputs.rhs
+            rhs, names, row_names = self._inputs.rhs, self._inputs.names, self._inputs.row_names
             if self._stale_columns:
                 cost, upper = self._costs_and_bounds()
                 model.col_cost_ = cost
@@ -868,7 +901,7 @@ class LinearProgram:
                 rhs = np.array(self._rhs, dtype=float)
                 model.row_upper_ = rhs
                 self._check_rhs(rhs)
-        inputs = self._inputs = _Input(rhs, start, index, value)
+        inputs = self._inputs = _Input(rhs, start, index, value, names, row_names)
         return inputs
 
     def _costs_and_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -991,11 +1024,8 @@ class LinearProgram:
                 recorder.count("lp.fallbacks")
             solution = LpSolution(
                 objective=-result.objective,
-                values=dict(zip(self._names, result.x.tolist())),
-                duals={
-                    row_name: -dual
-                    for row_name, dual in zip(self._row_names, result.row_duals)
-                },
+                x=result.x,
+                y=[-dual for dual in result.row_duals],
                 iterations=int(result.iterations or 0),
                 _inputs=inputs,
             )

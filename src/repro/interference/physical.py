@@ -79,13 +79,19 @@ class PhysicalInterferenceModel(InterferenceModel):
     # -- cumulative computations ------------------------------------------------
 
     def sinr_in_set(self, link: Link, links: FrozenSet[Link]) -> float:
-        """Eq. 3: SINR at ``link``'s receiver with all of ``links`` active."""
+        """Eq. 3: SINR at ``link``'s receiver with all of ``links`` active.
+
+        The interferers' powers are added in link-id order, not the set's
+        hash order: float addition is not associative, so the sum (and a
+        rate decided at a threshold) would otherwise depend on the
+        process's hash seed.
+        """
         kernel = self._kernel
         entry = kernel.entry(link)
         power = kernel.power
         receiver = entry.receiver_index
         interference = 0.0
-        for other in links:
+        for other in sorted(links, key=attrgetter("link_id")):
             if other != link:
                 interference += power[
                     kernel.entry(other).sender_index, receiver

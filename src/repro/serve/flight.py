@@ -11,16 +11,19 @@ record evicts the fastest resident only when it is slower).
 
 Surfaces: ``repro serve --slow-log`` prints :func:`format_slow_log`,
 and ``--trace-json`` embeds :meth:`FlightRecorder.to_dict` under
-``slow_queries``.  Recording is a couple of comparisons and at most one
-heap push per query, well inside the serve overhead budget pinned by
-``tests/test_serve_telemetry.py``.
+``slow_queries``.  The serving front ends offer each query's record as
+a latency and a function that builds it (:meth:`FlightRecorder.offer`):
+a record, and the decision fingerprint in it, is built only for a
+resident entry, when the log is read.  Offering is a couple of
+comparisons and at most one heap push per query, well inside the serve
+overhead budget pinned by ``tests/test_serve_telemetry.py``.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 __all__ = ["FlightRecorder", "DEFAULT_SLOW_LOG_SIZE", "format_slow_log"]
 
@@ -32,10 +35,11 @@ DEFAULT_SLOW_LOG_SIZE = 16
 class FlightRecorder:
     """Top-K-by-latency store of per-query flight records.
 
-    Thread-safe: ``BatchSession`` workers record concurrently.  Records
-    are arbitrary JSON-able dicts carrying a ``latency_seconds`` key;
-    ties break by arrival order (earlier record wins residence), so a
-    single-threaded run produces a deterministic log.
+    Thread-safe: ``BatchSession`` workers offer concurrently.  Records
+    are arbitrary JSON-able dicts carrying a ``latency_seconds`` key,
+    offered with that latency; ties break by arrival order (earlier
+    record wins residence), so a single-threaded run produces a
+    deterministic log.
     """
 
     def __init__(self, capacity: int = DEFAULT_SLOW_LOG_SIZE):
@@ -43,15 +47,19 @@ class FlightRecorder:
             raise ValueError(f"slow-log capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.records_seen = 0
-        self._heap: List[Any] = []  # (latency, -seq, record) min-heap
+        self._heap: List[Any] = []  # (latency, -seq, build) min-heap
         self._lock = threading.Lock()
 
-    def record(self, record: Dict[str, Any]) -> None:
-        """Offer one flight record; kept only if among the K slowest."""
-        latency = float(record.get("latency_seconds", 0.0))
+    def offer(self, latency: float, build: Callable[[], Dict[str, Any]]) -> None:
+        """Offer the record ``build()`` makes, by its latency.
+
+        It is kept only if among the K slowest, and ``build`` runs only
+        when a kept record is read: a decision whose record is never
+        read never builds one, nor computes its fingerprint.
+        """
         with self._lock:
             self.records_seen += 1
-            entry = (latency, -self.records_seen, record)
+            entry = (latency, -self.records_seen, build)
             if len(self._heap) < self.capacity:
                 heapq.heappush(self._heap, entry)
             elif entry > self._heap[0]:
@@ -61,7 +69,7 @@ class FlightRecorder:
         """Resident records, slowest first."""
         with self._lock:
             entries = sorted(self._heap, reverse=True)
-        return [record for _, _, record in entries]
+        return [build() for _, _, build in entries]
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able view: capacity, totals and the resident records."""

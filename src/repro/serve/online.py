@@ -57,6 +57,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import (
@@ -73,7 +74,7 @@ from repro.obs.explain import Explanation
 from repro.routing.metrics import HopCountMetric, RoutingContext
 from repro.routing.shortest_path import route
 from repro.serve.flight import DEFAULT_SLOW_LOG_SIZE, FlightRecorder
-from repro.serve.session import MasterSession, SolveOutcome
+from repro.serve.session import DeferredFingerprint, MasterSession, SolveOutcome
 from repro.workloads.churn import FlowEvent
 
 __all__ = [
@@ -114,8 +115,9 @@ class OnlineDecision:
     #: Carried-flow count *after* this decision took effect.
     carried_flows: int
     #: Digest of (model, link union, demand vector) — the exact cache
-    #: locus this decision solved under; empty when unrouted.
-    fingerprint: str = ""
+    #: locus this decision solved under; empty when unrouted.  Computed
+    #: when first read.
+    fingerprint: str = DeferredFingerprint("")  # type: ignore[assignment]
     #: Decision provenance (:class:`~repro.obs.explain.Explanation`),
     #: populated when the controller runs with ``explain=True`` and the
     #: decision came from an Eq. 6 solve (never for ``unrouted`` /
@@ -308,15 +310,17 @@ class OnlineAdmissionController:
         recorder.histogram("online.bandwidth_mbps", outcome.bandwidth)
         recorder.gauge("online.carried_flows", len(self._carried))
         trace_id = f"e{event.seq:06d}"
-        self.flight.record(
-            outcome.flight_record(
+        self.flight.offer(
+            latency,
+            partial(
+                outcome.flight_record,
                 trace_id,
                 event.flow_id,
                 latency,
                 admitted,
                 event.demand_mbps,
                 carried_flows=len(self._carried),
-            )
+            ),
         )
         return OnlineDecision(
             seq=event.seq,
@@ -337,7 +341,7 @@ class OnlineAdmissionController:
             cache_state=outcome.cache_state,
             latency_seconds=latency,
             carried_flows=len(self._carried),
-            fingerprint=outcome.fingerprint,
+            fingerprint=outcome,
             explanation=outcome.explanation,
         )
 

@@ -36,6 +36,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import _collect_links, link_demands_from_paths
@@ -50,7 +51,7 @@ from repro.net.path import Path
 from repro.obs import get_recorder
 from repro.obs.explain import Explanation
 from repro.serve.flight import DEFAULT_SLOW_LOG_SIZE, FlightRecorder
-from repro.serve.session import MasterSession
+from repro.serve.session import DeferredFingerprint, MasterSession
 
 __all__ = [
     "AdmissionQuery",
@@ -86,7 +87,8 @@ class AdmissionDecision:
     demand_mbps: float
     #: Fingerprint of (model, background, link union) — the cache locus
     #: this query solved under; equal fingerprints shared all artifacts.
-    fingerprint: str
+    #: Computed when first read.
+    fingerprint: str = DeferredFingerprint()  # type: ignore[assignment]
     cache_state: str
     latency_seconds: float
     #: Flight-record id: batch submissions derive it from the batch
@@ -197,17 +199,19 @@ class AdmissionService:
                 recorder.count("serve.lp.warm_starts")
             recorder.histogram("serve.latency_seconds", latency)
             recorder.histogram("serve.bandwidth_mbps", outcome.bandwidth)
-        self.flight.record(
-            outcome.flight_record(
-                trace_id, query.query_id, latency, admitted, query.demand_mbps
-            )
+        self.flight.offer(
+            latency,
+            partial(
+                outcome.flight_record,
+                trace_id, query.query_id, latency, admitted, query.demand_mbps,
+            ),
         )
         return AdmissionDecision(
             query_id=query.query_id,
             admitted=admitted,
             available_bandwidth_mbps=outcome.bandwidth,
             demand_mbps=query.demand_mbps,
-            fingerprint=outcome.fingerprint,
+            fingerprint=outcome,
             cache_state=outcome.cache_state,
             latency_seconds=latency,
             trace_id=trace_id,

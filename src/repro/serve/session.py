@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import (
@@ -56,7 +56,7 @@ from repro.net.path import Path
 from repro.obs.explain import Explanation, explain_solution, top_binding_link
 from repro.serve.cache import SolveCache
 
-__all__ = ["MasterSession", "SolveOutcome"]
+__all__ = ["DeferredFingerprint", "MasterSession", "SolveOutcome"]
 
 #: ``(union_key, demand_key) -> digest``: the front end's decision
 #: fingerprint formula.
@@ -74,7 +74,6 @@ class SolveOutcome:
     ``"hit"`` / ``"miss"`` / ``"skipped"`` for each cache consulted.
     """
 
-    fingerprint: str = ""
     cache_state: str = "cold"
     bandwidth: float = 0.0
     result_cache: str = "skipped"
@@ -91,6 +90,28 @@ class SolveOutcome:
     #: where a query contended even with explanations off.
     bottleneck: Optional[Tuple[str, float]] = None
     explanation: Optional[Explanation] = None
+    #: The session that answered and the ``(union_key, demand_key)`` it
+    #: answered under: what :attr:`fingerprint` digests.  No session
+    #: (an arrival that never reached one) means no fingerprint.
+    session: Optional["MasterSession"] = field(default=None, repr=False, compare=False)
+    locus: Tuple[Tuple[str, ...], Tuple[float, ...]] = ((), ())
+    _fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
+
+    @property
+    def fingerprint(self) -> str:
+        """The decision fingerprint of :attr:`locus` (``""`` without a
+        session), computed on first read through the session's memo."""
+        if self._fingerprint is None:
+            session = self.session
+            self._fingerprint = "" if session is None else session.fingerprint(*self.locus)
+        return self._fingerprint
+
+    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
+        """Pickled with its fingerprint taken and without the session
+        (its caches and locks stay in this process)."""
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state.update(_fingerprint=self.fingerprint, session=None)
+        return None, state
 
     def flight_record(
         self,
@@ -123,6 +144,36 @@ class SolveOutcome:
         }
 
 
+class DeferredFingerprint:
+    """The ``fingerprint`` field of a decision dataclass.
+
+    The field takes a str, or the :class:`SolveOutcome` the decision was
+    answered with; the outcome's fingerprint is then computed on the
+    first read of the field and kept.  Equality, ``repr`` and the wire
+    format read the field, so they see the str either way.  ``default``
+    is the field's dataclass default (none when omitted).
+    """
+
+    def __init__(self, default: Any = MISSING):
+        self.default = default
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance: Any, owner: Optional[type] = None) -> str:
+        if instance is None:
+            if self.default is MISSING:
+                raise AttributeError(self.name)  # the field has no default
+            return self.default
+        value = instance.__dict__[self.name]
+        if isinstance(value, SolveOutcome):
+            value = instance.__dict__[self.name] = value.fingerprint
+        return value
+
+    def __set__(self, instance: Any, value: Any) -> None:
+        instance.__dict__[self.name] = value
+
+
 @dataclass(slots=True, eq=False)
 class _Master:
     """A cached master LP and the path / demand vector it currently holds."""
@@ -153,11 +204,17 @@ class MasterSession:
     """Union-keyed caches and master LPs answering Eq. 6 queries.
 
     ``digest`` maps ``(union_key, demand_key)`` to the front end's
-    decision fingerprint; the session memoises it, because the sha256
-    over canonical JSON costs more than a result-cache hit and the same
-    configurations recur.  The memo is an LRU of ``result_capacity``
-    entries, like the result cache, so a long-running online controller
-    that sees ever new demand vectors holds a bounded number of them.
+    decision fingerprint.  Nothing in answering a query reads it: the
+    caches key on the tuples themselves, so a solve only records them
+    on its :class:`SolveOutcome`, and the digest is taken when a
+    decision, a flight record or an output first reads
+    :attr:`SolveOutcome.fingerprint`.  Those reads go through
+    :meth:`fingerprint`, which memoises the digest, because the sha256
+    over canonical JSON costs more than a result-cache hit and a
+    reader (a decision log, say) meets the same configurations again.
+    The memo is an LRU of ``result_capacity`` entries, like the result
+    cache, so a long-running online controller that sees ever new
+    demand vectors holds a bounded number of them.
     ``prefix`` namespaces the cache counters (``serve.cache`` or
     ``online.cache``).  With ``explain=True`` every
     solve attaches an :class:`~repro.obs.explain.Explanation`
@@ -230,7 +287,7 @@ class MasterSession:
         """
         union_key = tuple(link.link_id for link in union)
         path_key = tuple(link.link_id for link in path)
-        outcome = SolveOutcome(self.fingerprint(union_key, demand_key))
+        outcome = SolveOutcome(session=self, locus=(union_key, demand_key))
         if not cached:
             columns = enumerate_maximal_independent_sets(
                 self.model, union, self.max_sets

@@ -93,10 +93,11 @@ def test_fresh_submit_builds_no_set(model_type, built_sets):
 
 
 class _Solution:
-    """The two things extraction reads from a solved master."""
+    """The two things extraction reads from a solved master: the
+    objective and the variable values by position (column order)."""
 
     def __init__(self, values, objective=1.0):
-        self.values = values
+        self.x = list(values.values())
         self.objective = objective
 
 

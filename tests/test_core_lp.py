@@ -1931,3 +1931,36 @@ class TestSolutionVersions:
         assert _solution_bits(second) == _solution_bits(unsolved.solve())
         assert lp.certificate() == unsolved.certificate()
         assert _input_bits(second._inputs) == _input_bits(unsolved._inputs)
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    @pytest.mark.parametrize("edit", ["add_column", "add_variable", "add_row", "add_ge_row"])
+    def test_views_keep_the_names_of_the_solved_version(self, edit, read_first):
+        """The program's name lists grow in place; a solution's by-name
+        views show the names (and bits) of the version it solved, read
+        before or after the edit, pickled with its views unread or read."""
+        from repro.core.bandwidth import _time_share_lp
+
+        edits = dict(
+            _EDITS,
+            add_ge_row=lambda lp: lp.add_constraint_ge({"lambda_2": 1.0}, 0.125, name="floor"),
+        )
+        lp, twin = (_time_share_lp(*_version_case()).lp for _ in range(2))
+        expected = _views(twin.solve())
+        first = lp.solve()
+        if read_first:
+            assert _views(first) == expected
+        edits[edit](lp)
+        lp.solve()
+        copy = pickle.loads(pickle.dumps(first))
+        assert _views(first) == expected
+        assert _views(copy) == expected
+        assert _views(pickle.loads(pickle.dumps(first))) == expected
+        assert (len(first.x), len(first.y)) == (len(first.values), len(first.duals))
+
+
+def _views(solution):
+    """Each by-name view of ``solution`` as (keys, value bits)."""
+    return [
+        (list(view), _bits(list(view.values())))
+        for view in (solution.values, solution.duals, solution.slacks)
+    ]

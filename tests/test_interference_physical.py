@@ -79,6 +79,46 @@ class TestSinrInSet:
         assert crowded < alone
 
 
+    def test_sum_does_not_depend_on_the_hash_seed(self):
+        """Every SINR of every 4-link set of 14 paper-topology links, in
+        processes with different hash seeds: one digest, pinned."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "import hashlib, itertools\n"
+            "from repro.interference.physical import PhysicalInterferenceModel\n"
+            "from repro.workloads.scenarios import paper_random_topology\n"
+            "network = paper_random_topology(seed=8)\n"
+            "model = PhysicalInterferenceModel(network)\n"
+            "links = sorted(network.links, key=lambda link: link.link_id)[:14]\n"
+            "print(hashlib.sha256(' '.join(\n"
+            "    model.sinr_in_set(link, frozenset(subset)).hex()\n"
+            "    for subset in itertools.combinations(links, 4) for link in subset\n"
+            ").encode()).hexdigest()[:16])\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        digests = set()
+        for hash_seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=300,
+            )
+            assert completed.returncode == 0, completed.stderr
+            digests.add(completed.stdout.strip())
+        assert digests == {"6f5830bd85e94c9b"}
+
+
 class TestIndependence:
     def test_rate_above_set_maximum_rejected(self, triple_model):
         net = triple_model.network

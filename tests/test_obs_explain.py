@@ -311,6 +311,7 @@ class TestOnlineExplanations:
         program = build_path_bandwidth_lp(ColumnFamily((), ()), [link], {}, {link})
 
         class FakeSolution:
-            duals = {"airtime": 0.5, "demand[L1]": 0.0}
+            # Row duals by position: airtime, then demand[L1].
+            y = [0.5, 0.0]
 
         assert top_binding_link(program, FakeSolution()) is None

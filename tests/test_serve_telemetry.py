@@ -11,6 +11,7 @@ budget the obs layer has always pinned.
 
 import json
 import time
+from functools import partial
 
 import pytest
 
@@ -51,25 +52,30 @@ def _workload(repeats=2):
     return scenario, background, queries
 
 
+def _offer(flight, record):
+    """Offer an already built ``record`` at its own latency."""
+    flight.offer(record["latency_seconds"], lambda: record)
+
+
 class TestFlightRecorder:
     def test_keeps_the_k_slowest(self):
         flight = FlightRecorder(capacity=3)
         for index, latency in enumerate([0.5, 0.1, 0.9, 0.2, 0.7]):
-            flight.record({"query_id": f"q{index}", "latency_seconds": latency})
+            _offer(flight, {"query_id": f"q{index}", "latency_seconds": latency})
         kept = [r["latency_seconds"] for r in flight.slow_queries()]
         assert kept == [0.9, 0.7, 0.5]  # slowest first
         assert flight.records_seen == 5
 
     def test_ties_keep_the_earlier_record(self):
         flight = FlightRecorder(capacity=1)
-        flight.record({"query_id": "first", "latency_seconds": 0.5})
-        flight.record({"query_id": "second", "latency_seconds": 0.5})
+        _offer(flight, {"query_id": "first", "latency_seconds": 0.5})
+        _offer(flight, {"query_id": "second", "latency_seconds": 0.5})
         [kept] = flight.slow_queries()
         assert kept["query_id"] == "first"
 
     def test_to_dict_is_jsonable(self):
         flight = FlightRecorder(capacity=2)
-        flight.record({"query_id": "a", "latency_seconds": 0.1})
+        _offer(flight, {"query_id": "a", "latency_seconds": 0.1})
         document = json.loads(json.dumps(flight.to_dict()))
         assert document["capacity"] == 2
         assert document["records_seen"] == 1
@@ -82,7 +88,8 @@ class TestFlightRecorder:
 
     def test_format_slow_log(self):
         flight = FlightRecorder(capacity=4)
-        flight.record(
+        _offer(
+            flight,
             {
                 "query_id": "slow-one",
                 "latency_seconds": 0.25,
@@ -93,7 +100,7 @@ class TestFlightRecorder:
                 "columns": 12,
                 "lp_iterations": 7,
                 "lp_warm_start": False,
-            }
+            },
         )
         text = format_slow_log(flight)
         assert "slow queries: 1 kept of 1 seen" in text
@@ -396,7 +403,8 @@ class TestOverhead:
             for index in range(3 * n_queries):
                 recorder.histogram("serve.latency_seconds", 0.001)
                 recorder.histogram("serve.bandwidth_mbps", 10.0)
-                flight.record(dict(record, latency_seconds=index * 1e-6))
+                latency = index * 1e-6
+                flight.offer(latency, partial(dict, record, latency_seconds=latency))
             cost = min(cost, time.perf_counter() - started)
         assert cost < 0.05 * baseline, (
             f"{3 * n_queries} per-query telemetry ops took {cost:.6f}s "
