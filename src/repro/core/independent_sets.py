@@ -379,8 +379,8 @@ def _enumerate_pairwise(
     its complement; both are computed here directly on integer bitmasks
     (Bron–Kerbosch with pivoting) instead of materializing networkx
     graphs, and returned as vertex masks in discovery order.
-    Kernel-backed models get their pairwise compatibility matrix from one
-    vectorized SINR evaluation; other models fall back to per-pair
+    Kernel-backed models read their pairwise compatibility from the
+    model's couple index; other models fall back to per-pair
     :meth:`~repro.interference.base.InterferenceModel.conflicts` calls.
     The family found is the same either way — and the caller's final
     dominance-prune + deterministic sort make discovery order irrelevant.
@@ -396,46 +396,25 @@ def _pairwise_compatibility_masks(
 
     ``masks[i]`` has bit ``j`` set when couples ``i`` and ``j`` can
     transmit concurrently (distinct links, no shared node, and neither
-    receiver loses its rate's SINR against the other sender).
+    receiver loses its rate's SINR against the other sender).  The bits
+    are local to ``vertices``: enumeration runs on the union's own
+    graph.  Kernel-backed models read the rows from the model's
+    :class:`~repro.interference.couple_index.CoupleIndex`, which
+    evaluates each couple against every other once per model; other
+    models fall back to per-pair
+    :meth:`~repro.interference.base.InterferenceModel.conflicts` calls.
     """
-    count = len(vertices)
     kernel = getattr(model, "kernel", None)
-    if kernel is None:
-        masks = [0] * count
-        for i, a in enumerate(vertices):
-            for j in range(i + 1, count):
-                if not model.conflicts(a, vertices[j]):
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-        return masks
-    # Vectorized path: one link-level SINR-ratio matrix serves every
-    # couple pair (the interferer's rate never matters, only its sender).
-    by_link = {vertex.link.link_id: vertex.link for vertex in vertices}
-    entry_of = dict(zip(by_link, kernel.entries(by_link.values())))
-    entries = [entry_of[vertex.link.link_id] for vertex in vertices]
-    senders = np.array([e.sender_index for e in entries], dtype=np.intp)
-    receivers = np.array([e.receiver_index for e in entries], dtype=np.intp)
-    signals = np.array([e.signal_mw for e in entries])
-    thresholds = np.array([v.rate.sinr_linear for v in vertices])
-    # ratio[i, j]: SINR at couple i's receiver with couple j's sender as
-    # the lone interferer — the same scalar division `sinr` performs.
-    interference = kernel.power[senders[None, :], receivers[:, None]]
-    ratio = signals[:, None] / (interference + kernel.noise_mw)
-    survives = ratio >= thresholds[:, None]
-    compatible = survives & survives.T
-    # Half-duplex: couples whose links share a node never coexist; that
-    # covers couples of one link and the diagonal.
-    compatible &= senders[:, None] != senders[None, :]
-    compatible &= senders[:, None] != receivers[None, :]
-    compatible &= receivers[:, None] != senders[None, :]
-    compatible &= receivers[:, None] != receivers[None, :]
-    rows = np.packbits(compatible, axis=1, bitorder="little")
-    width = rows.shape[1]
-    packed = rows.tobytes()
-    return [
-        int.from_bytes(packed[start:start + width], "little")
-        for start in range(0, count * width, width)
-    ]
+    if kernel is not None:
+        return kernel.couple_index.compatibility(vertices)
+    count = len(vertices)
+    masks = [0] * count
+    for i, a in enumerate(vertices):
+        for j in range(i + 1, count):
+            if not model.conflicts(a, vertices[j]):
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
 
 
 def _maximal_cliques_bitset(

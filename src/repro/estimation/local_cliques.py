@@ -9,9 +9,10 @@ every run of length ≥ 2 starts as a clique and extends while the new link
 conflicts with *all* members.
 
 The conflicts are read from the couples' packed compatibility masks
-(:func:`~repro.core.independent_sets._pairwise_compatibility_masks`, one
-vectorized evaluation for kernel-backed models): a run extends while the
-next couple's mask has no bit in common with the run so far.
+(:func:`~repro.core.independent_sets._pairwise_compatibility_masks`,
+gathered from the model's couple index for kernel-backed models): a run
+extends while the next couple's mask has no bit in common with the run
+so far.
 """
 
 from __future__ import annotations

@@ -31,6 +31,12 @@ entry lookups check the node count and **grow** the matrix incrementally
 when it increased — only the new rows/columns are computed, existing rows
 and cached link entries stay (positions are immutable, so they never go
 stale).
+
+The kernel also carries the model's
+:class:`~repro.interference.couple_index.CoupleIndex`: one packed
+compatibility row per (link, rate) couple, filled the first time an
+enumeration touches the couple.  Growth keeps it; the full-rebuild
+fallback replaces it along with the link entries.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ import numpy as np
 
 from repro.errors import TopologyError
 from repro.interference.base import LinkRate
+from repro.interference.couple_index import CoupleIndex
 from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.topology import Network
@@ -105,6 +112,8 @@ class GeometricKernel:
         self.network = network
         self.noise_mw = network.radio.noise_mw
         self._entries: Dict[str, LinkEntry] = {}
+        #: Model-wide couple ids and compatibility rows, filled on use.
+        self.couple_index = CoupleIndex(self)
         self._build_matrix()
 
     def _coords(self, nodes) -> Tuple[np.ndarray, np.ndarray]:
@@ -159,6 +168,7 @@ class GeometricKernel:
             # Network API) — fall back to a full rebuild.
             self._build_matrix()
             self._entries.clear()
+            self.couple_index = CoupleIndex(self)
             return
         self._grow_matrix(nodes, known)
 

@@ -15,7 +15,9 @@ This module exploits that locality:
   background links that conflict with the tile's path links.  Runs and
   membership are read from one packed compatibility matrix over the path
   and background couples (``_pairwise_compatibility_masks``, the rows
-  enumeration uses), not from per-pair ``conflicts`` calls;
+  enumeration uses: under the geometric models, gathered from the
+  model's couple index, which fills each couple's row once), not from
+  per-pair ``conflicts`` calls;
 * :func:`tiled_path_bandwidth` solves one Eq. 6 LP **per tile** over only
   the tile's couple set and stitches the results into a two-sided estimate:
 
@@ -40,9 +42,10 @@ This module exploits that locality:
     :meth:`~repro.interference.base.InterferenceModel.is_independent`
     confirms every union the masks accept.
 
-  All columns of an estimate stay couple bitmasks over one couple index:
-  the tile families are remapped into it and pooled on their masks, and
-  the lower-bound solve receives a
+  All columns of an estimate stay couple bitmasks over one couple order:
+  each tile and residual family is pooled onto it by its couples' ids in
+  the model's :class:`~repro.interference.couple_index.CoupleIndex`,
+  deduped on the pooled masks, and the lower-bound solve receives a
   :class:`~repro.core.independent_sets.ColumnFamily`, so no
   :class:`~repro.core.independent_sets.RateIndependentSet` is built
   except for the columns a schedule reads.
@@ -51,11 +54,18 @@ This module exploits that locality:
   the exact Eq. 6 construction — same enumeration, same LP, bit-identical
   result; :mod:`repro.verify` pins ``tiled-LB ≤ exact ≤ tiled-UB`` on every
   tractable instance family.
+
+The upper bound comes with a :class:`TileAttribution` — the bottleneck
+tile's binding clique, from that tile's dual solution.  It is computed
+when :attr:`TiledPathEstimate.attribution` is first read: the estimate
+keeps the bottleneck's solved program until then, so an estimate whose
+attribution nobody reads pays for no certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import (
@@ -79,7 +89,6 @@ from repro.net.link import Link
 from repro.net.path import Path
 from repro.obs import get_recorder
 from repro.obs.explain import explain_solution
-from repro.phy.rates import Rate
 
 __all__ = [
     "TileConfig",
@@ -153,9 +162,38 @@ class TileAttribution:
     fingerprint: str
 
 
+class _DeferredAttribution:
+    """The ``attribution`` field of :class:`TiledPathEstimate`.
+
+    The field takes a :class:`TileAttribution` (or ``None``), or a
+    ``partial`` of :func:`_attribute_bottleneck` that computes one; the
+    partial runs on the first read and its result is kept.  Equality,
+    ``repr`` and pickling read the field, so they see the resolved value.
+    """
+
+    def __get__(
+        self, instance: Optional["TiledPathEstimate"], owner: Optional[type] = None
+    ) -> Optional[TileAttribution]:
+        if instance is None:
+            return None  # the field's default
+        value = instance.__dict__["attribution"]
+        if isinstance(value, partial):
+            value = instance.__dict__["attribution"] = value()
+        return value
+
+    def __set__(self, instance: "TiledPathEstimate", value: object) -> None:
+        instance.__dict__["attribution"] = value
+
+
 @dataclass(frozen=True)
 class TiledPathEstimate:
-    """Two-sided available-bandwidth estimate from the tile decomposition."""
+    """Two-sided available-bandwidth estimate from the tile decomposition.
+
+    The bracket and the decomposition are computed by the call; the
+    bottleneck attribution is computed when :attr:`attribution` is first
+    read, from the bottleneck tile's solved program the estimate keeps
+    until then.
+    """
 
     #: Section 3.3 restricted-column lower bound, in Mbps.
     lower_bound: float
@@ -170,26 +208,19 @@ class TiledPathEstimate:
     #: Number of LP columns the lower-bound solve used.
     columns: int
     #: Dual attribution of the upper bound (bottleneck tile's binding
-    #: clique); ``None`` only if certification of the tile LP failed.
-    attribution: Optional[TileAttribution] = None
+    #: clique), computed on first read; ``None`` only if certification
+    #: of the tile LP failed.
+    attribution: Optional[TileAttribution] = _DeferredAttribution()  # type: ignore[assignment]
 
     @property
     def gap(self) -> float:
         """Width of the bracket (``upper_bound - lower_bound``), Mbps."""
         return self.upper_bound - self.lower_bound
 
-
-def _path_rates(
-    model: InterferenceModel, new_path: Path
-) -> Optional[Dict[str, Rate]]:
-    """Max standalone rate per path link id, or None if any link is dead."""
-    rates: Dict[str, Rate] = {}
-    for link in new_path:
-        rate = model.max_standalone_rate(link)
-        if rate is None:
-            return None
-        rates[link.link_id] = rate
-    return rates
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["attribution"] = self.attribution
+        return state
 
 
 def decompose_path(
@@ -216,19 +247,20 @@ def decompose_path(
     """
     config = config or TileConfig()
     path_links = list(new_path)
-    rates = _path_rates(model, new_path)
-    if rates is None:
+    # Each link's fastest standalone couple, the model's shared object.
+    path_couples = [
+        couples[0] if couples else None
+        for couples in model.standalone_couples_of(path_links)
+    ]
+    if None in path_couples:
         raise InfeasibleProblemError(
             f"path {new_path} has a link with no standalone rate"
         )
-    path_couples = [
-        LinkRate(link, rates[link.link_id]) for link in path_links
+    background_couples = [
+        couples[0]
+        for couples in model.standalone_couples_of(_collect_links(background))
+        if couples
     ]
-    background_couples: List[LinkRate] = []
-    for link in _collect_links(background):
-        rate = model.max_standalone_rate(link)
-        if rate is not None:
-            background_couples.append(LinkRate(link, rate))
     compatible = _pairwise_compatibility_masks(
         model, path_couples + background_couples
     )
@@ -277,25 +309,53 @@ def decompose_path(
     return tiles
 
 
-def _remapped(family: ColumnFamily, bit_of: Dict[LinkRate, int]) -> List[int]:
-    """``family``'s masks over the bits ``bit_of`` gives its couples.
+class _ColumnPool:
+    """Columns of several families on one estimate-local couple order.
 
-    Couples not yet in ``bit_of`` get the next free bit, so one index
-    serves every family of an estimate.
+    A couple gets the next free bit the first time a family brings it,
+    so every family pooled here reads on one index.  Couples are keyed
+    by their id in the model's
+    :class:`~repro.interference.couple_index.CoupleIndex` (by the
+    couples themselves under a model without a kernel).
     """
-    bits = [
-        1 << bit_of.setdefault(couple, len(bit_of))
-        for couple in family.couples
-    ]
-    remapped = []
-    for mask in family.masks:
-        out = 0
-        while mask:
-            low_bit = mask & -mask
-            mask ^= low_bit
-            out |= bits[low_bit.bit_length() - 1]
-        remapped.append(out)
-    return remapped
+
+    def __init__(self, model: InterferenceModel):
+        kernel = getattr(model, "kernel", None)
+        self._index = None if kernel is None else kernel.couple_index
+        self._bit_of: Dict[object, int] = {}
+        #: The pooled couples, by bit.
+        self.couples: List[LinkRate] = []
+
+    def masks(self, family: ColumnFamily) -> List[int]:
+        """``family``'s masks on the pool's bits."""
+        keys = (
+            family.couples
+            if self._index is None
+            else self._index.ids(family.couples)
+        )
+        bit_of = self._bit_of
+        couples = self.couples
+        bits = []
+        for couple, key in zip(family.couples, keys):
+            bit = bit_of.get(key)
+            if bit is None:
+                bit = bit_of[key] = len(couples)
+                couples.append(couple)
+            bits.append(bit)
+        first = bits[0] if bits else 0
+        if bits == list(range(first, first + len(bits))):
+            # The family's couples sit on consecutive pool bits (most do:
+            # a family whose couples are all new to the pool, say).
+            return [mask << first for mask in family.masks]
+        pooled = []
+        for mask in family.masks:
+            out = 0
+            while mask:
+                low_bit = mask & -mask
+                mask ^= low_bit
+                out |= 1 << bits[low_bit.bit_length() - 1]
+            pooled.append(out)
+        return pooled
 
 
 def _residual_columns(
@@ -332,13 +392,13 @@ def _residual_columns(
             if segment:
                 windows.append(segment)
                 segment = []
-    bit_of: Dict[LinkRate, int] = {}
+    pool = _ColumnPool(model)
     window_masks = [
-        _remapped(family, bit_of)
+        pool.masks(family)
         for window in windows
         if (family := enumerate_maximal_independent_sets(model, window))
     ]
-    couples = list(bit_of)
+    couples = pool.couples
     residual = [mask for masks in window_masks for mask in masks]
     if len(window_masks) > 1:
         compatible = _pairwise_compatibility_masks(model, couples)
@@ -424,9 +484,9 @@ def tiled_path_bandwidth(
         demands = link_demands_from_paths(background)
         tile_optima: List[float] = []
         tile_programs: List[TimeShareProgram] = []
-        # One couple index per estimate; the pool dedupes tile columns
-        # on their masks over it, keeping first-seen order.
-        bit_of: Dict[LinkRate, int] = {}
+        # One couple order per estimate; tile columns are deduped on
+        # their masks over it, keeping first-seen order.
+        pool = _ColumnPool(model)
         column_pool: Dict[int, None] = {}
         for tile in tiles:
             with recorder.span("scale.tile_lp"):
@@ -440,14 +500,17 @@ def tiled_path_bandwidth(
             recorder.count("scale.tile_solves")
             tile_optima.append(value)
             tile_programs.append(program)
-            column_pool.update(dict.fromkeys(_remapped(columns, bit_of)))
+            column_pool.update(dict.fromkeys(pool.masks(columns)))
 
         bottleneck = min(
             range(len(tile_optima)), key=tile_optima.__getitem__
         )
         upper = tile_optima[bottleneck]
-        attribution = _attribute_bottleneck(
-            bottleneck, tile_programs[bottleneck], background, upper,
+        # Certified when read; the tuple keeps later edits of the
+        # caller's background list out of it.
+        attribution = partial(
+            _attribute_bottleneck,
+            bottleneck, tile_programs[bottleneck], tuple(background), upper,
         )
 
         covered = {
@@ -457,7 +520,7 @@ def tiled_path_bandwidth(
         residual = _residual_columns(
             model, background, covered, config.tile_size
         )
-        lb_masks.extend(_remapped(residual, bit_of))
+        lb_masks.extend(pool.masks(residual))
         scheduled = 0
         for mask in residual.masks:
             scheduled |= mask
@@ -465,14 +528,16 @@ def tiled_path_bandwidth(
             couple.link.link_id
             for couple in _mask_members(scheduled, residual.couples)
         )
-        for link in _collect_links(background, new_path):
-            if link.link_id in covered:
-                continue
-            rate = model.max_standalone_rate(link)
-            if rate is not None:
-                couple = LinkRate(link, rate)
-                lb_masks.append(1 << bit_of.setdefault(couple, len(bit_of)))
-        lb_columns = ColumnFamily(bit_of, lb_masks)
+        uncovered = [
+            link
+            for link in _collect_links(background, new_path)
+            if link.link_id not in covered
+        ]
+        for couples in model.standalone_couples_of(uncovered):
+            if couples:
+                singleton = ColumnFamily(couples[:1], (1,))
+                lb_masks.extend(pool.masks(singleton))
+        lb_columns = ColumnFamily(pool.couples, lb_masks)
         recorder.count("scale.columns", len(lb_columns))
         try:
             lower = available_path_bandwidth(

@@ -59,11 +59,12 @@ class FlightRecorder:
         """
         with self._lock:
             self.records_seen += 1
-            entry = (latency, -self.records_seen, build)
-            if len(self._heap) < self.capacity:
-                heapq.heappush(self._heap, entry)
-            elif entry > self._heap[0]:
-                heapq.heapreplace(self._heap, entry)
+            heap = self._heap
+            if len(heap) < self.capacity:
+                heapq.heappush(heap, (latency, -self.records_seen, build))
+            elif latency > heap[0][0]:
+                # On a tie the resident stays: the earlier record wins.
+                heapq.heapreplace(heap, (latency, -self.records_seen, build))
 
     def slow_queries(self) -> List[Dict[str, Any]]:
         """Resident records, slowest first."""

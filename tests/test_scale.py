@@ -157,6 +157,94 @@ class TestTiledBracket:
         assert recorder.counters["scale.columns"] == estimate.columns
 
 
+def _x7_estimate_inputs(n_nodes=192):
+    """The X7 field's farthest path from n0 and its two 0.5 Mbps flows."""
+    import networkx as nx
+
+    from repro.net.path import Path
+
+    network = scatter_topology(n_nodes, 850.0, 1275.0, seed=8)
+    graph = network.to_digraph()
+
+    def route(hops):
+        return Path(network.link_between(a, b) for a, b in zip(hops, hops[1:]))
+
+    reachable = nx.single_source_shortest_path(graph, "n0")
+    farthest = max(reachable, key=lambda node: len(reachable[node]))
+    background = [
+        (route(nx.shortest_path(graph, source, target)), 0.5)
+        for source, target in (("n5", "n96"), ("n64", "n189"))
+    ]
+    return network, route(reachable[farthest]), background
+
+
+class TestAttributionOnRead:
+    """The bottleneck attribution is computed when first read."""
+
+    def test_unread_estimates_certify_nothing(self):
+        network, new_path, background = _x7_estimate_inputs()
+        model = ProtocolInterferenceModel(network)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            estimates = [
+                tiled_path_bandwidth(
+                    model, new_path, background, TileConfig(tile_size=4)
+                )
+                for _ in range(3)
+            ]
+            assert recorder.counters.get("explain.certificates", 0) == 0
+            assert estimates[0].attribution is not None
+            assert recorder.counters["explain.certificates"] == 1
+            assert estimates[0].attribution is estimates[0].attribution
+        assert recorder.counters["explain.certificates"] == 1
+
+    def test_first_read_equals_the_eager_attribution(self):
+        from repro.scale.tiles import _attribute_bottleneck
+
+        network, new_path, background = _x7_estimate_inputs()
+        model = ProtocolInterferenceModel(network)
+        for tile_size in (2, 4, 6):
+            estimate = tiled_path_bandwidth(
+                model, new_path, background, TileConfig(tile_size=tile_size)
+            )
+            _index, program, _background, _upper = estimate.__dict__[
+                "attribution"
+            ].args
+            eager = _attribute_bottleneck(
+                estimate.bottleneck, program, background, estimate.upper_bound
+            )
+            assert eager is not None
+            assert estimate.attribution == eager
+            assert eager.tile == estimate.bottleneck
+
+    def test_caller_edits_to_background_do_not_reach_it(self):
+        network, new_path, background = _x7_estimate_inputs()
+        model = ProtocolInterferenceModel(network)
+        config = TileConfig(tile_size=4)
+        expected = tiled_path_bandwidth(model, new_path, background, config)
+        expected_attribution = expected.attribution
+        edited = list(background)
+        estimate = tiled_path_bandwidth(model, new_path, edited, config)
+        edited[:] = [None]  # not even a (path, demand) pair
+        assert estimate.attribution == expected_attribution
+        assert estimate == expected
+
+    def test_estimate_pickles(self):
+        import pickle
+
+        network, new_path, background = _x7_estimate_inputs()
+        model = ProtocolInterferenceModel(network)
+        config = TileConfig(tile_size=4)
+        unread = tiled_path_bandwidth(model, new_path, background, config)
+        copy = pickle.loads(pickle.dumps(unread))
+        assert copy.__dict__["attribution"] is not None
+        assert copy == unread
+        read = tiled_path_bandwidth(model, new_path, background, config)
+        assert read.attribution is not None
+        assert pickle.loads(pickle.dumps(read)) == read == copy
+        assert repr(copy) == repr(read)
+
+
 class TestKernelGrowth:
     def _network(self):
         return scatter_topology(24, 300.0, 300.0, seed=3)

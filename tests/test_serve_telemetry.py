@@ -365,21 +365,16 @@ class TestServeCliTelemetry:
 class TestOverhead:
     """Per-query telemetry stays inside the 5% obs overhead budget."""
 
-    def _baseline_and_queries(self):
-        scenario, background, queries = _workload(repeats=3)
-        baseline = float("inf")
-        for _ in range(3):
-            service = AdmissionService(scenario.model, background)
-            started = time.perf_counter()
-            service.submit_many(queries)
-            baseline = min(baseline, time.perf_counter() - started)
-        return baseline, len(queries)
+    #: Interleaved baseline/telemetry timing rounds; each side keeps its
+    #: fastest round, so a host hiccup in a few rounds does not decide it.
+    ROUNDS = 60
 
     def test_telemetry_overhead_under_five_percent(self):
         # Charge three times the real per-query telemetry (two histogram
         # observations and one flight-record offer per query) against the
         # serve baseline: the instrumentation must absorb a 3x margin.
-        baseline, n_queries = self._baseline_and_queries()
+        scenario, background, queries = _workload(repeats=3)
+        n_queries = len(queries)
         recorder = Recorder()
         flight = FlightRecorder(DEFAULT_SLOW_LOG_SIZE)
         record = {
@@ -397,8 +392,12 @@ class TestOverhead:
             "demand_mbps": 1.0,
             "available_bandwidth_mbps": 10.0,
         }
-        cost = float("inf")
-        for _ in range(3):
+        baseline = cost = float("inf")
+        for _ in range(self.ROUNDS):
+            service = AdmissionService(scenario.model, background)
+            started = time.perf_counter()
+            service.submit_many(queries)
+            baseline = min(baseline, time.perf_counter() - started)
             started = time.perf_counter()
             for index in range(3 * n_queries):
                 recorder.histogram("serve.latency_seconds", 0.001)
