@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.independent_sets import (
-    _column_order,
+    _couple_names,
     _mask_members,
-    _maximal_cliques_bitset,
+    _ordered_cliques,
     _pairwise_compatibility_masks,
 )
 from repro.errors import InterferenceError
@@ -127,10 +127,9 @@ def _maximal_cliques(
         full & ~mask & ~same_link[couple.link]
         for mask, couple in zip(compatible, couples)
     ]
-    masks = _maximal_cliques_bitset(conflict, len(couples))
     return [
         RateClique(frozenset(_mask_members(mask, couples)))
-        for mask in _column_order(couples, masks)
+        for mask in _ordered_cliques(conflict, _couple_names(model, couples))
     ]
 
 

@@ -124,9 +124,10 @@ class _PricingProblem:
                 positive |= 1 << index
         best_mask = 0
         best_weight = 0.0
-        for clique in _maximal_cliques_bitset(
+        cliques, _ = _maximal_cliques_bitset(
             self.independent, len(self.vertices), subset=positive
-        ):
+        )
+        for clique in cliques:
             weight = 0.0
             for vertex in _mask_members(clique, self.vertices):
                 weight += weights[vertex]

@@ -8,12 +8,16 @@ zero).  Unlike the single-rate case, the links of one maximal set can be a
 subset of another's — the smaller set trades concurrency for faster rates —
 so maximality is rate-aware.
 
-Eq. 6's columns come out of one pipeline over integer bitmasks:
+Eq. 6's columns come out of one pass over integer bitmasks:
 
-1. **masks** — the couples of the links of interest
+1. **search** — the couples of the links of interest
    (:func:`~repro.interference.conflict_graph.link_rate_vertices`) are the
-   vertices, and every maximal set is found as one vertex bitmask, by one
-   of two strategies dispatched on the model:
+   vertices, ranked once by name: each couple gets a weight, one size unit
+   plus one name-rank bit, higher for an earlier name
+   (:func:`_column_weights`).  Every maximal set is found as one vertex
+   bitmask, and the search sums its members' weights into the set's
+   column key next to it, by one of two strategies dispatched on the
+   model:
 
    * **pairwise** (protocol / declared models): maximal independent sets
      of the link–rate conflict graph, via maximal cliques of its
@@ -22,12 +26,16 @@ Eq. 6's columns come out of one pipeline over integer bitmasks:
      feasibility, keeping exactly the sets that satisfy the paper's
      maximality definition;
 
-2. **prune** — Proposition 3 says these maximal sets with maximum rate
+2. **order** — size descending, then couple names: one stable sort of
+   the found sets by column key (:func:`_column_order`);
+3. **prune** — Proposition 3 says these maximal sets with maximum rate
    vectors suffice to express the feasibility condition (Eq. 4);
-   :func:`prune_dominated` removes any remaining redundant columns with
-   per-couple bitsets;
-3. **order** — size descending, then couple names, from the masks and a
-   per-couple name rank;
+   :func:`prune_dominated` removes any remaining redundant columns and
+   keeps the order.  On a kernel-backed pairwise model a set is dominated
+   exactly when one member can move up to its link's next-faster rate
+   and the set stays independent, one row test per such member; declared
+   models and the cumulative search take the general per-couple bitset
+   test;
 4. **sets on demand** — the result is a :class:`ColumnFamily`, the pair
    (couples, one mask per column).  LP assembly reads the masks; a
    :class:`RateIndependentSet` is built only when a caller indexes or
@@ -214,6 +222,8 @@ class ColumnFamily(SequenceABC):
 
 def prune_dominated(
     sets: Iterable[RateIndependentSet],
+    *,
+    compatible: Optional[Sequence[int]] = None,
 ) -> ColumnFamily:
     """Drop sets dominated by another set of the collection.
 
@@ -227,11 +237,77 @@ def prune_dominated(
     dominated by any other set.  Duplicates are dropped; the survivors
     keep their input order.  ``sets`` may be any sequence of sets, a
     :class:`ColumnFamily` included, and so is the result.
+
+    ``compatible`` is for :func:`enumerate_maximal_independent_sets` on a
+    kernel-backed model: the compatibility rows over the family's
+    couples, of which ``sets`` are all the maximal cliques.  There a set
+    ``S`` is dominated exactly when, for some member ``v``, ``v``'s
+    link's next-faster couple ``u`` is compatible with every other
+    member, ``compatible[u] & S == S ^ bit(v)`` (:func:`_upgradable`).
+    That compatibility is ``SINR >= threshold`` at both receivers plus a
+    node test that does not depend on rate, and a faster rate never has
+    a lower threshold.  So if some ``T`` dominates ``S``, it holds one
+    member ``v``'s link at a faster couple ``w`` (were all rates equal,
+    ``S`` would be a proper subset of ``T``, not maximal), and ``u``, no
+    faster than ``w``, passes every test that ``w`` passes against
+    ``T``'s couples on ``S``'s other links: the one-couple upgrade
+    ``S - v + u`` is independent.  Conversely that upgrade extends to a
+    maximal clique, which is in the family and dominates ``S``.
     """
     family = ColumnFamily.of(sets)
+    if compatible is not None:
+        slower = _slower_couples(family.couples)
+        if slower is not None:
+            return ColumnFamily(
+                family.couples,
+                _upgradable(family.masks, compatible, slower),
+            )
     return ColumnFamily(
         family.couples, _undominated(family.couples, family.masks)
     )
+
+
+def _slower_couples(couples: Sequence[LinkRate]) -> Optional[int]:
+    """The mask of couples whose link's next-faster couple is the one
+    just before them, or ``None`` unless each link's couples stand
+    together, fastest first (as ``link_rate_vertices`` lists them).
+    """
+    slower = 0
+    seen = set()
+    previous = None
+    for vertex, couple in enumerate(couples):
+        link_id = couple.link.link_id
+        if previous is not None and link_id == previous.link.link_id:
+            if couple.rate.mbps >= previous.rate.mbps:
+                return None
+            slower |= 1 << vertex
+        elif link_id in seen:
+            return None
+        else:
+            seen.add(link_id)
+        previous = couple
+    return slower
+
+
+def _upgradable(
+    masks: Sequence[int], compatible: Sequence[int], slower: int
+) -> List[int]:
+    """The masks of :func:`prune_dominated`'s survivors on the
+    ``compatible`` path: those no member of which moves up to the
+    couple just before it (its link's next-faster rate, by ``slower``)
+    with the rest of the set unchanged.
+    """
+    kept = []
+    for mask in masks:
+        rest = mask & slower
+        while rest:
+            low_bit = rest & -rest
+            rest ^= low_bit
+            if compatible[low_bit.bit_length() - 2] & mask == mask ^ low_bit:
+                break
+        else:
+            kept.append(mask)
+    return kept
 
 
 def _undominated(couples: Sequence[LinkRate], masks: Sequence[int]) -> List[int]:
@@ -277,48 +353,69 @@ def _undominated(couples: Sequence[LinkRate], masks: Sequence[int]) -> List[int]
     return kept
 
 
-def _column_order(couples: Sequence[LinkRate], masks: Sequence[int]) -> List[int]:
-    """``masks`` sorted by size descending, then by couple names.
+def _column_weights(names: Sequence[str]) -> Optional[List[int]]:
+    """Per couple, a size unit plus a name-rank bit, for column keys.
 
-    This is the order ``sort(key=lambda s: (-s.size, str(s)))`` gives the
-    sets, computed without their strings.  Each couple gets one bit of a
-    re-ranked mask, higher for an earlier name; equal names share a bit,
-    as they only occur on couples of one link, which no set holds twice.
-    Between two sets of one size, ``str`` decides at the first name where
-    their sorted name lists differ, and the set holding it has the larger
-    re-ranked mask.  That holds while no couple name is a proper prefix
-    of another; when one is (a link id holding ``)``), the sets' strings
-    are compared instead.
+    Couple ``v`` weighs ``1 << len(names)`` plus one bit below it, higher
+    for an earlier name.  Equal names share a bit, as they only occur on
+    couples of one link, which no set holds twice; so a set's weights
+    add up without carries to its *column key*: its size above bit
+    ``len(names)`` and its ranked mask, the OR of its rank bits, below.
+    ``None`` when a name is a proper prefix of another (a link id holding
+    ``)``): ranked masks cannot order those sets, and
+    :func:`_column_order` compares their strings instead.
     """
-    names = [str(couple) for couple in couples]
-    rank_bit = [0] * len(couples)
-    bit = 1 << len(couples)
+    count = len(names)
+    weights = [0] * count
+    bit = 1 << count
+    unit = bit
     previous = None
-    for vertex in sorted(range(len(couples)), key=names.__getitem__):
+    for vertex in sorted(range(count), key=names.__getitem__):
         name = names[vertex]
         if name != previous:
             if previous is not None and name.startswith(previous):
-                return sorted(
-                    masks,
-                    key=lambda mask: (
-                        -mask.bit_count(),
-                        "{" + ", ".join(sorted(_mask_members(mask, names))) + "}",
-                    ),
-                )
+                return None
             bit >>= 1
             previous = name
-        rank_bit[vertex] = bit
+        weights[vertex] = unit | bit
+    return weights
 
-    def key(mask: int) -> Tuple[int, int]:
-        size = mask.bit_count()
-        ranked = 0
-        while mask:
-            low_bit = mask & -mask
-            mask ^= low_bit
-            ranked |= rank_bit[low_bit.bit_length() - 1]
-        return -size, -ranked
 
-    return sorted(masks, key=key)
+def _column_order(
+    masks: List[int], keys: Optional[List[int]], names: Sequence[str]
+) -> List[int]:
+    """``masks`` sorted by size descending, then by couple names.
+
+    This is the order ``sort(key=lambda s: (-s.size, str(s)))`` gives the
+    sets, computed without their strings.  ``keys[k]`` is the column key
+    of ``masks[k]`` (the sum of its members' :func:`_column_weights`),
+    which the search carries next to the mask.  Between two sets of one
+    size, ``str`` decides at the first name where their sorted name lists
+    differ, and the set holding it has the larger ranked mask.  So one
+    stable sort by key, descending, gives the order; equal keys keep the
+    search's order.  With ``keys`` ``None`` (a name is a prefix of
+    another) the sets' strings, built from ``names``, are compared
+    instead.
+    """
+    if keys is None:
+        return sorted(
+            masks,
+            key=lambda mask: (
+                -mask.bit_count(),
+                "{" + ", ".join(sorted(_mask_members(mask, names))) + "}",
+            ),
+        )
+    order = sorted(range(len(masks)), key=keys.__getitem__, reverse=True)
+    return list(map(masks.__getitem__, order))
+
+
+def _ordered_cliques(adjacency: List[int], names: Sequence[str]) -> List[int]:
+    """All maximal cliques of ``adjacency`` in :func:`_column_order`,
+    over vertices named ``names``."""
+    cliques, keys = _maximal_cliques_bitset(
+        adjacency, len(names), weights=_column_weights(names)
+    )
+    return _column_order(cliques, keys, names)
 
 
 def enumerate_maximal_independent_sets(
@@ -349,25 +446,34 @@ def enumerate_maximal_independent_sets(
         vertices = link_rate_vertices(model, links)
         if not vertices:
             return ColumnFamily((), ())
+        compatible = None
         if isinstance(model, PhysicalInterferenceModel):
             with recorder.span("enum.cumulative"):
-                masks = _enumerate_cumulative(model, vertices)
+                names = list(map(str, vertices))
+                masks, keys = _enumerate_cumulative(
+                    model, vertices, _column_weights(names)
+                )
+                masks = _column_order(masks, keys, names)
         else:
             with recorder.span("enum.pairwise"):
-                masks = _enumerate_pairwise(model, vertices)
+                rows = _pairwise_compatibility_masks(model, vertices)
+                masks = _ordered_cliques(rows, _couple_names(model, vertices))
+            if getattr(model, "kernel", None) is not None:
+                # Kernel rows only tighten with the rate: the family
+                # takes the next-faster test (see prune_dominated).
+                compatible = rows
         if max_sets is not None and len(masks) > max_sets:
             raise InterferenceError(
                 f"{len(masks)} maximal independent sets exceed the cap "
                 f"{max_sets}; use column generation for this instance"
             )
         with recorder.span("enum.prune"):
-            pruned = prune_dominated(ColumnFamily(vertices, masks))
-        ordered = ColumnFamily(
-            pruned.couples, _column_order(pruned.couples, pruned.masks)
-        )
+            pruned = prune_dominated(
+                ColumnFamily(vertices, masks), compatible=compatible
+            )
         recorder.count("enum.sets_found", len(masks))
-        recorder.count("enum.sets_pruned", len(masks) - len(ordered))
-    return ordered
+        recorder.count("enum.sets_pruned", len(masks) - len(pruned))
+    return pruned
 
 
 def _enumerate_pairwise(
@@ -378,15 +484,28 @@ def _enumerate_pairwise(
     Maximal independent sets of the conflict graph are maximal cliques of
     its complement; both are computed here directly on integer bitmasks
     (Bron–Kerbosch with pivoting) instead of materializing networkx
-    graphs, and returned as vertex masks in discovery order.
-    Kernel-backed models read their pairwise compatibility from the
-    model's couple index; other models fall back to per-pair
-    :meth:`~repro.interference.base.InterferenceModel.conflicts` calls.
-    The family found is the same either way — and the caller's final
-    dominance-prune + deterministic sort make discovery order irrelevant.
+    graphs, and returned as vertex masks in Eq. 6's column order, not
+    pruned.  Kernel-backed models read their pairwise compatibility and
+    couple names from the model's couple index; other models fall back
+    to per-pair
+    :meth:`~repro.interference.base.InterferenceModel.conflicts` calls
+    and ``str``.
     """
-    compatible = _pairwise_compatibility_masks(model, vertices)
-    return _maximal_cliques_bitset(compatible, len(vertices))
+    return _ordered_cliques(
+        _pairwise_compatibility_masks(model, vertices),
+        _couple_names(model, vertices),
+    )
+
+
+def _couple_names(
+    model: InterferenceModel, vertices: Sequence[LinkRate]
+) -> List[str]:
+    """``str`` of each couple, read from a kernel-backed model's couple
+    index, which makes each name once per model."""
+    kernel = getattr(model, "kernel", None)
+    if kernel is not None:
+        return kernel.couple_index.names(vertices)
+    return list(map(str, vertices))
 
 
 def _pairwise_compatibility_masks(
@@ -418,8 +537,11 @@ def _pairwise_compatibility_masks(
 
 
 def _maximal_cliques_bitset(
-    adjacency: List[int], count: int, subset: Optional[int] = None
-) -> List[int]:
+    adjacency: List[int],
+    count: int,
+    subset: Optional[int] = None,
+    weights: Optional[Sequence[int]] = None,
+) -> Tuple[List[int], Optional[List[int]]]:
     """All maximal cliques of a bitmask-adjacency graph (Bron–Kerbosch).
 
     The one clique search over couples.  On the compatibility masks it
@@ -431,16 +553,20 @@ def _maximal_cliques_bitset(
     With ``subset`` given, cliques are enumerated in (and maximal relative
     to) the sub-graph induced by that vertex mask — the pricing oracle's
     positive-weight restriction.
+
+    Returns the cliques in discovery order and, with ``weights`` given,
+    the sum of ``weights`` over each clique's members, carried down the
+    search next to the clique (``None`` without ``weights``).
     """
     cliques: List[int] = []
+    keys: List[int] = []
+    weight = weights if weights is not None else [0] * count
     dfs_nodes = 0
 
-    def expand(current: int, candidates: int, excluded: int) -> None:
+    def expand(current: int, key: int, candidates: int, excluded: int) -> None:
+        # Called only with candidates left: leaves are visited inline.
         nonlocal dfs_nodes
         dfs_nodes += 1
-        if not candidates and not excluded:
-            cliques.append(current)
-            return
         # Pivot on the vertex covering the most candidates.
         pivot_pool = candidates | excluded
         best_cover = -1
@@ -458,12 +584,23 @@ def _maximal_cliques_bitset(
         while branch:
             low_bit = branch & -branch
             branch ^= low_bit
-            vertex_adjacency = adjacency[low_bit.bit_length() - 1]
-            expand(
-                current | low_bit,
-                candidates & vertex_adjacency,
-                excluded & vertex_adjacency,
-            )
+            vertex = low_bit.bit_length() - 1
+            vertex_adjacency = adjacency[vertex]
+            child_candidates = candidates & vertex_adjacency
+            if child_candidates:
+                expand(
+                    current | low_bit,
+                    key + weight[vertex],
+                    child_candidates,
+                    excluded & vertex_adjacency,
+                )
+            else:
+                # A leaf, visited here rather than by a call: a clique
+                # when nothing excluded extends it, else a dead end.
+                dfs_nodes += 1
+                if not excluded & vertex_adjacency:
+                    cliques.append(current | low_bit)
+                    keys.append(key + weight[vertex])
             candidates ^= low_bit
             excluded |= low_bit
 
@@ -471,16 +608,18 @@ def _maximal_cliques_bitset(
     if start:
         recorder = get_recorder()
         with recorder.span("enum.independent_sets"):
-            expand(0, start, 0)
+            expand(0, 0, start, 0)
         # One batched update keeps the per-DFS-node cost recorder-free.
         recorder.count("enum.dfs_nodes", dfs_nodes)
         recorder.count("enum.maximal_sets_emitted", len(cliques))
-    return cliques
+    return cliques, (keys if weights is not None else None)
 
 
 def _enumerate_cumulative(
-    model: PhysicalInterferenceModel, vertices: Sequence[LinkRate]
-) -> List[int]:
+    model: PhysicalInterferenceModel,
+    vertices: Sequence[LinkRate],
+    weights: Optional[Sequence[int]] = None,
+) -> Tuple[List[int], Optional[List[int]]]:
     """Exact enumeration under cumulative interference (Eq. 3).
 
     Explores subsets of the vertices' links depth-first; a subset is
@@ -494,7 +633,8 @@ def _enumerate_cumulative(
     is infeasible"; since adding an interferer can only lower SINRs, that
     is "adding the link lowers some member's rate or is infeasible".  Each
     kept set is emitted once, as a mask over ``vertices``, in discovery
-    order.
+    order, with the sum of ``weights`` over its members as
+    :func:`_maximal_cliques_bitset` returns it.
 
     The DFS carries the accumulated per-node interference vector of the
     current subset (one power-matrix row added per descent), so evaluating
@@ -502,10 +642,11 @@ def _enumerate_cumulative(
     SINR recomputation the seed implementation paid at every node.
     """
     by_link: Dict[str, Link] = {}
-    bit_of: Dict[Tuple[str, Rate], int] = {}
+    vertex_of: Dict[Tuple[str, Rate], int] = {}
     for index, vertex in enumerate(vertices):
         by_link.setdefault(vertex.link.link_id, vertex.link)
-        bit_of[vertex.link.link_id, vertex.rate] = 1 << index
+        vertex_of[vertex.link.link_id, vertex.rate] = index
+    weight = weights if weights is not None else [0] * len(vertices)
     ordered = sorted(by_link.values(), key=lambda l: l.link_id)
     kernel = model.kernel
     entries = kernel.entries(ordered)
@@ -513,6 +654,7 @@ def _enumerate_cumulative(
     noise = kernel.noise_mw
     n_links = len(ordered)
     results: List[int] = []
+    keys: List[int] = []
     seen: set = set()
     dfs_nodes = 0
 
@@ -580,12 +722,15 @@ def _enumerate_cumulative(
         nonlocal dfs_nodes
         dfs_nodes += 1
         if subset and is_maximal(subset, vector, acc, used_nodes):
-            mask = 0
+            mask = key = 0
             for index, rate in zip(subset, vector):
-                mask |= bit_of[ordered[index].link_id, rate]
+                vertex = vertex_of[ordered[index].link_id, rate]
+                mask |= 1 << vertex
+                key += weight[vertex]
             if mask not in seen:
                 seen.add(mask)
                 results.append(mask)
+                keys.append(key)
         for index in range(start, n_links):
             entry = entries[index]
             if entry.sender_id in used_nodes or entry.receiver_id in used_nodes:
@@ -607,4 +752,4 @@ def _enumerate_cumulative(
     recorder = get_recorder()
     recorder.count("enum.dfs_nodes", dfs_nodes)
     recorder.count("enum.maximal_sets_emitted", len(results))
-    return results
+    return results, (keys if weights is not None else None)

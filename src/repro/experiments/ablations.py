@@ -19,11 +19,7 @@ from repro.core.column_generation import (
     min_airtime_column_generation,
     solve_with_column_generation,
 )
-from repro.core.independent_sets import (
-    ColumnFamily,
-    _column_order,
-    _enumerate_pairwise,
-)
+from repro.core.independent_sets import ColumnFamily, _enumerate_pairwise
 from repro.errors import InterferenceError
 from repro.estimation.estimators import ESTIMATORS
 from repro.estimation.idle_time import node_idleness_from_schedule, path_state_for
@@ -76,9 +72,7 @@ def fixed_rate_available_bandwidth(
                 f"link {couple.link.link_id!r} does not support "
                 f"{couple.rate.mbps:g} Mbps standalone"
             )
-    columns = ColumnFamily(
-        couples, _column_order(couples, _enumerate_pairwise(model, couples))
-    )
+    columns = ColumnFamily(couples, _enumerate_pairwise(model, couples))
     result = available_path_bandwidth(
         model, path, background, independent_sets=columns
     )

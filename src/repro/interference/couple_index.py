@@ -22,7 +22,9 @@ of rows filled once instead of re-deriving it.
   grows geometrically; nothing is built until the first call.
 * **Reads.** :meth:`CoupleIndex.compatibility` gathers the rows of a
   couple list onto bits local to that list, the adjacency the
-  Bron–Kerbosch search runs on.
+  Bron–Kerbosch search runs on.  :meth:`CoupleIndex.names` reads the
+  couples' names (their ``str``, kept next to each couple), which fix
+  the order of Eq. 6's columns.
 
 Calls hold the index's lock, so threads enumerating over one model
 extend and read it safely.  The kernel replaces its index whenever it
@@ -60,6 +62,8 @@ class CoupleIndex:
         #: The couple of each id.  The index holds them, so no other
         #: object can share their ``id()`` while it lives.
         self.couples: List[LinkRate] = []
+        #: ``str`` of each held couple, made once when it is indexed.
+        self._names: List[str] = []
         #: ``id()`` of each held couple -> its couple id: the shared
         #: couple objects the models hand out are looked up by identity.
         self._by_object: Dict[int, int] = {}
@@ -112,6 +116,16 @@ class CoupleIndex:
                 return self._gather(found)
         return self._kernel.couple_index.compatibility(couples)
 
+    def names(self, couples: Sequence[LinkRate]) -> List[str]:
+        """The ``str`` of each of ``couples``, indexing the ones not seen yet."""
+        with self._lock:
+            found = self._lookup(couples)
+            if found is None:
+                found = self._extend(couples)
+            if found is not None:
+                return list(map(self._names.__getitem__, found))
+        return self._kernel.couple_index.names(couples)
+
     # -- internals (the lock is held) ------------------------------------------
 
     def _lookup(self, couples: Sequence[LinkRate]) -> Optional[List[int]]:
@@ -156,6 +170,7 @@ class CoupleIndex:
             slots[couple.link.link_id][couple.rate.mbps] = len(self.couples)
             self._by_object[id(couple)] = len(self.couples)
             self.couples.append(couple)
+            self._names.append(str(couple))
             senders.append(entry.sender_index)
             receivers.append(entry.receiver_index)
             signals.append(entry.signal_mw)

@@ -88,6 +88,11 @@ __all__ = [
 _AUTO_ROUTE = object()
 
 
+def _node_ids(path: Path) -> Tuple[str, ...]:
+    """The ids of ``path``'s nodes, source first."""
+    return tuple(node.node_id for node in path.nodes)
+
+
 @dataclass(frozen=True)
 class OnlineDecision:
     """The controller's answer to one arrival event.
@@ -202,7 +207,11 @@ class OnlineAdmissionController:
         #: cold solve over the same sequence of decisions.
         self._carried: "OrderedDict[str, Tuple[Path, float]]" = OrderedDict()
         self._down: set = set()
-        self._routes: Dict[Tuple[str, str], Optional[Path]] = {}
+        #: Memoised hop-count routes: (source, destination) → the path and
+        #: its node ids, ``(None, ())`` when unroutable.
+        self._routes: Dict[
+            Tuple[str, str], Tuple[Optional[Path], Tuple[str, ...]]
+        ] = {}
         self._metric = HopCountMetric()
         self._context = RoutingContext(model)
         #: Sequence ids handed to synthetic :meth:`admit_path` arrivals.
@@ -285,7 +294,9 @@ class OnlineAdmissionController:
         started = time.perf_counter()
         recorder.count("online.arrivals")
         if path is _AUTO_ROUTE:
-            path = self._route(event.source, event.destination)
+            path, path_nodes = self._route(event.source, event.destination)
+        else:
+            path_nodes = () if path is None else _node_ids(path)
         if path is None:
             outcome = SolveOutcome(cache_state="unrouted")
             admitted = False
@@ -331,11 +342,7 @@ class OnlineAdmissionController:
             destination=event.destination,
             demand_mbps=event.demand_mbps,
             routed=path is not None,
-            path_nodes=(
-                tuple(node.node_id for node in path.nodes)
-                if path is not None
-                else ()
-            ),
+            path_nodes=path_nodes,
             admitted=admitted,
             available_bandwidth_mbps=outcome.bandwidth,
             cache_state=outcome.cache_state,
@@ -347,27 +354,30 @@ class OnlineAdmissionController:
 
     # -- routing ----------------------------------------------------------------
 
-    def _route(self, source: str, destination: str) -> Optional[Path]:
-        """Hop-count route, or None when unroutable / through a down node."""
+    def _route(
+        self, source: str, destination: str
+    ) -> Tuple[Optional[Path], Tuple[str, ...]]:
+        """Hop-count route and its node ids, or ``(None, ())`` when
+        unroutable / through a down node."""
         if source in self._down or destination in self._down:
-            return None
+            return None, ()
         key = (source, destination)
         if key not in self._routes:
             try:
-                self._routes[key] = route(
+                path = route(
                     self.network, source, destination,
                     self._metric, self._context,
                 )
             except RoutingError:
-                self._routes[key] = None
-        path = self._routes[key]
-        if path is None:
-            return None
-        if self._down and any(
-            link.endpoints & self._down for link in path
+                self._routes[key] = (None, ())
+            else:
+                self._routes[key] = (path, _node_ids(path))
+        routed = self._routes[key]
+        if routed[0] is not None and self._down and any(
+            link.endpoints & self._down for link in routed[0]
         ):
-            return None
-        return path
+            return None, ()
+        return routed
 
     # -- solving ----------------------------------------------------------------
 

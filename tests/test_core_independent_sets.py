@@ -2,13 +2,18 @@
 
 import pytest
 
+import repro.core.independent_sets as independent_sets
 from repro.core.independent_sets import (
     RateIndependentSet,
+    _maximal_cliques_bitset,
+    _pairwise_compatibility_masks,
     enumerate_maximal_independent_sets,
     prune_dominated,
 )
 from repro.errors import InterferenceError
 from repro.interference.base import LinkRate
+from repro.interference.conflict_graph import link_rate_vertices
+from repro.obs import Recorder, use_recorder
 
 
 def make_set(network, *pairs):
@@ -146,3 +151,44 @@ class TestGeometricEnumeration:
 
     def test_empty_links(self, line_protocol):
         assert enumerate_maximal_independent_sets(line_protocol, []) == []
+
+
+class TestPruneCall:
+    """The enumeration hands its whole family to the module-level
+    :func:`prune_dominated`, so a profiler wrapping that function sees
+    every prune with its input and kept counts."""
+
+    @pytest.mark.parametrize("fixture", ["line_protocol", "s2_bundle"])
+    def test_enumeration_prunes_its_unpruned_family_once(
+        self, fixture, request, monkeypatch
+    ):
+        if fixture == "s2_bundle":
+            bundle = request.getfixturevalue(fixture)
+            model, links = bundle.model, list(bundle.path.links)
+        else:
+            model = request.getfixturevalue(fixture)
+            links = list(model.network.links)
+        calls = []
+
+        def spy(sets, **options):
+            kept = prune_dominated(sets, **options)
+            calls.append((sets, options, kept))
+            return kept
+
+        monkeypatch.setattr(independent_sets, "prune_dominated", spy)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            family = enumerate_maximal_independent_sets(model, links)
+        assert len(calls) == 1
+        sets, options, kept = calls[0]
+        # The kernel-backed model takes the next-faster test, the
+        # declared one the general prune.
+        assert (options["compatible"] is not None) == (fixture == "line_protocol")
+        vertices = link_rate_vertices(model, links)
+        raw, _ = _maximal_cliques_bitset(
+            _pairwise_compatibility_masks(model, vertices), len(vertices)
+        )
+        assert sorted(sets.masks) == sorted(raw)
+        assert len(sets) == recorder.counters["enum.sets_found"]
+        assert len(family) == len(kept) < len(sets)
+        assert family == kept

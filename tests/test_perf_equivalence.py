@@ -1,12 +1,14 @@
 """The optimized hot paths must agree exactly with reference implementations.
 
 The performance work (precomputed power kernel, memoized rate vectors,
-bitmask clique enumeration, bitset dominance pruning and mask-ranked
+bitmask clique enumeration, bitset dominance pruning and key-ranked
 column order, incremental LP columns, process-parallel sweeps) is pure
 plumbing: every observable result
 must match what the original straightforward implementations produced.
 These tests pin that equivalence on random geometric topologies.
 """
+
+from functools import lru_cache
 
 import networkx as nx
 import pytest
@@ -16,6 +18,11 @@ from repro.core.independent_sets import (
     ColumnFamily,
     RateIndependentSet,
     _column_order,
+    _column_weights,
+    _couple_names,
+    _enumerate_pairwise,
+    _mask_members,
+    _pairwise_compatibility_masks,
     enumerate_maximal_independent_sets,
     prune_dominated,
 )
@@ -23,12 +30,18 @@ from repro.core.lp import LinearProgram
 from repro.errors import SolverError
 from repro.experiments.seed_study import run_seed_study
 from repro.interference.base import LinkRate
-from repro.interference.conflict_graph import build_link_rate_conflict_graph
+from repro.interference.conflict_graph import (
+    build_link_rate_conflict_graph,
+    link_rate_vertices,
+)
+from repro.interference.declared import ConflictRule, DeclaredInterferenceModel
 from repro.interference.physical import PhysicalInterferenceModel
 from repro.interference.protocol import ProtocolInterferenceModel
+from repro.net.generators import scatter_topology
 from repro.net.link import Link
 from repro.net.node import Node
 from repro.net.topology import Network
+from repro.obs import Recorder, use_recorder
 from repro.phy.radio import RadioConfig
 from repro.phy.rates import Rate
 from repro.phy.sinr import sinr
@@ -267,7 +280,7 @@ def test_prune_dominated_matches_reference(network):
 # -- hand-made couple families ------------------------------------------------
 #
 # Abstract links and rates chosen to stress the bitset prune and the
-# mask-ranked order: one rate's ``:g`` string is a prefix of another's
+# key-ranked order: one rate's ``:g`` string is a prefix of another's
 # (5.5 and 55, 5 and 54), two distinct rates share 5.5 Mbps (equal names,
 # mutual domination), and the link id "x,5)" makes the couple name
 # "(x,5)" a proper prefix of "(x,5),54)".
@@ -336,6 +349,11 @@ def test_bitset_prune_matches_quadratic_reference(family):
     assert prune_dominated(ColumnFamily.of(family)) == kept
 
 
+def _column_key(mask, weights):
+    """The sum of ``weights`` over the members of ``mask``."""
+    return sum(weight for vertex, weight in enumerate(weights) if mask >> vertex & 1)
+
+
 @given(family=couple_families())
 # "{(x,5)}" sorts after "{(x,5),54)}": "}" > ",".
 @example(family=_pin_family({3: 2}, {4: 3}))
@@ -345,10 +363,194 @@ def test_bitset_prune_matches_quadratic_reference(family):
 def test_mask_order_matches_string_sort(family):
     """The rank-derived column order is ``sort(key=(-size, str))``."""
     columns = ColumnFamily.of(family)
+    names = [str(couple) for couple in columns.couples]
+    weights = _column_weights(names)
+    keys = None
+    if weights is not None:
+        keys = [_column_key(mask, weights) for mask in columns.masks]
     ordered = ColumnFamily(
-        columns.couples, _column_order(columns.couples, columns.masks)
+        columns.couples, _column_order(list(columns.masks), keys, names)
     )
     assert list(ordered) == sorted(family, key=lambda s: (-s.size, str(s)))
+
+
+# -- one-pass columns ---------------------------------------------------------
+#
+# The enumeration orders the Bron–Kerbosch family by column keys (size
+# and name ranks) carried down the search, and a kernel-backed model
+# prunes it by one-couple upgrades to the next-faster rate.  Both must
+# give the reference family: the networkx cliques, the quadratic prune
+# and ``sort(key=(-size, str))``.
+
+
+def reference_search_counts(model, links):
+    """DFS nodes and maximal sets of the pivoting Bron–Kerbosch, on sets.
+
+    The same search as the bitmask one: vertices in couple order, the
+    pivot the first vertex of ``P | X`` covering the most of ``P``, and
+    the branch vertices (``P`` minus the pivot's neighbours) taken in
+    order.  Adjacency comes from the networkx conflict graph.
+    """
+    vertices = link_rate_vertices(model, links)
+    position = {vertex: index for index, vertex in enumerate(vertices)}
+    complement = nx.complement(
+        build_link_rate_conflict_graph(model, links, same_link_edges=True)
+    )
+    adjacency = [set() for _ in vertices]
+    for a, b in complement.edges():
+        adjacency[position[a]].add(position[b])
+        adjacency[position[b]].add(position[a])
+    nodes = emitted = 0
+
+    def expand(candidates, excluded):
+        nonlocal nodes, emitted
+        nodes += 1
+        if not candidates and not excluded:
+            emitted += 1
+            return
+        pivot = max(
+            sorted(candidates | excluded),
+            key=lambda vertex: len(candidates & adjacency[vertex]),
+        )
+        for vertex in sorted(candidates - adjacency[pivot]):
+            expand(candidates & adjacency[vertex], excluded & adjacency[vertex])
+            candidates = candidates - {vertex}
+            excluded = excluded | {vertex}
+
+    expand(set(range(len(vertices))), set())
+    return nodes, emitted
+
+
+def _assert_reference_columns(model, links):
+    """The enumeration equals the reference family, counters included."""
+    usable = [link for link in links if model.standalone_rates(link)]
+    recorder = Recorder()
+    with use_recorder(recorder):
+        family = enumerate_maximal_independent_sets(model, usable)
+    expected = reference_enumerate_pairwise(model, usable)
+    assert family == expected
+    found = sum(
+        1
+        for _ in nx.find_cliques(
+            nx.complement(
+                build_link_rate_conflict_graph(model, usable, same_link_edges=True)
+            )
+        )
+    )
+    counters = recorder.counters
+    assert counters["enum.sets_found"] == found
+    assert counters["enum.sets_pruned"] == found - len(expected)
+    nodes, emitted = reference_search_counts(model, usable)
+    assert counters["enum.dfs_nodes"] == nodes
+    assert counters["enum.maximal_sets_emitted"] == emitted
+
+
+@given(network=geometric_networks())
+@settings(max_examples=30, deadline=None)
+def test_one_pass_columns_on_protocol_networks(network):
+    links = _links_of_interest(network, cap=7)
+    model = ProtocolInterferenceModel(network)
+    assume(any(model.standalone_rates(link) for link in links))
+    _assert_reference_columns(model, links)
+
+
+@lru_cache(maxsize=1)
+def _x7_model():
+    """A protocol model of the 192-node X7 field, shared by the examples."""
+    return ProtocolInterferenceModel(scatter_topology(192, 850.0, 1275.0, seed=8))
+
+
+@given(
+    center=st.integers(min_value=0, max_value=191),
+    picks=st.lists(
+        st.integers(min_value=0, max_value=23), min_size=2, max_size=8, unique=True
+    ),
+)
+@settings(max_examples=25, deadline=None)
+def test_one_pass_columns_on_x7_unions(center, picks):
+    """Unions of links near one node of the X7 field (dense, multirate)."""
+    model = _x7_model()
+    network = model.network
+    middle = network.node(f"n{center}")
+    nearby = sorted(
+        network.links,
+        key=lambda link: (link.sender.distance_to(middle), link.link_id),
+    )[:24]
+    _assert_reference_columns(model, [nearby[pick] for pick in picks])
+
+
+def _ladder_network(**positions):
+    """Links a (n0 -> n1) and b (n2 -> n3), at ``positions`` if given."""
+    network = Network(RadioConfig(), name="ladder")
+    for index in range(4):
+        network.add_node(f"n{index}", *positions.get(f"n{index}", (None, None)))
+    network.add_link("n0", "n1", link_id="a")
+    network.add_link("n2", "n3", link_id="b")
+    return network
+
+
+def test_declared_model_whose_slower_couple_conflicts_takes_general_prune():
+    """(a,36) conflicts with (b,54) but (a,54) and (a,18) do not.
+
+    {(a,18), (b,54)} is dominated by {(a,54), (b,54)}, yet its one-couple
+    upgrade {(a,36), (b,54)} is not independent: declared conflicts need
+    not grow with the rate, so the next-faster test would keep it.
+    """
+    network = _ladder_network()
+    model = DeclaredInterferenceModel(
+        network,
+        rules=[ConflictRule("a", "b", predicate=lambda ra, _rb: ra == 36.0)],
+        standalone_mbps={"a": [54.0, 36.0, 18.0], "b": [54.0]},
+    )
+    links = [network.link("a"), network.link("b")]
+    _assert_reference_columns(model, links)
+    vertices = link_rate_vertices(model, links)
+    compatible = _pairwise_compatibility_masks(model, vertices)
+    raw = ColumnFamily(
+        vertices,
+        [
+            sum(1 << vertices.index(couple) for couple in clique)
+            for clique in nx.find_cliques(
+                nx.complement(
+                    build_link_rate_conflict_graph(model, links, same_link_edges=True)
+                )
+            )
+        ],
+    )
+    general = prune_dominated(raw)
+    assert [str(column) for column in general] == ["{(a,54), (b,54)}"]
+    assert len(prune_dominated(raw, compatible=compatible)) > len(general)
+
+
+@pytest.mark.parametrize("spacing", [8.0, 20.0, 35.0])
+def test_one_pass_columns_with_prefix_couple_names(spacing):
+    """A link id holding ")" makes "(a,54)" a prefix of "(a,54),54)"."""
+    network = Network(RadioConfig(), name="prefix")
+    for index in range(6):
+        network.add_node(f"n{index}", x=index * spacing, y=(index % 2) * 30.0)
+    for index, link_id in enumerate(("a", "a,54)", "a,54),36)")):
+        network.add_link(f"n{2 * index}", f"n{2 * index + 1}", link_id=link_id)
+    model = ProtocolInterferenceModel(network)
+    links = sorted(network.links, key=lambda link: link.link_id, reverse=True)
+    vertices = link_rate_vertices(model, links)
+    assert _column_weights(_couple_names(model, vertices)) is None
+    _assert_reference_columns(model, links)
+
+
+def test_repeated_links_take_general_prune():
+    """A link listed twice breaks the one-block-per-link layout the
+    next-faster test needs, so the enumeration prunes its family with
+    the general test, as a family the caller built would be."""
+    network = _ladder_network(
+        n0=(0.0, 0.0), n1=(50.0, 0.0), n2=(0.0, 90.0), n3=(50.0, 90.0)
+    )
+    model = ProtocolInterferenceModel(network)
+    links = [network.link("a"), network.link("b"), network.link("a")]
+    vertices = link_rate_vertices(model, links)
+    general = prune_dominated(
+        ColumnFamily(vertices, _enumerate_pairwise(model, vertices))
+    )
+    assert enumerate_maximal_independent_sets(model, links) == general
 
 
 # -- incremental LP -----------------------------------------------------------
