@@ -39,11 +39,13 @@ from repro.core.independent_sets import (
 from repro.core.lp import LinearProgram, LpSolution
 from repro.core.schedule import (
     _DROP_BELOW,
+    _EPS,
     LinkSchedule,
     ScheduleEntry,
+    _check_airtime,
     _check_time_share,
 )
-from repro.errors import InfeasibleProblemError
+from repro.errors import InfeasibleProblemError, SolverError
 from repro.interference.base import InterferenceModel, LinkRate
 from repro.net.link import Link
 from repro.net.path import Path
@@ -240,12 +242,13 @@ class TimeShareProgram:
     Columns: the lead, the family's first λs, the artificial surpluses,
     then the λs :meth:`add_column` grew; rows: ``airtime`` with a lead,
     then one demand row per link.  This class is the only code that
-    knows that layout: it edits the program through
-    :class:`~repro.core.lp.LinearProgram`'s named edits and reads a
-    solution by position.
+    knows that layout: it grows the program through
+    :class:`~repro.core.lp.LinearProgram`'s named edits, retargets the
+    lead and writes the demand rows by position, and reads a solution by
+    position.
     """
 
-    __slots__ = ("lp", "columns", "links", "lead", "_first", "_artificials")
+    __slots__ = ("lp", "columns", "links", "lead", "_first", "_artificials", "_rows")
 
     def __init__(
         self,
@@ -262,6 +265,8 @@ class TimeShareProgram:
         # The lead's column and the airtime row come first when there is a lead.
         self._first = 0 if lead is None else 1
         self._artificials = artificials
+        # Link id -> demand row, made on the first retarget.
+        self._rows: Optional[Dict[str, int]] = None
 
     # -- edits ---------------------------------------------------------------------
 
@@ -282,12 +287,25 @@ class TimeShareProgram:
     def retarget(self, link_ids: Iterable[str]) -> None:
         """Put the lead on the links ``link_ids``: coefficient −1 in their
         demand rows and 0 in every other row, as Eq. 6 puts ``f`` on the
-        new path's links."""
-        self.lp.set_column(self.lead, {_demand_row(link_id): -1.0 for link_id in link_ids})
+        new path's links.  The rows are found by link id and the column
+        is written in the stored form (the ``>=`` rows' −1 negated), as
+        :meth:`~repro.core.lp.LinearProgram.set_column` would store it."""
+        if self.lead is None:
+            raise SolverError("a time-share LP without a lead has nothing to retarget")
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = {link.link_id: row for row, link in enumerate(self.links, self._first)}
+        try:
+            column = sorted({rows[link_id] for link_id in link_ids})
+        except KeyError as error:
+            raise SolverError(f"unknown LP constraint {_demand_row(error.args[0])!r}") from None
+        self.lp._splice_column(0, column, [1.0] * len(column))
 
-    def set_demand(self, link_id: str, demand: float) -> None:
-        """Set the right-hand side of link ``link_id``'s demand row."""
-        self.lp.set_rhs(_demand_row(link_id), demand)
+    def set_demands(self, demands: Sequence[float]) -> None:
+        """Set every demand row's right-hand side, ``demands`` in
+        ``links`` order: one new list of right-hand sides, written by
+        position, bit for bit what ``set_rhs`` on each row writes."""
+        self.lp._set_rhs_from(self._first, demands)
 
     # -- positional reads of a solution ----------------------------------------------
 
@@ -303,20 +321,29 @@ class TimeShareProgram:
         x, artificials = solution.x, self._artificials
         return x[self._first:artificials.start] + x[artificials.stop:]
 
-    def schedule(self, solution: LpSolution, scale: float = 1.0) -> LinkSchedule:
-        """The schedule ``solution``'s λs (times ``scale``) describe.
-
-        Every λ is checked now, like a :class:`ScheduleEntry`'s time
-        share; the kept columns' sets are built only when the schedule
-        is read.
-        """
-        shares = []
+    def scheduled_shares(
+        self, solution: LpSolution, scale: float = 1.0
+    ) -> List[Tuple[int, float]]:
+        """``(column, λ · scale)`` for every column a schedule of
+        ``solution`` keeps (a share above ``_DROP_BELOW``), checked as a
+        :class:`~repro.core.schedule.LinkSchedule` checks its entries:
+        a non-finite share, a negative one beyond ``_EPS`` or a total
+        over one period raises :class:`~repro.errors.ScheduleError`."""
+        kept = []
         for index, value in enumerate(self.shares(solution)):
             share = value * scale
-            _check_time_share(share)
+            if not -_EPS <= share < math.inf:  # a NaN fails it too
+                _check_time_share(share)
             if share > _DROP_BELOW:
-                shares.append((index, share))
-        return LinkSchedule._of_columns(self.columns, shares)
+                kept.append((index, share))
+        _check_airtime(sum(share for _index, share in kept))
+        return kept
+
+    def schedule(self, solution: LpSolution, scale: float = 1.0) -> LinkSchedule:
+        """The schedule ``solution``'s λs (times ``scale``) describe,
+        checked now (:meth:`scheduled_shares`); the kept columns' sets
+        are built only when the schedule is read."""
+        return LinkSchedule._of_columns(self.columns, self.scheduled_shares(solution, scale))
 
     def link_duals(self, solution: LpSolution) -> List[float]:
         """The demand rows' duals, in ``links`` order."""
@@ -399,7 +426,7 @@ def build_path_bandwidth_lp(
     (:mod:`repro.serve`) can build the program once per topology
     fingerprint and warm-start it for later query paths
     (:meth:`TimeShareProgram.retarget` and
-    :meth:`~TimeShareProgram.set_demand`) — both callers construct the
+    :meth:`~TimeShareProgram.set_demands`) — both callers construct the
     identical program, so cold and warm answers agree exactly.
     """
     return _time_share_lp(columns, links, demands, "f", dict.fromkeys(new_links, -1.0))

@@ -430,7 +430,9 @@ def enumerate_maximal_independent_sets(
             triggers the exact cumulative enumeration, anything else the
             pairwise conflict-graph route.
         links: Links of interest (the paper's ``P``, the union of flow
-            paths).  Links with no standalone rate are skipped (Prop. 2).
+            paths).  Links with no standalone rate are skipped (Prop. 2),
+            and a link id listed again counts once, at its first place
+            (as :func:`~repro.core.bandwidth._collect_links` keeps it).
         max_sets: Safety cap; exceeding it raises, pointing the caller to
             column generation rather than silently truncating (a truncated
             family would silently *underestimate* available bandwidth).
@@ -443,7 +445,10 @@ def enumerate_maximal_independent_sets(
     """
     recorder = get_recorder()
     with recorder.span("enum.sets"):
-        vertices = link_rate_vertices(model, links)
+        unique: Dict[str, Link] = {}
+        for link in links:
+            unique.setdefault(link.link_id, link)
+        vertices = link_rate_vertices(model, list(unique.values()))
         if not vertices:
             return ColumnFamily((), ())
         compatible = None

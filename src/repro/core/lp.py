@@ -21,26 +21,30 @@ built once and re-solved as columns arrive.
 :meth:`LinearProgram.set_column` *replaces* one variable's column, which
 is what the serving layer's warm starts need: a cached master LP is
 retargeted at a new query path without touching its other columns.
-:meth:`LinearProgram.set_rhs` rewrites one constraint's right-hand side
-in place; the online admission controller moves carried load in and out
-of a cached master with it.  The time-share LPs make these three edits
-through :class:`repro.core.bandwidth.TimeShareProgram`, which names
-their rows.  :meth:`LinearProgram.retire_column` masks a
-variable out of the program, returning a snapshot that
-:meth:`~LinearProgram.set_column` restores.
+:meth:`LinearProgram.set_rhs` rewrites one constraint's right-hand side.
+:meth:`LinearProgram.retire_column` masks a variable out of the program,
+returning a snapshot that :meth:`~LinearProgram.set_column` restores.
+The time-share LPs make their edits through
+:class:`repro.core.bandwidth.TimeShareProgram`, which knows their rows:
+it retargets the lead column and writes a whole demand vector by
+position, each in one pass, which is how the serving layer moves a
+cached master to a new path and carried load in and out of it.
 
 Each program keeps one HiGHS input model (``HighsLp``: costs, bounds,
-row bounds and the matrix) between solves; the model and the input the
-last solve read share the program's matrix lists.  Each edit marks
-which side it changed, and the next solve re-sets only that side on
-the kept model:
+row bounds and the matrix) between solves, set from plain Python lists
+(the binding copies a list faster than a NumPy array); the model and
+the input the last solve read share the program's lists.  Each edit
+marks which side it changed, and the next solve re-sets only that side
+on the kept model:
 
-* :meth:`~LinearProgram.set_rhs` marks the row bounds, which are
-  re-read;
+* :meth:`~LinearProgram.set_rhs` (and the demand-vector write) marks
+  the row bounds, which are re-set;
 * :meth:`~LinearProgram.set_column` and
   :meth:`~LinearProgram.retire_column` splice one column's slice of
-  the matrix lists and mark the column side: the lists, costs and
-  upper bounds are set on the model; the model object stays;
+  the matrix lists and mark the matrix, which is re-set; a new
+  objective or upper bound (a retirement sets both) also marks the
+  costs and bounds.  A retarget changes only the matrix.  The model
+  object stays;
 * :meth:`~LinearProgram.add_variable`, ``add_constraint_*`` and
   :meth:`~LinearProgram.add_column` change the shape, so the model is
   built afresh.
@@ -49,8 +53,9 @@ The right-hand sides and matrix lists a solve has read are replaced,
 never written in place (copy-on-write), so a solution keeps those of
 its own version.  An edited program and one built fresh in the same
 state hand HiGHS the same arrays, bit for bit.  Whether the costs,
-coefficients and bounds are finite is checked when they are
-refreshed; a solve with non-finite input raises
+coefficients, bounds and right-hand sides are finite is checked when
+they are refreshed, by one sum per side (an entry-wise look only when
+the sum is not finite); a solve with non-finite input raises
 :class:`~repro.errors.SolverError` before any solver attempt.
 
 Re-solve work is memoised on a mutation version: an unchanged program
@@ -76,7 +81,11 @@ state a fresh ``linprog`` call does, and its values, duals, objective
 and iteration count are bit-identical to ``linprog``'s — without
 ``linprog``'s input cleaning, per-call option validation and handle
 construction, which cost several times HiGHS's own run on these small
-programs.
+programs.  ``linprog``'s post-solve check (an "optimal" point off its
+bounds or rows by more than the tolerance, or with a NaN, is a failed
+attempt) is made with Python comparisons over the lists HiGHS returns:
+the same IEEE operations, without NumPy's fixed cost per call on
+arrays of a dozen entries.
 
 :meth:`LinearProgram.solve` is resilient: a failed solver attempt walks a
 retry/fallback chain (:data:`SOLVER_ATTEMPT_CHAIN` — dual simplex, then
@@ -93,6 +102,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import (
     Callable,
     Dict,
@@ -163,15 +173,20 @@ _RESULT_TOLERANCE = float(np.sqrt(1e-9) * 10)
 
 #: HiGHS model statuses with a defined meaning here, as ``linprog``'s
 #: status codes (0 optimal, 1 limit reached, 2 infeasible, 3 unbounded);
-#: every other status is 4, a failed attempt.
+#: every other status is 4, a failed attempt.  Keyed by the statuses'
+#: integer values: the binding's enum objects hash and compare through
+#: Python-level calls.
 _STATUS_CODES = {
-    _highs.HighsModelStatus.kOptimal: 0,
-    _highs.HighsModelStatus.kTimeLimit: 1,
-    _highs.HighsModelStatus.kIterationLimit: 1,
-    _highs.HighsModelStatus.kInfeasible: 2,
-    _highs.HighsModelStatus.kModelError: 2,
-    _highs.HighsModelStatus.kUnbounded: 3,
+    _highs.HighsModelStatus.kOptimal.value: 0,
+    _highs.HighsModelStatus.kTimeLimit.value: 1,
+    _highs.HighsModelStatus.kIterationLimit.value: 1,
+    _highs.HighsModelStatus.kInfeasible.value: 2,
+    _highs.HighsModelStatus.kModelError.value: 2,
+    _highs.HighsModelStatus.kUnbounded.value: 3,
 }
+
+#: ``HighsStatus.kError``'s integer value.
+_ERROR = _highs.HighsStatus.kError.value
 
 
 class _Handles(threading.local):
@@ -199,12 +214,12 @@ def _handle(rung: int) -> "_highs._Highs":
 
 
 def _highs_lp(
-    cost: np.ndarray,
-    start: Sequence[int],
-    index: Sequence[int],
-    value: Sequence[float],
-    rhs: np.ndarray,
-    upper: np.ndarray,
+    cost: List[float],
+    start: List[int],
+    index: List[int],
+    value: List[float],
+    rhs: List[float],
+    upper: List[float],
 ) -> "_highs.HighsLp":
     """``min cost.x  s.t.  A @ x <= rhs, 0 <= x <= upper`` as a new HiGHS
     model, ``A`` given as column-major ``start``/``index``/``value``:
@@ -215,9 +230,9 @@ def _highs_lp(
     model.num_col_ = cols
     model.num_row_ = rows
     model.col_cost_ = cost
-    model.col_lower_ = np.zeros(cols)
+    model.col_lower_ = [0.0] * cols
     model.col_upper_ = upper
-    model.row_lower_ = np.full(rows, -np.inf)
+    model.row_lower_ = [-math.inf] * rows
     model.row_upper_ = rhs
     model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
     model.a_matrix_.num_col_ = cols
@@ -233,15 +248,17 @@ class _Input(NamedTuple):
     ``A`` (column-major ``start``/``index``/``value`` lists) and column
     and row names, as its input model holds them: what the slacks
     ``rhs - A @ x`` are computed from and what a solution's by-name views
-    read.  The binding copies a list into the model's matrix several
-    times faster than a NumPy array, and the lists are the program's
-    own.  Nothing here is written in place: an edit replaces what it
-    changes, so a solution can keep the input of the version it solved.
-    The names are tuples taken when the shape changes (a new variable or
-    row), since the program's own name lists grow in place.  Costs and
-    upper bounds are not kept per version: no solution reads them."""
+    read.  Every side is a Python list, the program's own: the binding
+    copies a list into the model several times faster than a NumPy
+    array, and the post-solve check reads lists faster than arrays this
+    small.  Nothing here is written in place: an edit replaces the list
+    it changes (copy-on-write), so a solution can keep the input of the
+    version it solved.  The names are tuples taken when the shape
+    changes (a new variable or row), since the program's own name lists
+    grow in place.  Costs and upper bounds are not kept per version: no
+    solution reads them."""
 
-    rhs: np.ndarray
+    rhs: List[float]
     start: List[int]
     index: List[int]
     value: List[float]
@@ -272,40 +289,34 @@ class _Outcome(NamedTuple):
 def _run_highs(
     rung: int,
     model: "_highs.HighsLp",
-    rhs: np.ndarray,
-    upper: np.ndarray,
+    rhs: List[float],
+    upper: List[float],
 ) -> _Outcome:
     """Solve ``model`` (a minimisation) on this thread's ``rung`` handle.
 
     ``passModel`` resets the handle's basis and solution, so the run
     starts from the state a fresh handle has.  Statuses and the
-    post-solve feasibility check follow ``linprog`` exactly.
+    post-solve feasibility check follow ``linprog`` exactly; the check
+    compares Python floats, the same IEEE operations ``linprog``'s array
+    comparisons make, without the fixed cost of NumPy calls on arrays of
+    a dozen entries.
     """
     handle = _handle(rung)
-    if handle.passModel(model) == _highs.HighsStatus.kError:
+    if handle.passModel(model).value == _ERROR:
         return _Outcome(2, "HiGHS rejected the model")
-    run_failed = handle.run() == _highs.HighsStatus.kError
+    run_failed = handle.run().value == _ERROR
     status = handle.getModelStatus()
-    code = _STATUS_CODES.get(status, 4) or (4 if run_failed else 0)
+    code = _STATUS_CODES.get(status.value, 4) or (4 if run_failed else 0)
     if code:
         return _Outcome(code, handle.modelStatusToString(status))
     solution = handle.getSolution()
     objective = handle.getObjectiveValue()
     x = solution.col_value  # a new list on every read
-    values = np.asarray(x, dtype=float)
-    slack = rhs - np.asarray(solution.row_value, dtype=float)
-    tolerance = _RESULT_TOLERANCE
-    # Written so that a nan anywhere fails the check too.
-    if not (
-        (values >= -tolerance).all()
-        and (values <= upper + tolerance).all()
-        and (slack >= -tolerance).all()
-        and objective == objective
-    ):
+    if not _satisfies(x, upper, solution.row_value, rhs, objective):
         return _Outcome(
             4,
             "The solution does not satisfy the constraints within the "
-            f"required tolerance of {tolerance:.2E}",
+            f"required tolerance of {_RESULT_TOLERANCE:.2E}",
         )
     # Two fields, not the whole info struct that getInfo() copies.
     iterations = (
@@ -320,6 +331,32 @@ def _run_highs(
         row_duals=solution.row_dual,
         iterations=iterations,
     )
+
+
+def _satisfies(
+    x: List[float],
+    upper: List[float],
+    row_value: List[float],
+    rhs: List[float],
+    objective: float,
+) -> bool:
+    """Whether a reported optimum is within :data:`_RESULT_TOLERANCE` of
+    its bounds ``0 <= x <= upper`` and rows ``row_value <= rhs``.  Each
+    test is written so that a NaN fails it."""
+    tolerance = _RESULT_TOLERANCE
+    floor = -tolerance
+    for value, bound in zip(x, upper):
+        if not (value >= floor and value <= bound + tolerance):
+            return False
+    for bound, value in zip(rhs, row_value):
+        if not (bound - value >= floor):
+            return False
+    return objective == objective
+
+
+def _first_unusable(values: Sequence[float], usable: Callable[[float], bool]) -> Optional[int]:
+    """The index of the first of ``values`` that is not ``usable``, if any."""
+    return next((at for at, value in enumerate(values) if not usable(value)), None)
 
 
 #: Test-only hook (see :mod:`repro.testing.faults`): called before every
@@ -409,7 +446,7 @@ class LpSolution:
             product = np.bincount(
                 index, weights=value * x[columns], minlength=m
             )
-        return (inputs.rhs - product).tolist()
+        return (np.asarray(inputs.rhs, dtype=float) - product).tolist()
 
     @cached_property
     def slacks(self) -> Dict[str, float]:
@@ -541,17 +578,19 @@ class LinearProgram:
         # The HiGHS input model, the input it was last set from and its
         # upper bounds (which every solve's feasibility check reads).
         # ``None`` after a new variable or row: the next solve builds
-        # them afresh.  Otherwise the next solve re-sets the side (the
-        # columns or the right-hand sides) the edits since the last one
-        # marked stale.
+        # them afresh.  Otherwise the next solve re-sets the sides (the
+        # costs and bounds, the matrix or the right-hand sides) the edits
+        # since the last one marked stale.
         self._model: Optional["_highs.HighsLp"] = None
         self._inputs: Optional[_Input] = None
-        self._upper_bounds: Optional[np.ndarray] = None
-        self._stale_columns = False
+        self._upper_bounds: List[float] = []
+        self._stale_bounds = False
+        self._stale_matrix = False
         self._stale_rhs = False
         # Why the current input cannot go to HiGHS (``None``: it can),
-        # for the column-side arrays and for the right-hand sides.
-        self._columns_problem: Optional[str] = None
+        # for the costs and bounds, the matrix and the right-hand sides.
+        self._bounds_problem: Optional[str] = None
+        self._matrix_problem: Optional[str] = None
         self._rhs_problem: Optional[str] = None
 
     @classmethod
@@ -641,7 +680,7 @@ class LinearProgram:
             values.insert(start[column + 1], value)
         self._start = [at + bisect_left(touched, j) for j, at in enumerate(start)]
         self._entry_rows, self._entry_values = rows, values
-        self._rhs.append(sign * rhs)
+        self._rhs = self._rhs + [sign * rhs]
         self._row_names.append(name)
         self._row_index[name] = row
         self._row_signs.append(sign)
@@ -723,7 +762,7 @@ class LinearProgram:
         self._entry_values = self._entry_values[:begin] + values + self._entry_values[end:]
         shift = len(rows) - (end - begin)
         self._start = start[:column + 1] + [at + shift for at in start[column + 1:]]
-        self._stale_columns = True
+        self._stale_matrix = True
         self._version += 1
 
     def set_column(
@@ -751,8 +790,10 @@ class LinearProgram:
         self._splice_column(column, *self._stored_column(entries))
         if objective is not None:
             self._objective[column] = objective
+            self._stale_bounds = True
         if upper_bound is not _KEEP_BOUND:
             self._upper[column] = upper_bound  # type: ignore[assignment]
+            self._stale_bounds = True
         return name
 
     def retire_column(self, name: str) -> Dict[str, object]:
@@ -782,6 +823,7 @@ class LinearProgram:
         self._splice_column(column, [], [])
         self._objective[column] = 0.0
         self._upper[column] = 0.0
+        self._stale_bounds = True
         get_recorder().count("lp.column_retirements")
         return snapshot
 
@@ -792,14 +834,25 @@ class LinearProgram:
         ``<=`` or ``>=`` form it was added with); the stored sign is
         applied here, mirroring :meth:`add_column`.  The constraint
         matrix is untouched — updating a demand row on a warm master LP
-        costs one float write, plus new row bounds for the input model
+        costs one copied list, plus new row bounds for the input model
         and the re-solve.
         """
         row = self._row_of(name)
-        self._rhs[row] = self._row_signs[row] * rhs
+        self._set_rhs_from(row, (rhs,))
+        return name
+
+    def _set_rhs_from(self, first: int, values: Sequence[float]) -> None:
+        """Replace the right-hand sides of rows ``first``,
+        ``first + 1``, ... with ``values`` (each in its row's original
+        orientation, as :meth:`set_rhs` takes it), in one new list: the
+        old one may belong to a solution."""
+        stop = first + len(values)
+        rhs = self._rhs[:first]
+        rhs += map(mul, self._row_signs[first:stop], values)
+        rhs += self._rhs[stop:]
+        self._rhs = rhs
         self._stale_rhs = True
         self._version += 1
-        return name
 
     # -- certificates ----------------------------------------------------------------
 
@@ -823,7 +876,7 @@ class LinearProgram:
         y = np.array(solution.y)
         slack = np.array(solution.s)
         max_row_residual = float(np.max(np.abs(y * slack), initial=0.0))
-        dual_objective = float(np.dot(inputs.rhs, y))
+        dual_objective = float(np.dot(np.asarray(inputs.rhs, dtype=float), y))
         # bincount adds each column's entries in ascending row order, the
         # order a sparse ``A.T @ y`` adds them in.
         start, index, value = inputs.matrix()
@@ -875,77 +928,93 @@ class LinearProgram:
     def _input(self) -> _Input:
         """The current version's input, with the input model set from
         it: built afresh after a new variable or row; otherwise the
-        column side and the row bounds that edits since the last call
-        left stale are set on the kept model."""
+        sides that edits since the last call left stale are set on the
+        kept model."""
         model = self._model
         start, index, value = self._start, self._entry_rows, self._entry_values
+        rhs = self._rhs
         if model is None:
-            rhs = np.array(self._rhs, dtype=float)
             cost, upper = self._costs_and_bounds()
             self._model = _highs_lp(cost, start, index, value, rhs, upper)
-            self._check_columns(cost, upper, value)
+            self._check_bounds(cost, upper)
+            self._check_matrix(value)
             self._check_rhs(rhs)
             names, row_names = tuple(self._names), tuple(self._row_names)
         else:
-            rhs, names, row_names = self._inputs.rhs, self._inputs.names, self._inputs.row_names
-            if self._stale_columns:
+            names, row_names = self._inputs.names, self._inputs.row_names
+            if self._stale_bounds:
                 cost, upper = self._costs_and_bounds()
                 model.col_cost_ = cost
                 model.col_upper_ = upper
+                self._check_bounds(cost, upper)
+            if self._stale_matrix:
                 matrix = model.a_matrix_
                 matrix.start_ = start
                 matrix.index_ = index
                 matrix.value_ = value
-                self._check_columns(cost, upper, value)
+                self._check_matrix(value)
             if self._stale_rhs:
-                rhs = np.array(self._rhs, dtype=float)
                 model.row_upper_ = rhs
                 self._check_rhs(rhs)
         inputs = self._inputs = _Input(rhs, start, index, value, names, row_names)
         return inputs
 
-    def _costs_and_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _costs_and_bounds(self) -> Tuple[List[float], List[float]]:
         """The HiGHS costs (the objective negated) and upper bounds
         (``inf`` for ``None``); the upper bounds are kept for the
         feasibility check of every solve."""
-        upper = [np.inf if bound is None else bound for bound in self._upper]
-        self._upper_bounds = np.array(upper, dtype=float)
-        return -np.asarray(self._objective, dtype=float), self._upper_bounds
+        upper = [math.inf if bound is None else float(bound) for bound in self._upper]
+        self._upper_bounds = upper
+        return [-float(objective) for objective in self._objective], upper
 
-    def _check_columns(self, cost: np.ndarray, upper: np.ndarray, value: List[float]) -> None:
-        """Record why the costs, coefficients or upper bounds cannot go
-        to HiGHS (``None``: they can): the first NaN or infinite cost or
-        coefficient, or NaN or ``-inf`` upper bound (``+inf`` and
-        ``None`` mean unbounded).  The column side is then up to date."""
-        self._columns_problem, self._stale_columns = None, False
-        # A finite sum proves every coefficient finite; only a non-finite
-        # one (or an overflow) needs the entry-wise look.
-        if np.isfinite(cost).all() and (upper > -np.inf).all() and math.isfinite(sum(value)):
+    def _check_bounds(self, cost: List[float], upper: List[float]) -> None:
+        """Record why the costs or upper bounds cannot go to HiGHS
+        (``None``: they can): the first NaN or infinite cost, else the
+        first NaN or ``-inf`` upper bound (``+inf`` and ``None`` mean
+        unbounded).  They are then up to date."""
+        self._bounds_problem, self._stale_bounds = None, False
+        # A finite sum proves every cost finite, and a sum above -inf
+        # every bound above it (a NaN fails the comparison); only a
+        # failed test (or an overflow) needs the entry-wise look.
+        if math.isfinite(sum(cost)) and sum(upper) > -math.inf:
             return
-        for what, usable, given, per_entry in (
-            ("objective coefficient", np.isfinite(cost), self._objective, False),
-            ("upper bound", upper > -np.inf, self._upper, False),
-            ("a constraint coefficient", np.isfinite(value), value, True),
+        for what, given, stored, usable in (
+            ("objective coefficient", cost, self._objective, math.isfinite),
+            ("upper bound", upper, self._upper, lambda bound: bound > -math.inf),
         ):
-            if not usable.all():
-                at = int(np.argmin(usable))
-                # An entry's column is the last one starting at or before it.
-                column = bisect_right(self._start, at) - 1 if per_entry else at
-                self._columns_problem = f"{what} of {self._names[column]!r} is {given[at]!r}"
+            at = _first_unusable(given, usable)
+            if at is not None:
+                self._bounds_problem = f"{what} of {self._names[at]!r} is {stored[at]!r}"
                 return
 
-    def _check_rhs(self, rhs: np.ndarray) -> None:
+    def _check_matrix(self, value: List[float]) -> None:
+        """Record why the constraint coefficients cannot go to HiGHS,
+        naming the first NaN or infinite one's column (``None``: they
+        can); they are then up to date."""
+        self._matrix_problem, self._stale_matrix = None, False
+        if math.isfinite(sum(value)):
+            return
+        at = _first_unusable(value, math.isfinite)
+        if at is not None:
+            # An entry's column is the last one starting at or before it.
+            column = bisect_right(self._start, at) - 1
+            self._matrix_problem = (
+                f"a constraint coefficient of {self._names[column]!r} is {value[at]!r}"
+            )
+
+    def _check_rhs(self, rhs: List[float]) -> None:
         """Record whether the right-hand sides can go to HiGHS, naming
         the first NaN or infinite one in its constraint's original
         orientation; they are then up to date."""
-        self._rhs_problem = None
-        if not np.isfinite(rhs).all():
-            row = int(np.argmin(np.isfinite(rhs)))
+        self._rhs_problem, self._stale_rhs = None, False
+        if math.isfinite(sum(rhs)):
+            return
+        row = _first_unusable(rhs, math.isfinite)
+        if row is not None:
             self._rhs_problem = (
                 f"right-hand side of {self._row_names[row]!r} is "
-                f"{self._row_signs[row] * self._rhs[row]!r}"
+                f"{self._row_signs[row] * rhs[row]!r}"
             )
-        self._stale_rhs = False
 
     # -- solving ---------------------------------------------------------------------
 
@@ -973,7 +1042,7 @@ class LinearProgram:
         recorder.gauge("lp.cols", n)
         inputs = self._input()
         recorder.gauge("lp.nnz", len(inputs.value))
-        problem = self._columns_problem or self._rhs_problem
+        problem = self._bounds_problem or self._matrix_problem or self._rhs_problem
         if problem is not None:
             recorder.count("lp.failures")
             raise SolverError(f"LP input is not usable: {problem}")

@@ -93,13 +93,14 @@ class LinkSchedule:
     ) -> "LinkSchedule":
         """Run ``columns[index]`` for ``share`` per ``(index, share)``.
 
-        The shares must be checked and above ``_DROP_BELOW`` already.  The
-        entries are built when first read, so a caller that never reads
-        them never builds a set out of a column family.
+        The shares must be checked (each and their total) and above
+        ``_DROP_BELOW`` already, as
+        :meth:`~repro.core.bandwidth.TimeShareProgram.scheduled_shares`
+        returns them.  The entries are built when first read, so a caller
+        that never reads them never builds a set out of a column family.
         """
         schedule = cls.__new__(cls)
         schedule._pending = (columns, tuple(shares))
-        _check_airtime(sum(share for _index, share in shares))
         return schedule
 
     @cached_property

@@ -108,13 +108,15 @@ class Histogram:
     def observe(self, value: float) -> None:
         """Record one observation."""
         value = float(value)
+        counts = self._counts
         index = bisect_left(_EDGES, value)
-        self._counts[index] = self._counts.get(index, 0) + 1
+        counts[index] = counts.get(index, 0) + 1
         self.count += 1
         self.sum += value
-        if self.min is None or value < self.min:
+        low, high = self.min, self.max
+        if low is None or value < low:
             self.min = value
-        if self.max is None or value > self.max:
+        if high is None or value > high:
             self.max = value
 
     def buckets(self) -> Dict[int, int]:

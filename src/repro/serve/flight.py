@@ -21,8 +21,8 @@ overhead budget pinned by ``tests/test_serve_telemetry.py``.
 
 from __future__ import annotations
 
-import heapq
 import threading
+from heapq import heappush, heapreplace
 from typing import Any, Callable, Dict, List
 
 __all__ = ["FlightRecorder", "DEFAULT_SLOW_LOG_SIZE", "format_slow_log"]
@@ -57,14 +57,20 @@ class FlightRecorder:
         when a kept record is read: a decision whose record is never
         read never builds one, nor computes its fingerprint.
         """
-        with self._lock:
-            self.records_seen += 1
+        # acquire/release rather than ``with``: this runs once per query
+        # or decision, and the ``with`` protocol costs more than the lock.
+        lock = self._lock
+        lock.acquire()
+        try:
+            self.records_seen = seen = self.records_seen + 1
             heap = self._heap
             if len(heap) < self.capacity:
-                heapq.heappush(heap, (latency, -self.records_seen, build))
+                heappush(heap, (latency, -seen, build))
             elif latency > heap[0][0]:
                 # On a tie the resident stays: the earlier record wins.
-                heapq.heapreplace(heap, (latency, -self.records_seen, build))
+                heapreplace(heap, (latency, -seen, build))
+        finally:
+            lock.release()
 
     def slow_queries(self) -> List[Dict[str, Any]]:
         """Resident records, slowest first."""

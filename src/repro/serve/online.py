@@ -12,8 +12,9 @@ re-solving *incrementally* through a
 demand vector) is a result-cache hit; otherwise the union's cached
 master LP is retargeted at the arrival's path and departed load leaves
 its demand rows in place
-(:meth:`~repro.core.lp.LinearProgram.set_rhs`; every row whose RHS
-drops counts as an ``online.column_retirements``) before a HiGHS solve
+(:meth:`~repro.core.bandwidth.TimeShareProgram.set_demands` writes the
+demand vector by position; every row whose RHS drops counts as an
+``online.column_retirements``) before a HiGHS solve
 from a canonical start on the thread's reused handle — the savings are
 the skipped enumeration and assembly, no basis is carried.  An unseen
 link union builds a fresh master (counted as an
@@ -24,9 +25,14 @@ Byte-identity is the contract, not an aspiration: the warm path edits
 the cached program into *exactly* the program a cold
 :func:`~repro.core.bandwidth.available_path_bandwidth` call would
 assemble (same canonicalized matrix, same RHS floats — link demands are
-re-summed from scratch each event rather than updated incrementally,
+re-summed from scratch on each arrival rather than kept as running sums,
 because float addition is not associative), so every online decision is
-bit-equal to a cold Eq. 6 solve over the same carried flows.  Pass
+bit-equal to a cold Eq. 6 solve over the same carried flows.  The
+controller does that work on link ids: routes are memoised with their
+node and link ids, each carried flow keeps its link ids, and the link
+union and demand vector are built by id (see
+:meth:`OnlineAdmissionController._solve`), so no
+:class:`~repro.net.link.Link` is hashed on the way to the solve.  Pass
 ``pin=True`` to cross-check each decision against the cold solver with
 exact ``==`` and raise :class:`~repro.errors.VerificationError` on the
 first divergence; ``repro.verify`` runs this invariant over all six
@@ -56,18 +62,15 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bandwidth import (
-    _collect_links,
-    available_path_bandwidth,
-    link_demands_from_paths,
-)
+from repro.core.bandwidth import _check_demand, available_path_bandwidth
 from repro.errors import ConfigurationError, RoutingError, VerificationError
 from repro.fingerprint import fingerprint, model_fingerprint
 from repro.interference.base import InterferenceModel
+from repro.net.link import Link
 from repro.net.path import Path
 from repro.obs import get_recorder
 from repro.obs.explain import Explanation
@@ -91,6 +94,13 @@ _AUTO_ROUTE = object()
 def _node_ids(path: Path) -> Tuple[str, ...]:
     """The ids of ``path``'s nodes, source first."""
     return tuple(node.node_id for node in path.nodes)
+
+
+#: A routed arrival: its path, node ids and link ids (``(None, (), ())``
+#: when unroutable).
+_Route = Tuple[Optional[Path], Tuple[str, ...], Tuple[str, ...]]
+
+_UNROUTED: _Route = (None, (), ())
 
 
 @dataclass(frozen=True)
@@ -128,6 +138,20 @@ class OnlineDecision:
     #: decision came from an Eq. 6 solve (never for ``unrouted`` /
     #: ``twohop`` answers).
     explanation: Optional[Explanation] = None
+
+    @classmethod
+    def _of(cls, *values) -> "OnlineDecision":
+        """The decision with every field's value, in field order: the
+        instance ``OnlineDecision(*values)`` makes, with its attribute
+        dict written in one update rather than one frozen-dataclass
+        ``object.__setattr__`` per field."""
+        decision = object.__new__(cls)
+        decision.__dict__.update(zip(_DECISION_FIELDS, values))
+        return decision
+
+
+#: :class:`OnlineDecision`'s field names, in order.
+_DECISION_FIELDS = tuple(field.name for field in fields(OnlineDecision))
 
 
 class OnlineAdmissionController:
@@ -201,17 +225,22 @@ class OnlineAdmissionController:
         self.master_cache = self.session.master_cache
         self.result_cache = self.session.result_cache
         self.flight = FlightRecorder(slow_log)
-        #: Carried flows in admission order: flow id → (path, demand).
-        #: Insertion order is load-bearing — it fixes the link-union
-        #: order, hence the LP row order, hence byte-identity with a
-        #: cold solve over the same sequence of decisions.
-        self._carried: "OrderedDict[str, Tuple[Path, float]]" = OrderedDict()
+        #: Carried flows in admission order: flow id → (path, demand,
+        #: the path's link ids).  Insertion order is load-bearing — it
+        #: fixes the link-union order, hence the LP row order, hence
+        #: byte-identity with a cold solve over the same sequence of
+        #: decisions.
+        self._carried: "OrderedDict[str, Tuple[Path, float, Tuple[str, ...]]]" = (
+            OrderedDict()
+        )
         self._down: set = set()
-        #: Memoised hop-count routes: (source, destination) → the path and
-        #: its node ids, ``(None, ())`` when unroutable.
-        self._routes: Dict[
-            Tuple[str, str], Tuple[Optional[Path], Tuple[str, ...]]
-        ] = {}
+        #: Memoised hop-count routes: (source, destination) → the path,
+        #: its node ids and its link ids, ``(None, (), ())`` when
+        #: unroutable.
+        self._routes: Dict[Tuple[str, str], _Route] = {}
+        #: Link id → link, for every link of a path asked about: the
+        #: link union is built by id and read back through it.
+        self._links: Dict[str, Link] = {}
         self._metric = HopCountMetric()
         self._context = RoutingContext(model)
         #: Sequence ids handed to synthetic :meth:`admit_path` arrivals.
@@ -221,7 +250,7 @@ class OnlineAdmissionController:
 
     def carried(self) -> List[Tuple[Path, float]]:
         """The carried flows as (path, demand) pairs, admission order."""
-        return list(self._carried.values())
+        return [(path, demand) for path, demand, _ids in self._carried.values()]
 
     def down_nodes(self) -> set:
         """Node ids currently down."""
@@ -245,7 +274,7 @@ class OnlineAdmissionController:
             self._down.add(event.node_id)
             for flow_id in [
                 flow_id
-                for flow_id, (path, _demand) in self._carried.items()
+                for flow_id, (path, _demand, _ids) in self._carried.items()
                 if any(event.node_id in link.endpoints for link in path)
             ]:
                 del self._carried[flow_id]
@@ -294,9 +323,11 @@ class OnlineAdmissionController:
         started = time.perf_counter()
         recorder.count("online.arrivals")
         if path is _AUTO_ROUTE:
-            path, path_nodes = self._route(event.source, event.destination)
+            path, path_nodes, link_ids = self._route(event.source, event.destination)
+        elif path is None:
+            path_nodes = link_ids = ()
         else:
-            path_nodes = () if path is None else _node_ids(path)
+            path_nodes, link_ids = _node_ids(path), self._link_ids(path)
         if path is None:
             outcome = SolveOutcome(cache_state="unrouted")
             admitted = False
@@ -308,12 +339,12 @@ class OnlineAdmissionController:
                     path, self.carried()
                 ).available_bandwidth
             else:
-                outcome = self._solve(path)
+                outcome = self._solve(path, link_ids)
             admitted = outcome.bandwidth + self.tolerance >= event.demand_mbps
             if self.pin:
                 self._pin_check(event, path, outcome, admitted)
             if admitted:
-                self._carried[event.flow_id] = (path, event.demand_mbps)
+                self._carried[event.flow_id] = (path, event.demand_mbps, link_ids)
         latency = time.perf_counter() - started
         recorder.count("online.admitted" if admitted else "online.rejected")
         recorder.histogram("online.latency_seconds", latency)
@@ -333,34 +364,32 @@ class OnlineAdmissionController:
                 carried_flows=len(self._carried),
             ),
         )
-        return OnlineDecision(
-            seq=event.seq,
-            trace_id=trace_id,
-            time=event.time,
-            flow_id=event.flow_id,
-            source=event.source,
-            destination=event.destination,
-            demand_mbps=event.demand_mbps,
-            routed=path is not None,
-            path_nodes=path_nodes,
-            admitted=admitted,
-            available_bandwidth_mbps=outcome.bandwidth,
-            cache_state=outcome.cache_state,
-            latency_seconds=latency,
-            carried_flows=len(self._carried),
-            fingerprint=outcome,
-            explanation=outcome.explanation,
+        return OnlineDecision._of(
+            event.seq,
+            trace_id,
+            event.time,
+            event.flow_id,
+            event.source,
+            event.destination,
+            event.demand_mbps,
+            path is not None,  # routed
+            path_nodes,
+            admitted,
+            outcome.bandwidth,  # available_bandwidth_mbps
+            outcome.cache_state,
+            latency,  # latency_seconds
+            len(self._carried),  # carried_flows
+            outcome,  # fingerprint, computed when read
+            outcome.explanation,
         )
 
     # -- routing ----------------------------------------------------------------
 
-    def _route(
-        self, source: str, destination: str
-    ) -> Tuple[Optional[Path], Tuple[str, ...]]:
-        """Hop-count route and its node ids, or ``(None, ())`` when
-        unroutable / through a down node."""
+    def _route(self, source: str, destination: str) -> _Route:
+        """Hop-count route with its node and link ids, or
+        ``(None, (), ())`` when unroutable / through a down node."""
         if source in self._down or destination in self._down:
-            return None, ()
+            return _UNROUTED
         key = (source, destination)
         if key not in self._routes:
             try:
@@ -369,33 +398,64 @@ class OnlineAdmissionController:
                     self._metric, self._context,
                 )
             except RoutingError:
-                self._routes[key] = (None, ())
+                self._routes[key] = _UNROUTED
             else:
-                self._routes[key] = (path, _node_ids(path))
+                self._routes[key] = (path, _node_ids(path), self._link_ids(path))
         routed = self._routes[key]
-        if routed[0] is not None and self._down and any(
-            link.endpoints & self._down for link in routed[0]
-        ):
-            return None, ()
+        # A path's node ids are its links' endpoints.
+        if self._down and not self._down.isdisjoint(routed[1]):
+            return _UNROUTED
         return routed
+
+    def _link_ids(self, path: Path) -> Tuple[str, ...]:
+        """The ids of ``path``'s links, in path order; the links are
+        recorded by id (the first link seen under an id stays)."""
+        link_ids = tuple(link.link_id for link in path)
+        for link_id, link in zip(link_ids, path.links):
+            self._links.setdefault(link_id, link)
+        return link_ids
 
     # -- solving ----------------------------------------------------------------
 
-    def _solve(self, path: Path) -> SolveOutcome:
-        """Eq. 6 for ``path`` against the carried set, via the session.
+    def _solve(self, path: Path, path_key: Tuple[str, ...]) -> SolveOutcome:
+        """Eq. 6 for ``path`` (link ids ``path_key``) against the carried
+        set, via the session.
 
-        Demands are re-summed from the full carried set every time:
-        incremental add/subtract would drift from a cold solve's floats
-        (addition order matters), and the sum is linear in carried
-        flows — noise next to the solve.
+        The link union and the demand vector are built by link id, so no
+        :class:`~repro.net.link.Link` is hashed: the union is the carried
+        flows' link ids in first-appearance order, then the path's new
+        ones (:func:`~repro.core.bandwidth._collect_links`'s order), and
+        each link's demand is re-summed over the carried flows in
+        carried order from ``0.0`` — the left fold
+        :func:`~repro.core.bandwidth.link_demands_from_paths` makes, so
+        the floats are bit-equal to a cold solve's.  The re-sum runs on
+        every arrival rather than as running sums kept across events: a
+        departure would re-sum its links anyway (subtracting drifts from
+        the fold, since float addition is not associative), about half
+        the arrivals follow a departure or a node-down, and the carried
+        set is a few flows, so the sum is noise next to the solve.
         """
         recorder = get_recorder()
-        background = self.carried()
-        union = _collect_links(background, path)
-        demands = link_demands_from_paths(background)
-        demand_key = tuple(demands.get(link, 0.0) for link in union)
+        demands: Dict[str, float] = {}
+        for carried_path, demand, link_ids in self._carried.values():
+            _check_demand(demand, "path", carried_path)
+            for link_id in link_ids:
+                demands[link_id] = demands.get(link_id, 0.0) + demand
+        # The carried links lead the union in first-appearance order, so
+        # the demand vector is their sums, then 0.0 per new path link.
+        union_key = tuple(dict.fromkeys([*demands, *path_key]))
+        demand_key = (*demands.values(), *[0.0] * (len(union_key) - len(demands)))
+        links = self._links
+        background = self.carried() if self.session.explain else ()
         outcome = self.session.solve(
-            path, union, demands, demand_key, background, self.incremental
+            path,
+            [links[link_id] for link_id in union_key],
+            None,
+            demand_key,
+            background,
+            self.incremental,
+            union_key=union_key,
+            path_key=path_key,
         )
         if outcome.cache_state == "warm":
             recorder.count("online.warm_resolves")

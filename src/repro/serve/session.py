@@ -18,8 +18,8 @@ links, the exact universe the cold solver enumerates over):
     link union → assembled Eq. 6 master LP, edited in place per query:
     :meth:`~repro.core.bandwidth.TimeShareProgram.retarget` points the
     ``f`` column at the query path and
-    :meth:`~repro.core.bandwidth.TimeShareProgram.set_demand` rewrites
-    only the demand rows whose value changed;
+    :meth:`~repro.core.bandwidth.TimeShareProgram.set_demands` rewrites
+    the demand rows, by position, when the demand vector changed;
 ``enum``
     link union → enumerated LP columns, read when a master is built.
 
@@ -44,11 +44,7 @@ from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bandwidth import (
-    TimeShareProgram,
-    build_path_bandwidth_lp,
-    path_bandwidth_from_solution,
-)
+from repro.core.bandwidth import TimeShareProgram, build_path_bandwidth_lp
 from repro.core.independent_sets import enumerate_maximal_independent_sets
 from repro.interference.base import InterferenceModel
 from repro.net.link import Link
@@ -188,11 +184,14 @@ class _Master:
         cls,
         columns: List[Any],
         union: Sequence[Link],
-        demands: Dict[Link, float],
+        demands: Optional[Dict[Link, float]],
         path: Path,
         demand_key: Tuple[float, ...],
     ) -> "_Master":
-        """Assemble the Eq. 6 program over ``columns`` for ``path``."""
+        """Assemble the Eq. 6 program over ``columns`` for ``path``
+        (``demands`` ``None``: ``demand_key``'s, in ``union`` order)."""
+        if demands is None:
+            demands = dict(zip(union, demand_key))
         return cls(
             build_path_bandwidth_lp(columns, union, demands, set(path.links)),
             tuple(link.link_id for link in path),
@@ -272,28 +271,37 @@ class MasterSession:
         self,
         path: Path,
         union: Sequence[Link],
-        demands: Dict[Link, float],
+        demands: Optional[Dict[Link, float]],
         demand_key: Tuple[float, ...],
         background: Sequence[Tuple[Path, float]] = (),
         cached: bool = True,
+        *,
+        union_key: Optional[Tuple[str, ...]] = None,
+        path_key: Optional[Tuple[str, ...]] = None,
     ) -> SolveOutcome:
         """Answer one query: result cache → master (built once) → solve.
 
         ``demand_key`` is the demand vector in ``union`` order, or
         ``()`` when every query shares the demands the masters were
-        built with.  ``background`` feeds explanations' crowd-out.
+        built with.  ``demands`` maps links to those demands; ``None``
+        says they are ``demand_key``'s, and the link-keyed map is then
+        made only for a master build.  ``union_key`` and ``path_key``
+        are the link ids of ``union`` and ``path``, for a caller that
+        has them.  ``background`` feeds explanations' crowd-out.
         ``cached=False`` is the rebuild-per-query baseline: enumerate,
         assemble and solve the same program with no cache touched.
         """
-        union_key = tuple(link.link_id for link in union)
-        path_key = tuple(link.link_id for link in path)
+        if union_key is None:
+            union_key = tuple(link.link_id for link in union)
+        if path_key is None:
+            path_key = tuple(link.link_id for link in path)
         outcome = SolveOutcome(session=self, locus=(union_key, demand_key))
         if not cached:
             columns = enumerate_maximal_independent_sets(
                 self.model, union, self.max_sets
             )
             master = _Master.build(columns, union, demands, path, demand_key)
-            self._solve(outcome, master.program, demands, background)
+            self._solve(outcome, master.program, background)
             return outcome
         result_key = (union_key, path_key, demand_key)
         cached_result = self.result_cache.get(result_key)
@@ -331,15 +339,12 @@ class MasterSession:
                 master.path_key = path_key
                 outcome.lp_warm_start = True
             if master.demand_key != demand_key:
-                for link_id, old, new in zip(
-                    union_key, master.demand_key, demand_key
-                ):
-                    if new != old:
-                        master.program.set_demand(link_id, new)
-                        if new < old:
-                            outcome.retired_rows += 1
+                outcome.retired_rows = sum(
+                    new < old for old, new in zip(master.demand_key, demand_key)
+                )
+                master.program.set_demands(demand_key)
                 master.demand_key = demand_key
-            self._solve(outcome, master.program, demands, background)
+            self._solve(outcome, master.program, background)
         self.result_cache.put(
             result_key,
             (outcome.bandwidth, outcome.bottleneck, outcome.explanation),
@@ -350,12 +355,16 @@ class MasterSession:
         self,
         outcome: SolveOutcome,
         program: TimeShareProgram,
-        demands: Dict[Link, float],
         background: Sequence[Tuple[Path, float]],
     ) -> None:
-        """Solve ``program`` and fill the answer and its provenance in."""
+        """Solve ``program`` and fill the answer and its provenance in.
+
+        The answer is the program's bandwidth, after the checks the cold
+        path's schedule makes of the λs; no schedule is built.
+        """
         solution = program.lp.solve()
-        result = path_bandwidth_from_solution(program, solution, demands)
+        program.scheduled_shares(solution)
+        bandwidth = program.bandwidth(solution)
         outcome.bottleneck = top_binding_link(program, solution)
         if self.explain:
             outcome.explanation = explain_solution(
@@ -363,8 +372,8 @@ class MasterSession:
                 solution,
                 program.lp.certificate(),
                 background=background,
-                bandwidth=result.available_bandwidth,
+                bandwidth=bandwidth,
             )
-        outcome.bandwidth = result.available_bandwidth
+        outcome.bandwidth = bandwidth
         outcome.columns = len(program.columns)
         outcome.lp_iterations = int(solution.iterations or 0)

@@ -5,6 +5,7 @@ import pickle
 import random
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
+import repro.core.lp as lp_module
 from repro.core.lp import (
     _DENSE_CELL_LIMIT,
     SOLVER_ATTEMPT_CHAIN,
@@ -780,6 +782,126 @@ class TestReusedHandles:
             stat.size_diff for stat in after.compare_to(before, "filename")
         )
         assert growth < 256 * 1024
+
+
+class _PerturbedHandle:
+    """A real HiGHS handle whose reported solution is passed through
+    ``perturb(x, row_value, objective)`` before the driver checks it."""
+
+    def __init__(self, handle, perturb):
+        self._handle, self._perturb = handle, perturb
+
+    def getSolution(self):
+        solution = self._handle.getSolution()
+        x, rows, objective = self._perturb(
+            list(solution.col_value),
+            list(solution.row_value),
+            self._handle.getObjectiveValue(),
+        )
+        self._objective = objective
+        return SimpleNamespace(col_value=x, row_value=rows, row_dual=list(solution.row_dual))
+
+    def getObjectiveValue(self):
+        return self._objective
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def _checked_program():
+    """max x + y, x <= 4, y <= 2, x + y <= 3 (``cap``, row 0) and
+    x >= 0.5 (``floor``, row 1, stored negated): optimum 3."""
+    lp = LinearProgram()
+    lp.add_variable("x", objective=1.0, upper_bound=4.0)
+    lp.add_variable("y", objective=1.0, upper_bound=2.0)
+    lp.add_constraint_le({"x": 1.0, "y": 1.0}, 3.0, name="cap")
+    lp.add_constraint_ge({"x": 1.0}, 0.5, name="floor")
+    return lp
+
+
+_OUT = 3 * lp_module._RESULT_TOLERANCE  # beyond the tolerance
+_IN = lp_module._RESULT_TOLERANCE / 3  # within it
+
+
+def _set(values, at, value):
+    values = list(values)
+    values[at] = value
+    return values
+
+
+#: ``perturb`` functions the post-solve check must reject, by case.
+_VIOLATIONS = {
+    "x below zero": lambda x, rows, obj: (_set(x, 0, -_OUT), rows, obj),
+    "x above its upper bound": lambda x, rows, obj: (_set(x, 1, 2.0 + _OUT), rows, obj),
+    "le row slack below zero": lambda x, rows, obj: (x, _set(rows, 0, 3.0 + _OUT), obj),
+    "ge row slack below zero": lambda x, rows, obj: (x, _set(rows, 1, -0.5 + _OUT), obj),
+    "nan in x": lambda x, rows, obj: (_set(x, 1, float("nan")), rows, obj),
+    "nan row value": lambda x, rows, obj: (x, _set(rows, 0, float("nan")), obj),
+    "nan objective": lambda x, rows, obj: (x, rows, float("nan")),
+}
+
+#: Perturbations inside the tolerance, which the check must accept.
+_WITHIN = {
+    "x just below zero": lambda x, rows, obj: (_set(x, 0, -_IN), rows, obj),
+    "x just above its upper bound": lambda x, rows, obj: (_set(x, 1, 2.0 + _IN), rows, obj),
+    "row just over its bound": lambda x, rows, obj: (x, _set(rows, 0, 3.0 + _IN), obj),
+}
+
+
+class TestPostSolveCheck:
+    """An "optimal" point outside the bounds or rows by more than
+    ``linprog``'s tolerance, or with a NaN anywhere, is a failed attempt:
+    the chain walks on and gives up with a ``SolverError`` naming every
+    rung.  A point within the tolerance is an answer."""
+
+    def _perturbed(self, monkeypatch, perturb):
+        real = lp_module._handle
+        monkeypatch.setattr(
+            lp_module, "_handle", lambda rung: _PerturbedHandle(real(rung), perturb)
+        )
+
+    @pytest.mark.parametrize("case", sorted(_VIOLATIONS))
+    def test_violations_fail_every_rung(self, monkeypatch, case):
+        self._perturbed(monkeypatch, _VIOLATIONS[case])
+        recorder = Recorder()
+        with use_recorder(recorder), pytest.raises(SolverError) as raised:
+            _checked_program().solve()
+        attempts = raised.value.attempts
+        assert [attempt.method for attempt in attempts] == [
+            method for method, _options in SOLVER_ATTEMPT_CHAIN
+        ]
+        for attempt in attempts:
+            assert attempt.status == 4
+            assert "does not satisfy the constraints" in attempt.message
+        assert recorder.counters["lp.retries"] == len(SOLVER_ATTEMPT_CHAIN) - 1
+        assert recorder.counters["lp.failures"] == 1
+        assert "lp.fallbacks" not in recorder.counters
+
+    @pytest.mark.parametrize("case", sorted(_VIOLATIONS))
+    def test_a_violation_on_one_rung_falls_back(self, monkeypatch, case):
+        """Only the first rung's point is bad: the second rung answers."""
+        violation, calls = _VIOLATIONS[case], []
+
+        def first_rung_only(x, rows, obj):
+            calls.append(None)
+            return violation(x, rows, obj) if len(calls) == 1 else (x, rows, obj)
+
+        self._perturbed(monkeypatch, first_rung_only)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            solution = _checked_program().solve()
+        assert solution.objective == pytest.approx(3.0)
+        assert recorder.counters["lp.retries"] == 1
+        assert recorder.counters["lp.fallbacks"] == 1
+
+    @pytest.mark.parametrize("case", sorted(_WITHIN))
+    def test_points_within_the_tolerance_are_answers(self, monkeypatch, case):
+        self._perturbed(monkeypatch, _WITHIN[case])
+        recorder = Recorder()
+        with use_recorder(recorder):
+            solution = _checked_program().solve()
+        assert solution.objective == pytest.approx(3.0)
+        assert "lp.retries" not in recorder.counters
 
 
 class _Shadow:
@@ -1752,9 +1874,9 @@ def _assert_reads_by_name(program, solution):
 
 
 class TestPositionalReads:
-    """:class:`~repro.core.bandwidth.TimeShareProgram` reads solutions by
-    position and edits by its own row names; both equal the name-based
-    reads and edits they replace, bit for bit."""
+    """:class:`~repro.core.bandwidth.TimeShareProgram` reads solutions
+    and makes its serving edits by position; both equal the name-based
+    reads and edits they replace, and a fresh build, bit for bit."""
 
     def test_verify_families(self):
         from repro.core.bandwidth import (
@@ -1846,6 +1968,7 @@ class TestPositionalReads:
         twin = build_path_bandwidth_lp(columns, links, demands, set(paths[0].links)).lp
         rng = random.Random(3)
         union = {link.link_id for link in links}
+        current = [demands.get(link, 0.0) for link in links]
         solved = 0
         for path in paths[1:20]:
             if not {link.link_id for link in path} <= union:
@@ -1853,12 +1976,16 @@ class TestPositionalReads:
             path_ids = [link.link_id for link in path]
             program.retarget(path_ids)
             twin.set_column("f", {f"demand[{link_id}]": -1.0 for link_id in path_ids})
-            for link in rng.sample(links, 3):
-                demand = rng.choice([0.0, 0.1, 0.2, 0.4, 0.8])
-                program.set_demand(link.link_id, demand)
-                twin.set_rhs(f"demand[{link.link_id}]", demand)
-            assert _outcome_bits(program.lp) == _outcome_bits(twin)
+            for at in rng.sample(range(len(links)), 3):
+                current[at] = rng.choice([0.0, 0.1, 0.2, 0.4, 0.8])
+                twin.set_rhs(f"demand[{links[at].link_id}]", current[at])
+            program.set_demands(current)
+            fresh = build_path_bandwidth_lp(
+                columns, links, dict(zip(links, current)), set(path.links)
+            ).lp
+            assert _outcome_bits(program.lp) == _outcome_bits(twin) == _outcome_bits(fresh)
             assert _model_fields(program.lp._model) == _model_fields(twin._model)
+            assert _model_fields(program.lp._model) == _model_fields(fresh._model)
             try:
                 solution = program.lp.solve()
             except InfeasibleProblemError:
@@ -1931,6 +2058,36 @@ class TestSolutionVersions:
         assert _solution_bits(second) == _solution_bits(unsolved.solve())
         assert lp.certificate() == unsolved.certificate()
         assert _input_bits(second._inputs) == _input_bits(unsolved._inputs)
+
+    @pytest.mark.parametrize("edit", ["set_rhs", "set_demands"])
+    def test_demand_edits_leave_earlier_solutions_alone(self, edit):
+        """A right-hand side edit writes a new list: the earlier
+        solution keeps its right-hand sides, slacks and certificate."""
+        from repro.core.bandwidth import _time_share_lp
+
+        program, unsolved = (_time_share_lp(*_version_case()) for _ in range(2))
+        lp = program.lp
+        first = lp.solve()
+        inputs = _input_bits(first._inputs)
+        slacks = _bits(list(first.slacks.values()))
+        certificate = lp.certificate()
+        demands = [0.5, 0.0, 0.25, 1.5, 0.125]
+        for edited in (program, unsolved):
+            if edit == "set_demands":
+                edited.set_demands(demands)
+            else:
+                for link, demand in zip(edited.links, demands):
+                    edited.lp.set_rhs(f"demand[{link.link_id}]", demand)
+        second = lp.solve()
+        assert second is not first
+        assert _input_bits(first._inputs) == inputs
+        assert _bits(list(first.slacks.values())) == slacks
+        assert _input_bits(second._inputs) != inputs
+        assert _solution_bits(second) == _solution_bits(unsolved.lp.solve())
+        assert lp.certificate() == unsolved.lp.certificate()
+        # The certificate of the earlier version, from its own arrays.
+        lp._solution, lp._solved_version = first, lp._version
+        assert lp.certificate() == certificate
 
     @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
     @pytest.mark.parametrize("edit", ["add_column", "add_variable", "add_row", "add_ge_row"])

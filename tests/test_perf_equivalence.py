@@ -20,7 +20,6 @@ from repro.core.independent_sets import (
     _column_order,
     _column_weights,
     _couple_names,
-    _enumerate_pairwise,
     _mask_members,
     _pairwise_compatibility_masks,
     enumerate_maximal_independent_sets,
@@ -537,20 +536,27 @@ def test_one_pass_columns_with_prefix_couple_names(spacing):
     _assert_reference_columns(model, links)
 
 
-def test_repeated_links_take_general_prune():
-    """A link listed twice breaks the one-block-per-link layout the
-    next-faster test needs, so the enumeration prunes its family with
-    the general test, as a family the caller built would be."""
+def test_repeated_links_enumerate_as_listed_once():
+    """A link listed twice counts once, at its first place: ``[a, b, a]``
+    gives the family of ``[a, b]``, not the lone ``{(b,54)}`` that the
+    two copies of every set holding a couple of ``a`` left when they
+    dominated each other."""
     network = _ladder_network(
         n0=(0.0, 0.0), n1=(50.0, 0.0), n2=(0.0, 90.0), n3=(50.0, 90.0)
     )
     model = ProtocolInterferenceModel(network)
-    links = [network.link("a"), network.link("b"), network.link("a")]
-    vertices = link_rate_vertices(model, links)
-    general = prune_dominated(
-        ColumnFamily(vertices, _enumerate_pairwise(model, vertices))
+    a, b = network.link("a"), network.link("b")
+    repeated = enumerate_maximal_independent_sets(model, [a, b, a])
+    assert repeated == enumerate_maximal_independent_sets(model, [a, b])
+    assert sorted(str(column) for column in repeated) == [
+        "{(a,18), (b,18)}",
+        "{(a,54)}",
+        "{(b,54)}",
+    ]
+    assert enumerate_maximal_independent_sets(model, [b, a, b, b]) == (
+        enumerate_maximal_independent_sets(model, [b, a])
     )
-    assert enumerate_maximal_independent_sets(model, links) == general
+    _assert_reference_columns(model, [a, b])
 
 
 # -- incremental LP -----------------------------------------------------------

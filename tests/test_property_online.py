@@ -10,23 +10,37 @@ families:
   the property the online controller's warm path rests on.
 - **The decision wire format is total.**  Any representable
   :class:`~repro.serve.online.OnlineDecision` survives the JSONL
-  round trip unchanged.
+  round trip unchanged, and the controller's positional constructor
+  makes the instance the dataclass constructor makes.
+- **Carried load summed by link id is the cold sum.**  Under any churn
+  the controller's link union and demand vector equal
+  :func:`~repro.core.bandwidth._collect_links` and
+  :func:`~repro.core.bandwidth.link_demands_from_paths` over its
+  carried flows, bit for bit.
 """
 
+import dataclasses
 import json
+import pickle
+import struct
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.core.bandwidth import (
+    _collect_links,
     build_path_bandwidth_lp,
     link_demands_from_paths,
 )
 from repro.core.independent_sets import enumerate_maximal_independent_sets
 from repro.errors import InfeasibleProblemError
 from repro.serve.io import online_decision_from_dict, online_decision_to_dict
-from repro.serve.online import OnlineDecision
+from repro.interference.protocol import ProtocolInterferenceModel
+from repro.serve.online import OnlineAdmissionController, OnlineDecision
 from repro.verify.instances import FAMILIES, generate_instance
+from repro.workloads.churn import FlowEvent, OnlineChurnConfig, churn_event_stream
+from repro.workloads.scenarios import paper_random_topology
 
 # One instance per family, fixed seed: the properties quantify over the
 # retire/re-admit *orders*, not the instances, so a deterministic bundle
@@ -183,3 +197,116 @@ class TestWireFormatTotal:
     def test_round_trip_identity(self, decision):
         line = json.dumps(online_decision_to_dict(decision))
         assert online_decision_from_dict(json.loads(line)) == decision
+
+    @given(decision=_decisions)
+    @settings(max_examples=50, deadline=None)
+    def test_positional_constructor_makes_the_same_instance(self, decision):
+        values = [getattr(decision, field.name) for field in dataclasses.fields(decision)]
+        made = OnlineDecision._of(*values)
+        assert made == decision and hash(made) == hash(decision)
+        assert repr(made) == repr(decision)
+        assert list(vars(made).items()) == list(vars(decision).items())
+        assert pickle.dumps(made) == pickle.dumps(decision)
+        assert dataclasses.replace(made, seq=made.seq + 1) == dataclasses.replace(
+            decision, seq=decision.seq + 1
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made.admitted = not made.admitted
+
+
+def _float_bits(values):
+    return [struct.pack("<d", value) for value in values]
+
+
+_CHURN_MODEL = ProtocolInterferenceModel(paper_random_topology(seed=8))
+_CHURN_NODES = sorted(node.node_id for node in _CHURN_MODEL.network.nodes)
+# Endpoints near one node, so that routes share links and link demands
+# are sums of several flows.
+_CHURN_ENDPOINTS = sorted(
+    _CHURN_NODES,
+    key=lambda node_id: _CHURN_MODEL.network.node(node_id).distance_to(
+        _CHURN_MODEL.network.node(_CHURN_NODES[0])
+    ),
+)[:10]
+
+_arrival_steps = st.tuples(
+    st.just("arrival"),
+    st.sampled_from(_CHURN_ENDPOINTS),
+    st.sampled_from(_CHURN_ENDPOINTS),
+    st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.1, 0.05]),
+)
+
+# Arrivals three times as likely as a departure or a node event.
+_churn_steps = st.lists(
+    st.one_of(
+        _arrival_steps,
+        _arrival_steps,
+        _arrival_steps,
+        st.tuples(st.just("departure"), st.integers(0, 40)),
+        st.tuples(st.sampled_from(["node-down", "node-up"]), st.sampled_from(_CHURN_ENDPOINTS)),
+    ),
+    min_size=4,
+    max_size=40,
+)
+
+
+def _checked_controller():
+    """A controller whose every solve first checks its link union and
+    demand vector against the Link-keyed cold helpers over its carried
+    flows; the list counts the carried flows at each checked solve."""
+    controller = OnlineAdmissionController(_CHURN_MODEL)
+    solve, checked = controller.session.solve, []
+
+    def checked_solve(path, union, demands, demand_key, background=(), cached=True, **keys):
+        carried = controller.carried()
+        expected_union = _collect_links(carried, path)
+        expected = link_demands_from_paths(carried)
+        assert [link.link_id for link in union] == [link.link_id for link in expected_union]
+        assert keys["union_key"] == tuple(link.link_id for link in expected_union)
+        assert keys["path_key"] == tuple(link.link_id for link in path)
+        assert _float_bits(demand_key) == _float_bits(
+            [expected.get(link, 0.0) for link in expected_union]
+        )
+        checked.append(len(carried))
+        return solve(path, union, demands, demand_key, background, cached, **keys)
+
+    controller.session.solve = checked_solve
+    return controller, checked
+
+
+class TestLinkIdResum:
+    """The controller builds the link union and demand vector by link
+    id; every solve it asks for sees exactly what the Link-keyed cold
+    helpers give over its carried flows."""
+
+    @given(steps=_churn_steps)
+    @settings(max_examples=60, deadline=None)
+    def test_union_and_demands_equal_the_cold_helpers(self, steps):
+        controller, _checked = _checked_controller()
+        flows = []
+        for seq, step in enumerate(steps):
+            kind = step[0]
+            if kind == "arrival":
+                if step[1] == step[2]:
+                    continue
+                flows.append(f"f{seq}")
+                event = FlowEvent(seq, kind, seq, flows[-1], step[1], step[2], step[3])
+            elif kind == "departure":
+                if not flows:
+                    continue
+                event = FlowEvent(seq, kind, seq, flow_id=flows[step[1] % len(flows)])
+            else:
+                event = FlowEvent(seq, kind, seq, node_id=step[1])
+            controller.handle(event)
+
+    def test_a_churn_stream(self):
+        """A stream shaped like the benchmark's: shared links, several
+        carried flows and node churn."""
+        controller, checked = _checked_controller()
+        config = OnlineChurnConfig(
+            n_events=600, demand_mbps=0.3, route_pool=4, mean_holding=4.0,
+            min_distance_m=300.0, node_churn=4,
+        )
+        for event in churn_event_stream(_CHURN_MODEL.network, config, seed=5):
+            controller.handle(event)
+        assert len(checked) > 100 and max(checked) >= 4
