@@ -197,16 +197,40 @@ def _time_share_lp(
     entry_values = [-lead_entries[links[row - 1]] for row in entry_rows]
     start = [0] + [len(entry_rows)] * first
     # A column's entries in bit order are in row order when the couples
-    # are (enumerated families' are); otherwise they are sorted stably,
-    # so that of two couples of one link the later one counts.
+    # are (enumerated families' are), and the couples of one link are
+    # then adjacent; otherwise they are sorted stably.  Either way, of
+    # two couples of one link the later one counts.
     rows_in_bit_order = [entry[0] for entry in filter(None, couple_entries)]
-    in_row_order = rows_in_bit_order == sorted(rows_in_bit_order)
-    for mask in family.masks:
-        entries = filter(None, _mask_members(mask, couple_entries))
-        column = dict(entries if in_row_order else sorted(entries, key=itemgetter(0)))
-        entry_rows += [*airtime, *column]
-        entry_values += [*ones, *column.values()]
-        start.append(len(entry_rows))
+    if rows_in_bit_order == sorted(rows_in_bit_order):
+        add_row, add_value = entry_rows.append, entry_values.append
+        for mask in family.masks:
+            entry_rows += airtime
+            entry_values += ones
+            previous = -1
+            while mask:
+                low_bit = mask & -mask
+                mask ^= low_bit
+                entry = couple_entries[low_bit.bit_length() - 1]
+                if entry is not None:
+                    row, value = entry
+                    if row == previous:
+                        entry_values[-1] = value
+                    else:
+                        add_row(row)
+                        add_value(value)
+                        previous = row
+            start.append(len(entry_rows))
+    else:
+        for mask in family.masks:
+            column = dict(
+                sorted(
+                    filter(None, _mask_members(mask, couple_entries)),
+                    key=itemgetter(0),
+                )
+            )
+            entry_rows += [*airtime, *column]
+            entry_values += [*ones, *column.values()]
+            start.append(len(entry_rows))
     penalized = links if artificial_penalty is not None else ()
     artificials = [f"artificial[{link.link_id}]" for link in penalized]
     entry_rows += range(first, first + len(artificials))

@@ -40,6 +40,18 @@ Eq. 6's columns come out of one pass over integer bitmasks:
    (couples, one mask per column).  LP assembly reads the masks; a
    :class:`RateIndependentSet` is built only when a caller indexes or
    iterates the family.
+
+Every enumeration runs in a :class:`CoupleSpace`: the couples of one link
+union with their compatibility rows, names, column weights and
+next-faster mask, each derived once.  A call without a space builds one
+over its own links and searches all of it; a caller that enumerates
+several parts of one union (the tiles and residual windows of
+:mod:`repro.scale.tiles`) builds the union's space once and passes it,
+and each part is searched as a sub-mask of it.  A part's links are a
+subsequence of the space's link order, so its couples keep their
+relative order: the search, the column keys, the order and the pruned
+family are those of a space built over the part alone, on the bits of
+the larger one.
 """
 
 from __future__ import annotations
@@ -60,6 +72,7 @@ from repro.net.link import Link
 from repro.phy.rates import Rate
 
 __all__ = [
+    "CoupleSpace",
     "RateIndependentSet",
     "enumerate_maximal_independent_sets",
     "prune_dominated",
@@ -224,6 +237,7 @@ def prune_dominated(
     sets: Iterable[RateIndependentSet],
     *,
     compatible: Optional[Sequence[int]] = None,
+    slower: Optional[int] = None,
 ) -> ColumnFamily:
     """Drop sets dominated by another set of the collection.
 
@@ -253,10 +267,14 @@ def prune_dominated(
     ``T``'s couples on ``S``'s other links: the one-couple upgrade
     ``S - v + u`` is independent.  Conversely that upgrade extends to a
     maximal clique, which is in the family and dominates ``S``.
+    ``slower`` is the family's next-faster mask
+    (:attr:`CoupleSpace.slower`) when the caller has it; it is derived
+    from the couples otherwise.
     """
     family = ColumnFamily.of(sets)
     if compatible is not None:
-        slower = _slower_couples(family.couples)
+        if slower is None:
+            slower = _slower_couples(family.couples)
         if slower is not None:
             return ColumnFamily(
                 family.couples,
@@ -311,7 +329,11 @@ def _upgradable(
 
 
 def _undominated(couples: Sequence[LinkRate], masks: Sequence[int]) -> List[int]:
-    """The masks of :func:`prune_dominated`'s survivors, first copies only."""
+    """The masks of :func:`prune_dominated`'s survivors, first copies only.
+
+    Only the couples some mask holds are read, so a family on a few
+    couples of a larger space costs what one over those couples does.
+    """
     unique = list(dict.fromkeys(masks))
     count = len(unique)
     if count <= 1:
@@ -319,7 +341,9 @@ def _undominated(couples: Sequence[LinkRate], masks: Sequence[int]) -> List[int]
     # holders[v]: the columns holding couple v.
     holders = [0] * len(couples)
     column_bit = 1
+    held = 0
     for mask in unique:
+        held |= mask
         while mask:
             low_bit = mask & -mask
             mask ^= low_bit
@@ -328,8 +352,8 @@ def _undominated(couples: Sequence[LinkRate], masks: Sequence[int]) -> List[int]
     # at_least[v]: the columns holding v's link at v's rate or faster.
     at_least = list(holders)
     by_link: Dict[str, List[int]] = {}
-    for vertex, couple in enumerate(couples):
-        by_link.setdefault(couple.link.link_id, []).append(vertex)
+    for vertex in _mask_members(held, range(len(couples))):
+        by_link.setdefault(couples[vertex].link.link_id, []).append(vertex)
     for group in by_link.values():
         if len(group) > 1:
             for vertex in group:
@@ -418,10 +442,92 @@ def _ordered_cliques(adjacency: List[int], names: Sequence[str]) -> List[int]:
     return _column_order(cliques, keys, names)
 
 
+class CoupleSpace:
+    """The couples of one link union and what every search over it reads.
+
+    Built once per union from its links in order (a link id listed again
+    counts once, at its first place).  The couples are laid out as
+    :func:`~repro.interference.conflict_graph.link_rate_vertices` lays
+    them out: each link's standalone couples together, fastest first, so
+    each link's couples are one bit interval (:meth:`mask_of`).  The
+    names, the column weights of :func:`_column_weights` and the
+    next-faster mask of the pairwise prune are made here; the
+    compatibility rows (:func:`_pairwise_compatibility_masks` over all
+    the couples) are gathered on the first read of :attr:`compatible`,
+    so a cumulative search, which does not read them, gathers none.  A
+    part of the union is searched as the sub-mask of its links (see
+    :func:`enumerate_maximal_independent_sets`).
+    """
+
+    __slots__ = (
+        "model", "links", "couples", "bits", "names", "weights", "slower",
+        "_compatible",
+    )
+
+    def __init__(self, model: InterferenceModel, links: Iterable[Link]):
+        unique: Dict[str, Link] = {}
+        for link in links:
+            unique.setdefault(link.link_id, link)
+        self.model = model
+        #: The union's links, each once, in first-appearance order.
+        self.links: Tuple[Link, ...] = tuple(unique.values())
+        couples: List[LinkRate] = []
+        bits: Dict[str, int] = {}
+        for link_id, link_couples in zip(
+            unique, model.standalone_couples_of(self.links)
+        ):
+            bits[link_id] = ((1 << len(link_couples)) - 1) << len(couples)
+            couples.extend(link_couples)
+        #: The couples, by bit.
+        self.couples: Tuple[LinkRate, ...] = tuple(couples)
+        #: Link id -> the bits of its couples (0 for a link without any).
+        self.bits = bits
+        physical = isinstance(model, PhysicalInterferenceModel)
+        #: ``str`` of each couple; the names fix Eq. 6's column order.
+        self.names: List[str] = (
+            list(map(str, couples)) if physical else _couple_names(model, couples)
+        )
+        #: Each couple's :func:`_column_weights` weight, or ``None``.
+        self.weights = _column_weights(self.names)
+        #: The kernel-backed pairwise prune's next-faster mask
+        #: (:func:`prune_dominated`); ``None`` for the models that take
+        #: the general prune.
+        self.slower: Optional[int] = (
+            _slower_couples(couples)
+            if not physical and getattr(model, "kernel", None) is not None
+            else None
+        )
+        self._compatible: Optional[List[int]] = None
+
+    @property
+    def compatible(self) -> List[int]:
+        """The couples' compatibility rows, gathered on the first read."""
+        if self._compatible is None:
+            self._compatible = _pairwise_compatibility_masks(
+                self.model, self.couples
+            )
+        return self._compatible
+
+    def mask_of(self, links: Iterable[Link]) -> int:
+        """The bits of ``links``' couples; each must be a link of the union."""
+        bits = self.bits
+        mask = 0
+        try:
+            for link in links:
+                mask |= bits[link.link_id]
+        except KeyError as missing:
+            raise InterferenceError(
+                f"link {missing.args[0]!r} is not in the couple space"
+            ) from None
+        return mask
+
+
 def enumerate_maximal_independent_sets(
     model: InterferenceModel,
     links: Sequence[Link],
     max_sets: Optional[int] = None,
+    *,
+    space: Optional[CoupleSpace] = None,
 ) -> ColumnFamily:
     """All maximal independent sets with maximum rate vectors over ``links``.
 
@@ -436,34 +542,43 @@ def enumerate_maximal_independent_sets(
         max_sets: Safety cap; exceeding it raises, pointing the caller to
             column generation rather than silently truncating (a truncated
             family would silently *underestimate* available bandwidth).
+        space: The :class:`CoupleSpace` of a union holding ``links``, in
+            an order of which ``links`` is a subsequence.  The sets are
+            then searched on the sub-mask of ``links``' couples and come
+            back on the space's bits.  ``None`` builds a space over
+            ``links`` and searches all of it.
 
     Returns:
         Dominance-pruned maximal sets, deterministically ordered (by size
         descending, then lexicographically by couple names) so downstream
-        LPs are reproducible, as a :class:`ColumnFamily` over the links'
+        LPs are reproducible, as a :class:`ColumnFamily` over the space's
         couples.
     """
     recorder = get_recorder()
     with recorder.span("enum.sets"):
-        unique: Dict[str, Link] = {}
-        for link in links:
-            unique.setdefault(link.link_id, link)
-        vertices = link_rate_vertices(model, list(unique.values()))
-        if not vertices:
+        if space is None:
+            space = CoupleSpace(model, links)
+            subset = (1 << len(space.couples)) - 1
+        else:
+            subset = space.mask_of(links)
+        if not subset:
             return ColumnFamily((), ())
+        couples = space.couples
         compatible = None
         if isinstance(model, PhysicalInterferenceModel):
             with recorder.span("enum.cumulative"):
-                names = list(map(str, vertices))
                 masks, keys = _enumerate_cumulative(
-                    model, vertices, _column_weights(names)
+                    model, couples, space.weights, subset
                 )
-                masks = _column_order(masks, keys, names)
+                masks = _column_order(masks, keys, space.names)
         else:
             with recorder.span("enum.pairwise"):
-                rows = _pairwise_compatibility_masks(model, vertices)
-                masks = _ordered_cliques(rows, _couple_names(model, vertices))
-            if getattr(model, "kernel", None) is not None:
+                rows = space.compatible
+                masks, keys = _maximal_cliques_bitset(
+                    rows, len(couples), subset, space.weights
+                )
+                masks = _column_order(masks, keys, space.names)
+            if space.slower is not None:
                 # Kernel rows only tighten with the rate: the family
                 # takes the next-faster test (see prune_dominated).
                 compatible = rows
@@ -474,7 +589,9 @@ def enumerate_maximal_independent_sets(
             )
         with recorder.span("enum.prune"):
             pruned = prune_dominated(
-                ColumnFamily(vertices, masks), compatible=compatible
+                ColumnFamily(couples, masks),
+                compatible=compatible,
+                slower=space.slower,
             )
         recorder.count("enum.sets_found", len(masks))
         recorder.count("enum.sets_pruned", len(masks) - len(pruned))
@@ -624,6 +741,7 @@ def _enumerate_cumulative(
     model: PhysicalInterferenceModel,
     vertices: Sequence[LinkRate],
     weights: Optional[Sequence[int]] = None,
+    subset: Optional[int] = None,
 ) -> Tuple[List[int], Optional[List[int]]]:
     """Exact enumeration under cumulative interference (Eq. 3).
 
@@ -639,7 +757,8 @@ def _enumerate_cumulative(
     is "adding the link lowers some member's rate or is infeasible".  Each
     kept set is emitted once, as a mask over ``vertices``, in discovery
     order, with the sum of ``weights`` over its members as
-    :func:`_maximal_cliques_bitset` returns it.
+    :func:`_maximal_cliques_bitset` returns it.  With ``subset`` given,
+    only the links of the vertices in that mask are searched.
 
     The DFS carries the accumulated per-node interference vector of the
     current subset (one power-matrix row added per descent), so evaluating
@@ -648,7 +767,10 @@ def _enumerate_cumulative(
     """
     by_link: Dict[str, Link] = {}
     vertex_of: Dict[Tuple[str, Rate], int] = {}
-    for index, vertex in enumerate(vertices):
+    if subset is None:
+        subset = (1 << len(vertices)) - 1
+    for index in _mask_members(subset, range(len(vertices))):
+        vertex = vertices[index]
         by_link.setdefault(vertex.link.link_id, vertex.link)
         vertex_of[vertex.link.link_id, vertex.rate] = index
     weight = weights if weights is not None else [0] * len(vertices)

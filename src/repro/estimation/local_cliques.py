@@ -17,7 +17,7 @@ so far.
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.core.independent_sets import _pairwise_compatibility_masks
 from repro.interference.base import InterferenceModel, LinkRate
@@ -51,19 +51,27 @@ def local_interference_cliques(
     return _clique_runs(compatible, len(couples))
 
 
-def _clique_runs(compatible: Sequence[int], count: int) -> List[List[int]]:
+def _clique_runs(
+    compatible: Sequence[int],
+    count: int,
+    bits: Optional[Sequence[int]] = None,
+) -> List[List[int]]:
     """The maximal clique runs of the first ``count`` couples.
 
     ``compatible[i]`` has bit ``j`` set when couples ``i`` and ``j`` can
-    transmit together; bits at ``count`` and above are ignored.
+    transmit together; bits at ``count`` and above are ignored.  With
+    ``bits`` given, ``bits[i]`` is couple ``i``'s bit in those rows
+    instead (the rows of a larger couple space).
     """
+    if bits is None:
+        bits = [1 << index for index in range(count)]
     runs: List[List[int]] = []
     for start in range(count):
         end = start
-        run = 1 << start
+        run = bits[start]
         while end + 1 < count and not compatible[end + 1] & run:
             end += 1
-            run |= 1 << end
+            run |= bits[end]
         runs.append(list(range(start, end + 1)))
     # Runs are contiguous index intervals with strictly increasing starts,
     # so a run is contained in another iff an *earlier* run reaches at least

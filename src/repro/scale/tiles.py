@@ -13,11 +13,9 @@ This module exploits that locality:
   maximal runs of consecutive mutually-conflicting path links, capped at
   :attr:`TileConfig.tile_size` links per tile, each extended with the
   background links that conflict with the tile's path links.  Runs and
-  membership are read from one packed compatibility matrix over the path
-  and background couples (``_pairwise_compatibility_masks``, the rows
-  enumeration uses: under the geometric models, gathered from the
-  model's couple index, which fills each couple's row once), not from
-  per-pair ``conflicts`` calls;
+  membership are read from the compatibility rows of the estimate's
+  couple space (below) at the links' fastest couples, not from per-pair
+  ``conflicts`` calls;
 * :func:`tiled_path_bandwidth` solves one Eq. 6 LP **per tile** over only
   the tile's couple set and stitches the results into a two-sided estimate:
 
@@ -42,11 +40,17 @@ This module exploits that locality:
     :meth:`~repro.interference.base.InterferenceModel.is_independent`
     confirms every union the masks accept.
 
-  All columns of an estimate stay couple bitmasks over one couple order:
-  each tile and residual family is pooled onto it by its couples' ids in
-  the model's :class:`~repro.interference.couple_index.CoupleIndex`,
-  deduped on the pooled masks, and the lower-bound solve receives a
-  :class:`~repro.core.independent_sets.ColumnFamily`, so no
+  All columns of an estimate are couple bitmasks in one
+  :class:`~repro.core.independent_sets.CoupleSpace`, built once per
+  estimate over the involved links: its compatibility rows are gathered
+  once (under the geometric models, from the model's
+  :class:`~repro.interference.couple_index.CoupleIndex`), the
+  decomposition reads them, every tile and residual window is
+  enumerated as a sub-mask of it, stitching ANDs its rows and a
+  singleton is its link's fastest-couple bit.  Tile columns are deduped
+  on their masks, and the lower-bound solve receives a
+  :class:`~repro.core.independent_sets.ColumnFamily` over the space's
+  couples, so no
   :class:`~repro.core.independent_sets.RateIndependentSet` is built
   except for the columns a schedule reads.
 
@@ -77,13 +81,13 @@ from repro.core.bandwidth import (
 )
 from repro.core.independent_sets import (
     ColumnFamily,
+    CoupleSpace,
     _mask_members,
-    _pairwise_compatibility_masks,
     enumerate_maximal_independent_sets,
 )
 from repro.errors import InfeasibleProblemError
 from repro.estimation.local_cliques import _clique_runs
-from repro.interference.base import InterferenceModel, LinkRate
+from repro.interference.base import InterferenceModel
 from repro.interference.physical import PhysicalInterferenceModel
 from repro.net.link import Link
 from repro.net.path import Path
@@ -228,6 +232,8 @@ def decompose_path(
     new_path: Path,
     background: Sequence[Tuple[Path, float]] = (),
     config: Optional[TileConfig] = None,
+    *,
+    space: Optional[CoupleSpace] = None,
 ) -> List[Tile]:
     """Partition the estimation problem into interference tiles.
 
@@ -236,9 +242,11 @@ def decompose_path(
     merges adjacent runs up to :attr:`TileConfig.tile_size` path links per
     tile, and attaches to each tile exactly the background links that
     conflict with one of its path links at maximum standalone rates.
-    Both read one packed compatibility matrix over the path and
-    background couples: a background couple joins a tile when its
-    conflict bits meet the tile's interval of path-link bits.
+    Both read the compatibility rows of the links' fastest couples: a
+    background couple joins a tile when its conflict bits meet the
+    tile's path-link bits.  The rows are those of ``space``, the
+    :class:`~repro.core.independent_sets.CoupleSpace` of
+    ``_collect_links(background, new_path)``; ``None`` builds it.
 
     Raises:
         InfeasibleProblemError: when some path link supports no rate at
@@ -246,26 +254,25 @@ def decompose_path(
             would be zero or undefined).
     """
     config = config or TileConfig()
+    if space is None:
+        space = CoupleSpace(model, _collect_links(background, new_path))
     path_links = list(new_path)
-    # Each link's fastest standalone couple, the model's shared object.
-    path_couples = [
-        couples[0] if couples else None
-        for couples in model.standalone_couples_of(path_links)
-    ]
-    if None in path_couples:
-        raise InfeasibleProblemError(
-            f"path {new_path} has a link with no standalone rate"
-        )
-    background_couples = [
-        couples[0]
-        for couples in model.standalone_couples_of(_collect_links(background))
-        if couples
-    ]
-    compatible = _pairwise_compatibility_masks(
-        model, path_couples + background_couples
+    bits = space.bits
+    # Each path link's fastest couple, as its bit in the space.
+    path_bits = []
+    for link in path_links:
+        mask = bits[link.link_id]
+        if not mask:
+            raise InfeasibleProblemError(
+                f"path {new_path} has a link with no standalone rate"
+            )
+        path_bits.append(mask & -mask)
+    compatible = space.compatible
+    runs = _clique_runs(
+        [compatible[bit.bit_length() - 1] for bit in path_bits],
+        len(path_bits),
+        path_bits,
     )
-    count = len(path_couples)
-    runs = _clique_runs(compatible, count)
     groups: List[Tuple[int, int]] = []
     current_start, current_end = runs[0][0], runs[0][-1]
     for run in runs[1:]:
@@ -277,25 +284,29 @@ def decompose_path(
             current_start, current_end = start, end
     groups.append((current_start, current_end))
 
-    # Per background couple: the path couples it conflicts with.
-    path_bits = (1 << count) - 1
+    # Per background link with a rate: its couples' bits, and the path
+    # couples its fastest couple conflicts with.
+    path_mask = 0
+    for bit in path_bits:
+        path_mask |= bit
+    background_ids = {link.link_id for path, _demand in background for link in path}
     path_conflicts = [
-        (couple.link.link_id, path_bits & ~row)
-        for couple, row in zip(background_couples, compatible[count:])
+        (mask, path_mask & ~compatible[(mask & -mask).bit_length() - 1])
+        for link_id, mask in bits.items()
+        if mask and link_id in background_ids
     ]
-    global_order = _collect_links(background, new_path)
     tiles: List[Tile] = []
     for index, (start, end) in enumerate(groups):
         tile_path = path_links[start : end + 1]
-        interval = ((1 << (end + 1)) - 1) >> start << start
-        member_ids = {link.link_id for link in tile_path}
-        member_ids.update(
-            link_id
-            for link_id, conflicts in path_conflicts
-            if conflicts & interval
-        )
+        interval = 0
+        for bit in path_bits[start : end + 1]:
+            interval |= bit
+        members = space.mask_of(tile_path)
+        for mask, conflicts in path_conflicts:
+            if conflicts & interval:
+                members |= mask
         links = tuple(
-            link for link in global_order if link.link_id in member_ids
+            link for link in space.links if bits[link.link_id] & members
         )
         tiles.append(
             Tile(
@@ -309,75 +320,29 @@ def decompose_path(
     return tiles
 
 
-class _ColumnPool:
-    """Columns of several families on one estimate-local couple order.
-
-    A couple gets the next free bit the first time a family brings it,
-    so every family pooled here reads on one index.  Couples are keyed
-    by their id in the model's
-    :class:`~repro.interference.couple_index.CoupleIndex` (by the
-    couples themselves under a model without a kernel).
-    """
-
-    def __init__(self, model: InterferenceModel):
-        kernel = getattr(model, "kernel", None)
-        self._index = None if kernel is None else kernel.couple_index
-        self._bit_of: Dict[object, int] = {}
-        #: The pooled couples, by bit.
-        self.couples: List[LinkRate] = []
-
-    def masks(self, family: ColumnFamily) -> List[int]:
-        """``family``'s masks on the pool's bits."""
-        keys = (
-            family.couples
-            if self._index is None
-            else self._index.ids(family.couples)
-        )
-        bit_of = self._bit_of
-        couples = self.couples
-        bits = []
-        for couple, key in zip(family.couples, keys):
-            bit = bit_of.get(key)
-            if bit is None:
-                bit = bit_of[key] = len(couples)
-                couples.append(couple)
-            bits.append(bit)
-        first = bits[0] if bits else 0
-        if bits == list(range(first, first + len(bits))):
-            # The family's couples sit on consecutive pool bits (most do:
-            # a family whose couples are all new to the pool, say).
-            return [mask << first for mask in family.masks]
-        pooled = []
-        for mask in family.masks:
-            out = 0
-            while mask:
-                low_bit = mask & -mask
-                mask ^= low_bit
-                out |= 1 << bits[low_bit.bit_length() - 1]
-            pooled.append(out)
-        return pooled
-
-
 def _residual_columns(
     model: InterferenceModel,
     background: Sequence[Tuple[Path, float]],
     covered: set,
     tile_size: int,
-) -> ColumnFamily:
+    space: CoupleSpace,
+) -> List[int]:
     """Lower-bound columns for background links outside every tile.
 
     Each background path's uncovered links are windowed (``tile_size``
-    links per window) and enumerated locally; one stitching pass then
-    round-robins across the windows, merging columns whenever the union
-    is still independent, so flows in distant parts of the field can
-    share airtime in the restricted LP.  The union test ANDs the packed
-    compatibility rows of the columns merged so far: pairwise
+    links per window) and enumerated locally, as sub-masks of the
+    estimate's couple ``space``; one stitching pass then round-robins
+    across the windows, merging columns whenever the union is still
+    independent, so flows in distant parts of the field can share
+    airtime in the restricted LP.  The union test ANDs the space's
+    compatibility rows of the couples merged so far: pairwise
     compatibility is necessary for independence in every model and
     sufficient in the pairwise ones, while under the physical model's
     cumulative Eq. 3 :meth:`~repro.interference.base.InterferenceModel.is_independent`
     confirms each union the masks accept.  Every emitted column is thus
     validated (or enumerated) under ``model`` itself, so the Section 3.3
-    lower-bound contract is preserved exactly.
+    lower-bound contract is preserved exactly.  Returns the columns'
+    masks on the space's bits.
     """
     windows: List[List[Link]] = []
     seen = set(covered)
@@ -392,16 +357,15 @@ def _residual_columns(
             if segment:
                 windows.append(segment)
                 segment = []
-    pool = _ColumnPool(model)
     window_masks = [
-        pool.masks(family)
+        family.masks
         for window in windows
-        if (family := enumerate_maximal_independent_sets(model, window))
+        if (family := enumerate_maximal_independent_sets(model, window, space=space))
     ]
-    couples = pool.couples
     residual = [mask for masks in window_masks for mask in masks]
     if len(window_masks) > 1:
-        compatible = _pairwise_compatibility_masks(model, couples)
+        couples = space.couples
+        compatible = space.compatible
         cumulative = isinstance(model, PhysicalInterferenceModel)
         everyone = (1 << len(couples)) - 1
         rounds = min(8, max(len(masks) for masks in window_masks))
@@ -424,7 +388,7 @@ def _residual_columns(
                     allowed &= compatible[low_bit.bit_length() - 1]
             if merged:
                 residual.append(merged)
-    return ColumnFamily(couples, residual)
+    return residual
 
 
 def _attribute_bottleneck(
@@ -478,20 +442,23 @@ def tiled_path_bandwidth(
     config = config or TileConfig()
     recorder = get_recorder()
     with recorder.span("scale.estimate"):
+        # One couple space per estimate: every tile, window, stitch and
+        # singleton below works on its bits.
+        space = CoupleSpace(model, _collect_links(background, new_path))
         with recorder.span("scale.decompose"):
-            tiles = decompose_path(model, new_path, background, config)
+            tiles = decompose_path(
+                model, new_path, background, config, space=space
+            )
         recorder.count("scale.tiles", len(tiles))
         demands = link_demands_from_paths(background)
         tile_optima: List[float] = []
         tile_programs: List[TimeShareProgram] = []
-        # One couple order per estimate; tile columns are deduped on
-        # their masks over it, keeping first-seen order.
-        pool = _ColumnPool(model)
+        # Tile columns deduped on their masks, first-seen order kept.
         column_pool: Dict[int, None] = {}
         for tile in tiles:
             with recorder.span("scale.tile_lp"):
                 columns = enumerate_maximal_independent_sets(
-                    model, tile.links, config.max_sets
+                    model, tile.links, config.max_sets, space=space
                 )
                 program = build_path_bandwidth_lp(
                     columns, tile.links, demands, set(tile.new_links)
@@ -500,7 +467,7 @@ def tiled_path_bandwidth(
             recorder.count("scale.tile_solves")
             tile_optima.append(value)
             tile_programs.append(program)
-            column_pool.update(dict.fromkeys(pool.masks(columns)))
+            column_pool.update(dict.fromkeys(columns.masks))
 
         bottleneck = min(
             range(len(tile_optima)), key=tile_optima.__getitem__
@@ -518,26 +485,17 @@ def tiled_path_bandwidth(
         }
         lb_masks = list(column_pool)
         residual = _residual_columns(
-            model, background, covered, config.tile_size
+            model, background, covered, config.tile_size, space
         )
-        lb_masks.extend(pool.masks(residual))
+        lb_masks.extend(residual)
         scheduled = 0
-        for mask in residual.masks:
+        for mask in residual:
             scheduled |= mask
-        covered.update(
-            couple.link.link_id
-            for couple in _mask_members(scheduled, residual.couples)
-        )
-        uncovered = [
-            link
-            for link in _collect_links(background, new_path)
-            if link.link_id not in covered
-        ]
-        for couples in model.standalone_couples_of(uncovered):
-            if couples:
-                singleton = ColumnFamily(couples[:1], (1,))
-                lb_masks.extend(pool.masks(singleton))
-        lb_columns = ColumnFamily(pool.couples, lb_masks)
+        # A standalone-rate singleton for every link still uncovered.
+        for link_id, mask in space.bits.items():
+            if mask and not mask & scheduled and link_id not in covered:
+                lb_masks.append(mask & -mask)
+        lb_columns = ColumnFamily(space.couples, lb_masks)
         recorder.count("scale.columns", len(lb_columns))
         try:
             lower = available_path_bandwidth(

@@ -32,6 +32,9 @@ from repro.obs import get_recorder
 
 __all__ = ["SolveCache"]
 
+#: ``get``'s default: tells an absent key from a stored ``None``.
+_ABSENT = object()
+
 
 class SolveCache:
     """LRU-bounded key/value store with hit/miss/eviction accounting."""
@@ -50,6 +53,12 @@ class SolveCache:
         #: traffic never inflates the CI-gated ``serve.cache.*`` counters
         #: of the batch serving layer.
         self.prefix = prefix
+        name = f"{prefix}.{label}"
+        #: The recorder names, made once: a hit and a miss format none.
+        self._hits_name = f"{name}.hits"
+        self._misses_name = f"{name}.misses"
+        self._evictions_name = f"{name}.evictions"
+        self._size_name = f"{name}.size"
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -93,22 +102,25 @@ class SolveCache:
             return value
 
     def _get_locked(self, key: Hashable) -> Optional[Any]:
-        recorder = get_recorder()
-        if key in self._entries:
-            self._entries.move_to_end(key)
+        # A hit hashes the key twice: the lookup and the recency move.
+        entries = self._entries
+        value = entries.get(key, _ABSENT)
+        if value is not _ABSENT:
+            entries.move_to_end(key)
             self.hits += 1
-            recorder.count(f"{self.prefix}.{self.label}.hits")
-            return self._entries[key]
+            get_recorder().count(self._hits_name)
+            return value
         self.misses += 1
-        recorder.count(f"{self.prefix}.{self.label}.misses")
+        get_recorder().count(self._misses_name)
         return None
 
     def _put_locked(self, key: Hashable, value: Any) -> None:
         recorder = get_recorder()
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        entries[key] = value
+        entries.move_to_end(key)
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
             self.evictions += 1
-            recorder.count(f"{self.prefix}.{self.label}.evictions")
-        recorder.gauge(f"{self.prefix}.{self.label}.size", len(self._entries))
+            recorder.count(self._evictions_name)
+        recorder.gauge(self._size_name, len(entries))

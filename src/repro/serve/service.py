@@ -37,7 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import _collect_links, link_demands_from_paths
 from repro.fingerprint import (
@@ -135,6 +135,11 @@ class AdmissionService:
         self.background = list(background)
         self.tolerance = tolerance
         self._demands = link_demands_from_paths(self.background)
+        #: The background's links by id, in union order: each query's
+        #: union extends a copy with its path's links.
+        self._background_links: Dict[str, Link] = {
+            link.link_id: link for link in _collect_links(self.background)
+        }
         scope = [model_fingerprint(model), background_fingerprint(self.background)]
         self.session = MasterSession(
             model,
@@ -155,12 +160,19 @@ class AdmissionService:
 
     def link_union(self, path: Path) -> List[Link]:
         """The paper's ``P`` for this query: background ∪ path links."""
-        return _collect_links(self.background, path)
+        return self._union(path)[0]
+
+    def _union(self, path: Path) -> Tuple[List[Link], Tuple[str, ...]]:
+        """:meth:`link_union` and its link ids, in the order
+        :func:`~repro.core.bandwidth._collect_links` gives them."""
+        union = self._background_links.copy()
+        for link in path.links:
+            union.setdefault(link.link_id, link)
+        return list(union.values()), tuple(union)
 
     def query_fingerprint(self, path: Path) -> str:
         """Digest of (model, background, link union) — the cache locus."""
-        union_key = tuple(link.link_id for link in self.link_union(path))
-        return self.session.fingerprint(union_key, ())
+        return self.session.fingerprint(self._union(path)[1], ())
 
     # -- serving ----------------------------------------------------------------
 
@@ -182,10 +194,12 @@ class AdmissionService:
         recorder = get_recorder()
         started = time.perf_counter()
         with recorder.span("serve.query") if record_span else nullcontext():
+            union_key = None
             if union is None:
-                union = self.link_union(query.path)
+                union, union_key = self._union(query.path)
             outcome = self.session.solve(
-                query.path, union, self._demands, (), self.background
+                query.path, union, self._demands, (), self.background,
+                union_key=union_key,
             )
         admitted = outcome.bandwidth + self.tolerance >= query.demand_mbps
         latency = time.perf_counter() - started
@@ -262,8 +276,7 @@ class BatchSession:
         recorder = get_recorder()
         groups: "OrderedDict[Tuple[str, ...], List[_Member]]" = OrderedDict()
         for position, query in enumerate(queries):
-            union = self.service.link_union(query.path)
-            union_key = tuple(link.link_id for link in union)
+            union, union_key = self.service._union(query.path)
             groups.setdefault(union_key, []).append((position, query, union))
         recorder.count("serve.batch.queries", len(queries))
         recorder.count("serve.batch.groups", len(groups))

@@ -16,17 +16,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.independent_sets import (
     ColumnFamily,
+    CoupleSpace,
     RateIndependentSet,
     _column_order,
     _column_weights,
     _couple_names,
-    _mask_members,
     _pairwise_compatibility_masks,
     enumerate_maximal_independent_sets,
     prune_dominated,
 )
 from repro.core.lp import LinearProgram
-from repro.errors import SolverError
+from repro.errors import InterferenceError, SolverError
 from repro.experiments.seed_study import run_seed_study
 from repro.interference.base import LinkRate
 from repro.interference.conflict_graph import (
@@ -557,6 +557,138 @@ def test_repeated_links_enumerate_as_listed_once():
         enumerate_maximal_independent_sets(model, [b, a])
     )
     _assert_reference_columns(model, [a, b])
+
+
+# -- sub-masks of one couple space -----------------------------------------------
+#
+# A tile or residual window is enumerated as the sub-mask of its links in
+# the estimate's couple space.  For any sub-union whose links keep the
+# space's order, that must be the family a cold call over the sub-union
+# finds: the same sets in the same order, after the same search.
+
+_SEARCH_COUNTERS = (
+    "enum.sets_found",
+    "enum.sets_pruned",
+    "enum.dfs_nodes",
+    "enum.maximal_sets_emitted",
+)
+
+
+def _scattered_sub_union(data, union):
+    """A sub-union of ``union`` in its order, with a gap inside it."""
+    assume(len(union) >= 3)
+    positions = sorted(
+        data.draw(
+            st.sets(
+                st.integers(min_value=0, max_value=len(union) - 1), min_size=2
+            )
+        )
+    )
+    if positions[-1] - positions[0] + 1 == len(positions):  # contiguous
+        if len(positions) >= 3:
+            del positions[1]
+        elif positions[-1] + 1 < len(union):
+            positions[-1] += 1
+        else:
+            positions[0] -= 1
+    return [union[index] for index in positions]
+
+
+def _assert_sub_mask_matches_cold(model, union, sub):
+    space = CoupleSpace(model, union)
+    in_space, cold = Recorder(), Recorder()
+    with use_recorder(in_space):
+        family = enumerate_maximal_independent_sets(model, sub, space=space)
+    with use_recorder(cold):
+        expected = enumerate_maximal_independent_sets(model, sub)
+    assert list(family) == list(expected)
+    assert family.couples in (space.couples, ())
+    for name in _SEARCH_COUNTERS:
+        assert in_space.counters.get(name, 0) == cold.counters.get(name, 0), name
+
+
+@given(network=geometric_networks(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_sub_masks_match_cold_enumeration_on_protocol_networks(network, data):
+    union = _links_of_interest(network, cap=8)
+    model = ProtocolInterferenceModel(network)
+    _assert_sub_mask_matches_cold(model, union, _scattered_sub_union(data, union))
+
+
+@given(
+    center=st.integers(min_value=0, max_value=191),
+    data=st.data(),
+)
+@settings(max_examples=25, deadline=None)
+def test_sub_masks_match_cold_enumeration_on_x7_unions(center, data):
+    model = _x7_model()
+    middle = model.network.node(f"n{center}")
+    union = sorted(
+        model.network.links,
+        key=lambda link: (link.sender.distance_to(middle), link.link_id),
+    )[:12]
+    _assert_sub_mask_matches_cold(model, union, _scattered_sub_union(data, union))
+
+
+@given(network=geometric_networks(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_sub_masks_match_cold_enumeration_on_declared_models(network, data):
+    """Declared models take the general prune, on the space's bits."""
+    union = _links_of_interest(network, cap=7)
+    ids = [link.link_id for link in union]
+    pairs = [(a, b) for index, a in enumerate(ids) for b in ids[index + 1 :]]
+    rules = [
+        ConflictRule(a, b)
+        if threshold is None
+        else ConflictRule(a, b, predicate=lambda ra, _rb, t=threshold: ra >= t)
+        for (a, b), threshold in zip(
+            pairs,
+            data.draw(
+                st.lists(
+                    st.sampled_from([None, None, 18.0, 36.0, 54.0, 99.0]),
+                    min_size=len(pairs),
+                    max_size=len(pairs),
+                )
+            ),
+        )
+        if threshold != 99.0
+    ]
+    model = DeclaredInterferenceModel(
+        network,
+        rules=rules,
+        standalone_mbps={
+            link_id: data.draw(
+                st.lists(
+                    st.sampled_from([54.0, 36.0, 18.0]),
+                    min_size=1,
+                    max_size=3,
+                    unique=True,
+                )
+            )
+            for link_id in ids
+        },
+    )
+    _assert_sub_mask_matches_cold(model, union, _scattered_sub_union(data, union))
+
+
+@given(network=geometric_networks(), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_sub_masks_match_cold_enumeration_on_physical_models(network, data):
+    union = _links_of_interest(network, cap=7)
+    model = PhysicalInterferenceModel(network)
+    _assert_sub_mask_matches_cold(model, union, _scattered_sub_union(data, union))
+
+
+def test_a_link_outside_the_space_is_refused():
+    network = _ladder_network(
+        n0=(0.0, 0.0), n1=(50.0, 0.0), n2=(0.0, 90.0), n3=(50.0, 90.0)
+    )
+    model = ProtocolInterferenceModel(network)
+    a, b = network.link("a"), network.link("b")
+    with pytest.raises(InterferenceError, match="not in the couple space"):
+        enumerate_maximal_independent_sets(
+            model, [a, b], space=CoupleSpace(model, [a])
+        )
 
 
 # -- incremental LP -----------------------------------------------------------

@@ -178,6 +178,48 @@ def _x7_estimate_inputs(n_nodes=192):
     return network, route(reachable[farthest]), background
 
 
+class TestOneCoupleSpace:
+    """A tiled estimate reads one couple space: its compatibility rows
+    are gathered once, for the decomposition, every tile and window
+    enumeration and the residual stitching together."""
+
+    @pytest.mark.parametrize("tile_size", [2, 4, 6])
+    def test_one_compatibility_gather_per_estimate(self, monkeypatch, tile_size):
+        from repro.interference.couple_index import CoupleIndex
+
+        gathers = []
+        compatibility = CoupleIndex.compatibility
+
+        def counted(index, couples):
+            gathers.append(len(couples))
+            return compatibility(index, couples)
+
+        monkeypatch.setattr(CoupleIndex, "compatibility", counted)
+        network, new_path, background = _x7_estimate_inputs()
+        model = ProtocolInterferenceModel(network)
+        recorder = Recorder()
+        with use_recorder(recorder):
+            estimate = tiled_path_bandwidth(
+                model, new_path, background, TileConfig(tile_size=tile_size)
+            )
+        assert len(estimate.tiles) > 1
+        # One gather, over every couple of the estimate's link union.
+        assert len(gathers) == 1
+        assert recorder.counters["enum.sets_found"] > 0
+
+    def test_decomposition_reads_the_given_space(self):
+        from repro.core.bandwidth import _collect_links
+        from repro.core.independent_sets import CoupleSpace
+
+        network, new_path, background = _x7_estimate_inputs()
+        model = ProtocolInterferenceModel(network)
+        config = TileConfig(tile_size=3)
+        space = CoupleSpace(model, _collect_links(background, new_path))
+        assert decompose_path(
+            model, new_path, background, config, space=space
+        ) == decompose_path(model, new_path, background, config)
+
+
 class TestAttributionOnRead:
     """The bottleneck attribution is computed when first read."""
 

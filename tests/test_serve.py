@@ -93,6 +93,39 @@ class TestSolveCache:
         assert recorder.counters["serve.cache.probe.hits"] == 1
         assert recorder.counters["serve.cache.probe.evictions"] == 1
 
+    def test_recorder_names_are_fixed_at_construction(self):
+        recorder = Recorder()
+        with use_recorder(recorder):
+            cache = SolveCache(1, "enum", prefix="online.cache")
+            cache.get("a")
+            cache.put("a", None)
+            assert cache.get("a") is None  # a stored None is a hit
+            cache.put("b", 2)
+        assert recorder.counters == {
+            "online.cache.enum.misses": 1,
+            "online.cache.enum.hits": 1,
+            "online.cache.enum.evictions": 1,
+        }
+        assert recorder.gauges["online.cache.enum.size"] == 1
+        assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 1)
+
+    def test_a_hit_hashes_its_key_twice(self):
+        class Key:
+            hashes = 0
+
+            def __hash__(self):
+                Key.hashes += 1
+                return 7
+
+        key = Key()
+        cache = SolveCache(2, "t")
+        cache.put(key, "value")
+        cache.put("later", 0)  # so the hit has to move the key
+        Key.hashes = 0
+        assert cache.get(key) == "value"
+        assert Key.hashes == 2  # the lookup and the recency move
+        assert cache.keys() == ["later", key]
+
     def test_rejects_zero_capacity(self):
         with pytest.raises(ConfigurationError):
             SolveCache(0, "t")
