@@ -25,7 +25,6 @@ from repro.core.bounds import (
 )
 from repro.core.cliques import (
     RateClique,
-    clique_transmission_time,
     enumerate_maximal_rate_cliques,
     fixed_rate_cliques,
     maximal_cliques_with_maximum_rates,
@@ -65,7 +64,6 @@ __all__ = [
     "lower_bound_from_subset",
     "greedy_column_subset",
     "RateClique",
-    "clique_transmission_time",
     "enumerate_maximal_rate_cliques",
     "maximal_cliques_with_maximum_rates",
     "fixed_rate_cliques",

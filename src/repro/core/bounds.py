@@ -26,8 +26,13 @@ from repro.core.bandwidth import (
     link_demands_from_paths,
     _collect_links,
 )
-from repro.core.cliques import RateClique, fixed_rate_cliques
-from repro.core.independent_sets import RateIndependentSet
+from repro.core.cliques import (
+    RateClique,
+    _conflict_rows,
+    _fixed_rate_cliques,
+    fixed_rate_cliques,
+)
+from repro.core.independent_sets import CoupleSpace, RateIndependentSet
 from repro.core.lp import LinearProgram
 from repro.errors import InfeasibleProblemError, InterferenceError
 from repro.interference.base import InterferenceModel
@@ -96,10 +101,16 @@ def max_clique_time(
     ``max_j Σ_{k∈C_ij} y_k / r_ik`` over the maximal cliques of the
     conflict graph with rates pinned to ``rate_vector``.
     """
-    cliques = fixed_rate_cliques(model, rate_vector)
-    if not cliques:
-        return 0.0
-    return max(clique.transmission_time(demands) for clique in cliques)
+    return _max_clique_time(fixed_rate_cliques(model, rate_vector), demands)
+
+
+def _max_clique_time(
+    cliques: Sequence[RateClique], demands: Dict[Link, float]
+) -> float:
+    """The largest transmission time of ``cliques`` (0 without any)."""
+    return max(
+        (clique.transmission_time(demands) for clique in cliques), default=0.0
+    )
 
 
 def hypothesis_min_clique_time(
@@ -113,10 +124,14 @@ def hypothesis_min_clique_time(
     The paper's (refuted) hypothesis is that this is ≤ 1 for every feasible
     demand vector.  Scenario II exhibits a feasible vector with value
     1.05 > 1; the tests and benchmark E2 reproduce that refutation.
+    Every rate vector's cliques are a sub-mask of one couple space.
     """
+    space = CoupleSpace(model, links)
+    conflict = _conflict_rows(space)
     best = float("inf")
     for rate_vector in enumerate_rate_vectors(model, links, max_vectors):
-        best = min(best, max_clique_time(model, rate_vector, demands))
+        cliques = _fixed_rate_cliques(space, conflict, rate_vector)
+        best = min(best, _max_clique_time(cliques, demands))
     return best
 
 
@@ -154,10 +169,15 @@ def clique_upper_bound(
       clique rows, since every link lies in some maximal clique, so not
       added separately),
     * delivery becomes  Σ_i h_ik ≥ x-demands + f·I_new.
+
+    Every rate vector's cliques are a sub-mask of one couple space over
+    the involved links.
     """
     links = _collect_links(background, new_path)
     demands = link_demands_from_paths(background)
     rate_vectors = list(enumerate_rate_vectors(model, links, max_vectors))
+    space = CoupleSpace(model, links)
+    conflict = _conflict_rows(space)
     new_links = set(new_path.links)
 
     lp = LinearProgram()
@@ -173,7 +193,8 @@ def clique_upper_bound(
             )
     lp.add_constraint_le({v: 1.0 for v in gamma_vars}, 1.0, name="airtime")
     for i, vector in enumerate(rate_vectors):
-        for c_index, clique in enumerate(fixed_rate_cliques(model, vector)):
+        cliques = _fixed_rate_cliques(space, conflict, vector)
+        for c_index, clique in enumerate(cliques):
             coefficients: Dict[str, float] = {
                 h_vars[(i, couple.link.link_id)]: 1.0 / couple.rate.mbps
                 for couple in clique.couples

@@ -12,25 +12,21 @@ upper bound (Eq. 9) and (b) the distributed estimators of Section 4.
 
 Both the rate-coupled enumeration and the fixed-rate-vector enumeration of
 Eq. 9 are maximal cliques of the link–rate conflict graph, found by the
-same bitmask Bron–Kerbosch and compatibility masks that enumerate the
-maximal independent sets (:mod:`repro.core.independent_sets`); here the
-search runs on the conflict side, with couples of one link never adjacent.
+same bitmask Bron–Kerbosch that enumerates the maximal independent sets
+(:mod:`repro.core.independent_sets`), on one
+:class:`~repro.core.independent_sets.CoupleSpace`: here the search runs on
+the conflict side (:func:`_conflict_rows`), with couples of one link never
+adjacent, over the whole space or, with every rate pinned, over the
+sub-mask of one couple per link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.independent_sets import (
-    _couple_names,
-    _mask_members,
-    _ordered_cliques,
-    _pairwise_compatibility_masks,
-)
-from repro.errors import InterferenceError
+from repro.core.independent_sets import CoupleSpace, _CoupleSet, _mask_members
 from repro.interference.base import InterferenceModel, LinkRate
-from repro.interference.conflict_graph import link_rate_vertices
 from repro.net.link import Link
 from repro.phy.rates import Rate
 
@@ -39,38 +35,18 @@ __all__ = [
     "enumerate_maximal_rate_cliques",
     "maximal_cliques_with_maximum_rates",
     "fixed_rate_cliques",
-    "clique_transmission_time",
 ]
 
 
 @dataclass(frozen=True)
-class RateClique:
+class RateClique(_CoupleSet):
     """A clique of (link, rate) couples, one rate per link."""
 
-    couples: FrozenSet[LinkRate]
-
-    def __post_init__(self) -> None:
-        links = [c.link for c in self.couples]
-        if len(set(links)) != len(links):
-            raise InterferenceError("a clique uses each link at most once")
+    _kind = "a clique"
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[Link, Rate]]) -> "RateClique":
         return cls(frozenset(LinkRate(link, rate) for link, rate in pairs))
-
-    @property
-    def links(self) -> FrozenSet[Link]:
-        return frozenset(c.link for c in self.couples)
-
-    @property
-    def size(self) -> int:
-        return len(self.couples)
-
-    def rate_of(self, link: Link) -> Optional[Rate]:
-        for couple in self.couples:
-            if couple.link == link:
-                return couple.rate
-        return None
 
     def transmission_time(self, demands: Dict[Link, float]) -> float:
         """Clique time share ``T = sum(y_i / r_i)`` for given link demands.
@@ -87,50 +63,55 @@ class RateClique:
             total += demand / couple.rate.mbps
         return total
 
-    def __iter__(self):
-        return iter(self.couples)
 
-    def __len__(self) -> int:
-        return len(self.couples)
+def _conflict_rows(space: CoupleSpace) -> List[int]:
+    """Bitmask adjacency of the conflict relation over ``space``'s couples.
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        inner = ", ".join(sorted(str(c) for c in self.couples))
-        return "{" + inner + "}"
-
-
-def clique_transmission_time(
-    clique: RateClique, demands: Dict[Link, float]
-) -> float:
-    """Module-level alias of :meth:`RateClique.transmission_time`."""
-    return clique.transmission_time(demands)
-
-
-def _maximal_cliques(
-    model: InterferenceModel, couples: Sequence[LinkRate]
-) -> List[RateClique]:
-    """Maximal cliques of the conflict relation over ``couples``, sorted
-    as Eq. 6's columns are (size descending, then couple names).
-
-    Runs the bitmask Bron–Kerbosch of :mod:`repro.core.independent_sets`
-    on the complement of the couples' compatibility masks, with the bits
-    of same-link couples cleared.  Couples of one link are then never
-    adjacent, so every clique holds one couple per link and plain graph
-    maximality is the paper's: no couple of a link outside C conflicts
-    with every member of C.
+    The complement of the compatibility rows, with the bits of same-link
+    couples cleared.  Couples of one link are then never adjacent, so
+    every clique holds one couple per link and plain graph maximality is
+    the paper's: no couple of a link outside C conflicts with every
+    member of C.
     """
-    compatible = _pairwise_compatibility_masks(model, couples)
-    same_link: Dict[Link, int] = {}
-    for index, couple in enumerate(couples):
-        same_link[couple.link] = same_link.get(couple.link, 0) | 1 << index
-    full = (1 << len(couples)) - 1
-    conflict = [
-        full & ~mask & ~same_link[couple.link]
-        for mask, couple in zip(compatible, couples)
-    ]
+    full = (1 << len(space.couples)) - 1
+    rows = list(space.compatible)
+    for same_link in space.bits.values():
+        rest = same_link
+        while rest:
+            low_bit = rest & -rest
+            rest ^= low_bit
+            vertex = low_bit.bit_length() - 1
+            rows[vertex] = full & ~rows[vertex] & ~same_link
+    return rows
+
+
+def _cliques(space: CoupleSpace, masks: Sequence[int]) -> List[RateClique]:
+    """The cliques of ``masks`` over ``space``'s couples."""
     return [
-        RateClique(frozenset(_mask_members(mask, couples)))
-        for mask in _ordered_cliques(conflict, _couple_names(model, couples))
+        RateClique(frozenset(_mask_members(mask, space.couples)))
+        for mask in masks
     ]
+
+
+def _fixed_rate_cliques(
+    space: CoupleSpace, conflict: List[int], rate_vector: Dict[Link, Rate]
+) -> List[RateClique]:
+    """:func:`fixed_rate_cliques` on ``space``, a space holding
+    ``rate_vector``'s links, with its :func:`_conflict_rows` ``conflict``."""
+    pinned = space.couple_mask(
+        LinkRate(link, rate) for link, rate in rate_vector.items()
+    )
+    return _cliques(space, space.ordered_cliques(conflict, pinned))
+
+
+def _rate_clique_masks(
+    model: InterferenceModel, links: Sequence[Link]
+) -> Tuple[CoupleSpace, List[int]]:
+    """The space over ``links`` and the masks of all its maximal
+    rate-coupled cliques, sorted as Eq. 6's columns are."""
+    space = CoupleSpace(model, links)
+    full = (1 << len(space.couples)) - 1
+    return space, space.ordered_cliques(_conflict_rows(space), full)
 
 
 def enumerate_maximal_rate_cliques(
@@ -138,11 +119,12 @@ def enumerate_maximal_rate_cliques(
 ) -> List[RateClique]:
     """All maximal rate-coupled cliques over ``links``.
 
-    Maximality is the paper's: "C ∪ {(L_i, r_i)} is not a clique for any
-    couple with L_i ∉ C".  Couples of links already in C are not
-    candidates for extension.
+    They come sorted as Eq. 6's columns are (size descending, then
+    couple names).  Maximality is the paper's: "C ∪ {(L_i, r_i)} is not
+    a clique for any couple with L_i ∉ C".  Couples of links already in
+    C are not candidates for extension.
     """
-    return _maximal_cliques(model, link_rate_vertices(model, links))
+    return _cliques(*_rate_clique_masks(model, links))
 
 
 def maximal_cliques_with_maximum_rates(
@@ -154,32 +136,28 @@ def maximal_cliques_with_maximum_rates(
     replacing some (L_i, r_i) ∈ C by (L_i, r'_i) with r'_i > r_i yields a
     set that is still a maximal clique.  (In the paper's Scenario II this
     keeps {(L1,54),...,(L4,54)} and {(L1,36),(L2,54),(L3,54)} and drops
-    {(L1,36),(L2,36),(L3,36)}.)
+    {(L1,36),(L2,36),(L3,36)}.)  On the space's bits a faster couple of
+    a member's link is a lower bit of that link's interval, so the test
+    swaps bits and looks the mask up among the maximal cliques.
     """
-    all_maximal = enumerate_maximal_rate_cliques(model, links)
-    maximal_index = set(all_maximal)
-    kept: List[RateClique] = []
-    for clique in all_maximal:
-        upgraded_elsewhere = False
-        for couple in clique.couples:
-            faster_rates = [
-                r
-                for r in model.standalone_rates(couple.link)
-                if r.mbps > couple.rate.mbps
-            ]
-            for faster in faster_rates:
-                replaced = (clique.couples - {couple}) | {
-                    LinkRate(couple.link, faster)
-                }
-                candidate = RateClique(frozenset(replaced))
-                if candidate in maximal_index:
-                    upgraded_elsewhere = True
-                    break
-            if upgraded_elsewhere:
-                break
-        if not upgraded_elsewhere:
-            kept.append(clique)
-    return kept
+    space, masks = _rate_clique_masks(model, links)
+    found = set(masks)
+
+    def upgradable(mask: int) -> bool:
+        rest = mask
+        while rest:
+            low_bit = rest & -rest
+            rest ^= low_bit
+            link_id = space.couples[low_bit.bit_length() - 1].link.link_id
+            faster = space.bits[link_id] & (low_bit - 1)
+            while faster:
+                up_bit = faster & -faster
+                faster ^= up_bit
+                if ((mask ^ low_bit) | up_bit) in found:
+                    return True
+        return False
+
+    return _cliques(space, [mask for mask in masks if not upgradable(mask)])
 
 
 def fixed_rate_cliques(
@@ -189,8 +167,12 @@ def fixed_rate_cliques(
     """Maximal cliques when every link's rate is pinned (Eq. 9 inner loop).
 
     The same search as :func:`enumerate_maximal_rate_cliques`, over the one
-    couple per link that ``rate_vector`` names.
+    couple per link that ``rate_vector`` names: a sub-mask of the space
+    over ``rate_vector``'s links.
+
+    Raises:
+        InterferenceError: when a link does not support its pinned rate
+            standalone (the couple is not in the space).
     """
-    return _maximal_cliques(
-        model, [LinkRate(link, rate) for link, rate in rate_vector.items()]
-    )
+    space = CoupleSpace(model, rate_vector)
+    return _fixed_rate_cliques(space, _conflict_rows(space), rate_vector)

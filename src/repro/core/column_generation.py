@@ -18,18 +18,20 @@ one restricted-master loop, :func:`_restricted_master`.  The master is a
 LP in :mod:`repro.core` has, with one penalised artificial surplus per
 demand row; the loop reads its duals and grows its columns through it.
 
-The pricing problem is itself NP-hard; :class:`_PricingProblem` solves
-it exactly over bitmasks (maximal independent sets of the
-positive-weight part of the conflict graph — affordable for mid-size
-instances), so a loop that converges ends at the true optimum.  One cut
-short by its iteration budget is a certified **lower bound** (it is
-still an Eq. 6 solution over a restricted family, Section 3.3).
+The pricing problem is itself NP-hard; :func:`_price` solves it exactly
+over bitmasks (maximal independent sets of the positive-weight part of
+the conflict graph — affordable for mid-size instances), so a loop that
+converges ends at the true optimum.  Pricing runs on the
+:class:`~repro.core.independent_sets.CoupleSpace` of the involved links:
+its couples are the master's, and its compatibility rows the graph.
+One cut short by its iteration budget is a certified **lower bound**
+(it is still an Eq. 6 solution over a restricted family, Section 3.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.bandwidth import (
     PathBandwidthResult,
@@ -40,15 +42,14 @@ from repro.core.bandwidth import (
 )
 from repro.core.independent_sets import (
     ColumnFamily,
+    CoupleSpace,
     _mask_members,
     _maximal_cliques_bitset,
-    _pairwise_compatibility_masks,
 )
 from repro.core.lp import LpSolution
 from repro.core.schedule import LinkSchedule
 from repro.errors import InfeasibleProblemError
-from repro.interference.base import InterferenceModel, LinkRate
-from repro.interference.conflict_graph import link_rate_vertices
+from repro.interference.base import InterferenceModel
 from repro.net.link import Link
 from repro.net.path import Path
 from repro.obs import get_recorder
@@ -78,83 +79,54 @@ class ColumnGenerationResult:
     proved_optimal: bool
 
 
-def _initial_columns(vertices: Sequence[LinkRate]) -> List[int]:
-    """A feasible starting pool: one singleton mask per usable link.
+def _price(space: CoupleSpace, prices: Sequence[float]) -> Tuple[int, float]:
+    """A maximum-weight independent set of the positive-price couples.
 
-    ``vertices`` lists each link's couples fastest first
-    (:func:`~repro.interference.conflict_graph.link_rate_vertices`), so a
-    link's first couple is its maximum standalone rate.  Those singletons
-    always form valid columns and make the master feasible whenever the
-    demands are feasible at all on a TDMA (one-at-a-time) basis; the
-    pricing loop then discovers spatial reuse.
+    ``prices[v]`` is couple ``v``'s price; returns the set's mask (``0``
+    when no price is positive) and its price, summed lowest bit first.
+    Every maximum-weight independent set extends to a maximal one of the
+    positive-price subgraph with the same weight, so scanning those
+    maximal sets is exact.
     """
-    pool = []
-    seen: Set[str] = set()
-    for index, vertex in enumerate(vertices):
-        if vertex.link.link_id not in seen:
-            seen.add(vertex.link.link_id)
-            pool.append(1 << index)
-    return pool
-
-
-class _PricingProblem:
-    """Bitmask MWIS pricing state, built once per column-generation call.
-
-    Holds the couple vertices and the compatibility masks of the link–rate
-    conflict graph's complement, so every pricing round is an integer-mask
-    Bron–Kerbosch over the same vertex indices.  The caller accounts its
-    time (``cg.pricing`` span) and calls.
-    """
-
-    def __init__(self, model: InterferenceModel, vertices: Sequence[LinkRate]):
-        self.vertices = vertices
-        self.independent = _pairwise_compatibility_masks(model, vertices)
-
-    def exact(self, weights: Dict[LinkRate, float]) -> int:
-        """The mask of a maximum-weight independent set of the
-        positive-weight vertices (``0`` when none has a positive weight).
-
-        Every maximum-weight independent set extends to a maximal one of
-        the positive-weight subgraph with the same weight, so scanning
-        those maximal sets is exact.
-        """
-        positive = 0
-        for index, vertex in enumerate(self.vertices):
-            if weights.get(vertex, 0.0) > 0.0:
-                positive |= 1 << index
-        best_mask = 0
-        best_weight = 0.0
-        cliques, _ = _maximal_cliques_bitset(
-            self.independent, len(self.vertices), subset=positive
-        )
-        for clique in cliques:
-            weight = 0.0
-            for vertex in _mask_members(clique, self.vertices):
-                weight += weights[vertex]
-            if weight > best_weight:
-                best_weight = weight
-                best_mask = clique
-        return best_mask
+    positive = 0
+    for vertex, price in enumerate(prices):
+        if price > 0.0:
+            positive |= 1 << vertex
+    best_mask = 0
+    best_weight = 0.0
+    cliques, _ = _maximal_cliques_bitset(
+        space.compatible, len(space.couples), subset=positive
+    )
+    for clique in cliques:
+        weight = 0.0
+        for price in _mask_members(clique, prices):
+            weight += price
+        if weight > best_weight:
+            best_weight = weight
+            best_mask = clique
+    return best_mask, best_weight
 
 
 def _master(
-    model: InterferenceModel,
-    links: Sequence[Link],
+    space: CoupleSpace,
     demands: Dict[Link, float],
     new_links: Optional[Set[Link]] = None,
 ) -> TimeShareProgram:
-    """The restricted master before any pricing round.
+    """The restricted master before any pricing round, one demand row
+    per link of ``space``.
 
     With ``new_links`` it maximises ``f`` on those links within one
     period (Eq. 6); without, it minimises total airtime.  Its columns
-    are :func:`_initial_columns` over the pricing vertices, and an
-    artificial surplus per demand row keeps it feasible before pricing
-    has found enough spatial reuse.
+    are one singleton per usable link at its fastest couple, the lowest
+    bit of the link's interval: valid columns that make the master
+    feasible whenever the demands are feasible at all on a TDMA
+    (one-at-a-time) basis, and an artificial surplus per demand row
+    keeps it feasible before pricing has found enough spatial reuse.
     """
-    vertices = link_rate_vertices(model, links)
+    fastest = [mask & -mask for mask in space.bits.values() if mask]
     return _time_share_lp(
-        ColumnFamily(vertices, _initial_columns(vertices)),
-        links,
+        ColumnFamily(space.couples, fastest),
+        space.links,
         demands,
         None if new_links is None else "f",
         dict.fromkeys(new_links or (), -1.0),
@@ -163,16 +135,17 @@ def _master(
 
 
 def _restricted_master(
-    model: InterferenceModel,
+    space: CoupleSpace,
     program: TimeShareProgram,
     max_iterations: int,
 ) -> Tuple[LpSolution, int, bool]:
     """The restricted-master loop behind both entry points.
 
-    Solves ``program`` (a :func:`_master`) and grows it in place by the
-    column pricing finds, until no column improves it: with a lead, a
-    column improves it when its priced value beats the airtime dual;
-    without, when it is worth more than one unit of airtime.  The
+    Solves ``program`` (the :func:`_master` of ``space``) and grows it
+    in place by the column pricing finds, until no column improves it:
+    with a lead, a column improves it when its priced value beats the
+    airtime dual; without, when it is worth more than one unit of
+    airtime.  The
     artificials' penalty drives them to zero, and a survivor at
     convergence means the demands are genuinely undeliverable.
 
@@ -188,10 +161,8 @@ def _restricted_master(
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     recorder = get_recorder()
     with recorder.span("cg.solve"):
-        vertices = program.columns.couples
-        pricing = _PricingProblem(model, vertices)
         row_of = {link.link_id: row for row, link in enumerate(program.links)}
-        vertex_rows = [row_of[vertex.link.link_id] for vertex in vertices]
+        vertex_rows = [row_of[vertex.link.link_id] for vertex in space.couples]
         initial_pool_size = len(program.columns)
         iterations = 0
         converged = False
@@ -205,16 +176,13 @@ def _restricted_master(
                 # beats its airtime cost, w_l the demand-row duals.
                 threshold = program.airtime_dual(solution) if program.lead else 1.0
                 duals = program.link_duals(solution)
-                prices: Dict[LinkRate, float] = {
-                    vertex: duals[row] * vertex.rate.mbps
-                    for vertex, row in zip(vertices, vertex_rows)
-                }
+                prices = [
+                    duals[row] * vertex.rate.mbps
+                    for vertex, row in zip(space.couples, vertex_rows)
+                ]
                 recorder.count("cg.pricing.exact_calls")
                 with recorder.span("cg.pricing"):
-                    candidate = pricing.exact(prices)
-                candidate_value = sum(
-                    prices[vertex] for vertex in _mask_members(candidate, vertices)
-                )
+                    candidate, candidate_value = _price(space, prices)
                 # A known column re-proposed means numerical convergence.
                 if (
                     candidate_value <= threshold + _PRICING_EPS
@@ -253,11 +221,10 @@ def solve_with_column_generation(
             ``proved_optimal=False``.
     """
     demands = link_demands_from_paths(background)
-    program = _master(
-        model, _collect_links(background, new_path), demands, set(new_path.links)
-    )
+    space = CoupleSpace(model, _collect_links(background, new_path))
+    program = _master(space, demands, set(new_path.links))
     solution, iterations, converged = _restricted_master(
-        model, program, max_iterations
+        space, program, max_iterations
     )
     result = PathBandwidthResult(
         available_bandwidth=solution.objective,
@@ -303,9 +270,10 @@ def min_airtime_column_generation(
     links = _collect_links(background)
     if not links:
         return LinkSchedule(())
-    program = _master(model, links, link_demands_from_paths(background))
+    space = CoupleSpace(model, links)
+    program = _master(space, link_demands_from_paths(background))
     solution, _iterations, _converged = _restricted_master(
-        model, program, max_iterations
+        space, program, max_iterations
     )
     total = sum(program.shares(solution))
     if total <= 1.0 + 1e-9:

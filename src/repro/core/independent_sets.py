@@ -51,7 +51,9 @@ and each part is searched as a sub-mask of it.  A part's links are a
 subsequence of the space's link order, so its couples keep their
 relative order: the search, the column keys, the order and the pruned
 family are those of a space built over the part alone, on the bits of
-the larger one.
+the larger one.  The other searches over standalone couples (the
+cliques of :mod:`repro.core.cliques`, Eq. 9, column-generation pricing
+and A1's fixed-rate columns) read a space the same way.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ import numpy as np
 from repro.errors import InterferenceError
 from repro.interference.base import InterferenceModel, LinkRate
 from repro.obs import get_recorder
-from repro.interference.conflict_graph import link_rate_vertices
 from repro.interference.physical import PhysicalInterferenceModel
 from repro.net.link import Link
 from repro.phy.rates import Rate
@@ -80,31 +81,25 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RateIndependentSet:
-    """An independent set of (link, rate) couples with its rate vector."""
+class _CoupleSet:
+    """A set of (link, rate) couples, one per link: the shared part of
+    :class:`RateIndependentSet` and :class:`~repro.core.cliques.RateClique`.
+    """
 
     couples: FrozenSet[LinkRate]
+
+    #: What the set is, for the one-couple-per-link error.
+    _kind = "a couple set"
 
     def __post_init__(self) -> None:
         links = [c.link for c in self.couples]
         if len(set(links)) != len(links):
-            raise InterferenceError(
-                "an independent set uses each link at most once"
-            )
-
-    @classmethod
-    def from_vector(cls, vector: Dict[Link, Rate]) -> "RateIndependentSet":
-        return cls(frozenset(LinkRate(link, rate) for link, rate in vector.items()))
+            raise InterferenceError(f"{self._kind} uses each link at most once")
 
     @cached_property
     def _rate_by_link(self) -> Dict[Link, Rate]:
         """Link→rate lookup, built once (the set is immutable)."""
         return {c.link: c.rate for c in self.couples}
-
-    @cached_property
-    def _mbps_by_link(self) -> Dict[Link, float]:
-        """Link→Mbps lookup used by dominance checks and throughput queries."""
-        return {c.link: c.rate.mbps for c in self.couples}
 
     @property
     def links(self) -> FrozenSet[Link]:
@@ -117,6 +112,41 @@ class RateIndependentSet:
     def rate_of(self, link: Link) -> Optional[Rate]:
         """The rate assigned to ``link``, or ``None`` if absent."""
         return self._rate_by_link.get(link)
+
+    def __iter__(self):
+        return iter(self.couples)
+
+    def __len__(self) -> int:
+        return len(self.couples)
+
+    def __str__(self) -> str:  # pragma: no cover - also the column order key
+        """``{(link,rate), …}``, couples sorted by their own ``str``.
+
+        Not only cosmetic: Eq. 6 columns are ordered by size, then by
+        this string, so it fixes the LP's column order.
+        :func:`_column_order` reproduces that order from per-couple name
+        ranks without building the string.
+        """
+        inner = ", ".join(
+            sorted(str(c) for c in self.couples)
+        )
+        return "{" + inner + "}"
+
+
+@dataclass(frozen=True)
+class RateIndependentSet(_CoupleSet):
+    """An independent set of (link, rate) couples with its rate vector."""
+
+    _kind = "an independent set"
+
+    @classmethod
+    def from_vector(cls, vector: Dict[Link, Rate]) -> "RateIndependentSet":
+        return cls(frozenset(LinkRate(link, rate) for link, rate in vector.items()))
+
+    @cached_property
+    def _mbps_by_link(self) -> Dict[Link, float]:
+        """Link→Mbps lookup used by dominance checks and throughput queries."""
+        return {c.link: c.rate.mbps for c in self.couples}
 
     def throughput_of(self, link: Link) -> float:
         """Mbps delivered on ``link`` per unit scheduled time (0 if absent).
@@ -144,25 +174,6 @@ class RateIndependentSet:
             if own_rates.get(link, 0.0) < mbps:
                 return False
         return True
-
-    def __iter__(self):
-        return iter(self.couples)
-
-    def __len__(self) -> int:
-        return len(self.couples)
-
-    def __str__(self) -> str:  # pragma: no cover - also the column order key
-        """``{(link,rate), …}``, couples sorted by their own ``str``.
-
-        Not only cosmetic: Eq. 6 columns are ordered by size, then by
-        this string, so it fixes the LP's column order.
-        :func:`_column_order` reproduces that order from per-couple name
-        ranks without building the string.
-        """
-        inner = ", ".join(
-            sorted(str(c) for c in self.couples)
-        )
-        return "{" + inner + "}"
 
 
 def _mask_members(mask: int, vertices: Sequence[LinkRate]) -> List[LinkRate]:
@@ -268,43 +279,16 @@ def prune_dominated(
     ``S - v + u`` is independent.  Conversely that upgrade extends to a
     maximal clique, which is in the family and dominates ``S``.
     ``slower`` is the family's next-faster mask
-    (:attr:`CoupleSpace.slower`) when the caller has it; it is derived
-    from the couples otherwise.
+    (:attr:`CoupleSpace.slower`); the test runs only when both are given.
     """
     family = ColumnFamily.of(sets)
-    if compatible is not None:
-        if slower is None:
-            slower = _slower_couples(family.couples)
-        if slower is not None:
-            return ColumnFamily(
-                family.couples,
-                _upgradable(family.masks, compatible, slower),
-            )
+    if compatible is not None and slower is not None:
+        return ColumnFamily(
+            family.couples, _upgradable(family.masks, compatible, slower)
+        )
     return ColumnFamily(
         family.couples, _undominated(family.couples, family.masks)
     )
-
-
-def _slower_couples(couples: Sequence[LinkRate]) -> Optional[int]:
-    """The mask of couples whose link's next-faster couple is the one
-    just before them, or ``None`` unless each link's couples stand
-    together, fastest first (as ``link_rate_vertices`` lists them).
-    """
-    slower = 0
-    seen = set()
-    previous = None
-    for vertex, couple in enumerate(couples):
-        link_id = couple.link.link_id
-        if previous is not None and link_id == previous.link.link_id:
-            if couple.rate.mbps >= previous.rate.mbps:
-                return None
-            slower |= 1 << vertex
-        elif link_id in seen:
-            return None
-        else:
-            seen.add(link_id)
-        previous = couple
-    return slower
 
 
 def _upgradable(
@@ -433,15 +417,6 @@ def _column_order(
     return list(map(masks.__getitem__, order))
 
 
-def _ordered_cliques(adjacency: List[int], names: Sequence[str]) -> List[int]:
-    """All maximal cliques of ``adjacency`` in :func:`_column_order`,
-    over vertices named ``names``."""
-    cliques, keys = _maximal_cliques_bitset(
-        adjacency, len(names), weights=_column_weights(names)
-    )
-    return _column_order(cliques, keys, names)
-
-
 class CoupleSpace:
     """The couples of one link union and what every search over it reads.
 
@@ -449,14 +424,20 @@ class CoupleSpace:
     counts once, at its first place).  The couples are laid out as
     :func:`~repro.interference.conflict_graph.link_rate_vertices` lays
     them out: each link's standalone couples together, fastest first, so
-    each link's couples are one bit interval (:meth:`mask_of`).  The
-    names, the column weights of :func:`_column_weights` and the
+    each link's couples are one bit interval (:meth:`mask_of`), and the
+    next-faster couple of any but a link's first is the bit below it.
+    The names, the column weights of :func:`_column_weights` and the
     next-faster mask of the pairwise prune are made here; the
     compatibility rows (:func:`_pairwise_compatibility_masks` over all
     the couples) are gathered on the first read of :attr:`compatible`,
-    so a cumulative search, which does not read them, gathers none.  A
-    part of the union is searched as the sub-mask of its links (see
-    :func:`enumerate_maximal_independent_sets`).
+    so a cumulative search, which does not read them, gathers none.
+
+    This is the only code that knows that layout.  Every search over
+    standalone couples runs on a space, over all of it or a sub-mask:
+    Eq. 6's columns, its tiles and residual windows (a part's links,
+    :meth:`mask_of`), A1's fixed-rate columns and Eq. 9's fixed-rate
+    cliques (one couple per link, :meth:`couple_mask`), the rate-coupled
+    cliques of :mod:`repro.core.cliques` and column-generation pricing.
     """
 
     __slots__ = (
@@ -482,21 +463,28 @@ class CoupleSpace:
         self.couples: Tuple[LinkRate, ...] = tuple(couples)
         #: Link id -> the bits of its couples (0 for a link without any).
         self.bits = bits
-        physical = isinstance(model, PhysicalInterferenceModel)
-        #: ``str`` of each couple; the names fix Eq. 6's column order.
+        # A kernel-backed pairwise model's kernel (the cumulative search
+        # reads no couple index).
+        kernel = None
+        if not isinstance(model, PhysicalInterferenceModel):
+            kernel = getattr(model, "kernel", None)
+        #: ``str`` of each couple (the kernel's couple index makes each
+        #: name once); the names fix Eq. 6's column order.
         self.names: List[str] = (
-            list(map(str, couples)) if physical else _couple_names(model, couples)
+            list(map(str, couples))
+            if kernel is None
+            else kernel.couple_index.names(couples)
         )
         #: Each couple's :func:`_column_weights` weight, or ``None``.
         self.weights = _column_weights(self.names)
         #: The kernel-backed pairwise prune's next-faster mask
-        #: (:func:`prune_dominated`); ``None`` for the models that take
-        #: the general prune.
-        self.slower: Optional[int] = (
-            _slower_couples(couples)
-            if not physical and getattr(model, "kernel", None) is not None
-            else None
-        )
+        #: (:func:`prune_dominated`): every couple but its link's
+        #: fastest.  ``None`` for the models that take the general prune.
+        self.slower: Optional[int] = None
+        if kernel is not None:
+            self.slower = 0
+            for mask in bits.values():
+                self.slower |= mask & (mask - 1)
         self._compatible: Optional[List[int]] = None
 
     @property
@@ -520,6 +508,35 @@ class CoupleSpace:
                 f"link {missing.args[0]!r} is not in the couple space"
             ) from None
         return mask
+
+    def couple_mask(self, couples: Iterable[LinkRate]) -> int:
+        """The bits of ``couples``; each must be a couple of the space,
+        that is, a link of the union at one of its standalone rates."""
+        mask = 0
+        for couple in couples:
+            rest = self.bits.get(couple.link.link_id, 0)
+            while rest:
+                low_bit = rest & -rest
+                rest ^= low_bit
+                if self.couples[low_bit.bit_length() - 1].rate == couple.rate:
+                    mask |= low_bit
+                    break
+            else:
+                raise InterferenceError(
+                    f"couple {couple} is not in the couple space: link "
+                    f"{couple.link.link_id!r} does not support "
+                    f"{couple.rate.mbps:g} Mbps standalone"
+                )
+        return mask
+
+    def ordered_cliques(self, rows: Sequence[int], subset: int) -> List[int]:
+        """All maximal cliques of the graph ``rows`` (bitmask adjacency
+        over the space's bits) induced on ``subset``, in Eq. 6's column
+        order (:func:`_column_order`)."""
+        masks, keys = _maximal_cliques_bitset(
+            rows, len(self.couples), subset, self.weights
+        )
+        return _column_order(masks, keys, self.names)
 
 
 def enumerate_maximal_independent_sets(
@@ -564,7 +581,6 @@ def enumerate_maximal_independent_sets(
         if not subset:
             return ColumnFamily((), ())
         couples = space.couples
-        compatible = None
         if isinstance(model, PhysicalInterferenceModel):
             with recorder.span("enum.cumulative"):
                 masks, keys = _enumerate_cumulative(
@@ -573,61 +589,23 @@ def enumerate_maximal_independent_sets(
                 masks = _column_order(masks, keys, space.names)
         else:
             with recorder.span("enum.pairwise"):
-                rows = space.compatible
-                masks, keys = _maximal_cliques_bitset(
-                    rows, len(couples), subset, space.weights
-                )
-                masks = _column_order(masks, keys, space.names)
-            if space.slower is not None:
-                # Kernel rows only tighten with the rate: the family
-                # takes the next-faster test (see prune_dominated).
-                compatible = rows
+                masks = space.ordered_cliques(space.compatible, subset)
         if max_sets is not None and len(masks) > max_sets:
             raise InterferenceError(
                 f"{len(masks)} maximal independent sets exceed the cap "
                 f"{max_sets}; use column generation for this instance"
             )
         with recorder.span("enum.prune"):
+            # Kernel rows only tighten with the rate: a space with a
+            # next-faster mask takes that test (see prune_dominated).
             pruned = prune_dominated(
                 ColumnFamily(couples, masks),
-                compatible=compatible,
+                compatible=None if space.slower is None else space.compatible,
                 slower=space.slower,
             )
         recorder.count("enum.sets_found", len(masks))
         recorder.count("enum.sets_pruned", len(masks) - len(pruned))
     return pruned
-
-
-def _enumerate_pairwise(
-    model: InterferenceModel, vertices: Sequence[LinkRate]
-) -> List[int]:
-    """Maximal independent sets of the conflict graph over ``vertices``.
-
-    Maximal independent sets of the conflict graph are maximal cliques of
-    its complement; both are computed here directly on integer bitmasks
-    (Bron–Kerbosch with pivoting) instead of materializing networkx
-    graphs, and returned as vertex masks in Eq. 6's column order, not
-    pruned.  Kernel-backed models read their pairwise compatibility and
-    couple names from the model's couple index; other models fall back
-    to per-pair
-    :meth:`~repro.interference.base.InterferenceModel.conflicts` calls
-    and ``str``.
-    """
-    return _ordered_cliques(
-        _pairwise_compatibility_masks(model, vertices),
-        _couple_names(model, vertices),
-    )
-
-
-def _couple_names(
-    model: InterferenceModel, vertices: Sequence[LinkRate]
-) -> List[str]:
-    """``str`` of each couple, read from a kernel-backed model's couple
-    index, which makes each name once per model."""
-    kernel = getattr(model, "kernel", None)
-    if kernel is not None:
-        return kernel.couple_index.names(vertices)
-    return list(map(str, vertices))
 
 
 def _pairwise_compatibility_masks(
@@ -667,10 +645,9 @@ def _maximal_cliques_bitset(
     """All maximal cliques of a bitmask-adjacency graph (Bron–Kerbosch).
 
     The one clique search over couples.  On the compatibility masks it
-    finds maximal independent sets (:func:`_enumerate_pairwise`, for Eq. 6
-    and A1's fixed-rate columns, and exact pricing); on their complement
-    it finds the rate-coupled and fixed-rate cliques of
-    :mod:`repro.core.cliques`.
+    finds maximal independent sets (Eq. 6 and A1's fixed-rate columns,
+    and exact pricing); on their complement it finds the rate-coupled and
+    fixed-rate cliques of :mod:`repro.core.cliques`.
 
     With ``subset`` given, cliques are enumerated in (and maximal relative
     to) the sub-graph induced by that vertex mask — the pricing oracle's
@@ -740,8 +717,8 @@ def _maximal_cliques_bitset(
 def _enumerate_cumulative(
     model: PhysicalInterferenceModel,
     vertices: Sequence[LinkRate],
-    weights: Optional[Sequence[int]] = None,
-    subset: Optional[int] = None,
+    weights: Optional[Sequence[int]],
+    subset: int,
 ) -> Tuple[List[int], Optional[List[int]]]:
     """Exact enumeration under cumulative interference (Eq. 3).
 
@@ -757,8 +734,8 @@ def _enumerate_cumulative(
     is "adding the link lowers some member's rate or is infeasible".  Each
     kept set is emitted once, as a mask over ``vertices``, in discovery
     order, with the sum of ``weights`` over its members as
-    :func:`_maximal_cliques_bitset` returns it.  With ``subset`` given,
-    only the links of the vertices in that mask are searched.
+    :func:`_maximal_cliques_bitset` returns it.  Only the links of the
+    vertices in ``subset`` are searched.
 
     The DFS carries the accumulated per-node interference vector of the
     current subset (one power-matrix row added per descent), so evaluating
@@ -767,8 +744,6 @@ def _enumerate_cumulative(
     """
     by_link: Dict[str, Link] = {}
     vertex_of: Dict[Tuple[str, Rate], int] = {}
-    if subset is None:
-        subset = (1 << len(vertices)) - 1
     for index in _mask_members(subset, range(len(vertices))):
         vertex = vertices[index]
         by_link.setdefault(vertex.link.link_id, vertex.link)

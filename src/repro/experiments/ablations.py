@@ -19,7 +19,7 @@ from repro.core.column_generation import (
     min_airtime_column_generation,
     solve_with_column_generation,
 )
-from repro.core.independent_sets import ColumnFamily, _enumerate_pairwise
+from repro.core.independent_sets import ColumnFamily, CoupleSpace
 from repro.errors import InterferenceError
 from repro.estimation.estimators import ESTIMATORS
 from repro.estimation.idle_time import node_idleness_from_schedule, path_state_for
@@ -61,18 +61,22 @@ def fixed_rate_available_bandwidth(
     Columns are the maximal independent sets of the conflict graph induced
     on exactly the couples of ``rate_vector`` — the network each link pins
     to one rate forever — found by the same bitmask search as Eq. 6's
-    enumeration and ordered as
+    enumeration, on the sub-mask of those couples in the couple space of
+    ``rate_vector``'s links, and ordered as
     :func:`~repro.core.independent_sets.enumerate_maximal_independent_sets`
     orders its columns.
+
+    Raises:
+        InterferenceError: when a link does not support its pinned rate
+            standalone (the couple is not in the space).
     """
-    couples = [LinkRate(link, rate) for link, rate in rate_vector.items()]
-    for couple in couples:
-        if couple.rate not in model.standalone_rates(couple.link):
-            raise InterferenceError(
-                f"link {couple.link.link_id!r} does not support "
-                f"{couple.rate.mbps:g} Mbps standalone"
-            )
-    columns = ColumnFamily(couples, _enumerate_pairwise(model, couples))
+    space = CoupleSpace(model, rate_vector)
+    pinned = space.couple_mask(
+        LinkRate(link, rate) for link, rate in rate_vector.items()
+    )
+    columns = ColumnFamily(
+        space.couples, space.ordered_cliques(space.compatible, pinned)
+    )
     result = available_path_bandwidth(
         model, path, background, independent_sets=columns
     )

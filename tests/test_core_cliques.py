@@ -10,6 +10,7 @@ from repro.core.cliques import (
 )
 from repro.errors import InterferenceError
 from repro.interference.base import LinkRate
+from repro.verify.instances import generate_instance, instance_strategy
 
 
 def make_clique(network, *pairs):
@@ -157,3 +158,83 @@ class TestFixedRateCliques:
         for clique in cliques:
             for couple in clique:
                 assert couple.rate is vector[couple.link]
+
+
+def _pinned_beyond_standalone():
+    """Geometric chain 0, where L3 decodes only 18 Mbps alone, with every
+    link at its fastest standalone rate but L3 pinned at 54 Mbps."""
+    instance = generate_instance(0, "geometric-chain")
+    model = instance.model
+    vector = {link: model.standalone_rates(link)[0] for link in instance.links}
+    link3 = instance.network.link("L3")
+    assert [rate.mbps for rate in model.standalone_rates(link3)] == [18.0]
+    vector[link3] = instance.network.radio.rate_table.get(54.0)
+    return instance, vector
+
+
+class TestFixedRateInput:
+    """A pinned rate its link cannot decode alone is not a couple of the
+    space: Eq. 9's fixed-rate cliques and A1's fixed-rate columns reject
+    it with one check."""
+
+    def test_fixed_rate_cliques_reject_unsupported_rate(self):
+        instance, vector = _pinned_beyond_standalone()
+        with pytest.raises(InterferenceError, match="not in the couple space"):
+            fixed_rate_cliques(instance.model, vector)
+
+    def test_fixed_rate_available_bandwidth_rejects_unsupported_rate(self):
+        from repro.experiments.ablations import fixed_rate_available_bandwidth
+
+        instance, vector = _pinned_beyond_standalone()
+        with pytest.raises(InterferenceError, match="not in the couple space"):
+            fixed_rate_available_bandwidth(
+                instance.model, instance.new_path, vector, instance.background
+            )
+
+
+def reference_maximum_rate_cliques(model, links):
+    """Section 3.1's definition on frozensets: drop a maximal clique when
+    swapping one member for a faster couple of its link gives another
+    maximal clique."""
+    all_maximal = enumerate_maximal_rate_cliques(model, links)
+    maximal_index = set(all_maximal)
+    kept = []
+    for clique in all_maximal:
+        upgraded = any(
+            RateClique(
+                (clique.couples - {couple}) | {LinkRate(couple.link, faster)}
+            )
+            in maximal_index
+            for couple in clique.couples
+            for faster in model.standalone_rates(couple.link)
+            if faster.mbps > couple.rate.mbps
+        )
+        if not upgraded:
+            kept.append(clique)
+    return kept
+
+
+class TestMaximumRateCliquesByMask:
+    def test_scenario_two_drops_a_clique(self, s2_bundle):
+        links = list(s2_bundle.path.links)
+        kept = maximal_cliques_with_maximum_rates(s2_bundle.model, links)
+        assert kept == reference_maximum_rate_cliques(s2_bundle.model, links)
+        assert len(kept) < len(enumerate_maximal_rate_cliques(s2_bundle.model, links))
+
+    def test_equals_frozenset_definition_on_random_instances(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import HealthCheck, given, settings
+
+        @given(instance=instance_strategy())
+        @settings(
+            max_examples=60,
+            deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        )
+        def same_cliques(instance):
+            links = instance.links
+            assert maximal_cliques_with_maximum_rates(
+                instance.model, links
+            ) == reference_maximum_rate_cliques(instance.model, links)
+
+        same_cliques()

@@ -1914,32 +1914,29 @@ class TestPositionalReads:
     @pytest.mark.parametrize("lead", [False, True])
     def test_column_generation_master_grown_column_by_column(self, lead):
         from repro.core.bandwidth import _collect_links, link_demands_from_paths
-        from repro.core.column_generation import _PricingProblem, _master
-        from repro.core.independent_sets import _mask_members
+        from repro.core.column_generation import _master, _price
+        from repro.core.independent_sets import CoupleSpace, _mask_members
         from repro.workloads.scenarios import admission_query_workload
 
         workload = admission_query_workload(n_flows=8, repeats=1)
         path = workload.queries[0].path
         links = _collect_links(workload.background, path)
         demands = link_demands_from_paths(workload.background)
-        program = _master(
-            workload.model, links, demands, set(path.links) if lead else None
-        )
-        twin = _master(
-            workload.model, links, demands, set(path.links) if lead else None
-        ).lp
-        pricing = _PricingProblem(workload.model, program.columns.couples)
+        space = CoupleSpace(workload.model, links)
+        program = _master(space, demands, set(path.links) if lead else None)
+        twin = _master(space, demands, set(path.links) if lead else None).lp
+        assert program.columns.couples == space.couples
         grown = 0
         for _round in range(40):
             solution = program.lp.solve()
             _assert_reads_by_name(program, solution)
             assert _solution_bits(solution) == _solution_bits(twin.solve())
             assert _model_fields(program.lp._model) == _model_fields(twin._model)
-            prices = {
-                vertex: solution.duals[f"demand[{vertex.link.link_id}]"] * vertex.rate.mbps
-                for vertex in program.columns.couples
-            }
-            mask = pricing.exact(prices)
+            prices = [
+                solution.duals[f"demand[{vertex.link.link_id}]"] * vertex.rate.mbps
+                for vertex in space.couples
+            ]
+            mask, _value = _price(space, prices)
             if not mask or mask in program.columns.masks:
                 break
             program.add_column(mask)

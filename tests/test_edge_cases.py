@@ -56,17 +56,15 @@ class TestFrameStride:
             assert math.gcd(stride, n) == 1
 
 
-def _pricing_problem(bundle):
-    """The pricing state and its conflict graph over ``bundle.path``."""
-    from repro.core.column_generation import _PricingProblem
-    from repro.interference.conflict_graph import (
-        build_link_rate_conflict_graph,
-        link_rate_vertices,
-    )
+def _pricing_space(bundle):
+    """The couple space pricing runs on over ``bundle.path``, and its
+    conflict graph."""
+    from repro.core.independent_sets import CoupleSpace
+    from repro.interference.conflict_graph import build_link_rate_conflict_graph
 
     links = list(bundle.path.links)
     return (
-        _PricingProblem(bundle.model, link_rate_vertices(bundle.model, links)),
+        CoupleSpace(bundle.model, links),
         build_link_rate_conflict_graph(bundle.model, links),
     )
 
@@ -83,18 +81,21 @@ class TestExactPricingOracle:
     def test_exact_respects_conflicts(self, s2_bundle):
         from repro.core.independent_sets import _mask_members
 
-        pricing, graph = _pricing_problem(s2_bundle)
-        weights = {vertex: vertex.rate.mbps for vertex in pricing.vertices}
-        chosen = _mask_members(pricing.exact(weights), pricing.vertices)
+        from repro.core.column_generation import _price
+
+        space, graph = _pricing_space(s2_bundle)
+        weights = [vertex.rate.mbps for vertex in space.couples]
+        mask, value = _price(space, weights)
+        chosen = _mask_members(mask, space.couples)
         _assert_conflict_free(graph, chosen)
+        assert value == sum(vertex.rate.mbps for vertex in chosen)
 
     def test_exact_ignores_nonpositive_weights(self, s2_bundle):
-        pricing, _graph = _pricing_problem(s2_bundle)
-        weights = {
-            vertex: -float(index % 2)
-            for index, vertex in enumerate(pricing.vertices)
-        }
-        assert pricing.exact(weights) == 0
+        from repro.core.column_generation import _price
+
+        space, _graph = _pricing_space(s2_bundle)
+        weights = [-float(index % 2) for index in range(len(space.couples))]
+        assert _price(space, weights) == (0, 0.0)
 
 
 class TestAllowOverload:

@@ -12,12 +12,11 @@ import pytest
 
 from repro.core.bandwidth import _collect_links, available_path_bandwidth
 from repro.core.independent_sets import (
+    ColumnFamily,
+    CoupleSpace,
     RateIndependentSet,
-    _enumerate_pairwise,
-    _mask_members,
     enumerate_maximal_independent_sets,
 )
-from repro.interference.conflict_graph import link_rate_vertices
 from repro.interference.protocol import ProtocolInterferenceModel
 from repro.net.generators import scatter_topology
 from repro.net.path import Path
@@ -53,10 +52,13 @@ def test_enumeration_matches_tensor_oracle(x7):
     network, path, background = x7
     model = ProtocolInterferenceModel(network)
     links = _collect_links(background, path)
-    vertices = link_rate_vertices(model, links)
+    space = CoupleSpace(model, links)
+    everything = (1 << len(space.couples)) - 1
     raw = [
-        frozenset(_mask_members(mask, vertices))
-        for mask in _enumerate_pairwise(model, vertices)
+        column.couples
+        for column in ColumnFamily(
+            space.couples, space.ordered_cliques(space.compatible, everything)
+        )
     ]
     expected = sorted(
         tensor_prune(raw),

@@ -20,8 +20,6 @@ from repro.core.independent_sets import (
     RateIndependentSet,
     _column_order,
     _column_weights,
-    _couple_names,
-    _pairwise_compatibility_masks,
     enumerate_maximal_independent_sets,
     prune_dominated,
 )
@@ -503,8 +501,14 @@ def test_declared_model_whose_slower_couple_conflicts_takes_general_prune():
     )
     links = [network.link("a"), network.link("b")]
     _assert_reference_columns(model, links)
-    vertices = link_rate_vertices(model, links)
-    compatible = _pairwise_compatibility_masks(model, vertices)
+    space = CoupleSpace(model, links)
+    assert space.slower is None
+    vertices = list(space.couples)
+    # The next-faster mask from the space's bit intervals: every couple
+    # but its link's fastest.
+    next_faster = 0
+    for mask in space.bits.values():
+        next_faster |= mask & (mask - 1)
     raw = ColumnFamily(
         vertices,
         [
@@ -518,7 +522,9 @@ def test_declared_model_whose_slower_couple_conflicts_takes_general_prune():
     )
     general = prune_dominated(raw)
     assert [str(column) for column in general] == ["{(a,54), (b,54)}"]
-    assert len(prune_dominated(raw, compatible=compatible)) > len(general)
+    assert len(
+        prune_dominated(raw, compatible=space.compatible, slower=next_faster)
+    ) > len(general)
 
 
 @pytest.mark.parametrize("spacing", [8.0, 20.0, 35.0])
@@ -531,8 +537,7 @@ def test_one_pass_columns_with_prefix_couple_names(spacing):
         network.add_link(f"n{2 * index}", f"n{2 * index + 1}", link_id=link_id)
     model = ProtocolInterferenceModel(network)
     links = sorted(network.links, key=lambda link: link.link_id, reverse=True)
-    vertices = link_rate_vertices(model, links)
-    assert _column_weights(_couple_names(model, vertices)) is None
+    assert CoupleSpace(model, links).weights is None
     _assert_reference_columns(model, links)
 
 

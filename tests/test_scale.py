@@ -183,8 +183,9 @@ class TestOneCoupleSpace:
     are gathered once, for the decomposition, every tile and window
     enumeration and the residual stitching together."""
 
-    @pytest.mark.parametrize("tile_size", [2, 4, 6])
-    def test_one_compatibility_gather_per_estimate(self, monkeypatch, tile_size):
+    @staticmethod
+    def _count_gathers(monkeypatch):
+        """The couple counts of every ``CoupleIndex.compatibility`` call."""
         from repro.interference.couple_index import CoupleIndex
 
         gathers = []
@@ -195,6 +196,11 @@ class TestOneCoupleSpace:
             return compatibility(index, couples)
 
         monkeypatch.setattr(CoupleIndex, "compatibility", counted)
+        return gathers
+
+    @pytest.mark.parametrize("tile_size", [2, 4, 6])
+    def test_one_compatibility_gather_per_estimate(self, monkeypatch, tile_size):
+        gathers = self._count_gathers(monkeypatch)
         network, new_path, background = _x7_estimate_inputs()
         model = ProtocolInterferenceModel(network)
         recorder = Recorder()
@@ -206,6 +212,62 @@ class TestOneCoupleSpace:
         # One gather, over every couple of the estimate's link union.
         assert len(gathers) == 1
         assert recorder.counters["enum.sets_found"] > 0
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            "clique_upper_bound",
+            "hypothesis_min_clique_time",
+            "maximal_cliques_with_maximum_rates",
+            "solve_with_column_generation",
+            "min_airtime_column_generation",
+            "fixed_rate_available_bandwidth",
+        ],
+    )
+    def test_one_compatibility_gather_per_search(self, monkeypatch, search):
+        """Eq. 9 (every rate vector a sub-mask), the clique searches,
+        column-generation pricing and A1 each read one space."""
+        from repro.core import bounds, cliques, column_generation
+        from repro.core.bandwidth import _collect_links, link_demands_from_paths
+        from repro.experiments import ablations
+        from repro.verify.instances import generate_instance
+
+        instance = generate_instance(0, "geometric-chain")
+        model, path = instance.model, instance.new_path
+        background = [(path, 1.0)]
+        links = _collect_links(background, path)
+        calls = {
+            "clique_upper_bound": lambda: bounds.clique_upper_bound(
+                model, path, background
+            ),
+            "hypothesis_min_clique_time": lambda: bounds.hypothesis_min_clique_time(
+                model, links, link_demands_from_paths(background)
+            ),
+            "maximal_cliques_with_maximum_rates": lambda: (
+                cliques.maximal_cliques_with_maximum_rates(model, links)
+            ),
+            "solve_with_column_generation": lambda: (
+                column_generation.solve_with_column_generation(
+                    model, path, background
+                )
+            ),
+            "min_airtime_column_generation": lambda: (
+                column_generation.min_airtime_column_generation(model, background)
+            ),
+            "fixed_rate_available_bandwidth": lambda: (
+                ablations.fixed_rate_available_bandwidth(
+                    model,
+                    path,
+                    {link: model.standalone_rates(link)[-1] for link in path},
+                    background,
+                )
+            ),
+        }
+        rate_vectors = len(list(bounds.enumerate_rate_vectors(model, links)))
+        assert rate_vectors > 1
+        gathers = self._count_gathers(monkeypatch)
+        calls[search]()
+        assert len(gathers) == 1
 
     def test_decomposition_reads_the_given_space(self):
         from repro.core.bandwidth import _collect_links
