@@ -8,9 +8,9 @@ Two fixed-seed constant-density scatter instances, both built by
   global Eq. 6 enumeration still finishes in seconds.  The tiled
   estimate must bracket the exact optimum (``LB ≤ exact ≤ UB``) and beat
   the global solve by ≥ ``MIN_SPEEDUP`` (measured best-of-repeats).
-  The measured ratio is 5.0–5.6×, median 5.3× over 10 runs on a
+  The measured ratio is 4.6–9.3×, median 6.4× over 10 runs on a
   2-core x86 VM, below the floor, since the exact solve fell from 1.88 s
-  to about 0.025 s (median; the tiled estimate takes about 0.0047 s):
+  to about 0.020 s (median; the tiled estimate takes about 0.0027 s):
   ``test_x7_speedup`` fails until the floor or the field is revisited;
 * **frontier instance** (1000 nodes, 1897 × 2846 m) — far past exact
   tractability; the tiled estimate must complete end to end with a

@@ -73,19 +73,20 @@ dict.
 Solving drives SciPy's bundled HiGHS binding
 (``scipy.optimize._highspy._core._Highs``) directly.  Each thread keeps
 one HiGHS handle per rung of :data:`SOLVER_ATTEMPT_CHAIN`, created on
-first use with exactly the options ``scipy.optimize.linprog`` sets for
-that method; every solve passes the whole input model to its handle
+first use with the canonical options (:data:`_HIGHS_OPTIONS`: what
+``scipy.optimize.linprog`` sets for that method, except that presolve
+is off); every solve passes the whole input model to its handle
 (``passModel``, which copies it and discards any previous basis and
 solution) and runs it.  So every solve starts from the same canonical
-state a fresh ``linprog`` call does, and its values, duals, objective
-and iteration count are bit-identical to ``linprog``'s — without
-``linprog``'s input cleaning, per-call option validation and handle
-construction, which cost several times HiGHS's own run on these small
-programs.  ``linprog``'s post-solve check (an "optimal" point off its
-bounds or rows by more than the tolerance, or with a NaN, is a failed
-attempt) is made with Python comparisons over the lists HiGHS returns:
-the same IEEE operations, without NumPy's fixed cost per call on
-arrays of a dozen entries.
+state a fresh ``linprog(..., options={"presolve": False})`` call does,
+and its values, duals, objective and iteration count are bit-identical
+to that call's — without ``linprog``'s input cleaning, per-call option
+validation and handle construction, which cost several times HiGHS's
+own run on these small programs.  ``linprog``'s post-solve check (an
+"optimal" point off its bounds or rows by more than the tolerance, or
+with a NaN, is a failed attempt) is made with Python comparisons over
+the lists HiGHS returns: the same IEEE operations, without NumPy's
+fixed cost per call on arrays of a dozen entries.
 
 :meth:`LinearProgram.solve` is resilient: a failed solver attempt walks a
 retry/fallback chain (:data:`SOLVER_ATTEMPT_CHAIN` — dual simplex, then
@@ -156,12 +157,17 @@ SOLVER_ATTEMPT_CHAIN = (
 _HIGHS_SOLVERS = {"highs-ds": "simplex", "highs-ipm": "ipm", "highs": "choose"}
 
 #: Options every handle gets, in the order they are set: what ``linprog``
-#: passes for every HiGHS method (quiet, presolve on, no debug checks,
-#: dual simplex strategy).
+#: passes for every HiGHS method (quiet, no debug checks, dual simplex
+#: strategy), except presolve, which is off.  Presolve costs more than it
+#: saves on these programs: without it the simplex rungs' ``run`` takes
+#: a half to a third of the time, on the small serving, online and tile
+#: LPs and on exact Eq. 6 masters of 10^5 columns alike, and the
+#: interior-point rung takes about as long or less (DESIGN.md, "LP
+#: engine contract", has the measurements).
 _HIGHS_OPTIONS = (
     ("output_flag", False),
     ("log_to_console", False),
-    ("presolve", "on"),
+    ("presolve", "off"),
     ("highs_debug_level", 0),
     ("simplex_strategy", 1),
 )

@@ -14,7 +14,13 @@ One :class:`Recorder` holds everything a run produces:
 * **histograms** — streaming log-bucketed distributions
   (``recorder.histogram``), e.g. per-decision serve latency.  Buckets
   merge by addition, so worker snapshots combine to identical state in
-  any merge order (see :mod:`repro.obs.metrics`).
+  any merge order (see :mod:`repro.obs.metrics`).  Recording a value
+  only appends it to the name's list of pending values; the pending
+  values are folded into the buckets, in arrival order, whenever the
+  histograms are read (``histograms``, ``snapshot``, ``merge`` and so
+  every export) and whenever one list reaches :data:`_FOLD_AT` values,
+  so memory stays bounded and every read sees exactly the state one
+  ``Histogram.observe`` per value would give.
 
 Instrumentation sites never hold a recorder; they fetch the *current* one
 through :func:`get_recorder`.  The default is :data:`NULL_RECORDER`, whose
@@ -41,6 +47,7 @@ Aggregate mode and the null recorder never allocate for events.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional
@@ -61,6 +68,11 @@ __all__ = [
 #: Version of the snapshot / ``--trace-json`` document layout.  Bump when
 #: a key is renamed or removed; additions are backward compatible.
 SCHEMA_VERSION = 1
+
+#: Pending values one histogram name holds before they are folded into
+#: its buckets.  A fold per value costs about a third of an
+#: ``observe``; the cap only bounds memory.
+_FOLD_AT = 1024
 
 
 class SpanNode:
@@ -208,6 +220,10 @@ class Recorder:
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
+        #: Values recorded but not yet folded, per histogram name.
+        self._pending: Dict[str, List[float]] = {}
+        #: Serialises folds (a metrics flusher reads from its own thread).
+        self._fold_lock = threading.Lock()
         self._events: Optional[EventBuffer] = (
             EventBuffer(max_events) if events else None
         )
@@ -236,12 +252,31 @@ class Recorder:
         self._gauges[name] = value
 
     def histogram(self, name: str, value: float) -> None:
-        """Record ``value`` into the streaming histogram ``name``."""
-        histogram = self._histograms.get(name)
-        if histogram is None:
-            histogram = Histogram()
-            self._histograms[name] = histogram
-        histogram.observe(value)
+        """Record ``value`` into the streaming histogram ``name``.
+
+        The value is appended to the name's pending list and reaches the
+        buckets at the next fold (see the module docstring).
+        """
+        pending = self._pending.get(name)
+        if pending is None:
+            self._histograms.setdefault(name, Histogram())
+            pending = self._pending.setdefault(name, [])
+        pending.append(float(value))
+        if len(pending) >= _FOLD_AT:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Fold every pending value into its histogram, in arrival order.
+
+        A value appended by another thread while a fold runs lands
+        after the slice the fold takes and waits for the next fold.
+        """
+        with self._fold_lock:
+            for name, pending in list(self._pending.items()):
+                taken = len(pending)
+                if taken:
+                    self._histograms[name].observe_all(pending[:taken])
+                    del pending[:taken]
 
     # -- reading ---------------------------------------------------------------
 
@@ -257,7 +292,10 @@ class Recorder:
 
     @property
     def histograms(self) -> Dict[str, Histogram]:
-        """Live :class:`~repro.obs.metrics.Histogram` objects by name."""
+        """The :class:`~repro.obs.metrics.Histogram` objects by name,
+        every value recorded so far folded in (a later value reaches
+        them at the next fold)."""
+        self._fold()
         return dict(self._histograms)
 
     @property
@@ -279,6 +317,7 @@ class Recorder:
         unchanged (no extra keys), so trace documents stay byte-stable
         when event mode is off.
         """
+        self._fold()
         counters = dict(self._counters)
         if self._events is not None:
             # Truncated timelines must be visible, not silent: the events
@@ -332,12 +371,14 @@ class Recorder:
             self._counters[name] = self._counters.get(name, 0) + value
         for name, value in snapshot.get("gauges", {}).items():
             self._gauges[name] = value
-        for name, data in snapshot.get("histograms", {}).items():
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = Histogram()
-                self._histograms[name] = histogram
-            histogram.merge_dict(data)
+        self._fold()
+        with self._fold_lock:  # no fold may run into a half-merged histogram
+            for name, data in snapshot.get("histograms", {}).items():
+                histogram = self._histograms.get(name)
+                if histogram is None:
+                    histogram = Histogram()
+                    self._histograms[name] = histogram
+                histogram.merge_dict(data)
         spans = snapshot.get("spans", [])
         parent = self._stack[-1]
         if under is not None:

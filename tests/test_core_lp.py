@@ -510,8 +510,9 @@ def _bits(values):
 
 def _linprog_result(lp, rung):
     """``scipy.optimize.linprog`` on ``lp``'s stored standard form, with
-    the method and options of chain rung ``rung`` and the dense/sparse
-    matrix hand-off :meth:`LinearProgram.solve` used to make."""
+    the method and options of chain rung ``rung``, presolve off as on
+    every handle, and the dense/sparse matrix hand-off
+    :meth:`LinearProgram.solve` used to make."""
     method, options = SOLVER_ATTEMPT_CHAIN[rung]
     n, m = lp.num_variables, lp.num_constraints
     a_ub = b_ub = None
@@ -527,7 +528,7 @@ def _linprog_result(lp, rung):
         b_ub=b_ub,
         bounds=[(0.0, upper) for upper in lp._upper],
         method=method,
-        options=options or {},
+        options={"presolve": False, **(options or {})},
     )
 
 
@@ -722,6 +723,44 @@ def _solution_bits(solution):
         _bits(list(solution.slacks.values())),
         solution.iterations,
     )
+
+
+@pytest.mark.parametrize("rung", range(len(SOLVER_ATTEMPT_CHAIN)))
+class TestCanonicalStart:
+    """Each rung's handle holds, read back from HiGHS, the canonical
+    options plus the rung's own, and HiGHS's default for every other
+    option: a binding or SciPy release cannot change the start
+    unnoticed."""
+
+    @staticmethod
+    def _settings(rung):
+        method, options = SOLVER_ATTEMPT_CHAIN[rung]
+        return {
+            **dict(lp_module._HIGHS_OPTIONS),
+            "solver": lp_module._HIGHS_SOLVERS[method],
+            **(options or {}),
+        }
+
+    def test_handle_holds_the_canonical_options(self, rung):
+        handle = lp_module._handle(rung)
+        for key, value in self._settings(rung).items():
+            status, held = handle.getOptionValue(key)
+            assert status == lp_module._highs.HighsStatus.kOk, key
+            assert (type(held), held) == (type(value), value), key
+
+    def test_every_other_option_is_highs_default(self, rung):
+        settings = self._settings(rung)
+        held = lp_module._handle(rung).getOptions()
+        default = lp_module._highs._Highs().getOptions()
+        names = [name for name in dir(default) if not name.startswith("_")]
+        assert "presolve" in names
+        for name in names:
+            if name not in settings:
+                assert getattr(held, name) == getattr(default, name), name
+
+    def test_presolve_is_off(self, rung):
+        status, held = lp_module._handle(rung).getOptionValue("presolve")
+        assert held == "off"
 
 
 class TestReusedHandles:
@@ -1179,8 +1218,14 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("upper", [None, float("inf")])
     def test_unbounded_upper_bound_is_accepted(self, upper):
+        """``max x + y`` under ``x + y <= 3`` has a segment of optima:
+        the solve succeeds with objective 3 at a feasible point."""
         lp = _with_bad_input("upper", upper)
-        assert lp.solve()["x"] == pytest.approx(3.0)
+        solution = lp.solve()
+        assert solution.objective == 3.0
+        x, y = solution["x"], solution["y"]
+        assert x >= 0.0 and 0.0 <= y <= 2.0
+        assert x + y <= 3.0 and x <= 5.0
 
     def test_edits_that_restore_finite_input_solve_again(self):
         """A non-finite value written by an edit fails the solve; the

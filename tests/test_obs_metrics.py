@@ -14,9 +14,10 @@ import math
 import os
 import sys
 import threading
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs import (
     HISTOGRAM_BUCKETS,
@@ -38,6 +39,7 @@ from repro.obs import (
     validate_openmetrics,
     write_openmetrics,
 )
+from repro.obs import recorder as recorder_module
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -218,6 +220,98 @@ class TestRecorderHistograms:
             assert results == [1, 4, 9, 16]
             data = recorder.snapshot()["histograms"]["parallel.item_seconds"]
             assert data["count"] == 4, f"workers={workers}"
+
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(["a", "b", "c"]),
+                    st.one_of(st.floats(), st.integers(-3, 3)),
+                ),
+                st.sampled_from(["snapshot", "histograms", "merge"]),
+            ),
+            max_size=80,
+        ),
+        fold_at=st.integers(1, 9),
+    )
+    # A NaN first in a later fold, then a smaller value: min and max
+    # must compare in arrival order from the folded state.
+    @example(
+        steps=[("a", 1.0), "snapshot", ("a", math.nan), ("a", 0.5), ("a", 2.0)],
+        fold_at=9,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_deferred_folds_equal_observe_per_value(self, steps, fold_at):
+        """Values folded at caps, at reads and before merges leave the
+        state one ``Histogram.observe`` per value leaves, byte for byte,
+        with the histograms in the same order."""
+        worker = Recorder()
+        for value in (0.1, 0.7, 3e-17):
+            worker.histogram("b", value)
+            worker.histogram("d", value)
+        shipped = worker.snapshot()
+        expected = {}
+        recorder = Recorder()
+        with mock.patch.object(recorder_module, "_FOLD_AT", fold_at):
+            for step in steps:
+                if step == "snapshot":
+                    recorder.snapshot()
+                elif step == "histograms":
+                    recorder.histograms
+                elif step == "merge":
+                    recorder.merge(shipped)
+                    for name, data in shipped["histograms"].items():
+                        expected.setdefault(name, Histogram()).merge_dict(data)
+                else:
+                    name, value = step
+                    recorder.histogram(name, value)
+                    expected.setdefault(name, Histogram()).observe(value)
+            held = recorder.histograms
+        assert list(held) == list(expected)
+        for name in held:
+            assert held[name].buckets() == expected[name].buckets()
+        assert json.dumps(
+            {name: held[name].to_dict() for name in held}
+        ) == json.dumps({name: expected[name].to_dict() for name in expected})
+
+    def test_concurrent_records_and_folds_lose_no_value(self):
+        """Recording threads racing each other and a reading thread
+        (folds at reads and at a tiny cap) keep every value."""
+        recorder = Recorder()
+        writers, per_writer = 4, 3000
+        done = threading.Event()
+
+        def write(seed):
+            for index in range(per_writer):
+                recorder.histogram("h", 0.001 * (1 + (seed + index) % 7))
+
+        def read():
+            while not done.is_set():
+                recorder.snapshot()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(recorder_module, "_FOLD_AT", 3):
+                reader = threading.Thread(target=read, daemon=True)
+                threads = [
+                    threading.Thread(target=write, args=(seed,), daemon=True)
+                    for seed in range(writers)
+                ]
+                reader.start()
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                done.set()
+                reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+        data = recorder.snapshot()["histograms"]["h"]
+        assert data["count"] == writers * per_writer
+        assert sum(data["counts"].values()) == writers * per_writer
 
     def test_metrics_snapshot_accepts_recorder_and_dict(self):
         recorder = Recorder()
