@@ -54,10 +54,22 @@ family are those of a space built over the part alone, on the bits of
 the larger one.  The other searches over standalone couples (the
 cliques of :mod:`repro.core.cliques`, Eq. 9, column-generation pricing
 and A1's fixed-rate columns) read a space the same way.
+
+A space can also extend a base space by more links
+(:meth:`CoupleSpace.extend`), as the batch serving layer does for each
+fresh union: its background's links followed by the path's new ones.
+The extended space equals one built over the whole union, field by
+field; it reads only the new couples' compatibility rows and finds its
+maximal sets from the base's, which a space keeps once found, and one
+search rooted at the new couples.  Its column order, pruned family and
+``enum.sets_*`` counts are the cold ones; ``enum.dfs_nodes`` and
+``enum.maximal_sets_emitted`` count only the searches that run: the
+rooted one, and none for a space whose sets are already kept.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import cached_property
@@ -417,6 +429,10 @@ def _column_order(
     return list(map(masks.__getitem__, order))
 
 
+#: :attr:`CoupleSpace.weights` before its first read.
+_UNSET: list = []
+
+
 class CoupleSpace:
     """The couples of one link union and what every search over it reads.
 
@@ -426,11 +442,11 @@ class CoupleSpace:
     them out: each link's standalone couples together, fastest first, so
     each link's couples are one bit interval (:meth:`mask_of`), and the
     next-faster couple of any but a link's first is the bit below it.
-    The names, the column weights of :func:`_column_weights` and the
-    next-faster mask of the pairwise prune are made here; the
-    compatibility rows (:func:`_pairwise_compatibility_masks` over all
-    the couples) are gathered on the first read of :attr:`compatible`,
-    so a cumulative search, which does not read them, gathers none.
+    The names and the next-faster mask of the pairwise prune are made
+    here; the column weights of :func:`_column_weights` on their first
+    read; the compatibility rows (:func:`_pairwise_compatibility_masks`
+    over all the couples) on the first read of :attr:`compatible`, so a
+    cumulative search, which does not read them, gathers none.
 
     This is the only code that knows that layout.  Every search over
     standalone couples runs on a space, over all of it or a sub-mask:
@@ -438,63 +454,217 @@ class CoupleSpace:
     :meth:`mask_of`), A1's fixed-rate columns and Eq. 9's fixed-rate
     cliques (one couple per link, :meth:`couple_mask`), the rate-coupled
     cliques of :mod:`repro.core.cliques` and column-generation pricing.
+
+    A space can extend a base (:meth:`extend`): the union of the base's
+    links followed by more links.  Its couples are the base's followed
+    by the new links', so every field equals that of a space built over
+    the whole union; what it saves is work.  Its compatibility rows are
+    the base's with the new couples' bits added, and only the new
+    couples' rows are read.  Its maximal independent sets
+    (:meth:`independent_sets`), which every space keeps once found, are
+    the base's kept sets that no new couple extends and the sets a
+    search rooted at the new couples finds.
     """
 
     __slots__ = (
-        "model", "links", "couples", "bits", "names", "weights", "slower",
-        "_compatible",
+        "model", "links", "couples", "bits", "names", "slower",
+        "_weights", "_base", "_compatible", "_sets", "_spacing",
     )
 
     def __init__(self, model: InterferenceModel, links: Iterable[Link]):
-        unique: Dict[str, Link] = {}
-        for link in links:
-            unique.setdefault(link.link_id, link)
         self.model = model
         #: The union's links, each once, in first-appearance order.
-        self.links: Tuple[Link, ...] = tuple(unique.values())
-        couples: List[LinkRate] = []
-        bits: Dict[str, int] = {}
-        for link_id, link_couples in zip(
-            unique, model.standalone_couples_of(self.links)
-        ):
-            bits[link_id] = ((1 << len(link_couples)) - 1) << len(couples)
-            couples.extend(link_couples)
+        self.links: Tuple[Link, ...] = ()
         #: The couples, by bit.
-        self.couples: Tuple[LinkRate, ...] = tuple(couples)
+        self.couples: Tuple[LinkRate, ...] = ()
         #: Link id -> the bits of its couples (0 for a link without any).
-        self.bits = bits
-        # A kernel-backed pairwise model's kernel (the cumulative search
-        # reads no couple index).
-        kernel = None
-        if not isinstance(model, PhysicalInterferenceModel):
-            kernel = getattr(model, "kernel", None)
-        #: ``str`` of each couple (the kernel's couple index makes each
-        #: name once); the names fix Eq. 6's column order.
-        self.names: List[str] = (
-            list(map(str, couples))
-            if kernel is None
-            else kernel.couple_index.names(couples)
-        )
-        #: Each couple's :func:`_column_weights` weight, or ``None``.
-        self.weights = _column_weights(self.names)
+        self.bits: Dict[str, int] = {}
+        #: ``str`` of each couple (a kernel-backed pairwise model's
+        #: couple index makes each name once); the names fix Eq. 6's
+        #: column order.
+        self.names: List[str] = []
         #: The kernel-backed pairwise prune's next-faster mask
         #: (:func:`prune_dominated`): every couple but its link's
         #: fastest.  ``None`` for the models that take the general prune.
         self.slower: Optional[int] = None
-        if kernel is not None:
+        if self._kernel() is not None:
             self.slower = 0
-            for mask in bits.values():
+        self._base: Optional[CoupleSpace] = None
+        self._append(links)
+
+    def extend(self, links: Iterable[Link]) -> "CoupleSpace":
+        """The space of this space's links followed by ``links`` (those
+        not in it yet, each once), with this space as its base."""
+        space = object.__new__(CoupleSpace)
+        space.model = self.model
+        space.links = self.links
+        space.couples = self.couples
+        space.bits = dict(self.bits)
+        space.names = list(self.names)
+        space.slower = self.slower
+        space._base = self
+        space._append(links)
+        return space
+
+    def _kernel(self):
+        """A kernel-backed pairwise model's kernel, else ``None`` (the
+        cumulative search reads no couple index)."""
+        if isinstance(self.model, PhysicalInterferenceModel):
+            return None
+        return getattr(self.model, "kernel", None)
+
+    def _append(self, links: Iterable[Link]) -> None:
+        """Lay out the couples of ``links`` not in the space yet after
+        its own, with their names and next-faster bits."""
+        bits = self.bits
+        added: Dict[str, Link] = {}
+        for link in links:
+            if link.link_id not in bits:
+                added.setdefault(link.link_id, link)
+        new_links = tuple(added.values())
+        count = len(self.couples)
+        couples: List[LinkRate] = []
+        for link_id, link_couples in zip(
+            added, self.model.standalone_couples_of(new_links)
+        ):
+            mask = ((1 << len(link_couples)) - 1) << (count + len(couples))
+            bits[link_id] = mask
+            couples.extend(link_couples)
+            if self.slower is not None:
                 self.slower |= mask & (mask - 1)
+        self.links += new_links
+        self.couples += tuple(couples)
+        kernel = self._kernel()
+        self.names += (
+            map(str, couples)
+            if kernel is None
+            else kernel.couple_index.names(couples)
+        )
+        self._weights: Optional[List[int]] = _UNSET
         self._compatible: Optional[List[int]] = None
+        self._sets: Optional[Tuple[int, ...]] = None
+        self._spacing: Optional[_Spacing] = None
+
+    @property
+    def weights(self) -> Optional[List[int]]:
+        """Each couple's :func:`_column_weights` weight, or ``None``."""
+        if self._weights is _UNSET:
+            self._weights = _column_weights(self.names)
+        return self._weights
 
     @property
     def compatible(self) -> List[int]:
-        """The couples' compatibility rows, gathered on the first read."""
+        """The couples' compatibility rows, made on the first read: all
+        gathered, or the base's with the new couples' rows added."""
         if self._compatible is None:
-            self._compatible = _pairwise_compatibility_masks(
-                self.model, self.couples
-            )
+            base = self._base
+            if base is None:
+                rows = _pairwise_compatibility_masks(self.model, self.couples)
+            else:
+                start = len(base.couples)
+                appended = _pairwise_compatibility_masks(
+                    self.model, self.couples, start
+                )
+                rows = base.compatible + appended
+                bit = 1 << start
+                for row in appended:
+                    rest = row & ((1 << start) - 1)
+                    while rest:
+                        low_bit = rest & -rest
+                        rest ^= low_bit
+                        rows[low_bit.bit_length() - 1] |= bit
+                    bit <<= 1
+            self._compatible = rows
         return self._compatible
+
+    def independent_sets(self, subset: int) -> Sequence[int]:
+        """The maximal independent sets of the pairwise search on the
+        couples of ``subset``: the maximal cliques of :attr:`compatible`
+        induced on it, in Eq. 6's column order.  The whole space's are
+        kept once found."""
+        if subset != (1 << len(self.couples)) - 1:
+            return self.ordered_cliques(self.compatible, subset)
+        if self._sets is None:
+            self._sets = tuple(self._whole_sets())
+        return self._sets
+
+    def _whole_sets(self) -> List[int]:
+        """:meth:`independent_sets` of the whole space.
+
+        With a base, a maximal clique of the union either holds a new
+        couple or is a set of the base that no new couple extends.  One
+        search finds the first kind, branching at its root on the new
+        couples alone.  A base set that some new couple extends is the
+        base part of a clique the search found: the clique that holds it
+        and the first new couple extending it, grown by later new
+        couples (no base couple extends a maximal base set).  The sets
+        are ordered by column keys on the base's spaced weights
+        (:class:`_Spacing`), which order them as the union's own would.
+        Without those (tied or prefix names, where equal keys leave the
+        order to the search) the whole space is searched.
+        """
+        base = self._base
+        count = len(self.couples)
+        spaced = None
+        if base is not None:
+            spaced = base._spaced_weights(self.names[len(base.couples):])
+        if spaced is None:
+            return self.ordered_cliques(self.compatible, (1 << count) - 1)
+        weights, spacing = spaced
+        start = len(base.couples)
+        appended = (1 << count) - (1 << start)
+        masks, keys = _maximal_cliques_bitset(
+            self.compatible, count, weights=weights, roots=appended
+        )
+        place = spacing.place
+        parts = {mask & ~appended for mask in masks}
+        extended = sorted((place[part] for part in parts if part in place))
+        found = len(masks)
+        masks.extend(base.independent_sets((1 << start) - 1))
+        keys.extend(spacing.keys)
+        for index in reversed(extended):
+            del masks[found + index], keys[found + index]
+        return _column_order(masks, keys, self.names)
+
+    def _spaced_weights(
+        self, names: Sequence[str]
+    ) -> Optional[Tuple[List[int], "_Spacing"]]:
+        """Weights for this space's couples followed by couples named
+        ``names``, spaced, and the :class:`_Spacing` they are made on.
+        ``None`` when two names of the union tie or one is a prefix of
+        another."""
+        spacing = self._spacing
+        if spacing is None:
+            spacing = self._spacing = _Spacing(self, 1)
+        if spacing.weights is None:
+            return None
+        ranked = spacing.names
+        places = [(0, 0)] * len(names)
+        previous = None
+        last_gap = -1
+        slot = room = 0
+        for vertex in sorted(range(len(names)), key=names.__getitem__):
+            name = names[vertex]
+            if previous is not None and name.startswith(previous):
+                return None
+            gap = bisect_left(ranked, name)
+            if gap < len(ranked) and ranked[gap].startswith(name):
+                return None
+            if gap and name.startswith(ranked[gap - 1]):
+                return None
+            slot = slot + 1 if gap == last_gap else 0
+            room = max(room, slot + 1)
+            places[vertex] = (gap, slot)
+            previous = name
+            last_gap = gap
+        if room > spacing.room:
+            spacing = self._spacing = _Spacing(self, max(room, 2 * spacing.room))
+        unit = spacing.unit
+        return (
+            spacing.weights
+            + [unit | spacing.bit(gap, slot) for gap, slot in places],
+            spacing,
+        )
 
     def mask_of(self, links: Iterable[Link]) -> int:
         """The bits of ``links``' couples; each must be a link of the union."""
@@ -539,6 +709,55 @@ class CoupleSpace:
         return _column_order(masks, keys, self.names)
 
 
+class _Spacing:
+    """Column weights of a space's couples with room for new names.
+
+    :func:`_column_weights` gives each name one rank bit, so adding a
+    name moves every bit below it and changes every key.  Here the
+    space's sorted names sit ``room + 1`` bits apart, and the ``room``
+    bits below each name (and below the space's last) are left free for
+    names that fall in that gap.  A union of the space and a few new
+    couples then ranks every name by one bit in name order, as
+    :func:`_column_weights` would, and the keys of the space's own sets
+    (:attr:`keys`, made once) stay valid in every such union.
+    ``weights`` is ``None`` when two of the space's names tie or one is
+    a prefix of another.
+    """
+
+    __slots__ = ("names", "room", "width", "unit", "weights", "keys", "place")
+
+    def __init__(self, space: CoupleSpace, room: int):
+        names = space.names
+        count = len(names)
+        order = sorted(range(count), key=names.__getitem__)
+        #: The space's names in order.
+        self.names = [names[vertex] for vertex in order]
+        self.room = room
+        self.width = (count + 1) * (room + 1)
+        self.unit = 1 << self.width
+        self.weights: Optional[List[int]] = None
+        self.keys: Sequence[int] = ()
+        #: Each of the space's sets -> its position in the column order.
+        self.place: Dict[int, int] = {}
+        if any(
+            later.startswith(earlier)
+            for earlier, later in zip(self.names, self.names[1:])
+        ):
+            return
+        weights = [0] * count
+        for rank, vertex in enumerate(order):
+            weights[vertex] = self.unit | self.bit(rank, room)
+        self.weights = weights
+        sets = space.independent_sets((1 << count) - 1)
+        self.keys = [sum(_mask_members(mask, weights)) for mask in sets]
+        self.place = {mask: index for index, mask in enumerate(sets)}
+
+    def bit(self, gap: int, slot: int) -> int:
+        """The rank bit of slot ``slot`` before sorted name ``gap``
+        (slot ``room`` is that name's own)."""
+        return 1 << (self.width - 1 - gap * (self.room + 1) - slot)
+
+
 def enumerate_maximal_independent_sets(
     model: InterferenceModel,
     links: Sequence[Link],
@@ -562,8 +781,10 @@ def enumerate_maximal_independent_sets(
         space: The :class:`CoupleSpace` of a union holding ``links``, in
             an order of which ``links`` is a subsequence.  The sets are
             then searched on the sub-mask of ``links``' couples and come
-            back on the space's bits.  ``None`` builds a space over
-            ``links`` and searches all of it.
+            back on the space's bits; over the whole space they are the
+            ones the space keeps, which an extended space finds from its
+            base's (:meth:`CoupleSpace.extend`).  ``None`` builds a space
+            over ``links`` and searches all of it.
 
     Returns:
         Dominance-pruned maximal sets, deterministically ordered (by size
@@ -589,7 +810,7 @@ def enumerate_maximal_independent_sets(
                 masks = _column_order(masks, keys, space.names)
         else:
             with recorder.span("enum.pairwise"):
-                masks = space.ordered_cliques(space.compatible, subset)
+                masks = space.independent_sets(subset)
         if max_sets is not None and len(masks) > max_sets:
             raise InterferenceError(
                 f"{len(masks)} maximal independent sets exceed the cap "
@@ -609,7 +830,7 @@ def enumerate_maximal_independent_sets(
 
 
 def _pairwise_compatibility_masks(
-    model: InterferenceModel, vertices: Sequence[LinkRate]
+    model: InterferenceModel, vertices: Sequence[LinkRate], start: int = 0
 ) -> List[int]:
     """Bitmask adjacency of the conflict graph's complement.
 
@@ -617,23 +838,28 @@ def _pairwise_compatibility_masks(
     transmit concurrently (distinct links, no shared node, and neither
     receiver loses its rate's SINR against the other sender).  The bits
     are local to ``vertices``: enumeration runs on the union's own
-    graph.  Kernel-backed models read the rows from the model's
+    graph.  With ``start`` given, only the rows of ``vertices[start:]``
+    are made (an extended :class:`CoupleSpace` holds the others).
+    Kernel-backed models read the rows from the model's
     :class:`~repro.interference.couple_index.CoupleIndex`, which
     evaluates each couple against every other once per model; other
     models fall back to per-pair
-    :meth:`~repro.interference.base.InterferenceModel.conflicts` calls.
+    :meth:`~repro.interference.base.InterferenceModel.conflicts` calls,
+    the earlier couple first.
     """
     kernel = getattr(model, "kernel", None)
     if kernel is not None:
+        if start:
+            return kernel.couple_index.appended_rows(vertices, start)
         return kernel.couple_index.compatibility(vertices)
     count = len(vertices)
     masks = [0] * count
     for i, a in enumerate(vertices):
-        for j in range(i + 1, count):
+        for j in range(max(i + 1, start), count):
             if not model.conflicts(a, vertices[j]):
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
-    return masks
+    return masks[start:]
 
 
 def _maximal_cliques_bitset(
@@ -641,6 +867,7 @@ def _maximal_cliques_bitset(
     count: int,
     subset: Optional[int] = None,
     weights: Optional[Sequence[int]] = None,
+    roots: Optional[int] = None,
 ) -> Tuple[List[int], Optional[List[int]]]:
     """All maximal cliques of a bitmask-adjacency graph (Bron–Kerbosch).
 
@@ -653,6 +880,10 @@ def _maximal_cliques_bitset(
     to) the sub-graph induced by that vertex mask — the pricing oracle's
     positive-weight restriction.
 
+    With ``roots`` given, the search branches at its root on those
+    vertices alone, so it finds each maximal clique that holds one of
+    them, once (an extended :class:`CoupleSpace` has the others).
+
     Returns the cliques in discovery order and, with ``weights`` given,
     the sum of ``weights`` over each clique's members, carried down the
     search next to the clique (``None`` without ``weights``).
@@ -662,24 +893,31 @@ def _maximal_cliques_bitset(
     weight = weights if weights is not None else [0] * count
     dfs_nodes = 0
 
-    def expand(current: int, key: int, candidates: int, excluded: int) -> None:
+    def expand(
+        current: int,
+        key: int,
+        candidates: int,
+        excluded: int,
+        branch: Optional[int] = None,
+    ) -> None:
         # Called only with candidates left: leaves are visited inline.
         nonlocal dfs_nodes
         dfs_nodes += 1
-        # Pivot on the vertex covering the most candidates.
-        pivot_pool = candidates | excluded
-        best_cover = -1
-        pivot_adjacency = 0
-        pool = pivot_pool
-        while pool:
-            low_bit = pool & -pool
-            pool ^= low_bit
-            cover = candidates & adjacency[low_bit.bit_length() - 1]
-            cover_size = cover.bit_count()
-            if cover_size > best_cover:
-                best_cover = cover_size
-                pivot_adjacency = cover
-        branch = candidates & ~pivot_adjacency
+        if branch is None:
+            # Pivot on the vertex covering the most candidates.
+            pivot_pool = candidates | excluded
+            best_cover = -1
+            pivot_adjacency = 0
+            pool = pivot_pool
+            while pool:
+                low_bit = pool & -pool
+                pool ^= low_bit
+                cover = candidates & adjacency[low_bit.bit_length() - 1]
+                cover_size = cover.bit_count()
+                if cover_size > best_cover:
+                    best_cover = cover_size
+                    pivot_adjacency = cover
+            branch = candidates & ~pivot_adjacency
         while branch:
             low_bit = branch & -branch
             branch ^= low_bit
@@ -707,7 +945,7 @@ def _maximal_cliques_bitset(
     if start:
         recorder = get_recorder()
         with recorder.span("enum.independent_sets"):
-            expand(0, 0, start, 0)
+            expand(0, 0, start, 0, roots)
         # One batched update keeps the per-DFS-node cost recorder-free.
         recorder.count("enum.dfs_nodes", dfs_nodes)
         recorder.count("enum.maximal_sets_emitted", len(cliques))

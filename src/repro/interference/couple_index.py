@@ -13,8 +13,10 @@ of rows filled once instead of re-deriving it.
   gets the next free id when first seen.  Couples are keyed by link id
   and rate (a rate table's rates have distinct Mbps).
 * **Rows.** Every call that brings new couples fills their rows in one
-  vectorised block against every indexed couple; a pair is read from
-  the row of its later couple, so rows already filled never change.  The expressions are those of a
+  vectorised block against every indexed couple, and sets the block's
+  bits in the earlier couples' rows too, so every row holds every
+  indexed couple.  A pair's two bits come from the same two
+  expressions, so they agree.  The expressions are those of a
   union-local evaluation (``signal / (interference + noise) >=
   threshold`` at both receivers, plus the four shared-node tests), and
   elementwise float operations do not depend on the array they run in,
@@ -22,9 +24,13 @@ of rows filled once instead of re-deriving it.
   grows geometrically; nothing is built until the first call.
 * **Reads.** :meth:`CoupleIndex.compatibility` gathers the rows of a
   couple list onto bits local to that list, the adjacency the
-  Bron–Kerbosch search runs on.  :meth:`CoupleIndex.names` reads the
-  couples' names (their ``str``, kept next to each couple), which fix
-  the order of Eq. 6's columns.
+  Bron–Kerbosch search runs on.  :meth:`CoupleIndex.appended_rows`
+  reads only the rows of a list's last few couples, for a couple space
+  that extends a base whose rows it already holds: one byte test per
+  couple of the list and row read, without the array gather, whose
+  fixed cost is most of a gather this small.  :meth:`CoupleIndex.names`
+  reads the couples' names (their ``str``, kept next to each couple),
+  which fix the order of Eq. 6's columns.
 
 Calls hold the index's lock, so threads enumerating over one model
 extend and read it safely.  The kernel replaces its index whenever it
@@ -73,8 +79,7 @@ class CoupleIndex:
         self._thresholds = np.empty(0)
         #: ``_rows[i]`` has bit ``j`` (little-endian within each byte)
         #: set when couples ``i`` and ``j`` can transmit together, for
-        #: every ``j`` indexed by the time row ``i`` was filled (so for
-        #: every ``j <= i``).
+        #: every indexed ``j``.
         self._rows = np.zeros((0, 0), dtype=np.uint8)
 
     def __len__(self) -> int:
@@ -115,6 +120,29 @@ class CoupleIndex:
             if found is not None:
                 return self._gather(found)
         return self._kernel.couple_index.compatibility(couples)
+
+    def appended_rows(self, couples: Sequence[LinkRate], start: int) -> List[int]:
+        """The rows of ``couples[start:]`` in :meth:`compatibility`'s
+        adjacency of ``couples``: bit ``j`` of the row of ``couples[i]``
+        is set when ``couples[i]`` and ``couples[j]`` can transmit
+        together.
+        """
+        with self._lock:
+            found = self._lookup(couples)
+            if found is None:
+                found = self._extend(couples)
+            if found is not None:
+                places = [(other >> 3, 1 << (other & 7)) for other in found]
+                rows = []
+                for ident in found[start:]:
+                    line = self._rows[ident].tobytes()
+                    row = 0
+                    for bit, (byte, mask) in enumerate(places):
+                        if line[byte] & mask:
+                            row |= 1 << bit
+                    rows.append(row)
+                return rows
+        return self._kernel.couple_index.appended_rows(couples, start)
 
     def names(self, couples: Sequence[LinkRate]) -> List[str]:
         """The ``str`` of each of ``couples``, indexing the ones not seen yet."""
@@ -245,6 +273,14 @@ class CoupleIndex:
         self._rows[start:end, :width] = np.packbits(
             block, axis=1, bitorder="little"
         )
+        if start:
+            # The block's bits in the earlier rows, from byte ``first``.
+            first = start >> 3
+            columns = np.zeros((start, 8 * (width - first)), dtype=bool)
+            columns[:, start - 8 * first : end - 8 * first] = block[:, :start].T
+            self._rows[:start, first:width] |= np.packbits(
+                columns, axis=1, bitorder="little"
+            )
 
     def _gather(self, ids: List[int]) -> List[int]:
         """The rows of ``ids`` on bits local to the list."""
@@ -252,12 +288,8 @@ class CoupleIndex:
         if not count:
             return []
         at = np.array(ids, dtype=np.intp)
-        # A row holds every couple indexed up to its own fill, so the
-        # pair (i, j) is read from the later couple's row.
-        later = np.maximum(at[:, None], at[None, :])
-        earlier = np.minimum(at[:, None], at[None, :])
-        picked = self._rows[later, earlier >> 3]
-        picked &= _BIT[earlier & 7]
+        picked = self._rows[at[:, None], at[None, :] >> 3]
+        picked &= _BIT[at & 7]
         packed = np.packbits(picked, axis=1, bitorder="little")
         width = packed.shape[1]
         if count <= 64:

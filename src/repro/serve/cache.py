@@ -83,6 +83,12 @@ class SolveCache:
         with self._lock:
             self._put_locked(key, value)
 
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key``'s entry, if any (no eviction is counted)."""
+        with self._lock:
+            if self._entries.pop(key, _ABSENT) is not _ABSENT:
+                get_recorder().gauge(self._size_name, len(self._entries))
+
     def get_or_compute(
         self, key: Hashable, factory: Callable[[], Any]
     ) -> Any:

@@ -9,7 +9,13 @@ model and background mix and answers queries through a
 :class:`~repro.serve.session.MasterSession`, whose ``enum`` /
 ``master`` / ``result`` caches are keyed by the query's link union; a
 repeat union retargets the cached master LP's ``f`` column instead of
-rebuilding the program.
+rebuilding the program.  Every union is the background's links followed
+by the path's new ones, so the session keeps the background's couple
+space (built by the first union that leaves the background, not at
+construction) and enumerates a fresh union on it, extended by the
+path's few new couples: the background's compatibility rows and
+maximal independent sets are reused, and the columns are those of a
+cold enumeration.
 
 :class:`BatchSession` runs a batch of queries grouped by link union so
 enumeration happens once per fingerprint even when the LRU caches are
@@ -148,6 +154,7 @@ class AdmissionService:
             cache_capacity=cache_capacity,
             result_capacity=result_capacity,
             explain=explain,
+            base=tuple(self._background_links.values()),
         )
         self.enum_cache = self.session.enum_cache
         self.master_cache = self.session.master_cache

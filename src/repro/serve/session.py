@@ -23,6 +23,19 @@ links, the exact universe the cold solver enumerates over):
 ``enum``
     link union → enumerated LP columns, read when a master is built.
 
+A session built with a ``base`` (the batch service's background links,
+which every query union starts with) keeps the base's
+:class:`~repro.core.independent_sets.CoupleSpace`, made by the first
+union that extends it.  A fresh union that starts with the base's
+links is enumerated on that space extended by its other links
+(:meth:`~repro.core.independent_sets.CoupleSpace.extend`): the base's
+compatibility rows and maximal independent sets are reused, and only
+the path's few new couples are read and searched around.  The columns
+are the ones a cold enumeration over the union finds, in the same
+order.  The online controller, whose unions follow its carried set,
+has no base and enumerates each fresh union on its own space, as does
+the cumulative (physical) search, which reads no compatibility rows.
+
 Each solve starts the edited program from a canonical state on the
 thread's reused HiGHS handle (no basis is carried over): a cache hit
 saves enumeration and assembly, not simplex work.  The edited program
@@ -34,7 +47,10 @@ answers are bit-equal.
 Failure leaves nothing stale: a solve that raises writes no result
 entry, and the master's ``path_key`` / ``demand_key`` are updated as
 each edit lands, so they always describe the program the master holds
-and the next query on the union re-solves it correctly.
+and the next query on the union re-solves it correctly.  A fresh union
+whose enumeration raises (the ``max_sets`` cap) or whose program is
+infeasible leaves no ``enum`` or ``master`` entry, and the base's space
+is not changed by it.
 """
 
 from __future__ import annotations
@@ -45,8 +61,13 @@ from dataclasses import MISSING, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bandwidth import TimeShareProgram, build_path_bandwidth_lp
-from repro.core.independent_sets import enumerate_maximal_independent_sets
+from repro.core.independent_sets import (
+    CoupleSpace,
+    enumerate_maximal_independent_sets,
+)
+from repro.errors import InfeasibleProblemError
 from repro.interference.base import InterferenceModel
+from repro.interference.physical import PhysicalInterferenceModel
 from repro.net.link import Link
 from repro.net.path import Path
 from repro.obs.explain import Explanation, explain_solution, top_binding_link
@@ -215,10 +236,13 @@ class MasterSession:
     cache, so a long-running online controller that sees ever new
     demand vectors holds a bounded number of them.
     ``prefix`` namespaces the cache counters (``serve.cache`` or
-    ``online.cache``).  With ``explain=True`` every
-    solve attaches an :class:`~repro.obs.explain.Explanation`
-    (certificate, binding cliques, crowd-out); off, a solve adds only
-    the O(rows) bottleneck scan for the flight recorder.
+    ``online.cache``).  ``base`` lists the links, each once, that the
+    front end's unions start with; fresh unions that do are enumerated
+    on the base's couple space, extended (see the module docstring).
+    With ``explain=True`` every solve attaches an
+    :class:`~repro.obs.explain.Explanation` (certificate, binding
+    cliques, crowd-out); off, a solve adds only the O(rows) bottleneck
+    scan for the flight recorder.
 
     Thread-safety: the caches lock internally, master builds are
     single-flight under the master cache's lock, and each master's edits
@@ -236,8 +260,20 @@ class MasterSession:
         result_capacity: int = 4096,
         prefix: str = "serve.cache",
         explain: bool = False,
+        base: Sequence[Link] = (),
     ):
         self.model = model
+        #: The links every query union starts with, each once, and
+        #: their ids (none on the cumulative search, which reads no
+        #: couple rows and so gains nothing from a base).
+        self._base: Tuple[Link, ...] = ()
+        if not isinstance(model, PhysicalInterferenceModel):
+            self._base = tuple(base)
+        self._base_key = tuple(link.link_id for link in self._base)
+        #: The couple space of ``base``, built by the first union that
+        #: extends it: constructing the session does no couple work, and
+        #: a front end whose unions never leave the base keeps none.
+        self.base_space: Optional[CoupleSpace] = None
         self.max_sets = max_sets
         self.explain = explain
         self.enum_cache = SolveCache(cache_capacity, "enum", prefix=prefix)
@@ -324,7 +360,10 @@ class MasterSession:
             outcome.columns_cache = "miss" if columns is None else "hit"
             if columns is None:
                 columns = enumerate_maximal_independent_sets(
-                    self.model, union, self.max_sets
+                    self.model,
+                    union,
+                    self.max_sets,
+                    space=self._couple_space(union, union_key),
                 )
                 self.enum_cache.put(union_key, columns)
             return _Master.build(columns, union, demands, path, demand_key)
@@ -344,12 +383,40 @@ class MasterSession:
                 )
                 master.program.set_demands(demand_key)
                 master.demand_key = demand_key
-            self._solve(outcome, master.program, background)
+            try:
+                self._solve(outcome, master.program, background)
+            except InfeasibleProblemError:
+                # An infeasible fresh union leaves the caches as they
+                # were, so the next query on it is a cold build.
+                if outcome.lp_cache == "miss":
+                    self.master_cache.discard(union_key)
+                    if outcome.columns_cache == "miss":
+                        self.enum_cache.discard(union_key)
+                raise
         self.result_cache.put(
             result_key,
             (outcome.bandwidth, outcome.bottleneck, outcome.explanation),
         )
         return outcome
+
+    def _couple_space(
+        self, union: Sequence[Link], union_key: Tuple[str, ...]
+    ) -> Optional[CoupleSpace]:
+        """The couple space a fresh union is enumerated on: the base's,
+        extended by the union's other links (the base's own for the
+        base's union, once the base's space exists).  ``None`` (a space
+        over the union alone) without a base or for a union that does
+        not start with the base's links."""
+        base_key = self._base_key
+        count = len(base_key)
+        if not count or union_key[:count] != base_key:
+            return None
+        space = self.base_space
+        if len(union_key) == count:
+            return space
+        if space is None:
+            space = self.base_space = CoupleSpace(self.model, self._base)
+        return space.extend(union[count:])
 
     def _solve(
         self,

@@ -568,6 +568,50 @@ def _check_online_identity(ctx: InstanceArtifacts) -> Tuple[bool, str]:
     return True, detail
 
 
+def _check_served_identity(ctx: InstanceArtifacts) -> Tuple[bool, str]:
+    """Batch-service decisions against cold Eq. 6 solves, bit for bit.
+
+    A service over the instance's background answers the new path
+    (whose union leaves the background when the path has a link outside
+    it: enumerated on the background's couple space, extended), then a
+    path inside the background (its first route, whose union is the
+    background's own: enumerated on that space once it exists), and a
+    repeat of each, which must come from the result cache.
+    """
+    from repro.serve import AdmissionQuery, AdmissionService
+
+    instance = ctx.instance
+    service = AdmissionService(instance.model, instance.background)
+    background_ids = {
+        link.link_id for path, _demand in instance.background for link in path
+    }
+    # (label, path, its cold Eq. 6 answer), each asked twice.
+    asked = [("new", instance.new_path, ctx.optimum)]
+    if instance.background:
+        inside = instance.background[0][0]
+        solved = available_path_bandwidth(
+            instance.model, inside, instance.background
+        )
+        asked.append(("inside", inside, solved.available_bandwidth))
+    leaves = any(link.link_id not in background_ids for link in instance.new_path)
+    states: List[str] = []
+    for label, path, cold in asked + asked:
+        decision = service.submit(AdmissionQuery(label, path, float("inf")))
+        states.append(f"{label}:{decision.cache_state}")
+        if decision.available_bandwidth_mbps != cold:
+            return False, (
+                f"{label} path served {decision.available_bandwidth_mbps!r} "
+                f"!= cold {cold!r} Mbps ({' '.join(states)})"
+            )
+    detail = (
+        f"new path {'leaves' if leaves else 'stays inside'} the background; "
+        + " ".join(states)
+    )
+    if states[len(asked):] != [f"{label}:result" for label, _, _ in asked]:
+        return False, detail + " (a repeat missed the result cache)"
+    return True, detail
+
+
 def _twohop_estimate(ctx: InstanceArtifacts):
     from repro.routing.admission import TwoHopAdmission
 
@@ -773,6 +817,16 @@ INVARIANTS: Tuple[Invariant, ...] = (
             "byte-identical to cold Eq. 6 solves over the same carried set"
         ),
         check=_check_online_identity,
+    ),
+    Invariant(
+        name="served-matches-cold-solve",
+        equation="Eq. 6",
+        description=(
+            "The batch admission service's decisions (a path inside the "
+            "background, the new path, and a repeat of each) are "
+            "byte-identical to cold Eq. 6 solves"
+        ),
+        check=_check_served_identity,
     ),
     Invariant(
         name="twohop-exact-on-single-clique",

@@ -40,7 +40,7 @@ from repro.net.node import Node
 from repro.net.topology import Network
 from repro.obs import Recorder, use_recorder
 from repro.phy.radio import RadioConfig
-from repro.phy.rates import Rate
+from repro.phy.rates import Rate, RateTable
 from repro.phy.sinr import sinr
 
 
@@ -635,11 +635,9 @@ def test_sub_masks_match_cold_enumeration_on_x7_unions(center, data):
     _assert_sub_mask_matches_cold(model, union, _scattered_sub_union(data, union))
 
 
-@given(network=geometric_networks(), data=st.data())
-@settings(max_examples=30, deadline=None)
-def test_sub_masks_match_cold_enumeration_on_declared_models(network, data):
-    """Declared models take the general prune, on the space's bits."""
-    union = _links_of_interest(network, cap=7)
+def _declared_model(network, union, data, min_rates=1):
+    """A declared model over ``union``'s links with drawn conflict rules
+    and standalone rates (none at all for a link when ``min_rates`` is 0)."""
     ids = [link.link_id for link in union]
     pairs = [(a, b) for index, a in enumerate(ids) for b in ids[index + 1 :]]
     rules = [
@@ -658,14 +656,14 @@ def test_sub_masks_match_cold_enumeration_on_declared_models(network, data):
         )
         if threshold != 99.0
     ]
-    model = DeclaredInterferenceModel(
+    return DeclaredInterferenceModel(
         network,
         rules=rules,
         standalone_mbps={
             link_id: data.draw(
                 st.lists(
                     st.sampled_from([54.0, 36.0, 18.0]),
-                    min_size=1,
+                    min_size=min_rates,
                     max_size=3,
                     unique=True,
                 )
@@ -673,6 +671,14 @@ def test_sub_masks_match_cold_enumeration_on_declared_models(network, data):
             for link_id in ids
         },
     )
+
+
+@given(network=geometric_networks(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_sub_masks_match_cold_enumeration_on_declared_models(network, data):
+    """Declared models take the general prune, on the space's bits."""
+    union = _links_of_interest(network, cap=7)
+    model = _declared_model(network, union, data)
     _assert_sub_mask_matches_cold(model, union, _scattered_sub_union(data, union))
 
 
@@ -694,6 +700,160 @@ def test_a_link_outside_the_space_is_refused():
         enumerate_maximal_independent_sets(
             model, [a, b], space=CoupleSpace(model, [a])
         )
+
+
+# -- a couple space extended from a base ---------------------------------------
+#
+# A fresh serving union is its background's links followed by the path's
+# new links, and is enumerated on the background's space extended by
+# them.  The extended space must equal a space built over the whole
+# union, field by field, and give the family, order and set counts of a
+# cold enumeration.
+
+_SPACE_FIELDS = (
+    "links", "couples", "bits", "names", "weights", "slower", "compatible",
+)
+
+
+def _base_and_added(data, union):
+    """A base (a prefix of ``union``) and the links that extend it: the
+    rest of the union, shuffled, with base links and repeats mixed in."""
+    cut = data.draw(st.integers(min_value=0, max_value=len(union)))
+    added = data.draw(
+        st.permutations(
+            union[cut:]
+            + data.draw(st.lists(st.sampled_from(union), max_size=3))
+        )
+    )
+    return union[:cut], added
+
+
+def _assert_extension_matches_cold(model, base_links, added, data):
+    base = CoupleSpace(model, base_links)
+    if data.draw(st.booleans()):
+        # A base whose rows and sets are already made, as a serving
+        # session's is after its first fresh union.
+        base.independent_sets((1 << len(base.couples)) - 1)
+    cut = data.draw(st.integers(min_value=0, max_value=len(added)))
+    # Extending twice is extending once by both parts.
+    for space in (base.extend(added), base.extend(added[:cut]).extend(added[cut:])):
+        cold = CoupleSpace(model, [*base_links, *added])
+        for name in _SPACE_FIELDS:
+            assert getattr(space, name) == getattr(cold, name), name
+        _assert_served_family_matches_cold(
+            model, [*base_links, *added], space, data
+        )
+
+
+def _assert_served_family_matches_cold(model, union, space, data):
+    """Enumerated on ``space``, ``union`` gives what a cold call gives:
+    the couples and masks in order, the set counts, the ``max_sets``
+    error."""
+    max_sets = data.draw(
+        st.none() | st.integers(min_value=0, max_value=12)
+    )
+
+    def enumerate_on(on):
+        recorder = Recorder()
+        with use_recorder(recorder):
+            try:
+                family = enumerate_maximal_independent_sets(
+                    model, union, max_sets, space=on
+                )
+            except InterferenceError as error:
+                return str(error), None
+        counts = [
+            recorder.counters.get(name, 0)
+            for name in ("enum.sets_found", "enum.sets_pruned")
+        ]
+        return (family.couples, family.masks), counts
+
+    assert enumerate_on(space) == enumerate_on(None)
+
+
+@given(network=geometric_networks(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_extended_space_matches_cold_space_on_protocol_networks(network, data):
+    union = _links_of_interest(network, cap=8)
+    model = ProtocolInterferenceModel(network)
+    _assert_extension_matches_cold(model, *_base_and_added(data, union), data)
+
+
+@given(network=geometric_networks(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_extended_space_matches_cold_space_on_declared_models(network, data):
+    """Links may have no standalone rate here (and so no couples)."""
+    union = _links_of_interest(network, cap=7)
+    model = _declared_model(network, union, data, min_rates=0)
+    _assert_extension_matches_cold(model, *_base_and_added(data, union), data)
+
+
+@given(network=geometric_networks(), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_extended_space_matches_cold_space_on_physical_models(network, data):
+    union = _links_of_interest(network, cap=7)
+    model = PhysicalInterferenceModel(network)
+    _assert_extension_matches_cold(model, *_base_and_added(data, union), data)
+
+
+@given(center=st.integers(min_value=0, max_value=191), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_extended_space_matches_cold_space_on_x7_unions(center, data):
+    """Dense multirate unions: many maximal sets, most new couples."""
+    model = _x7_model()
+    middle = model.network.node(f"n{center}")
+    union = sorted(
+        model.network.links,
+        key=lambda link: (link.sender.distance_to(middle), link.link_id),
+    )[:12]
+    _assert_extension_matches_cold(model, *_base_and_added(data, union), data)
+
+
+def _tied_name_model():
+    """Links a and b, each at two rates whose names are both "54"; at
+    the faster rates they conflict.  Two maximal sets, {(a,54+), (b,54)}
+    and {(a,54), (b,54+)}, survive the prune with equal column keys, so
+    a cold enumeration orders them as its search finds them."""
+    fast = Rate(mbps=54.000001, sinr_db=24.56, range_m=59.0)
+    slow = Rate(mbps=54.0, sinr_db=24.56, range_m=59.0)
+    network = Network(RadioConfig(rate_table=RateTable([fast, slow])), name="tie")
+    for index in range(4):
+        network.add_node(f"n{index}")
+    network.add_link("n0", "n1", link_id="a")
+    network.add_link("n2", "n3", link_id="b")
+    model = DeclaredInterferenceModel(
+        network,
+        rules=[ConflictRule("a", "b", predicate=lambda ra, rb: min(ra, rb) > 54.0)],
+    )
+    return model, [network.link("a"), network.link("b")]
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_tied_couple_names_take_the_whole_search(order):
+    model, links = _tied_name_model()
+    union = [links[index] for index in order]
+    cold = enumerate_maximal_independent_sets(model, union)
+    assert len(cold) == 2
+    space = CoupleSpace(model, union[:1]).extend(union[1:])
+    served = enumerate_maximal_independent_sets(model, union, space=space)
+    assert (served.couples, served.masks) == (cold.couples, cold.masks)
+
+
+@pytest.mark.parametrize("cut", [0, 1, 2, 3])
+def test_prefix_couple_names_take_the_whole_search(cut):
+    """Names where one is a prefix of another ("(a,54)" and
+    "(a,54),54)") are ordered by their strings, whatever the split."""
+    network = Network(RadioConfig(), name="prefix")
+    for index in range(6):
+        network.add_node(f"n{index}", x=index * 20.0, y=(index % 2) * 30.0)
+    for index, link_id in enumerate(("a", "a,54)", "a,54),36)")):
+        network.add_link(f"n{2 * index}", f"n{2 * index + 1}", link_id=link_id)
+    model = ProtocolInterferenceModel(network)
+    union = sorted(network.links, key=lambda link: link.link_id, reverse=True)
+    space = CoupleSpace(model, union[:cut]).extend(union[cut:])
+    cold = enumerate_maximal_independent_sets(model, union)
+    served = enumerate_maximal_independent_sets(model, union, space=space)
+    assert (served.couples, served.masks) == (cold.couples, cold.masks)
 
 
 # -- incremental LP -----------------------------------------------------------

@@ -17,7 +17,12 @@ from repro.core.bandwidth import (
     link_demands_from_paths,
     path_bandwidth_from_solution,
 )
-from repro.errors import ConfigurationError, SolverError
+from repro.errors import (
+    ConfigurationError,
+    InfeasibleProblemError,
+    InterferenceError,
+    SolverError,
+)
 from repro.net.path import Path
 from repro.obs import Recorder, use_recorder
 from repro.serve import (
@@ -357,6 +362,85 @@ class TestSolverFailure:
         assert counters["online.cache.master.misses"] == 1
         assert counters.get("online.rebuild_fallbacks", 0) == 0
         assert counters["online.warm_resolves"] == 1
+
+
+class TestFreshUnionFailure:
+    """A fresh union that raises leaves no ``enum`` or ``master`` entry
+    and the background's couple space as it was; the next fresh query
+    answers as a cold solve does."""
+
+    @staticmethod
+    def _space_state(service):
+        space = service.session.base_space
+        full = (1 << len(space.couples)) - 1
+        return space, list(space.compatible), space.independent_sets(full)
+
+    @staticmethod
+    def _assert_no_entry(service, path):
+        union_key = tuple(link.link_id for link in service.link_union(path))
+        assert union_key not in service.enum_cache.keys()
+        assert union_key not in service.master_cache.keys()
+
+    def test_max_sets_cap_on_a_fresh_union(self):
+        scenario = scenario_two()
+        network = scenario.network
+        l1, l2, l3, l4 = (network.link(f"L{index}") for index in range(1, 5))
+        background = [(Path([l1]), 1.0)]
+        # Fresh unions that fit the cap, one that exceeds it, and a
+        # fresh one after it.
+        first, big, after = Path([l1, l2]), Path([l2, l3, l4]), Path([l3])
+
+        def sets_found(path):
+            recorder = Recorder()
+            with use_recorder(recorder):
+                available_path_bandwidth(scenario.model, path, background)
+            return recorder.counters["enum.sets_found"]
+
+        cap = max(sets_found(first), sets_found(after))
+        assert sets_found(big) > cap
+        service = AdmissionService(scenario.model, background, max_sets=cap)
+        for path in (Path([l1]), first):
+            service.submit(AdmissionQuery("fits", path, 1.0))
+        before = self._space_state(service)
+        with pytest.raises(InterferenceError) as cold_error:
+            available_path_bandwidth(
+                scenario.model, big, background, max_sets=cap
+            )
+        with pytest.raises(InterferenceError) as error:
+            service.submit(AdmissionQuery("big", big, 1.0))
+        assert str(error.value) == str(cold_error.value)
+        self._assert_no_entry(service, big)
+        assert self._space_state(service) == before
+        assert self._space_state(service)[0] is before[0]
+        decision = service.submit(AdmissionQuery("after", after, 1.0))
+        assert decision.cache_state == "cold"
+        assert decision.available_bandwidth_mbps == available_path_bandwidth(
+            scenario.model, after, background, max_sets=cap
+        ).available_bandwidth
+        assert self._space_state(service) == before
+
+    def test_infeasible_background(self):
+        scenario = scenario_two()
+        network = scenario.network
+        l2, l3, l4 = (network.link(f"L{index}") for index in range(2, 5))
+        background = [(Path([l2]), 60.0)]
+        service = AdmissionService(scenario.model, background)
+        states = []
+        # Inside the background, then two fresh unions leaving it.
+        for path in (Path([l2]), Path([l3, l4]), Path([l3])):
+            with pytest.raises(InfeasibleProblemError) as cold_error:
+                available_path_bandwidth(scenario.model, path, background)
+            with pytest.raises(InfeasibleProblemError) as error:
+                service.submit(AdmissionQuery("q", path, 1.0))
+            assert str(error.value) == str(cold_error.value)
+            self._assert_no_entry(service, path)
+            if service.session.base_space is not None:
+                states.append(self._space_state(service))
+        assert len(states) == 2 and states[0] == states[1]
+        assert states[0][0] is states[1][0]
+        assert not service.enum_cache.keys()
+        assert not service.master_cache.keys()
+        assert not service.result_cache.keys()
 
 
 class TestBatchSession:
