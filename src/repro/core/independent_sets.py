@@ -79,6 +79,7 @@ import numpy as np
 
 from repro.errors import InterferenceError
 from repro.interference.base import InterferenceModel, LinkRate
+from repro.interference.couple_index import CoupleIndex
 from repro.obs import get_recorder
 from repro.interference.physical import PhysicalInterferenceModel
 from repro.net.link import Link
@@ -468,7 +469,7 @@ class CoupleSpace:
 
     __slots__ = (
         "model", "links", "couples", "bits", "names", "slower",
-        "_weights", "_base", "_compatible", "_sets", "_spacing",
+        "_weights", "_base", "_compatible", "_sets", "_spacing", "_index", "_ids",
     )
 
     def __init__(self, model: InterferenceModel, links: Iterable[Link]):
@@ -487,8 +488,16 @@ class CoupleSpace:
         #: (:func:`prune_dominated`): every couple but its link's
         #: fastest.  ``None`` for the models that take the general prune.
         self.slower: Optional[int] = None
-        if self._kernel() is not None:
+        #: A kernel-backed pairwise model's couple index and the
+        #: couples' ids in it (``None`` for the other models, or once
+        #: the kernel replaced the index under the space).
+        self._index: Optional[CoupleIndex] = None
+        self._ids: Optional[List[int]] = None
+        kernel = self._kernel()
+        if kernel is not None:
             self.slower = 0
+            self._index = kernel.couple_index
+            self._ids = []
         self._base: Optional[CoupleSpace] = None
         self._append(links)
 
@@ -502,6 +511,8 @@ class CoupleSpace:
         space.bits = dict(self.bits)
         space.names = list(self.names)
         space.slower = self.slower
+        space._index = self._index
+        space._ids = self._ids
         space._base = self
         space._append(links)
         return space
@@ -534,12 +545,17 @@ class CoupleSpace:
                 self.slower |= mask & (mask - 1)
         self.links += new_links
         self.couples += tuple(couples)
-        kernel = self._kernel()
-        self.names += (
-            map(str, couples)
-            if kernel is None
-            else kernel.couple_index.names(couples)
-        )
+        if self._index is None:
+            self.names += map(str, couples)
+        else:
+            ids, names = self._index.named(couples)
+            self.names += names
+            if ids is None or self._ids is None:
+                # The kernel replaced its index: the space reads its
+                # rows and searches its sets afresh, as a cold one.
+                self._index = self._ids = self._base = None
+            else:
+                self._ids = self._ids + ids
         self._weights: Optional[List[int]] = _UNSET
         self._compatible: Optional[List[int]] = None
         self._sets: Optional[Tuple[int, ...]] = None
@@ -562,9 +578,12 @@ class CoupleSpace:
                 rows = _pairwise_compatibility_masks(self.model, self.couples)
             else:
                 start = len(base.couples)
-                appended = _pairwise_compatibility_masks(
-                    self.model, self.couples, start
-                )
+                if self._ids is None:
+                    appended = _pairwise_compatibility_masks(
+                        self.model, self.couples, start
+                    )
+                else:  # read by the ids the layout looked up
+                    appended = self._index.appended_rows(self._ids, start)
                 rows = base.compatible + appended
                 bit = 1 << start
                 for row in appended:
@@ -781,10 +800,12 @@ def enumerate_maximal_independent_sets(
         space: The :class:`CoupleSpace` of a union holding ``links``, in
             an order of which ``links`` is a subsequence.  The sets are
             then searched on the sub-mask of ``links``' couples and come
-            back on the space's bits; over the whole space they are the
-            ones the space keeps, which an extended space finds from its
-            base's (:meth:`CoupleSpace.extend`).  ``None`` builds a space
-            over ``links`` and searches all of it.
+            back on the space's bits; over the whole space (``links`` is
+            the space's own ``links`` tuple, or lists every link of it)
+            they are the ones the space keeps, which an
+            extended space finds from its base's
+            (:meth:`CoupleSpace.extend`).  ``None`` builds a space over
+            ``links`` and searches all of it.
 
     Returns:
         Dominance-pruned maximal sets, deterministically ordered (by size
@@ -796,6 +817,8 @@ def enumerate_maximal_independent_sets(
     with recorder.span("enum.sets"):
         if space is None:
             space = CoupleSpace(model, links)
+            links = space.links
+        if links is space.links:
             subset = (1 << len(space.couples)) - 1
         else:
             subset = space.mask_of(links)
@@ -839,7 +862,8 @@ def _pairwise_compatibility_masks(
     receiver loses its rate's SINR against the other sender).  The bits
     are local to ``vertices``: enumeration runs on the union's own
     graph.  With ``start`` given, only the rows of ``vertices[start:]``
-    are made (an extended :class:`CoupleSpace` holds the others).
+    are returned (an extended :class:`CoupleSpace` holds the others; a
+    kernel-backed space reads its new rows by couple id instead).
     Kernel-backed models read the rows from the model's
     :class:`~repro.interference.couple_index.CoupleIndex`, which
     evaluates each couple against every other once per model; other
@@ -849,9 +873,7 @@ def _pairwise_compatibility_masks(
     """
     kernel = getattr(model, "kernel", None)
     if kernel is not None:
-        if start:
-            return kernel.couple_index.appended_rows(vertices, start)
-        return kernel.couple_index.compatibility(vertices)
+        return kernel.couple_index.compatibility(vertices)[start:]
     count = len(vertices)
     masks = [0] * count
     for i, a in enumerate(vertices):

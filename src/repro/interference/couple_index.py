@@ -28,9 +28,11 @@ of rows filled once instead of re-deriving it.
   reads only the rows of a list's last few couples, for a couple space
   that extends a base whose rows it already holds: one byte test per
   couple of the list and row read, without the array gather, whose
-  fixed cost is most of a gather this small.  :meth:`CoupleIndex.names`
-  reads the couples' names (their ``str``, kept next to each couple),
-  which fix the order of Eq. 6's columns.
+  fixed cost is most of a gather this small.  :meth:`CoupleIndex.named`
+  reads the couples' ids and names (their ``str``, kept next to each
+  couple; the names fix the order of Eq. 6's columns), so a space that
+  keeps the ids reads its rows by them without looking its couples up
+  again.
 
 Calls hold the index's lock, so threads enumerating over one model
 extend and read it safely.  The kernel replaces its index whenever it
@@ -41,7 +43,7 @@ since node indices and positions never change.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,38 +123,38 @@ class CoupleIndex:
                 return self._gather(found)
         return self._kernel.couple_index.compatibility(couples)
 
-    def appended_rows(self, couples: Sequence[LinkRate], start: int) -> List[int]:
-        """The rows of ``couples[start:]`` in :meth:`compatibility`'s
-        adjacency of ``couples``: bit ``j`` of the row of ``couples[i]``
-        is set when ``couples[i]`` and ``couples[j]`` can transmit
+    def appended_rows(self, ids: Sequence[int], start: int) -> List[int]:
+        """The rows of ``ids[start:]`` in :meth:`compatibility`'s
+        adjacency of the couples indexed here as ``ids`` (as
+        :meth:`named` returned them): bit ``j`` of the row of couple
+        ``ids[i]`` is set when it and couple ``ids[j]`` can transmit
         together.
         """
         with self._lock:
-            found = self._lookup(couples)
-            if found is None:
-                found = self._extend(couples)
-            if found is not None:
-                places = [(other >> 3, 1 << (other & 7)) for other in found]
-                rows = []
-                for ident in found[start:]:
-                    line = self._rows[ident].tobytes()
-                    row = 0
-                    for bit, (byte, mask) in enumerate(places):
-                        if line[byte] & mask:
-                            row |= 1 << bit
-                    rows.append(row)
-                return rows
-        return self._kernel.couple_index.appended_rows(couples, start)
+            places = [(other >> 3, 1 << (other & 7)) for other in ids]
+            rows = []
+            for ident in ids[start:]:
+                line = self._rows[ident].tobytes()
+                row = 0
+                for bit, (byte, mask) in enumerate(places):
+                    if line[byte] & mask:
+                        row |= 1 << bit
+                rows.append(row)
+            return rows
 
-    def names(self, couples: Sequence[LinkRate]) -> List[str]:
-        """The ``str`` of each of ``couples``, indexing the ones not seen yet."""
+    def named(
+        self, couples: Sequence[LinkRate]
+    ) -> Tuple[Optional[List[int]], List[str]]:
+        """The ids and the ``str`` of each of ``couples``, indexing the
+        ones not seen yet.  The ids are ``None`` when the kernel
+        replaced this index meanwhile (its new one gives the names)."""
         with self._lock:
             found = self._lookup(couples)
             if found is None:
                 found = self._extend(couples)
             if found is not None:
-                return list(map(self._names.__getitem__, found))
-        return self._kernel.couple_index.names(couples)
+                return found, list(map(self._names.__getitem__, found))
+        return None, self._kernel.couple_index.named(couples)[1]
 
     # -- internals (the lock is held) ------------------------------------------
 

@@ -77,7 +77,7 @@ from repro.obs.explain import Explanation
 from repro.routing.metrics import HopCountMetric, RoutingContext
 from repro.routing.shortest_path import route
 from repro.serve.flight import DEFAULT_SLOW_LOG_SIZE, FlightRecorder
-from repro.serve.session import DeferredFingerprint, MasterSession, SolveOutcome
+from repro.serve.session import DeferredFingerprint, MasterSession, Outcome, SolveOutcome
 from repro.workloads.churn import FlowEvent
 
 __all__ = [
@@ -417,7 +417,7 @@ class OnlineAdmissionController:
 
     # -- solving ----------------------------------------------------------------
 
-    def _solve(self, path: Path, path_key: Tuple[str, ...]) -> SolveOutcome:
+    def _solve(self, path: Path, path_key: Tuple[str, ...]) -> Outcome:
         """Eq. 6 for ``path`` (link ids ``path_key``) against the carried
         set, via the session.
 
@@ -471,7 +471,7 @@ class OnlineAdmissionController:
         self,
         event: FlowEvent,
         path: Path,
-        outcome: SolveOutcome,
+        outcome: Outcome,
         admitted: bool,
     ) -> None:
         """Assert this decision == a cold Eq. 6 solve, bit for bit."""

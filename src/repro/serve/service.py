@@ -6,13 +6,16 @@ expensive parts of each answer — the interference kernel, the maximal
 independent sets, the assembled Eq. 6 master LP — depend only on the
 link universe, not on the query.  :class:`AdmissionService` binds one
 model and background mix and answers queries through a
-:class:`~repro.serve.session.MasterSession`, whose ``enum`` /
-``master`` / ``result`` caches are keyed by the query's link union; a
-repeat union retargets the cached master LP's ``f`` column instead of
-rebuilding the program.  Every union is the background's links followed
-by the path's new ones, so the session keeps the background's couple
-space (built by the first union that leaves the background, not at
-construction) and enumerates a fresh union on it, extended by the
+:class:`~repro.serve.session.MasterSession`, whose ``enum`` and
+``master`` caches are keyed by the query's link union; a repeat union
+retargets the cached master LP's ``f`` column instead of rebuilding the
+program.  Every union is the background's links followed by the path's
+new ones and the demands are the background's, so the ``result`` cache
+is keyed by the path's link ids alone: a repeat query is answered from
+its path, without building its union, and gets the outcome the first
+query on the path left there.  The session keeps the background's
+couple space (built by the first union that leaves the background, not
+at construction) and enumerates a fresh union on it, extended by the
 path's few new couples: the background's compatibility rows and
 maximal independent sets are reused, and the columns are those of a
 cold enumeration.
@@ -41,7 +44,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -112,6 +115,20 @@ class AdmissionDecision:
     #: Populated only when the service was built with ``explain=True``.
     explanation: Optional[Explanation] = None
 
+    @classmethod
+    def _of(cls, *values) -> "AdmissionDecision":
+        """The decision with every field's value, in field order: the
+        instance ``AdmissionDecision(*values)`` makes, with its attribute
+        dict written in one update rather than one frozen-dataclass
+        ``object.__setattr__`` per field."""
+        decision = object.__new__(cls)
+        decision.__dict__.update(zip(_DECISION_FIELDS, values))
+        return decision
+
+
+#: :class:`AdmissionDecision`'s field names, in order.
+_DECISION_FIELDS = tuple(field.name for field in fields(AdmissionDecision))
+
 
 class AdmissionService:
     """Batch/async admission-query engine over one (model, background).
@@ -141,11 +158,17 @@ class AdmissionService:
         self.background = list(background)
         self.tolerance = tolerance
         self._demands = link_demands_from_paths(self.background)
-        #: The background's links by id, in union order: each query's
-        #: union extends a copy with its path's links.
+        #: The background's links by id, in union order: a query's
+        #: union extends a copy with its path's new links.
         self._background_links: Dict[str, Link] = {
             link.link_id: link for link in _collect_links(self.background)
         }
+        #: The union of a path that adds no link, and its key: shared by
+        #: every such query (and by the result entries that keep the key).
+        self._background_union: Tuple[List[Link], Tuple[str, ...]] = (
+            list(self._background_links.values()),
+            tuple(self._background_links),
+        )
         scope = [model_fingerprint(model), background_fingerprint(self.background)]
         self.session = MasterSession(
             model,
@@ -167,13 +190,18 @@ class AdmissionService:
 
     def link_union(self, path: Path) -> List[Link]:
         """The paper's ``P`` for this query: background ∪ path links."""
-        return self._union(path)[0]
+        return list(self._union(path)[0])
 
     def _union(self, path: Path) -> Tuple[List[Link], Tuple[str, ...]]:
         """:meth:`link_union` and its link ids, in the order
-        :func:`~repro.core.bandwidth._collect_links` gives them."""
-        union = self._background_links.copy()
-        for link in path.links:
+        :func:`~repro.core.bandwidth._collect_links` gives them; the
+        shared background union when ``path`` adds no link to it."""
+        links = self._background_links
+        added = [link for link in path.links if link.link_id not in links]
+        if not added:
+            return self._background_union
+        union = links.copy()
+        for link in added:
             union.setdefault(link.link_id, link)
         return list(union.values()), tuple(union)
 
@@ -188,26 +216,27 @@ class AdmissionService:
         query: AdmissionQuery,
         record_span: bool = True,
         trace_id: Optional[str] = None,
-        union: Optional[Sequence[Link]] = None,
     ) -> AdmissionDecision:
         """Answer one query, using and feeding the caches.
 
-        ``trace_id`` labels the query's flight record;
-        :class:`BatchSession` derives one from the batch position, a
-        standalone submit draws from the service-wide sequence.
-        ``union`` is the query's :meth:`link_union` when the caller has
-        already computed it (:class:`BatchSession` groups by it).
+        The result cache is asked by the path's link ids; only a miss
+        builds the link union.  ``trace_id`` labels the query's flight
+        record; :class:`BatchSession` derives one from the batch
+        position, a standalone submit draws from the service-wide
+        sequence.
         """
         recorder = get_recorder()
         started = time.perf_counter()
         with recorder.span("serve.query") if record_span else nullcontext():
-            union_key = None
-            if union is None:
-                union, union_key = self._union(query.path)
-            outcome = self.session.solve(
-                query.path, union, self._demands, (), self.background,
-                union_key=union_key,
-            )
+            path = query.path
+            path_key = tuple([link.link_id for link in path.links])
+            outcome = self.session.recall(path_key)
+            if outcome is None:
+                union, union_key = self._union(path)
+                outcome = self.session.compute(
+                    path_key, path, union, self._demands, (), self.background,
+                    union_key=union_key, path_key=path_key,
+                )
         admitted = outcome.bandwidth + self.tolerance >= query.demand_mbps
         latency = time.perf_counter() - started
         with self._count_lock:
@@ -227,19 +256,19 @@ class AdmissionService:
                 trace_id, query.query_id, latency, admitted, query.demand_mbps,
             ),
         )
-        return AdmissionDecision(
-            query_id=query.query_id,
-            admitted=admitted,
-            available_bandwidth_mbps=outcome.bandwidth,
-            demand_mbps=query.demand_mbps,
-            fingerprint=outcome,
-            cache_state=outcome.cache_state,
-            latency_seconds=latency,
-            trace_id=trace_id,
-            result_cache=outcome.result_cache,
-            columns_cache=outcome.columns_cache,
-            lp_cache=outcome.lp_cache,
-            explanation=outcome.explanation,
+        return AdmissionDecision._of(
+            query.query_id,
+            admitted,
+            outcome.bandwidth,  # available_bandwidth_mbps
+            query.demand_mbps,
+            outcome,  # fingerprint, computed when read
+            outcome.cache_state,
+            latency,  # latency_seconds
+            trace_id,
+            outcome.result_cache,
+            outcome.columns_cache,
+            outcome.lp_cache,
+            outcome.explanation,
         )
 
     def submit_many(
@@ -251,8 +280,8 @@ class AdmissionService:
         return BatchSession(self, workers=workers).run(queries)
 
 
-#: A batched query: (batch position, query, its link union).
-_Member = Tuple[int, AdmissionQuery, List[Link]]
+#: A batched query: (batch position, query).
+_Member = Tuple[int, AdmissionQuery]
 
 
 class BatchSession:
@@ -283,8 +312,8 @@ class BatchSession:
         recorder = get_recorder()
         groups: "OrderedDict[Tuple[str, ...], List[_Member]]" = OrderedDict()
         for position, query in enumerate(queries):
-            union, union_key = self.service._union(query.path)
-            groups.setdefault(union_key, []).append((position, query, union))
+            union_key = self.service._union(query.path)[1]
+            groups.setdefault(union_key, []).append((position, query))
         recorder.count("serve.batch.queries", len(queries))
         recorder.count("serve.batch.groups", len(groups))
 
@@ -299,14 +328,11 @@ class BatchSession:
                     member[0],
                 ),
             )
-            for position, query, union in ordered:
+            for position, query in ordered:
                 # Trace id from the batch position: stable across runs
                 # and across sequential vs threaded execution.
                 decisions[position] = self.service.submit(
-                    query,
-                    record_span=record_span,
-                    trace_id=f"b{position:05d}",
-                    union=union,
+                    query, record_span=record_span, trace_id=f"b{position:05d}"
                 )
 
         if self.workers is None:

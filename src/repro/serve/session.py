@@ -7,13 +7,20 @@ vector comes from: :class:`~repro.serve.service.AdmissionService` fixes
 it at construction, :class:`~repro.serve.online.OnlineAdmissionController`
 re-sums it from its carried set on every arrival.  :class:`MasterSession`
 answers the question for both out of three LRU
-:class:`~repro.serve.cache.SolveCache` levels keyed by the query's
-*link union* (the paper's ``P``: background links ∪ candidate-path
-links, the exact universe the cold solver enumerates over):
+:class:`~repro.serve.cache.SolveCache` levels.  ``master`` and ``enum``
+are keyed by the query's *link union* (the paper's ``P``: background
+links ∪ candidate-path links, the exact universe the cold solver
+enumerates over); ``result`` by whatever locus fixes the answer for the
+front end:
 
 ``result``
-    (link union, path, demand vector) → bandwidth plus its provenance,
-    a pure lookup;
+    the front end's result key → bandwidth plus its provenance, a pure
+    lookup.  The batch service names the path's link ids: its demands
+    are fixed and its union is the background's links followed by the
+    path's, so the path alone fixes the answer, and a hit needs no
+    union.  The online controller names (link union, path, demand
+    vector).  An entry is the :class:`ResultHit` every hit on it
+    returns, shared rather than copied;
 ``master``
     link union → assembled Eq. 6 master LP, edited in place per query:
     :meth:`~repro.core.bandwidth.TimeShareProgram.retarget` points the
@@ -58,7 +65,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import MISSING, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bandwidth import TimeShareProgram, build_path_bandwidth_lp
 from repro.core.independent_sets import (
@@ -73,7 +81,7 @@ from repro.net.path import Path
 from repro.obs.explain import Explanation, explain_solution, top_binding_link
 from repro.serve.cache import SolveCache
 
-__all__ = ["DeferredFingerprint", "MasterSession", "SolveOutcome"]
+__all__ = ["DeferredFingerprint", "MasterSession", "ResultHit", "SolveOutcome"]
 
 #: ``(union_key, demand_key) -> digest``: the front end's decision
 #: fingerprint formula.
@@ -84,7 +92,8 @@ Digest = Callable[[Tuple[str, ...], Tuple[float, ...]], str]
 class SolveOutcome:
     """One answer plus its causal record.
 
-    ``cache_state`` says what the answer cost: ``"result"`` (memoised),
+    ``cache_state`` says what the answer cost: ``"result"`` (memoised;
+    a hit returns a :class:`ResultHit`, which pickles as this class),
     ``"warm"`` (cached master LP, edited in place), ``"cold"`` (master
     built from scratch) — or, for online arrivals that never reach the
     session, ``"unrouted"`` / ``"twohop"``.  The per-level fields say
@@ -107,10 +116,13 @@ class SolveOutcome:
     #: where a query contended even with explanations off.
     bottleneck: Optional[Tuple[str, float]] = None
     explanation: Optional[Explanation] = None
-    #: The session that answered and the ``(union_key, demand_key)`` it
-    #: answered under: what :attr:`fingerprint` digests.  No session
-    #: (an arrival that never reached one) means no fingerprint.
-    session: Optional["MasterSession"] = field(default=None, repr=False, compare=False)
+    #: The fingerprint memo of the session that answered, and the
+    #: ``(union_key, demand_key)`` it answered under: what
+    #: :attr:`fingerprint` digests.  No memo (an arrival that never
+    #: reached a session) means no fingerprint.
+    fingerprints: Optional["_FingerprintMemo"] = field(
+        default=None, repr=False, compare=False
+    )
     locus: Tuple[Tuple[str, ...], Tuple[float, ...]] = ((), ())
     _fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
 
@@ -119,15 +131,15 @@ class SolveOutcome:
         """The decision fingerprint of :attr:`locus` (``""`` without a
         session), computed on first read through the session's memo."""
         if self._fingerprint is None:
-            session = self.session
-            self._fingerprint = "" if session is None else session.fingerprint(*self.locus)
+            memo = self.fingerprints
+            self._fingerprint = "" if memo is None else memo(*self.locus)
         return self._fingerprint
 
     def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
-        """Pickled with its fingerprint taken and without the session
-        (its caches and locks stay in this process)."""
+        """Pickled with its fingerprint taken and without the memo (its
+        lock stays in this process)."""
         state = {name: getattr(self, name) for name in self.__slots__}
-        state.update(_fingerprint=self.fingerprint, session=None)
+        state.update(_fingerprint=self.fingerprint, fingerprints=None)
         return None, state
 
     def flight_record(
@@ -161,12 +173,106 @@ class SolveOutcome:
         }
 
 
+class ResultHit:
+    """What a result-cache hit returns, kept as the entry itself.
+
+    It reads as a :class:`SolveOutcome` of state ``"result"`` (no other
+    cache level consulted, nothing solved) with the bandwidth, bottleneck
+    and explanation of the solve that filled the entry, and its
+    fingerprint digests that solve's locus.  Every hit on the entry
+    returns this one object, so a hit allocates nothing; its few slots
+    keep an entry about the size of a plain tuple of the same values.
+    """
+
+    __slots__ = (
+        "bandwidth", "bottleneck", "explanation",
+        "_fingerprints", "_union_key", "_demand_key",
+    )
+
+    cache_state = "result"
+    result_cache = "hit"
+    columns_cache = lp_cache = "skipped"
+    columns = lp_iterations = retired_rows = 0
+    lp_warm_start = False
+
+    def __init__(self, outcome: SolveOutcome):
+        self.bandwidth = outcome.bandwidth
+        self.bottleneck = outcome.bottleneck
+        self.explanation = outcome.explanation
+        self._fingerprints = outcome.fingerprints
+        self._union_key, self._demand_key = outcome.locus
+
+    @property
+    def fingerprint(self) -> str:
+        """The decision fingerprint of the filling solve's locus."""
+        return self._fingerprints(self._union_key, self._demand_key)
+
+    flight_record = SolveOutcome.flight_record
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        """Pickled as the :class:`SolveOutcome` it reads as, with its
+        fingerprint taken (the memo's lock stays in this process)."""
+        rebuild = partial(
+            SolveOutcome,
+            cache_state=self.cache_state,
+            bandwidth=self.bandwidth,
+            result_cache=self.result_cache,
+            bottleneck=self.bottleneck,
+            explanation=self.explanation,
+            locus=(self._union_key, self._demand_key),
+            _fingerprint=self.fingerprint,
+        )
+        return rebuild, ()
+
+
+#: What answering a query returns: a solve's record, or a result hit.
+Outcome = Union[SolveOutcome, ResultHit]
+
+
+class _FingerprintMemo:
+    """A session's decision fingerprints: ``digest(union_key,
+    demand_key)``, memoised in an LRU of ``capacity`` entries.
+
+    It is kept apart from the session's caches because every outcome
+    holds it, the ones the result cache keeps too: were they to hold
+    the session, session and cache would form a reference cycle, and a
+    dropped session would wait for the cyclic garbage collector.
+    """
+
+    __slots__ = ("digest", "memo", "capacity", "lock")
+
+    def __init__(self, digest: "Digest", capacity: int):
+        self.digest = digest
+        #: ``(union_key, demand_key) -> digest``, least recently used first.
+        self.memo: "OrderedDict[tuple, str]" = OrderedDict()
+        self.capacity = capacity
+        self.lock = threading.Lock()
+
+    def __call__(
+        self, union_key: Tuple[str, ...], demand_key: Tuple[float, ...]
+    ) -> str:
+        memo_key = (union_key, demand_key)
+        memo = self.memo
+        with self.lock:
+            digest = memo.get(memo_key)
+            if digest is not None:
+                memo.move_to_end(memo_key)
+                return digest
+        digest = self.digest(union_key, demand_key)
+        with self.lock:
+            memo[memo_key] = digest
+            if len(memo) > self.capacity:
+                memo.popitem(last=False)
+        return digest
+
+
 class DeferredFingerprint:
     """The ``fingerprint`` field of a decision dataclass.
 
-    The field takes a str, or the :class:`SolveOutcome` the decision was
-    answered with; the outcome's fingerprint is then computed on the
-    first read of the field and kept.  Equality, ``repr`` and the wire
+    The field takes a str, or the outcome (:class:`SolveOutcome` or
+    :class:`ResultHit`) the decision was answered with; the outcome's
+    fingerprint is then computed on the first read of the field and
+    kept.  Equality, ``repr`` and the wire
     format read the field, so they see the str either way.  ``default``
     is the field's dataclass default (none when omitted).
     """
@@ -183,7 +289,7 @@ class DeferredFingerprint:
                 raise AttributeError(self.name)  # the field has no default
             return self.default
         value = instance.__dict__[self.name]
-        if isinstance(value, SolveOutcome):
+        if not isinstance(value, str):
             value = instance.__dict__[self.name] = value.fingerprint
         return value
 
@@ -223,6 +329,10 @@ class _Master:
 class MasterSession:
     """Union-keyed caches and master LPs answering Eq. 6 queries.
 
+    A query is answered by :meth:`solve`, keyed by (link union, path,
+    demand vector), or by :meth:`recall` and, on a miss, :meth:`compute`
+    for a front end that names a smaller result key of its own (see the
+    module docstring).
     ``digest`` maps ``(union_key, demand_key)`` to the front end's
     decision fingerprint.  Nothing in answering a query reads it: the
     caches key on the tuples themselves, so a solve only records them
@@ -279,29 +389,13 @@ class MasterSession:
         self.enum_cache = SolveCache(cache_capacity, "enum", prefix=prefix)
         self.master_cache = SolveCache(cache_capacity, "master", prefix=prefix)
         self.result_cache = SolveCache(result_capacity, "result", prefix=prefix)
-        self._digest = digest
-        #: ``(union_key, demand_key) -> digest``, least recently used first.
-        self._fp_memo: "OrderedDict[tuple, str]" = OrderedDict()
-        self._fp_capacity = result_capacity
-        self._fp_lock = threading.Lock()
+        self._fingerprints = _FingerprintMemo(digest, result_capacity)
 
     def fingerprint(
         self, union_key: Tuple[str, ...], demand_key: Tuple[float, ...]
     ) -> str:
         """Memoised decision fingerprint of (union, demand vector)."""
-        memo_key = (union_key, demand_key)
-        memo = self._fp_memo
-        with self._fp_lock:
-            digest = memo.get(memo_key)
-            if digest is not None:
-                memo.move_to_end(memo_key)
-                return digest
-        digest = self._digest(union_key, demand_key)
-        with self._fp_lock:
-            memo[memo_key] = digest
-            if len(memo) > self._fp_capacity:
-                memo.popitem(last=False)
-        return digest
+        return self._fingerprints(union_key, demand_key)
 
     def solve(
         self,
@@ -314,8 +408,9 @@ class MasterSession:
         *,
         union_key: Optional[Tuple[str, ...]] = None,
         path_key: Optional[Tuple[str, ...]] = None,
-    ) -> SolveOutcome:
-        """Answer one query: result cache → master (built once) → solve.
+    ) -> Outcome:
+        """Answer one query: result cache → master (built once) → solve,
+        the result keyed by ``(union_key, path_key, demand_key)``.
 
         ``demand_key`` is the demand vector in ``union`` order, or
         ``()`` when every query shares the demands the masters were
@@ -331,8 +426,10 @@ class MasterSession:
             union_key = tuple(link.link_id for link in union)
         if path_key is None:
             path_key = tuple(link.link_id for link in path)
-        outcome = SolveOutcome(session=self, locus=(union_key, demand_key))
         if not cached:
+            outcome = SolveOutcome(
+                fingerprints=self._fingerprints, locus=(union_key, demand_key)
+            )
             columns = enumerate_maximal_independent_sets(
                 self.model, union, self.max_sets
             )
@@ -340,17 +437,41 @@ class MasterSession:
             self._solve(outcome, master.program, background)
             return outcome
         result_key = (union_key, path_key, demand_key)
-        cached_result = self.result_cache.get(result_key)
-        if cached_result is not None:
-            # The entry carries the provenance too, so a result hit
-            # explains identically to the solve that filled it.
-            outcome.bandwidth, outcome.bottleneck, outcome.explanation = (
-                cached_result
+        outcome = self.recall(result_key)
+        if outcome is None:
+            outcome = self.compute(
+                result_key, path, union, demands, demand_key, background,
+                union_key=union_key, path_key=path_key,
             )
-            outcome.cache_state = "result"
-            outcome.result_cache = "hit"
-            return outcome
-        outcome.result_cache = "miss"
+        return outcome
+
+    def recall(self, result_key: Any) -> Optional[ResultHit]:
+        """The result level's answer under ``result_key``, or ``None``:
+        one result-cache lookup.  A hit returns the entry itself, the
+        :class:`ResultHit` the filling miss left for every hit on it."""
+        return self.result_cache.get(result_key)
+
+    def compute(
+        self,
+        result_key: Any,
+        path: Path,
+        union: Sequence[Link],
+        demands: Optional[Dict[Link, float]],
+        demand_key: Tuple[float, ...],
+        background: Sequence[Tuple[Path, float]] = (),
+        *,
+        union_key: Tuple[str, ...],
+        path_key: Tuple[str, ...],
+    ) -> SolveOutcome:
+        """Answer a query that :meth:`recall` missed (arguments as in
+        :meth:`solve`) from its union's master, built once, and file the
+        answer under ``result_key``, which must fix it: equal keys must
+        mean equal answers."""
+        outcome = SolveOutcome(
+            result_cache="miss",
+            fingerprints=self._fingerprints,
+            locus=(union_key, demand_key),
+        )
 
         def build() -> _Master:
             outcome.lp_cache = "miss"
@@ -359,11 +480,12 @@ class MasterSession:
             columns = self.enum_cache.get(union_key)
             outcome.columns_cache = "miss" if columns is None else "hit"
             if columns is None:
+                space = self._couple_space(union, union_key)
                 columns = enumerate_maximal_independent_sets(
                     self.model,
-                    union,
+                    union if space is None else space.links,
                     self.max_sets,
-                    space=self._couple_space(union, union_key),
+                    space=space,
                 )
                 self.enum_cache.put(union_key, columns)
             return _Master.build(columns, union, demands, path, demand_key)
@@ -393,10 +515,10 @@ class MasterSession:
                     if outcome.columns_cache == "miss":
                         self.enum_cache.discard(union_key)
                 raise
-        self.result_cache.put(
-            result_key,
-            (outcome.bandwidth, outcome.bottleneck, outcome.explanation),
-        )
+        # The entry is what a hit returns, so it carries the provenance
+        # too: a result hit explains identically to the solve that
+        # filled it.
+        self.result_cache.put(result_key, ResultHit(outcome))
         return outcome
 
     def _couple_space(

@@ -8,7 +8,12 @@ instance families; the rest of the module pins the mechanism (LRU
 bounds, counters, batching) and the JSONL/CLI surface.
 """
 
+import gc
 import json
+import pickle
+import random
+import weakref
+from collections import OrderedDict
 
 import pytest
 
@@ -23,9 +28,11 @@ from repro.errors import (
     InterferenceError,
     SolverError,
 )
+from repro.interference.protocol import ProtocolInterferenceModel
 from repro.net.path import Path
 from repro.obs import Recorder, use_recorder
 from repro.serve import (
+    AdmissionDecision,
     AdmissionQuery,
     AdmissionService,
     BatchSession,
@@ -37,9 +44,14 @@ from repro.serve import (
     path_from_nodes,
     summarize_decisions,
 )
+from repro.serve.session import ResultHit, SolveOutcome
 from repro.testing.faults import inject_faults, plan_from_spec
 from repro.verify.instances import FAMILIES, iter_instances
-from repro.workloads.scenarios import scenario_one, scenario_two
+from repro.workloads.scenarios import (
+    paper_random_topology,
+    scenario_one,
+    scenario_two,
+)
 
 
 class TestSolveCache:
@@ -441,6 +453,180 @@ class TestFreshUnionFailure:
         assert not service.enum_cache.keys()
         assert not service.master_cache.keys()
         assert not service.result_cache.keys()
+
+
+class TestPathKeyedResults:
+    """The batch service keys its result level by the path's link ids:
+    a hit builds no union, and the stream answers, fingerprints and
+    cache counters are those of the (union, path) keyed level."""
+
+    CAPACITY = 4
+
+    @staticmethod
+    def _workload():
+        """Subpaths of a route that leaves the background at its last
+        hop, at mixed demands, repeated and shuffled."""
+        network = paper_random_topology(seed=8)
+        model = ProtocolInterferenceModel(network)
+        background = [(path_from_nodes(network, ["n0", "n1", "n8"]), 0.5)]
+        links = list(path_from_nodes(network, ["n0", "n1", "n8", "n3"]).links)
+        subpaths = [
+            Path(links[start:stop])
+            for start in range(len(links))
+            for stop in range(start + 1, len(links) + 1)
+        ]
+        queries = [
+            AdmissionQuery(f"q{repeat}.{index}@{demand:g}", path, demand)
+            for repeat in range(3)
+            for index, path in enumerate(subpaths)
+            for demand in (0.5, 2.0, 4.0)
+        ]
+        random.Random(7).shuffle(queries)
+        return model, background, queries
+
+    def _service(self, model, background):
+        return AdmissionService(
+            model, background, result_capacity=self.CAPACITY, explain=True
+        )
+
+    def test_hits_answer_as_the_miss_that_filled_them(self, monkeypatch):
+        model, background, queries = self._workload()
+        service = self._service(model, background)
+        session = service.session
+        outcomes, union_calls = [], []
+        recall, compute, union = session.recall, session.compute, service._union
+
+        def spied_recall(key):
+            outcome = recall(key)
+            if outcome is not None:
+                outcomes.append(outcome)
+            return outcome
+
+        def spied_compute(*args, **kwargs):
+            outcomes.append(compute(*args, **kwargs))
+            return outcomes[-1]
+
+        def spied_union(path):
+            union_calls.append(path)
+            return union(path)
+
+        monkeypatch.setattr(session, "recall", spied_recall)
+        monkeypatch.setattr(session, "compute", spied_compute)
+        monkeypatch.setattr(service, "_union", spied_union)
+        recorder = Recorder()
+        decisions, filled = [], {}
+        reference: "OrderedDict[tuple, None]" = OrderedDict()
+        expected = {"hits": 0, "misses": 0, "evictions": 0}
+        with use_recorder(recorder):
+            for query in queries:
+                calls = len(union_calls)
+                decision = service.submit(query)
+                decisions.append(decision)
+                outcome = outcomes[-1]
+                path_key = tuple(link.link_id for link in query.path)
+                key = (union(query.path)[1], path_key)
+                if key in reference:
+                    reference.move_to_end(key)
+                    expected["hits"] += 1
+                    assert decision.result_cache == "hit"
+                    assert len(union_calls) == calls  # no union on a hit
+                    miss, miss_outcome = filled[path_key]
+                    assert decision.fingerprint == miss.fingerprint
+                    assert decision.explanation == miss.explanation
+                    assert decision.explanation is not None
+                    assert outcome.bottleneck == miss_outcome.bottleneck
+                else:
+                    reference[key] = None
+                    expected["misses"] += 1
+                    if len(reference) > self.CAPACITY:
+                        reference.popitem(last=False)
+                        expected["evictions"] += 1
+                    assert decision.result_cache == "miss"
+                    assert len(union_calls) == calls + 1
+                    filled[path_key] = (decision, outcome)
+        assert expected["hits"] and expected["evictions"]
+        for level, count in expected.items():
+            assert recorder.counters.get(f"serve.cache.result.{level}", 0) == count
+            assert getattr(service.result_cache, level) == count
+        assert len(service.result_cache) == self.CAPACITY
+
+        cold = {
+            query.query_id: available_path_bandwidth(
+                model, query.path, background
+            ).available_bandwidth
+            for query in queries
+        }
+        for decision in decisions:
+            assert decision.available_bandwidth_mbps == cold[decision.query_id]
+            assert decision.admitted == (
+                cold[decision.query_id] + 1e-6 >= decision.demand_mbps
+            )
+        threaded = BatchSession(
+            self._service(model, background), workers=4
+        ).run(queries)
+        assert [
+            (d.query_id, d.available_bandwidth_mbps, d.admitted, d.fingerprint)
+            for d in threaded
+        ] == [
+            (d.query_id, d.available_bandwidth_mbps, d.admitted, d.fingerprint)
+            for d in decisions
+        ]
+
+
+    def test_a_dropped_service_is_freed_without_the_cycle_collector(self):
+        # The result cache's entries reach the session's fingerprint
+        # memo, not the session, so dropping a service frees it at once.
+        model, background, queries = self._workload()
+        service = self._service(model, background)
+        decisions = [service.submit(query) for query in queries]
+        assert any(decision.result_cache == "hit" for decision in decisions)
+        session = weakref.ref(service.session)
+        gc.disable()
+        try:
+            del service
+            assert session() is None
+        finally:
+            gc.enable()
+        # The decisions still read their fingerprints.
+        assert all(len(decision.fingerprint) == 16 for decision in decisions)
+
+
+class TestDecisionOf:
+    """``AdmissionDecision._of`` makes the instance the constructor does."""
+
+    @staticmethod
+    def _values(fingerprint):
+        return (
+            "q", True, 2.5, 1.0, fingerprint, "result", 1e-5, "t000001",
+            "hit", "skipped", "skipped", None,
+        )
+
+    @pytest.mark.parametrize("kind", ["str", "solve", "hit"])
+    def test_of_equals_the_constructor(self, kind):
+        scenario = scenario_two()
+        service = AdmissionService(scenario.model, [(scenario.path, 1.0)])
+        union_key = service._union(scenario.path)[1]
+
+        def fingerprint():
+            if kind == "str":
+                return "0123456789abcdef"
+            outcome = SolveOutcome(
+                fingerprints=service.session._fingerprints, locus=(union_key, ())
+            )
+            return outcome if kind == "solve" else ResultHit(outcome)
+
+        made = AdmissionDecision(*self._values(fingerprint()))
+        written = AdmissionDecision._of(*self._values(fingerprint()))
+        if kind != "str":
+            assert not isinstance(vars(written)["fingerprint"], str)
+            assert written.fingerprint == service.query_fingerprint(scenario.path)
+        assert written == made and hash(written) == hash(made)
+        assert repr(written) == repr(made)
+        assert vars(written) == vars(made)
+        assert pickle.loads(pickle.dumps(written)) == made
+        assert decision_to_dict(written) == decision_to_dict(made)
+        with pytest.raises(AttributeError):
+            written.admitted = False
 
 
 class TestBatchSession:

@@ -24,7 +24,7 @@ from repro.serve import (
     online_decision_to_dict,
     run_online_session,
 )
-from repro.serve.session import SolveOutcome
+from repro.serve.session import ResultHit, SolveOutcome
 from repro.workloads.scenarios import (
     admission_query_workload,
     online_churn_workload,
@@ -138,7 +138,9 @@ def test_deferred_fingerprints_compare_pickle_and_print_as_strings():
     decisions, _wall = run_online_session(
         OnlineAdmissionController(workload.model), workload.events[:120]
     )
-    assert all(isinstance(vars(decision)["fingerprint"], SolveOutcome) for decision in decisions)
+    deferred = [vars(decision)["fingerprint"] for decision in decisions]
+    assert all(isinstance(value, (SolveOutcome, ResultHit)) for value in deferred)
+    assert any(isinstance(value, ResultHit) for value in deferred)  # result hits
     copies = [pickle.loads(pickle.dumps(decision)) for decision in decisions]
     for copy, decision in zip(copies, decisions):
         assert copy == decision and hash(copy) == hash(decision)

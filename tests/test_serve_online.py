@@ -182,16 +182,16 @@ class TestFingerprintMemo:
         for step in range(100):
             session.fingerprint(union, (float(step),))
             session.fingerprint(union, (0.0,))  # kept hot
-        assert len(session._fp_memo) == 8
-        assert (union, (0.0,)) in session._fp_memo
-        assert (union, (99.0,)) in session._fp_memo
-        assert (union, (1.0,)) not in session._fp_memo
+        assert len(session._fingerprints.memo) == 8
+        assert (union, (0.0,)) in session._fingerprints.memo
+        assert (union, (99.0,)) in session._fingerprints.memo
+        assert (union, (1.0,)) not in session._fingerprints.memo
 
     def test_bounded_memo_changes_no_answer(self, workload):
         small = OnlineAdmissionController(workload.model, result_capacity=4)
         decisions, _ = run_online_session(small, workload.events)
         assert len({d.fingerprint for d in decisions if d.fingerprint}) > 4
-        assert len(small.session._fp_memo) <= 4
+        assert len(small.session._fingerprints.memo) <= 4
         reference, _ = run_online_session(
             OnlineAdmissionController(workload.model), workload.events
         )
