@@ -165,13 +165,24 @@ def model_fingerprint(model: Any) -> str:
     """Digest of an interference model: type, network, declared rules.
 
     Rate-dependent rule *predicates* are recorded only as a flag (see
-    the module docstring's caveat).
+    the module docstring's caveat).  The digest is made once per network
+    state, model type and rule tuple: the network keeps it
+    (``Network.derived``) until it grows.
     """
+    rules = getattr(model, "rules", None)
+    if rules is not None:
+        rules = tuple(rules)
+    return model.network.derived(
+        ("model_fingerprint", type(model).__name__, rules),
+        lambda: _model_fingerprint(model, rules),
+    )
+
+
+def _model_fingerprint(model: Any, rules: Optional[Tuple[Any, ...]]) -> str:
     data: Dict[str, Any] = {
         "type": type(model).__name__,
         "network": network_description(model.network),
     }
-    rules = getattr(model, "rules", None)
     if rules is not None:
         data["rules"] = sorted(
             [

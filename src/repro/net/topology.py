@@ -3,11 +3,17 @@
 A network owns nodes, directed links and the shared radio configuration.
 It offers the geometric queries the interference layer needs (distances,
 hearing sets) plus conversions to :mod:`networkx` graphs for routing.
+
+A network only grows: nodes and links are added, never removed or
+changed, and the radio is fixed at construction.  So everything derived
+from its nodes and links (the routing graph, endpoint pair lists, model
+digests) is a function of the *network state*, and :meth:`Network.derived`
+keeps one copy of each per state, dropped whenever the network grows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -37,6 +43,20 @@ class Network:
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[str, Link] = {}
         self._links_by_pair: Dict[Tuple[str, str], Link] = {}
+        #: Values derived from the current nodes and links, by key (see
+        #: :meth:`derived`); replaced by every ``add_node``/``add_link``.
+        self._derived: Dict[Hashable, Any] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Derived values are rebuilt on first use, so a pickled network
+        # carries only its nodes, links and radio.
+        state = dict(self.__dict__)
+        del state["_derived"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._derived = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -51,6 +71,7 @@ class Network:
             raise TopologyError(f"duplicate node id {node_id!r}")
         node = Node(node_id=node_id, x=x, y=y)
         self._nodes[node_id] = node
+        self._derived = {}
         return node
 
     def add_link(
@@ -85,6 +106,7 @@ class Network:
                 )
         self._links[link_id] = link
         self._links_by_pair[(sender_id, receiver_id)] = link
+        self._derived = {}
         return link
 
     # -- lookups ----------------------------------------------------------------
@@ -159,19 +181,41 @@ class Network:
             return True
         return self.radio.hears(self.distance(listener_id, transmitter_id))
 
+    # -- derived values --------------------------------------------------------------
+
+    def derived(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, made once per network state and shared under ``key``.
+
+        The value is kept until the next ``add_node``/``add_link`` and is
+        not pickled.  Callers share it, so it must be treated as
+        read-only.  ``build`` must depend only on the nodes, links and
+        radio, and ``key`` must name everything else it depends on.
+        """
+        # Growth replaces the dict rather than clearing it, so a build
+        # that raced an add_node/add_link lands in the dropped dict.
+        derived = self._derived
+        try:
+            return derived[key]
+        except KeyError:
+            value = derived[key] = build()
+            return value
+
     # -- graph views -----------------------------------------------------------------
 
     def to_digraph(self) -> nx.DiGraph:
-        """Directed graph of the registered links.
+        """A fresh directed graph of the registered links.
 
         Edge attributes: ``link`` (the :class:`Link`) and, on geometric
         networks, ``rate_mbps``/``length_m`` from the link's maximum
-        standalone rate.  This is the routing substrate.
+        standalone rate.  Each call builds a new graph that the caller
+        may change; routing reads :meth:`routing_graph` instead.
         """
         graph = nx.DiGraph()
-        for node in self._nodes.values():
+        # Tuple snapshots, so a concurrent add_node/add_link cannot break
+        # the iteration.
+        for node in self.nodes:
             graph.add_node(node.node_id, node=node)
-        for link in self._links.values():
+        for link in self.links:
             attrs = {"link": link}
             if link.sender.has_position and link.receiver.has_position:
                 rate = self.max_standalone_rate(link)
@@ -179,6 +223,16 @@ class Network:
                 attrs["rate_mbps"] = rate.mbps if rate is not None else 0.0
             graph.add_edge(link.sender.node_id, link.receiver.node_id, **attrs)
         return graph
+
+    def routing_graph(self) -> nx.DiGraph:
+        """The routing substrate: one :meth:`to_digraph` per network state.
+
+        Built on first use and rebuilt only after the network grows, so
+        it has the node and edge insertion order of a fresh
+        :meth:`to_digraph`, and Dijkstra breaks ties on it the same way.
+        Shared by every route: read it, never change it.
+        """
+        return self.derived("routing_graph", self.to_digraph)
 
     def build_links_within_range(self) -> int:
         """Register links for every ordered node pair in transmission range.

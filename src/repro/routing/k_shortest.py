@@ -64,12 +64,16 @@ def k_shortest_paths(
     Returns fewer than ``k`` paths when the graph does not contain that
     many distinct simple paths; raises :class:`RoutingError` when there is
     none at all.
+
+    Every spur search reads :meth:`Network.routing_graph` (one graph per
+    network state, rebuilt after the network grows); removed edges and
+    nodes are masked in the weight function, never deleted from it.
     """
     if k < 1:
         raise RoutingError("k must be at least 1")
     network.node(source)
     network.node(destination)
-    graph = network.to_digraph()
+    graph = network.routing_graph()
 
     first = _dijkstra(
         graph, network, source, destination, metric, context, set(), set()

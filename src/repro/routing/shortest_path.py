@@ -28,10 +28,14 @@ def route(
     links weighted ``inf`` (unusable: no rate, or fully busy neighbourhood
     under average-e2eD) are excluded from the search entirely, so a result
     is always a usable path and absence of one raises :class:`RoutingError`.
+
+    The graph is :meth:`Network.routing_graph`, built once per network
+    state and rebuilt after the network grows; a call only evaluates the
+    metric's weights and runs the search.
     """
     network.node(source)
     network.node(destination)
-    graph = network.to_digraph()
+    graph = network.routing_graph()
 
     def weight(u: str, v: str, data: dict) -> Optional[float]:
         value = metric.weight(data["link"], context)

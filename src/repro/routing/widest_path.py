@@ -44,12 +44,15 @@ def widest_estimate_route(
 ) -> Tuple[Path, float]:
     """Route maximising the estimator's prefix score; returns (path, score).
 
+    Expands over :meth:`Network.routing_graph`, built once per network
+    state and rebuilt after the network grows.
+
     Raises:
         RoutingError: when no path with a positive estimate exists.
     """
     network.node(source)
     network.node(destination)
-    graph = network.to_digraph()
+    graph = network.routing_graph()
 
     counter = itertools.count()  # tie-breaker keeping heap entries orderable
     best_score: Dict[str, float] = {source: float("inf")}

@@ -81,19 +81,14 @@ def random_flow_endpoints(
 
     Pairs are drawn without replacement over ordered node pairs; a minimum
     geometric separation can be required so flows are genuinely multihop.
+    The candidate pairs are listed once per network state and separation
+    (``Network.derived``) and shared by every draw.
     """
     rng = make_rng(seed)
-    nodes = [node.node_id for node in network.nodes]
-    candidates = [
-        (src, dst)
-        for src in nodes
-        for dst in nodes
-        if src != dst
-        and (
-            min_distance_m <= 0.0
-            or network.distance(src, dst) >= min_distance_m
-        )
-    ]
+    candidates = network.derived(
+        ("flow_endpoints", min_distance_m),
+        lambda: _endpoint_pairs(network, min_distance_m),
+    )
     if len(candidates) < count:
         raise ConfigurationError(
             f"only {len(candidates)} endpoint pairs satisfy the separation "
@@ -109,3 +104,20 @@ def random_flow_endpoints(
         )
         for index, pick in enumerate(picked)
     ]
+
+
+def _endpoint_pairs(
+    network: Network, min_distance_m: float
+) -> Tuple[Tuple[str, str], ...]:
+    """Ordered node pairs at least ``min_distance_m`` apart, in node order."""
+    nodes = [node.node_id for node in network.nodes]
+    return tuple(
+        (src, dst)
+        for src in nodes
+        for dst in nodes
+        if src != dst
+        and (
+            min_distance_m <= 0.0
+            or network.distance(src, dst) >= min_distance_m
+        )
+    )

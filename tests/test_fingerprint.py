@@ -2,6 +2,8 @@
 
 import json
 
+import repro.fingerprint
+from repro import ConflictRule, DeclaredInterferenceModel, Network, RadioConfig
 from repro.fingerprint import (
     SHORT_LENGTH,
     args_fingerprint,
@@ -9,9 +11,11 @@ from repro.fingerprint import (
     canonical_json,
     fingerprint,
     model_fingerprint,
+    network_description,
     network_fingerprint,
     path_fingerprint,
 )
+from repro.interference.protocol import ProtocolInterferenceModel
 from repro.net.path import Path
 from repro.workloads.scenarios import paper_random_topology, scenario_two
 
@@ -176,3 +180,81 @@ class TestHistoryCompatibility:
                 ).encode("utf-8")
             ).hexdigest()[:16]
             assert args_fingerprint(arguments) == historical
+
+
+def _fresh_model_fingerprint(model):
+    """The digest ``model_fingerprint`` documents, computed directly."""
+    data = {
+        "type": type(model).__name__,
+        "network": network_description(model.network),
+    }
+    rules = getattr(model, "rules", None)
+    if rules is not None:
+        data["rules"] = sorted(
+            [
+                rule.link_a,
+                rule.link_b,
+                "rate-dependent" if rule.is_rate_dependent else "always",
+            ]
+            for rule in rules
+        )
+    return fingerprint(data)
+
+
+class TestModelFingerprintMemo:
+    """One model digest per network state, equal to a fresh digest."""
+
+    def test_memo_equals_fresh_digest(self):
+        declared = scenario_two().model
+        protocol = ProtocolInterferenceModel(paper_random_topology(seed=8))
+        for model in (declared, protocol):
+            for _ in range(2):
+                assert model_fingerprint(model) == _fresh_model_fingerprint(
+                    model
+                )
+
+    def test_digest_made_once_per_state(self, monkeypatch):
+        model = ProtocolInterferenceModel(paper_random_topology(seed=8))
+        calls = []
+        digest = repro.fingerprint.fingerprint
+
+        def counting(value, *args, **kwargs):
+            calls.append(value)
+            return digest(value, *args, **kwargs)
+
+        monkeypatch.setattr(repro.fingerprint, "fingerprint", counting)
+        first = model_fingerprint(model)
+        for _ in range(5):
+            assert model_fingerprint(model) == first
+        assert model_fingerprint(ProtocolInterferenceModel(model.network)) == first
+        assert len(calls) == 1
+
+    def test_digest_follows_network_growth(self):
+        network = Network(RadioConfig())
+        network.add_node("a", x=0.0, y=0.0)
+        network.add_node("b", x=70.0, y=0.0)
+        model = ProtocolInterferenceModel(network)
+        seen = [model_fingerprint(model)]
+        network.add_node("c", x=140.0, y=0.0)
+        seen.append(model_fingerprint(model))
+        network.add_link("a", "b")
+        seen.append(model_fingerprint(model))
+        assert len(set(seen)) == 3
+        assert seen[-1] == _fresh_model_fingerprint(model)
+
+    def test_rules_are_part_of_the_key(self):
+        network = scenario_two().network
+        links = [link.link_id for link in network.links]
+        models = [
+            DeclaredInterferenceModel(network),
+            DeclaredInterferenceModel(
+                network, rules=[ConflictRule(links[0], links[2])]
+            ),
+            DeclaredInterferenceModel(
+                network,
+                rules=[ConflictRule(links[0], links[2], lambda a, b: a > 36)],
+            ),
+        ]
+        digests = [model_fingerprint(model) for model in models]
+        assert len(set(digests)) == len(models)
+        assert digests == [_fresh_model_fingerprint(model) for model in models]

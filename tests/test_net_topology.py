@@ -1,5 +1,9 @@
 """The Network container."""
 
+import pickle
+import sys
+import threading
+
 import pytest
 
 from repro import Network
@@ -127,3 +131,95 @@ class TestGraphView:
         assert data["rate_mbps"] == 36.0
         assert data["length_m"] == pytest.approx(70.0)
         assert data["link"] is line_network.link_between("n0", "n1")
+
+    def test_to_digraph_is_fresh_and_routing_graph_shared(self, line_network):
+        first = line_network.to_digraph()
+        assert line_network.to_digraph() is not first
+        shared = line_network.routing_graph()
+        assert shared is line_network.routing_graph()
+        assert shared is not first
+
+    def test_routing_graph_matches_fresh_build(self, line_network):
+        fresh = line_network.to_digraph()
+        shared = line_network.routing_graph()
+        assert list(shared.nodes) == list(fresh.nodes)
+        assert list(shared.edges(data=True)) == list(fresh.edges(data=True))
+
+
+class TestDerived:
+    def test_value_built_once_per_state(self, line_network):
+        builds = []
+
+        def build():
+            builds.append(1)
+            return object()
+
+        first = line_network.derived("probe", build)
+        assert line_network.derived("probe", build) is first
+        assert len(builds) == 1
+
+    def test_growth_drops_derived_values(self, line_network):
+        graph = line_network.routing_graph()
+        line_network.add_node("n5", x=350.0, y=0.0)
+        after_node = line_network.routing_graph()
+        assert after_node is not graph
+        assert "n5" in after_node and "n5" not in graph
+        line_network.add_link("n4", "n5")
+        after_link = line_network.routing_graph()
+        assert after_link is not after_node
+        assert after_link.has_edge("n4", "n5")
+
+    def test_failed_growth_keeps_derived_values(self, line_network):
+        graph = line_network.routing_graph()
+        with pytest.raises(TopologyError):
+            line_network.add_node("n0")
+        with pytest.raises(LinkError):
+            line_network.add_link("n0", "n1")
+        assert line_network.routing_graph() is graph
+
+    def test_pickle_carries_no_derived_value(self, line_network):
+        before = pickle.dumps(line_network)
+        line_network.routing_graph()
+        line_network.derived("probe", lambda: list(range(1000)))
+        assert pickle.dumps(line_network) == before
+        restored = pickle.loads(before)
+        assert restored.derived("probe", lambda: "rebuilt") == "rebuilt"
+        assert list(restored.routing_graph().edges) == list(
+            line_network.routing_graph().edges
+        )
+
+    def test_growth_racing_readers_leaves_no_stale_graph(self, radio):
+        """Readers build the routing graph while the network grows; once
+        growth stops, the shared graph is the current one."""
+        network = Network(radio)
+        stop = threading.Event()
+        errors = []
+
+        def read():
+            try:
+                while not stop.is_set():
+                    network.routing_graph()
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        try:
+            for reader in readers:
+                reader.start()
+            for index in range(60):
+                network.add_node(f"n{index}", x=20.0 * index, y=0.0)
+                if index:
+                    network.add_link(f"n{index - 1}", f"n{index}")
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert errors == []
+        shared = network.routing_graph()
+        fresh = network.to_digraph()
+        assert list(shared.nodes) == list(fresh.nodes)
+        assert list(shared.edges) == list(fresh.edges)

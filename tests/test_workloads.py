@@ -5,6 +5,7 @@ import pytest
 from repro import Flow, Path
 from repro.errors import ConfigurationError, TopologyError
 from repro.workloads.flows import random_flow_endpoints
+from repro.rng import make_rng
 from repro.workloads.scenarios import paper_random_topology, scenario_one
 
 
@@ -68,6 +69,45 @@ class TestRandomFlows:
                 small_random_topology.distance(flow.source, flow.destination)
                 >= 300.0
             )
+
+    @pytest.mark.parametrize("min_distance_m", [0.0, 100.0, 300.0])
+    @pytest.mark.parametrize("seed", [0, 3, 17, 2**31 - 5])
+    def test_draws_equal_direct_pair_listing(
+        self, small_random_topology, seed, min_distance_m
+    ):
+        """The shared pair list is the per-draw comprehension's, so the
+        same ``rng.choice`` picks give the same flows."""
+        network = small_random_topology
+        nodes = [node.node_id for node in network.nodes]
+        candidates = [
+            (src, dst)
+            for src in nodes
+            for dst in nodes
+            if src != dst
+            and (
+                min_distance_m <= 0.0
+                or network.distance(src, dst) >= min_distance_m
+            )
+        ]
+        picked = make_rng(seed).choice(len(candidates), size=8, replace=False)
+        expected = [
+            Flow(f"f{index}", *candidates[pick], demand_mbps=0.2)
+            for index, pick in enumerate(picked)
+        ]
+        for _ in range(2):  # the first draw lists the pairs, the second reuses them
+            assert (
+                random_flow_endpoints(
+                    network, 8, 0.2, seed=seed, min_distance_m=min_distance_m
+                )
+                == expected
+            )
+
+    def test_pairs_follow_network_growth(self, line_network):
+        flows = random_flow_endpoints(line_network, 20, 1.0, seed=1)
+        assert {flow.source for flow in flows} <= {f"n{i}" for i in range(5)}
+        line_network.add_node("n5", x=350.0, y=0.0)
+        flows = random_flow_endpoints(line_network, 30, 1.0, seed=1)
+        assert "n5" in {flow.source for flow in flows}
 
     def test_impossible_separation_raises(self, small_random_topology):
         with pytest.raises(ConfigurationError):
